@@ -44,12 +44,9 @@ def array_to_world_deg(az_array_deg: float, boresight_deg: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class BeamVector:
-    """Unit-norm beamforming vector with its angular bin [lo, hi)."""
+    """One codebook beam; its unit-norm weights are a row of Codebook.matrix."""
 
-    w: np.ndarray
     center_az_deg: float
-    bin_lo_deg: float
-    bin_hi_deg: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,15 +75,9 @@ def generate_codebook(n_elements: int, spacing_wavelengths: float,
     rows = np.empty((q, n_elements), dtype=complex)
     for i in range(q):
         center = (i + 0.5) * width
-        w = array_response(n_elements, spacing_wavelengths, center)
-        w = w / math.sqrt(n_elements)
-        rows[i] = w
-        beams.append(BeamVector(
-            w=w,
-            center_az_deg=center,
-            bin_lo_deg=i * width,
-            bin_hi_deg=(i + 1) * width,
-        ))
+        rows[i] = (array_response(n_elements, spacing_wavelengths, center)
+                   / math.sqrt(n_elements))
+        beams.append(BeamVector(center_az_deg=center))
     return Codebook(beams=tuple(beams), matrix=rows)
 
 

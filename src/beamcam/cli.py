@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import dataset as ds
-from .pipeline import DetectorNoiseModel, Simulator
+from .pipeline import DetectorNoiseModel, FrameRecord, Simulator
 from .render import render_debug_frame, write_ppm
 from .scenario import ScenarioError, parse_scenario
 
@@ -22,10 +22,10 @@ def _load_scenario(path: str):
     return parse_scenario(text)
 
 
-def _render_frame_bytes(sim: Simulator, frame: int) -> bytes:
-    scene, positions = sim.frame_scene(frame)
-    truth = sim.frame_truth(frame)
-    bboxes = [u.bbox for u in truth.ues if u.bbox is not None]
+def _render_frame_bytes(sim: Simulator, record: FrameRecord) -> bytes:
+    """PPM of one frame's scene with the truth boxes already in its record."""
+    scene, _ = sim.frame_scene(record.frame)
+    bboxes = [u.bbox for u in record.ues if u.bbox is not None]
     img = render_debug_frame(sim.camera, scene.tset.meshes, bboxes)
     return write_ppm(img)
 
@@ -51,7 +51,7 @@ def _cmd_generate(args) -> int:
         render_dir.mkdir(parents=True, exist_ok=True)
         for frame in range(0, scenario.system.frames, args.render_every):
             out = render_dir / f"frame_{frame:06d}.ppm"
-            out.write_bytes(_render_frame_bytes(sim, frame))
+            out.write_bytes(_render_frame_bytes(sim, records[frame]))
             rendered += 1
     print(f"wrote {count} records to {args.out}"
           + (f", {rendered} renders" if rendered else ""))
@@ -75,7 +75,8 @@ def _cmd_render(args) -> int:
     if not 0 <= args.frame < scenario.system.frames:
         raise ValueError(f"frame {args.frame} outside "
                          f"[0, {scenario.system.frames})")
-    Path(args.out).write_bytes(_render_frame_bytes(sim, args.frame))
+    Path(args.out).write_bytes(
+        _render_frame_bytes(sim, sim.frame_truth(args.frame)))
     print(f"wrote {args.out}")
     return 0
 

@@ -8,22 +8,9 @@ amplitudes through a ``[materials]`` section.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 DEFAULT_MATERIALS: dict[str, float] = {
     "metal": 0.95,
     "concrete": 0.60,
     "brick": 0.45,
 }
 
-
-@dataclass(frozen=True)
-class Material:
-    id: str
-    reflection_amp: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.reflection_amp <= 1.0:
-            raise ValueError(
-                f"reflection_amp must be in (0, 1], got {self.reflection_amp}"
-            )

@@ -11,7 +11,7 @@ codebook bin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -241,32 +241,12 @@ class Simulator:
                         self.bs.boresight_deg)
                 else:
                     pred_index, pred_az = None, None
-                new_ues.append(UeFrameRecord(
-                    ue_name=u.ue_name,
-                    position=u.position,
-                    active=u.active,
-                    bbox=u.bbox,
-                    paths=u.paths,
-                    beam_snrs_db=u.beam_snrs_db,
-                    optimal_index=u.optimal_index,
-                    optimal_snr_db=u.optimal_snr_db,
-                    outage=u.outage,
-                    detection=det,
-                    predicted_index=pred_index,
-                    predicted_azimuth_deg=pred_az,
-                ))
+                new_ues.append(replace(u, detection=det,
+                                       predicted_index=pred_index,
+                                       predicted_azimuth_deg=pred_az))
             out.append(FrameRecord(frame=rec.frame, bs_name=rec.bs_name,
                                    ues=tuple(new_ues)))
         return out
-
-
-def simulate_frame(scenario: Scenario, frame: int,
-                   model: DetectorNoiseModel | None = None,
-                   bs_name: str | None = None,
-                   base_dir: str | Path | None = None) -> FrameRecord:
-    sim = Simulator(scenario, bs_name, base_dir)
-    truth = sim.frame_truth(frame)
-    return sim.apply_detector([truth], model or DetectorNoiseModel())[0]
 
 
 def run_simulation(scenario: Scenario,

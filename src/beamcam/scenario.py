@@ -3,14 +3,21 @@
 The format is line oriented: ``[section]`` or ``[section name]`` headers,
 ``key = value`` pairs, comma-separated numeric tuples, ``#`` comments and
 repeated ``keyframe = FRAME : X, Y, Z`` lines. See docs/scenario_format.md
-for the grammar and a fully commented example.
+for the grammar and a fully commented example. Each file key is declared
+once, by a ``_spec`` on its config dataclass field; the field default is the
+parse default. Parse, validate and serialize walk those specs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import MISSING, dataclass, field, fields
+from functools import cache
+from typing import Any, Callable, NamedTuple
 
 from .materials import DEFAULT_MATERIALS
+
+Vec3 = tuple[float, float, float]
 
 
 class ScenarioError(Exception):
@@ -30,63 +37,155 @@ class ScenarioValidationError(ScenarioError):
         self.violations = violations
 
 
-@dataclass(frozen=True)
+# ---------------------------------------------------------------------------
+# Value kinds and bounds
+
+def _parse_float(raw: str, line: int, col: int) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ScenarioSyntaxError(f"expected a number, got '{raw}'", line, col)
+    if not math.isfinite(value):
+        raise ScenarioSyntaxError(f"expected a finite number, got '{raw}'", line, col)
+    return value
+
+
+def _parse_int(raw: str, line: int, col: int) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise ScenarioSyntaxError(f"expected an integer, got '{raw}'", line, col)
+
+
+def _parse_vec3(raw: str, line: int, col: int) -> Vec3:
+    parts = [p.strip() for p in raw.split(",")]
+    if len(parts) != 3:
+        raise ScenarioSyntaxError(
+            f"expected 3 comma-separated numbers, got '{raw}'", line, col)
+    x, y, z = (_parse_float(p, line, col) for p in parts)
+    return (x, y, z)
+
+
+def _parse_ranges(raw: str, line: int, col: int) -> tuple[tuple[int, int], ...]:
+    ranges = []
+    for chunk in raw.split(","):
+        chunk = chunk.strip()
+        if "-" not in chunk:
+            raise ScenarioSyntaxError(
+                f"expected frame range 'A-B', got '{chunk}'", line, col)
+        lo, hi = chunk.split("-", 1)
+        ranges.append((_parse_int(lo.strip(), line, col),
+                       _parse_int(hi.strip(), line, col)))
+    return tuple(ranges)
+
+
+def _fmt_float(x: float) -> str:
+    return repr(float(x))
+
+
+def _fmt_vec(v: Vec3) -> str:
+    return ", ".join(_fmt_float(c) for c in v)
+
+
+class _Kind(NamedTuple):
+    """How one value is read from (raw, line, col) and written as text."""
+
+    parse: Callable[[str, int, int], Any]
+    format: Callable[[Any], str]
+
+
+_INT = _Kind(_parse_int, str)
+_FLOAT = _Kind(_parse_float, _fmt_float)
+_VEC3 = _Kind(_parse_vec3, _fmt_vec)
+_NAME = _Kind(lambda raw, line, col: raw, str)
+_KEYWORD = _Kind(lambda raw, line, col: raw.lower(), str)
+_RANGES = _Kind(_parse_ranges, lambda rs: ", ".join(f"{lo}-{hi}" for lo, hi in rs))
+
+
+class _Bound(NamedTuple):
+    """A constraint on a parsed value, and how messages state it."""
+
+    text: str
+    holds: Callable[[Any], bool]
+
+
+_AT_LEAST_0 = _Bound(">= 0", lambda v: v >= 0)
+_AT_LEAST_1 = _Bound(">= 1", lambda v: v >= 1)
+_POSITIVE = _Bound("> 0", lambda v: v > 0)
+_POSITIVE_EACH = _Bound("> 0 in each component", lambda v: all(c > 0 for c in v))
+_AZIMUTH = _Bound("in [0, 360)", lambda v: 0.0 <= v < 360.0)
+_FOV = _Bound("in (0, 180)", lambda v: 0.0 < v < 180.0)
+_BOX = _Bound("'box'", lambda v: v == "box")
+
+
+def _spec(kind: _Kind, default: Any = MISSING, *, key: str | None = None,
+          bound: _Bound | None = None):
+    """A file-backed field; ``key`` defaults to the field name."""
+    return field(default=default,
+                 metadata={"kind": kind, "key": key, "bound": bound})
+
+
+# ---------------------------------------------------------------------------
+# Config dataclasses
+
+@dataclass(frozen=True, kw_only=True)
 class SystemParams:
-    frames: int
-    fps: float
-    carrier_ghz: float
-    max_reflections: int = 2
-    codebook_size_q: int = 16
-    tx_power_dbm: float = 30.0
-    noise_power_dbm: float = -90.0
+    frames: int = _spec(_INT, bound=_AT_LEAST_1)
+    fps: float = _spec(_FLOAT, bound=_POSITIVE)
+    carrier_ghz: float = _spec(_FLOAT, bound=_POSITIVE)
+    max_reflections: int = _spec(_INT, 2, bound=_AT_LEAST_0)
+    codebook_size_q: int = _spec(_INT, 16, bound=_AT_LEAST_1)
+    tx_power_dbm: float = _spec(_FLOAT, 30.0)
+    noise_power_dbm: float = _spec(_FLOAT, -90.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ArrayConfig:
     name: str
-    elements_n: int
-    spacing_wavelengths: float = 0.5
+    elements_n: int = _spec(_INT, bound=_AT_LEAST_1)
+    spacing_wavelengths: float = _spec(_FLOAT, 0.5, bound=_POSITIVE)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class CameraConfig:
-    width_px: int = 1280
-    height_px: int = 720
-    hfov_deg: float = 90.0
-    position_offset: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    yaw_deg: float = 0.0
-    pitch_deg: float = 0.0
+    width_px: int = _spec(_INT, 1280, key="camera_width_px", bound=_AT_LEAST_1)
+    height_px: int = _spec(_INT, 720, key="camera_height_px", bound=_AT_LEAST_1)
+    hfov_deg: float = _spec(_FLOAT, 90.0, key="camera_hfov_deg", bound=_FOV)
+    position_offset: Vec3 = _spec(_VEC3, (0.0, 0.0, 0.0), key="camera_offset")
+    # A parsed [bs] section defaults this to its boresight_deg.
+    yaw_deg: float = _spec(_FLOAT, 0.0, key="camera_yaw_deg")
+    pitch_deg: float = _spec(_FLOAT, 0.0, key="camera_pitch_deg")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class BsConfig:
     name: str
-    position: tuple[float, float, float]
-    boresight_deg: float
-    array_ref: str
-    camera: CameraConfig
+    position: Vec3 = _spec(_VEC3)
+    boresight_deg: float = _spec(_FLOAT, bound=_AZIMUTH)
+    array_ref: str = _spec(_NAME, key="array")
+    # Read from the camera keys of the same [bs] section.
+    camera: CameraConfig = field(metadata={"nested": True})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ReflectorConfig:
     name: str
-    shape: str
-    center: tuple[float, float, float]
-    size: tuple[float, float, float]
-    yaw_deg: float = 0.0
-    material: str = "concrete"
-    mesh_path: str | None = None
+    shape: str = _spec(_KEYWORD, "box", bound=_BOX)
+    center: Vec3 = _spec(_VEC3)
+    size: Vec3 = _spec(_VEC3, bound=_POSITIVE_EACH)
+    yaw_deg: float = _spec(_FLOAT, 0.0)
+    material: str = _spec(_NAME)
+    mesh_path: str | None = _spec(_NAME, None)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class UeConfig:
     name: str
-    size: tuple[float, float, float]
-    material: str = "metal"
+    size: Vec3 = _spec(_VEC3, bound=_POSITIVE_EACH)
+    material: str = _spec(_NAME, "metal")
     # Empty tuple means "active for all frames".
-    active_ranges: tuple[tuple[int, int], ...] = ()
-    keyframes: tuple[tuple[int, tuple[float, float, float]], ...] = ()
-    array_ref: str | None = None  # parsed but unused by beam selection
+    active_ranges: tuple[tuple[int, int], ...] = _spec(_RANGES, (), key="active")
+    keyframes: tuple[tuple[int, Vec3], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -96,9 +195,7 @@ class Scenario:
     bss: tuple[BsConfig, ...] = ()
     reflectors: tuple[ReflectorConfig, ...] = ()
     ues: tuple[UeConfig, ...] = ()
-    materials: tuple[tuple[str, float], ...] = tuple(
-        sorted(DEFAULT_MATERIALS.items())
-    )
+    materials: tuple[tuple[str, float], ...] = tuple(sorted(DEFAULT_MATERIALS.items()))
 
     @property
     def material_table(self) -> dict[str, float]:
@@ -121,49 +218,38 @@ def _by_name(items, name, kind):
     raise KeyError(f"unknown {kind} '{name}'")
 
 
+# Named section kind -> (Scenario attribute, config class).
+_NAMED_SECTIONS = {
+    "array": ("arrays", ArrayConfig),
+    "bs": ("bss", BsConfig),
+    "reflector": ("reflectors", ReflectorConfig),
+    "ue": ("ues", UeConfig),
+}
+_SECTION_KINDS = {"system", "materials", *_NAMED_SECTIONS}
+# The one repeatable key, valid only in [ue] sections.
+_KEYFRAME = "keyframe"
+
+
+class _Spec(NamedTuple):
+    name: str
+    key: str
+    kind: _Kind | None  # None for a nested config read from the same section
+    bound: _Bound | None
+    required: bool
+
+
+@cache
+def _specs(cls) -> tuple[_Spec, ...]:
+    """The file-backed fields of a config class, in declaration order."""
+    return tuple(
+        _Spec(f.name, f.metadata.get("key") or f.name, f.metadata.get("kind"),
+              f.metadata.get("bound"), f.default is MISSING)
+        for f in fields(cls) if f.metadata
+    )
+
+
 # ---------------------------------------------------------------------------
 # Parsing
-
-_SECTION_KINDS = {"system", "materials", "array", "bs", "reflector", "ue"}
-
-
-def _parse_float(raw: str, line: int, col: int) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ScenarioSyntaxError(f"expected a number, got '{raw}'", line, col)
-
-
-def _parse_int(raw: str, line: int, col: int) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ScenarioSyntaxError(f"expected an integer, got '{raw}'", line, col)
-
-
-def _parse_vec3(raw: str, line: int, col: int) -> tuple[float, float, float]:
-    parts = [p.strip() for p in raw.split(",")]
-    if len(parts) != 3:
-        raise ScenarioSyntaxError(
-            f"expected 3 comma-separated numbers, got '{raw}'", line, col
-        )
-    x, y, z = (_parse_float(p, line, col) for p in parts)
-    return (x, y, z)
-
-
-def _parse_ranges(raw: str, line: int, col: int) -> tuple[tuple[int, int], ...]:
-    ranges = []
-    for chunk in raw.split(","):
-        chunk = chunk.strip()
-        if "-" not in chunk:
-            raise ScenarioSyntaxError(
-                f"expected frame range 'A-B', got '{chunk}'", line, col
-            )
-        lo, hi = chunk.split("-", 1)
-        ranges.append((_parse_int(lo.strip(), line, col),
-                       _parse_int(hi.strip(), line, col)))
-    return tuple(ranges)
-
 
 class _Section:
     def __init__(self, kind: str, name: str | None, line: int):
@@ -193,14 +279,10 @@ def _split_sections(text: str) -> list[_Section]:
             name = parts[1].strip() if len(parts) > 1 else None
             if kind not in _SECTION_KINDS:
                 raise ScenarioSyntaxError(f"unknown section '{kind}'", lineno, col)
-            if kind in ("system", "materials") and name is not None:
-                raise ScenarioSyntaxError(
-                    f"section '{kind}' does not take a name", lineno, col
-                )
-            if kind not in ("system", "materials") and name is None:
-                raise ScenarioSyntaxError(
-                    f"section '{kind}' requires a name", lineno, col
-                )
+            if (name is None) != (kind in ("system", "materials")):
+                need = "does not take" if name else "requires"
+                raise ScenarioSyntaxError(f"section '{kind}' {need} a name",
+                                          lineno, col)
             current = _Section(kind, name, lineno)
             sections.append(current)
             continue
@@ -215,184 +297,82 @@ def _split_sections(text: str) -> list[_Section]:
     return sections
 
 
-def _unique_pairs(section: _Section, multi: frozenset[str] = frozenset()) -> dict:
-    seen: dict[str, str] = {}
-    for key, value, line, col in section.pairs:
-        if key in multi:
+def _read(cls, pairs: dict, section: _Section, **defaults) -> dict:
+    """Pop and parse cls's keys; ``defaults`` override field defaults."""
+    kwargs = dict(defaults)
+    for name, key, kind, _, required in _specs(cls):
+        if kind is None:
             continue
-        if key in seen:
+        item = pairs.pop(key, None)
+        if item is not None:
+            kwargs[name] = kind.parse(*item)
+        elif required:
+            header = " ".join(filter(None, (section.kind, section.name)))
             raise ScenarioSyntaxError(
-                f"duplicate key '{key}' in section [{section.kind}]", line, col
-            )
-        seen[key] = (value, line, col)
-    return seen
+                f"missing required key '{key}' in [{header}]", section.line)
+    return kwargs
 
 
-def _pop(pairs: dict, key: str, section: _Section, required: bool = False):
-    if key not in pairs:
-        if required:
-            raise ScenarioSyntaxError(
-                f"missing required key '{key}' in [{section.kind}"
-                + (f" {section.name}]" if section.name else "]"),
-                section.line,
-            )
-        return None
-    return pairs.pop(key)
-
-
-def _reject_unknown(pairs: dict, section: _Section) -> None:
-    for key, (_, line, col) in pairs.items():
-        raise ScenarioSyntaxError(
-            f"unknown key '{key}' in section [{section.kind}]", line, col
-        )
-
-
-def _parse_system(section: _Section) -> SystemParams:
-    pairs = _unique_pairs(section)
-    get = lambda k, req=False: _pop(pairs, k, section, req)
-    frames = get("frames", True)
-    fps = get("fps", True)
-    carrier = get("carrier_ghz", True)
-    kwargs = {
-        "frames": _parse_int(*frames),
-        "fps": _parse_float(*fps),
-        "carrier_ghz": _parse_float(*carrier),
-    }
-    opt_int = {"max_reflections": None, "codebook_size_q": None}
-    for key in opt_int:
-        item = get(key)
-        if item is not None:
-            kwargs[key] = _parse_int(*item)
-    for key in ("tx_power_dbm", "noise_power_dbm"):
-        item = get(key)
-        if item is not None:
-            kwargs[key] = _parse_float(*item)
-    _reject_unknown(pairs, section)
-    return SystemParams(**kwargs)
-
-
-def _parse_array(section: _Section) -> ArrayConfig:
-    pairs = _unique_pairs(section)
-    elements = _pop(pairs, "elements_n", section, True)
-    spacing = _pop(pairs, "spacing_wavelengths", section)
-    _reject_unknown(pairs, section)
-    cfg = ArrayConfig(name=section.name, elements_n=_parse_int(*elements))
-    if spacing is not None:
-        cfg = replace(cfg, spacing_wavelengths=_parse_float(*spacing))
-    return cfg
-
-
-def _parse_bs(section: _Section) -> BsConfig:
-    pairs = _unique_pairs(section)
-    position = _pop(pairs, "position", section, True)
-    boresight = _pop(pairs, "boresight_deg", section, True)
-    array_ref = _pop(pairs, "array", section, True)
-    boresight_deg = _parse_float(*boresight)
-    cam_kwargs = {"yaw_deg": boresight_deg}
-    cam_keys = {
-        "camera_width_px": ("width_px", _parse_int),
-        "camera_height_px": ("height_px", _parse_int),
-        "camera_hfov_deg": ("hfov_deg", _parse_float),
-        "camera_offset": ("position_offset", _parse_vec3),
-        "camera_yaw_deg": ("yaw_deg", _parse_float),
-        "camera_pitch_deg": ("pitch_deg", _parse_float),
-    }
-    for key, (field_name, conv) in cam_keys.items():
-        item = _pop(pairs, key, section)
-        if item is not None:
-            cam_kwargs[field_name] = conv(*item)
-    _reject_unknown(pairs, section)
-    return BsConfig(
-        name=section.name,
-        position=_parse_vec3(*position),
-        boresight_deg=boresight_deg,
-        array_ref=array_ref[0],
-        camera=CameraConfig(**cam_kwargs),
-    )
-
-
-def _parse_reflector(section: _Section) -> ReflectorConfig:
-    pairs = _unique_pairs(section)
-    center = _pop(pairs, "center", section, True)
-    size = _pop(pairs, "size", section, True)
-    material = _pop(pairs, "material", section, True)
-    shape = _pop(pairs, "shape", section)
-    yaw = _pop(pairs, "yaw_deg", section)
-    mesh_path = _pop(pairs, "mesh_path", section)
-    _reject_unknown(pairs, section)
-    return ReflectorConfig(
-        name=section.name,
-        shape=shape[0].lower() if shape is not None else "box",
-        center=_parse_vec3(*center),
-        size=_parse_vec3(*size),
-        yaw_deg=_parse_float(*yaw) if yaw is not None else 0.0,
-        material=material[0],
-        mesh_path=mesh_path[0] if mesh_path is not None else None,
-    )
-
-
-def _parse_ue(section: _Section) -> UeConfig:
-    pairs = _unique_pairs(section, multi=frozenset({"keyframe"}))
-    size = _pop(pairs, "size", section, True)
-    material = _pop(pairs, "material", section)
-    active = _pop(pairs, "active", section)
-    array_ref = _pop(pairs, "array", section)
-    _reject_unknown(pairs, section)
+def _parse_keyframes(section: _Section) -> tuple:
     keyframes = []
     for key, value, line, col in section.pairs:
-        if key != "keyframe":
+        if key != _KEYFRAME:
             continue
         if ":" not in value:
             raise ScenarioSyntaxError(
-                f"expected 'keyframe = FRAME : X, Y, Z', got '{value}'", line, col
-            )
+                f"expected '{_KEYFRAME} = FRAME : X, Y, Z', got '{value}'", line, col)
         frame_raw, pos_raw = value.split(":", 1)
         keyframes.append((_parse_int(frame_raw.strip(), line, col),
                           _parse_vec3(pos_raw.strip(), line, col)))
-    return UeConfig(
-        name=section.name,
-        size=_parse_vec3(*size),
-        material=material[0] if material is not None else "metal",
-        active_ranges=_parse_ranges(*active) if active is not None else (),
-        keyframes=tuple(keyframes),
-        array_ref=array_ref[0] if array_ref is not None else None,
-    )
+    return tuple(keyframes)
+
+
+def _parse_config(cls, section: _Section):
+    """One config object from the keys of its section."""
+    pairs: dict[str, tuple[str, int, int]] = {}
+    for key, value, line, col in section.pairs:
+        if key in pairs:
+            raise ScenarioSyntaxError(
+                f"duplicate key '{key}' in section [{section.kind}]", line, col)
+        if not (key == _KEYFRAME and cls is UeConfig):
+            pairs[key] = (value, line, col)
+    kwargs = _read(cls, pairs, section)
+    if cls is BsConfig:
+        kwargs["camera"] = CameraConfig(**_read(
+            CameraConfig, pairs, section, yaw_deg=kwargs["boresight_deg"]))
+    for key, (_, line, col) in pairs.items():
+        raise ScenarioSyntaxError(
+            f"unknown key '{key}' in section [{section.kind}]", line, col)
+    if cls is UeConfig:
+        kwargs["keyframes"] = _parse_keyframes(section)
+    if section.name is not None:
+        kwargs["name"] = section.name
+    return cls(**kwargs)
 
 
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate a scenario file; raises ScenarioError on any problem."""
-    sections = _split_sections(text)
     system: SystemParams | None = None
     materials = dict(DEFAULT_MATERIALS)
-    arrays: list[ArrayConfig] = []
-    bss: list[BsConfig] = []
-    reflectors: list[ReflectorConfig] = []
-    ues: list[UeConfig] = []
-    for section in sections:
+    named: dict[str, list] = {attr: [] for attr, _ in _NAMED_SECTIONS.values()}
+    for section in _split_sections(text):
         if section.kind == "system":
             if system is not None:
                 raise ScenarioSyntaxError("duplicate [system] section", section.line)
-            system = _parse_system(section)
+            system = _parse_config(SystemParams, section)
         elif section.kind == "materials":
             for key, value, line, col in section.pairs:
                 materials[key] = _parse_float(value, line, col)
-        elif section.kind == "array":
-            arrays.append(_parse_array(section))
-        elif section.kind == "bs":
-            bss.append(_parse_bs(section))
-        elif section.kind == "reflector":
-            reflectors.append(_parse_reflector(section))
-        elif section.kind == "ue":
-            ues.append(_parse_ue(section))
+        else:
+            attr, cls = _NAMED_SECTIONS[section.kind]
+            named[attr].append(_parse_config(cls, section))
     if system is None:
         raise ScenarioSyntaxError("missing [system] section", 1)
     scenario = Scenario(
         system=system,
-        arrays=tuple(sorted(arrays, key=lambda a: a.name)),
-        bss=tuple(sorted(bss, key=lambda b: b.name)),
-        reflectors=tuple(sorted(reflectors, key=lambda r: r.name)),
-        ues=tuple(sorted(ues, key=lambda u: u.name)),
         materials=tuple(sorted(materials.items())),
+        **{attr: tuple(sorted(items, key=lambda c: c.name))
+           for attr, items in named.items()},
     )
     violations = validate_scenario(scenario)
     if violations:
@@ -403,176 +383,86 @@ def parse_scenario(text: str) -> Scenario:
 # ---------------------------------------------------------------------------
 # Validation
 
-def _check_dupes(items, kind: str, out: list[str]) -> None:
-    seen: set[str] = set()
-    for item in items:
-        if item.name in seen:
-            out.append(f"duplicate {kind} name '{item.name}'")
-        seen.add(item.name)
+def _check_bounds(obj, label: str, out: list[str]) -> None:
+    for name, key, kind, bound, _ in _specs(type(obj)):
+        if kind is None:
+            _check_bounds(getattr(obj, name), label, out)
+        elif bound and not bound.holds(value := getattr(obj, name)):
+            out.append(f"{label}{key} must be {bound.text}, got {kind.format(value)}")
 
 
 def validate_scenario(s: Scenario) -> list[str]:
     """Return every invariant violation; an empty list means valid."""
     out: list[str] = []
     sysp = s.system
-    if sysp.frames < 1:
-        out.append(f"frames must be >= 1, got {sysp.frames}")
-    if sysp.fps <= 0:
-        out.append(f"fps must be > 0, got {sysp.fps}")
-    if sysp.carrier_ghz <= 0:
-        out.append(f"carrier_ghz must be > 0, got {sysp.carrier_ghz}")
-    if sysp.max_reflections < 0:
-        out.append(f"max_reflections must be >= 0, got {sysp.max_reflections}")
-    if sysp.codebook_size_q < 1:
-        out.append(f"codebook_size_q must be >= 1, got {sysp.codebook_size_q}")
+    _check_bounds(sysp, "", out)
     if not sysp.noise_power_dbm < sysp.tx_power_dbm:
         out.append("noise_power_dbm must be below tx_power_dbm")
 
-    table = s.material_table
     for mat, amp in s.materials:
         if not 0.0 < amp <= 1.0:
             out.append(f"material '{mat}' amplitude {amp} outside (0, 1]")
 
-    _check_dupes(s.arrays, "array", out)
-    _check_dupes(s.bss, "bs", out)
-    _check_dupes(s.reflectors, "reflector", out)
-    _check_dupes(s.ues, "ue", out)
+    for kind, (attr, _) in _NAMED_SECTIONS.items():
+        if kind in ("bs", "ue") and not getattr(s, attr):
+            out.append(f"scenario requires at least one {kind}")
+        seen: set[str] = set()
+        for item in getattr(s, attr):
+            if item.name in seen:
+                out.append(f"duplicate {kind} name '{item.name}'")
+            seen.add(item.name)
+            _check_bounds(item, f"{kind} '{item.name}': ", out)
 
     array_names = {a.name for a in s.arrays}
-    for arr in s.arrays:
-        if arr.elements_n < 1:
-            out.append(f"array '{arr.name}': elements_n must be >= 1")
-        if arr.spacing_wavelengths <= 0:
-            out.append(f"array '{arr.name}': spacing_wavelengths must be > 0")
-
-    if not s.bss:
-        out.append("scenario requires at least one bs")
     for bs in s.bss:
         if bs.array_ref not in array_names:
-            out.append(f"bs '{bs.name}': unresolved array reference "
-                       f"'{bs.array_ref}'")
-        if not 0.0 <= bs.boresight_deg < 360.0:
-            out.append(f"bs '{bs.name}': boresight_deg must be in [0, 360)")
-        cam = bs.camera
-        if cam.width_px < 1 or cam.height_px < 1:
-            out.append(f"bs '{bs.name}': camera resolution must be >= 1 px")
-        if not 0.0 < cam.hfov_deg < 180.0:
-            out.append(f"bs '{bs.name}': camera hfov_deg must be in (0, 180)")
+            out.append(f"bs '{bs.name}': unresolved array reference '{bs.array_ref}'")
 
-    for refl in s.reflectors:
-        if refl.shape != "box":
-            out.append(f"reflector '{refl.name}': unsupported shape "
-                       f"'{refl.shape}'")
-        if any(c <= 0 for c in refl.size):
-            out.append(f"reflector '{refl.name}': size components must be > 0")
-        if refl.material not in table:
-            out.append(f"unknown material '{refl.material}'")
+    table = s.material_table
+    for item in s.reflectors + s.ues:
+        if item.material not in table:
+            out.append(f"unknown material '{item.material}'")
 
-    if not s.ues:
-        out.append("scenario requires at least one ue")
     frames = sysp.frames
     for ue in s.ues:
-        if any(c <= 0 for c in ue.size):
-            out.append(f"ue '{ue.name}': size components must be > 0")
-        if ue.material not in table:
-            out.append(f"unknown material '{ue.material}'")
-        if not ue.keyframes:
-            out.append(f"ue '{ue.name}': at least one keyframe required")
-        frames_seen: set[int] = set()
-        last = None
-        for idx, (fidx, _) in enumerate(ue.keyframes):
-            if fidx in frames_seen:
-                out.append(f"ue '{ue.name}': duplicate keyframe frame {fidx}")
-            frames_seen.add(fidx)
-            if last is not None and fidx < last:
-                out.append(f"ue '{ue.name}': keyframes not sorted by frame")
-            last = fidx
+        label = f"ue '{ue.name}': "
+        kf_frames = [fidx for fidx, _ in ue.keyframes]
+        if not kf_frames:
+            out.append(f"{label}at least one keyframe required")
+        if any(b <= a for a, b in zip(kf_frames, kf_frames[1:])):
+            out.append(f"{label}keyframe frames must strictly increase")
+        for fidx in kf_frames:
             if not 0 <= fidx < frames:
-                out.append(f"ue '{ue.name}': keyframe frame out of range "
-                           f"({fidx} not in [0, {frames}))")
+                out.append(f"{label}keyframe frame {fidx} outside [0, {frames})")
         for lo, hi in ue.active_ranges:
             if lo > hi or lo < 0 or hi >= frames:
-                out.append(f"ue '{ue.name}': active range {lo}-{hi} outside "
-                           f"[0, {frames})")
-        if ue.array_ref is not None and ue.array_ref not in array_names:
-            out.append(f"ue '{ue.name}': unresolved array reference "
-                       f"'{ue.array_ref}'")
+                out.append(f"{label}active range {lo}-{hi} outside [0, {frames})")
     return out
 
 
 # ---------------------------------------------------------------------------
 # Serialization
 
-def _fmt_num(x: float) -> str:
-    if isinstance(x, int):
-        return str(x)
-    return repr(float(x))
-
-
-def _fmt_vec(v: tuple[float, float, float]) -> str:
-    return ", ".join(_fmt_num(c) for c in v)
+def _format(obj) -> list[str]:
+    """``key = value`` lines for obj's set fields; None and () are unset."""
+    lines = []
+    for name, key, kind, _, _ in _specs(type(obj)):
+        value = getattr(obj, name)
+        if kind is None:
+            lines += _format(value)
+        elif value is not None and value != ():
+            lines.append(f"{key} = {kind.format(value)}")
+    return lines
 
 
 def serialize_scenario(s: Scenario) -> str:
     """Render a Scenario back to the text format; parse(serialize(s)) == s."""
-    lines: list[str] = []
-    sysp = s.system
-    lines.append("[system]")
-    lines.append(f"frames = {sysp.frames}")
-    lines.append(f"fps = {_fmt_num(sysp.fps)}")
-    lines.append(f"carrier_ghz = {_fmt_num(sysp.carrier_ghz)}")
-    lines.append(f"max_reflections = {sysp.max_reflections}")
-    lines.append(f"codebook_size_q = {sysp.codebook_size_q}")
-    lines.append(f"tx_power_dbm = {_fmt_num(sysp.tx_power_dbm)}")
-    lines.append(f"noise_power_dbm = {_fmt_num(sysp.noise_power_dbm)}")
-
-    lines.append("")
-    lines.append("[materials]")
-    for name, amp in s.materials:
-        lines.append(f"{name} = {_fmt_num(amp)}")
-
-    for arr in s.arrays:
-        lines.append("")
-        lines.append(f"[array {arr.name}]")
-        lines.append(f"elements_n = {arr.elements_n}")
-        lines.append(f"spacing_wavelengths = {_fmt_num(arr.spacing_wavelengths)}")
-
-    for bs in s.bss:
-        lines.append("")
-        lines.append(f"[bs {bs.name}]")
-        lines.append(f"position = {_fmt_vec(bs.position)}")
-        lines.append(f"boresight_deg = {_fmt_num(bs.boresight_deg)}")
-        lines.append(f"array = {bs.array_ref}")
-        cam = bs.camera
-        lines.append(f"camera_width_px = {cam.width_px}")
-        lines.append(f"camera_height_px = {cam.height_px}")
-        lines.append(f"camera_hfov_deg = {_fmt_num(cam.hfov_deg)}")
-        lines.append(f"camera_offset = {_fmt_vec(cam.position_offset)}")
-        lines.append(f"camera_yaw_deg = {_fmt_num(cam.yaw_deg)}")
-        lines.append(f"camera_pitch_deg = {_fmt_num(cam.pitch_deg)}")
-
-    for refl in s.reflectors:
-        lines.append("")
-        lines.append(f"[reflector {refl.name}]")
-        lines.append(f"shape = {refl.shape}")
-        lines.append(f"center = {_fmt_vec(refl.center)}")
-        lines.append(f"size = {_fmt_vec(refl.size)}")
-        lines.append(f"yaw_deg = {_fmt_num(refl.yaw_deg)}")
-        lines.append(f"material = {refl.material}")
-        if refl.mesh_path is not None:
-            lines.append(f"mesh_path = {refl.mesh_path}")
-
-    for ue in s.ues:
-        lines.append("")
-        lines.append(f"[ue {ue.name}]")
-        lines.append(f"size = {_fmt_vec(ue.size)}")
-        lines.append(f"material = {ue.material}")
-        if ue.array_ref is not None:
-            lines.append(f"array = {ue.array_ref}")
-        if ue.active_ranges:
-            ranges = ", ".join(f"{lo}-{hi}" for lo, hi in ue.active_ranges)
-            lines.append(f"active = {ranges}")
-        for fidx, pos in ue.keyframes:
-            lines.append(f"keyframe = {fidx} : {_fmt_vec(pos)}")
-
+    lines = ["[system]", *_format(s.system), "", "[materials]"]
+    lines += [f"{name} = {_fmt_float(amp)}" for name, amp in s.materials]
+    for kind, (attr, _) in _NAMED_SECTIONS.items():
+        for item in getattr(s, attr):
+            lines += ["", f"[{kind} {item.name}]", *_format(item)]
+            if isinstance(item, UeConfig):
+                lines += [f"{_KEYFRAME} = {fidx} : {_fmt_vec(pos)}"
+                          for fidx, pos in item.keyframes]
     return "\n".join(lines) + "\n"

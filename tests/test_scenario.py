@@ -4,6 +4,53 @@ from beamcam import scenario as sc
 
 from conftest import MINIMAL_SCENARIO, SHIPPED_SCENARIO
 
+# Every key set to a value other than its parse default, so a serializer
+# that drops a field breaks the round trip.
+ALL_KEYS_SCENARIO = """\
+[system]
+frames = 12
+fps = 25
+carrier_ghz = 60
+max_reflections = 1
+codebook_size_q = 8
+tx_power_dbm = 20
+noise_power_dbm = -80
+
+[materials]
+glass = 0.3
+metal = 0.9
+
+[array a0]
+elements_n = 4
+spacing_wavelengths = 0.25
+
+[bs pole]
+position = 1, 2, 5
+boresight_deg = 80
+array = a0
+camera_width_px = 640
+camera_height_px = 480
+camera_hfov_deg = 70
+camera_offset = 0.5, 0, 0.25
+camera_yaw_deg = 85
+camera_pitch_deg = -5
+
+[reflector wall]
+shape = box
+center = 0, 40, 5
+size = 30, 1, 10
+yaw_deg = 15
+material = glass
+mesh_path = meshes/wall.stl
+
+[ue car]
+size = 4.4, 1.8, 1.4
+material = concrete
+active = 0-3, 6-11
+keyframe = 0 : -10, 25, 0.7
+keyframe = 11 : 10, 25, 0.7
+"""
+
 
 def test_minimal_parse_defaults(minimal_scenario):
     s = minimal_scenario
@@ -28,10 +75,11 @@ def test_minimal_parse_defaults(minimal_scenario):
 
 
 def test_serialize_parse_fixpoint(minimal_scenario):
-    text1 = sc.serialize_scenario(minimal_scenario)
-    s2 = sc.parse_scenario(text1)
-    assert s2 == minimal_scenario
-    assert sc.serialize_scenario(s2) == text1
+    for s1 in (minimal_scenario, sc.parse_scenario(ALL_KEYS_SCENARIO)):
+        text1 = sc.serialize_scenario(s1)
+        s2 = sc.parse_scenario(text1)
+        assert s2 == s1
+        assert sc.serialize_scenario(s2) == text1
 
 
 def test_shipped_scenario_fixpoint(shipped_scenario):
@@ -82,6 +130,10 @@ def test_syntax_error_has_location():
     ("position = 0, 0, 6", "position = 0, 0"),  # short vector
     ("[system]", "[systems]"),                  # unknown section kind
     ("elements_n = 8", "elements_n = 8\nbogus_key = 1"),
+    ("carrier_ghz = 28", "carrier_ghz = nan"),  # non-finite scalar
+    ("fps = 30", "fps = inf"),
+    ("keyframe = 9 : 10, 25", "keyframe = 9 : 10, nan"),  # non-finite vec3
+    ("keyframe = 0", "array = a0\nkeyframe = 0"),  # [ue] has no array key
 ])
 def test_syntax_errors(mutation):
     old, new = mutation
