@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,11 +49,13 @@ class CameraModel:
             pitch_deg=cam.pitch_deg,
         )
 
+    @cached_property
     def axes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(forward, u_axis, v_axis) world-frame unit vectors.
+        """(forward, u_axis, v_axis) world-frame unit vectors, read-only.
 
         u_axis is horizontal, pointing toward increasing pixel u; v_axis
-        points toward increasing pixel v (image down).
+        points toward increasing pixel v (image down). Computed once per
+        camera.
         """
         yaw = math.radians(self.yaw_deg)
         pitch = math.radians(self.pitch_deg)
@@ -63,6 +66,8 @@ class CameraModel:
         ])
         u_axis = np.array([-math.sin(yaw), math.cos(yaw), 0.0])
         v_axis = np.cross(u_axis, forward)
+        for axis in (forward, u_axis, v_axis):
+            axis.setflags(write=False)
         return forward, u_axis, v_axis
 
 
@@ -90,7 +95,7 @@ def project_point(cam: CameraModel, p_world) -> tuple[float, float] | None:
     Points outside the image rectangle still project (clipping is the
     caller's job).
     """
-    forward, u_axis, v_axis = cam.axes()
+    forward, u_axis, v_axis = cam.axes
     rel = np.asarray(p_world, float) - np.asarray(cam.position)
     z = float(np.dot(rel, forward))
     if z <= RAY_EPS:

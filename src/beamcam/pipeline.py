@@ -12,6 +12,7 @@ codebook bin.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +80,11 @@ def activity_state(ue: UeConfig, frame: int) -> int:
     return int(any(lo <= frame <= hi for lo, hi in ue.active_ranges))
 
 
+def _clip(x, limit) -> float:
+    """x clamped to [0, limit]; scalar np.clip costs microseconds a call."""
+    return min(max(float(x), 0.0), float(limit))
+
+
 def detect(truth: list[tuple[int, BoundingBox]], model: DetectorNoiseModel,
            frame: int, width_px: int, height_px: int) -> list[Detection]:
     """Noise-parameterized oracle detector over truth bounding boxes.
@@ -96,10 +102,10 @@ def detect(truth: list[tuple[int, BoundingBox]], model: DetectorNoiseModel,
         if miss_draw < model.miss_prob:
             continue
         jittered = BoundingBox(
-            u_min=float(np.clip(bbox.u_min + du, 0.0, width_px)),
-            v_min=float(np.clip(bbox.v_min + dv, 0.0, height_px)),
-            u_max=float(np.clip(bbox.u_max + du, 0.0, width_px)),
-            v_max=float(np.clip(bbox.v_max + dv, 0.0, height_px)),
+            u_min=_clip(bbox.u_min + du, width_px),
+            v_min=_clip(bbox.v_min + dv, height_px),
+            u_max=_clip(bbox.u_max + du, width_px),
+            v_max=_clip(bbox.v_max + dv, height_px),
             ue_name=bbox.ue_name,
             visibility=bbox.visibility,
         )
@@ -158,6 +164,12 @@ class Simulator:
             ue.name: Trajectory(ue.keyframes) for ue in scenario.ues
         }
 
+    @cached_property
+    def _scene(self) -> SceneGeometry:
+        """Reflector faces whose arrays and image-source table every frame
+        snapshot shares; built on first use, not at set-up."""
+        return SceneGeometry([], self._faces, self.scenario.material_table)
+
     def ue_position(self, ue_name: str, frame: int) -> np.ndarray:
         return interpolate_position(self._trajectories[ue_name], frame)
 
@@ -173,20 +185,18 @@ class Simulator:
             (name, self._ue_base[name].translated(pos))
             for name, pos in positions.items()
         ]
-        scene = SceneGeometry(meshes, self._faces,
-                              self.scenario.material_table)
-        return scene, positions
+        return self._scene.with_meshes(meshes), positions
 
     def frame_truth(self, frame: int) -> FrameRecord:
         """Truth-only record (no detection / prediction fields)."""
         sysp = self.scenario.system
         scene, positions = self.frame_scene(frame)
         bs_pos = np.asarray(self.bs.position, float)
+        meshes = dict(zip(scene.tset.names, scene.tset.meshes))
         ues = []
         for ue in self.scenario.ues:
             pos = positions[ue.name]
-            mesh = self._ue_base[ue.name].translated(pos)
-            bbox = project_bbox(self.camera, mesh, ue.name, scene,
+            bbox = project_bbox(self.camera, meshes[ue.name], ue.name, scene,
                                 exclude=(ue.name,))
             paths = trace_paths(scene, bs_pos, pos, sysp.max_reflections,
                                 sysp.carrier_ghz, exclude=(ue.name,))

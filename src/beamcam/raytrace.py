@@ -7,11 +7,22 @@ faces, both neighbors of a bounce must lie on the outward side, and no
 segment may be occluded by scene geometry. Blocked paths are dropped
 outright (no diffraction, scattering or penetration); an empty result
 means outage.
+
+Candidate face sequences come from a prefix table built once per set of
+faces and transmitter (beam-tracing visibility pruning). Order-k+1 rows
+only extend order-k rows that survived, and an extension by face f is
+dropped when f is coplanar with the previous face or the current image of
+tx is not strictly in front of f (``dot(image - c_f, n_f) > 0``). This
+drops no valid chain: on a valid chain the image before bounce k lies on
+the ray from p_k back through p_{k-1}, at least |p_k - p_{k-1}| away, so
+its distance in front of face k is at least that of p_{k-1}, which the
+front-side check already requires to exceed ``RAY_EPS``. Rows stay in
+lexicographic order, so ties in the (length, bounces) sort are unchanged.
 """
 
 from __future__ import annotations
 
-import itertools
+import copy
 import math
 from dataclasses import dataclass
 
@@ -132,6 +143,71 @@ def compute_path_component(points, reflection_amps, carrier_ghz: float
     )
 
 
+class _Reflectors:
+    """Static reflector faces as arrays, plus the image-source table of one tx.
+
+    Shared by every snapshot made with ``SceneGeometry.with_meshes``, so the
+    table is built once per set of faces and transmitter, on first use.
+    """
+
+    def __init__(self, faces: list[Face], materials: dict[str, float]):
+        f = len(faces)
+        self.center = np.array([fc.center for fc in faces]).reshape(f, 3)
+        self.normal = np.array([fc.normal for fc in faces]).reshape(f, 3)
+        self.u = np.array([fc.axis_u for fc in faces]).reshape(f, 3)
+        self.v = np.array([fc.axis_v for fc in faces]).reshape(f, 3)
+        self.hu = np.array([fc.half_u for fc in faces])
+        self.hv = np.array([fc.half_v for fc in faces])
+        self.amp = np.array([materials[fc.material] for fc in faces],
+                            dtype=float)
+        # Coplanar face pairs can never form consecutive bounces.
+        nd = self.normal @ self.normal.T
+        off = np.einsum("ij,ij->i", self.center, self.normal)
+        self.coplanar = (np.abs(np.abs(nd) - 1.0) < 1e-12) & (
+            np.abs(off[:, None] * nd - off[None, :]) < 1e-9
+        )
+        self._tx: np.ndarray | None = None
+        self._table: list[tuple[np.ndarray, np.ndarray]] = []
+
+    def prefixes(self, tx: np.ndarray, max_order: int
+                 ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """``_prefix_table`` of orders 1..max_order, memoized for one tx."""
+        if (self._tx is None or len(self._table) < max_order
+                or not np.array_equal(self._tx, tx)):
+            self._table = _prefix_table(self, tx, max_order)
+            self._tx = tx.copy()
+        return self._table[:max_order]
+
+
+def _prefix_table(refl: _Reflectors, tx: np.ndarray, max_order: int
+                  ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Face sequences that can start a valid chain from tx, per order.
+
+    Entry k-1 holds the order-k sequences, shape (S, k), in lexicographic
+    order, and their images of tx, shape (k+1, S, 3), image 0 being tx.
+    Each order extends only the rows of the order below (see the module
+    docstring for why the pruning keeps every valid chain).
+    """
+    offset = np.einsum("ij,ij->i", refl.center, refl.normal)
+    seqs = np.zeros((1, 0), dtype=int)
+    images = np.broadcast_to(tx, (1, 1, 3))
+    table = []
+    for _ in range(max_order):
+        # Image before the next bounce strictly in front of the next face.
+        ok = images[-1] @ refl.normal.T - offset > 0.0
+        if seqs.shape[1]:
+            ok &= ~refl.coplanar[seqs[:, -1]]
+        rows, f = np.nonzero(ok)
+        n = refl.normal[f]
+        last = images[-1, rows]
+        d = np.einsum("ij,ij->i", last - refl.center[f], n)
+        seqs = np.concatenate([seqs[rows], f[:, None]], axis=1)
+        images = np.concatenate(
+            [images[:, rows], (last - 2.0 * d[:, None] * n)[None]])
+        table.append((seqs, images))
+    return table
+
+
 class SceneGeometry:
     """Immutable per-frame snapshot: occluder triangles plus reflector faces."""
 
@@ -140,69 +216,37 @@ class SceneGeometry:
         self.tset = TriangleSet(meshes)
         self.faces = list(faces)
         self.materials = dict(materials)
-        f = len(self.faces)
-        self.face_center = np.array([fc.center for fc in faces]).reshape(f, 3)
-        self.face_normal = np.array([fc.normal for fc in faces]).reshape(f, 3)
-        self.face_u = np.array([fc.axis_u for fc in faces]).reshape(f, 3)
-        self.face_v = np.array([fc.axis_v for fc in faces]).reshape(f, 3)
-        self.face_hu = np.array([fc.half_u for fc in faces])
-        self.face_hv = np.array([fc.half_v for fc in faces])
-        self.face_amp = np.array(
-            [materials[fc.material] for fc in faces]
-        ) if faces else np.zeros(0)
-        # Coplanar face pairs can never form consecutive bounces.
-        if f:
-            nd = self.face_normal @ self.face_normal.T
-            off = np.einsum("ij,ij->i", self.face_center, self.face_normal)
-            same_plane = (np.abs(np.abs(nd) - 1.0) < 1e-12) & (
-                np.abs(off[:, None] * nd - off[None, :]) < 1e-9
-            )
-            self._coplanar = same_plane
-        else:
-            self._coplanar = np.zeros((0, 0), dtype=bool)
+        self.reflectors = _Reflectors(self.faces, self.materials)
+
+    def with_meshes(self, meshes: list[tuple[str, Mesh]]) -> "SceneGeometry":
+        """Snapshot with other occluder meshes and these same reflectors."""
+        scene = copy.copy(self)
+        scene.tset = TriangleSet(meshes)
+        return scene
 
     def occluded(self, a, b, exclude=()) -> bool:
         return self.tset.segment_occluded(a, b, exclude)
 
 
-def _face_sequences(scene: SceneGeometry, order: int) -> np.ndarray:
-    """Ordered face-index sequences of the given length, coplanar-pruned."""
-    nfaces = len(scene.faces)
-    seqs = []
-    for seq in itertools.product(range(nfaces), repeat=order):
-        if any(scene._coplanar[a, b] for a, b in zip(seq, seq[1:])):
-            continue
-        seqs.append(seq)
-    return np.array(seqs, dtype=int).reshape(len(seqs), order)
-
-
-def _candidate_chains(scene: SceneGeometry, tx: np.ndarray, rx: np.ndarray,
-                      order: int):
+def _candidate_chains(refl: _Reflectors, seqs: np.ndarray,
+                      images: np.ndarray, tx: np.ndarray, rx: np.ndarray):
     """Vectorized image-method backtracking for one reflection order.
 
-    Yields (points, face_indices) per geometrically valid chain; occlusion
-    is not tested here.
+    ``seqs`` and ``images`` are one order of the prefix table of tx. Yields
+    (points, face_indices) per geometrically valid chain; occlusion is not
+    tested here.
     """
-    seqs = _face_sequences(scene, order)
-    if seqs.shape[0] == 0:
+    s, order = seqs.shape
+    if s == 0:
         return
-    s = seqs.shape[0]
-    images = np.empty((order + 1, s, 3))
-    images[0] = tx
-    for j in range(order):
-        f = seqs[:, j]
-        n = scene.face_normal[f]
-        d = np.einsum("ij,ij->i", images[j] - scene.face_center[f], n)
-        images[j + 1] = images[j] - 2.0 * d[:, None] * n
-
     pts = np.empty((order + 2, s, 3))
     pts[0] = tx
     pts[-1] = rx
     valid = np.ones(s, dtype=bool)
     for j in range(order, 0, -1):
         f = seqs[:, j - 1]
-        n = scene.face_normal[f]
-        c = scene.face_center[f]
+        n = refl.normal[f]
+        c = refl.center[f]
         img = images[j]
         dvec = pts[j + 1] - img
         denom = np.einsum("ij,ij->i", dvec, n)
@@ -212,14 +256,14 @@ def _candidate_chains(scene: SceneGeometry, tx: np.ndarray, rx: np.ndarray,
         valid &= (tpar > 0.0) & (tpar < 1.0)
         q = img + tpar[:, None] * dvec
         rel = q - c
-        valid &= np.abs(np.einsum("ij,ij->i", rel, scene.face_u[f])) \
-            <= scene.face_hu[f] + _CONTAIN_TOL
-        valid &= np.abs(np.einsum("ij,ij->i", rel, scene.face_v[f])) \
-            <= scene.face_hv[f] + _CONTAIN_TOL
+        valid &= np.abs(np.einsum("ij,ij->i", rel, refl.u[f])) \
+            <= refl.hu[f] + _CONTAIN_TOL
+        valid &= np.abs(np.einsum("ij,ij->i", rel, refl.v[f])) \
+            <= refl.hv[f] + _CONTAIN_TOL
         pts[j] = q
     # Both neighbors of every bounce must sit on the outward (front) side.
     for j in range(1, order + 1):
-        n = scene.face_normal[seqs[:, j - 1]]
+        n = refl.normal[seqs[:, j - 1]]
         valid &= np.einsum("ij,ij->i", pts[j - 1] - pts[j], n) > RAY_EPS
         valid &= np.einsum("ij,ij->i", pts[j + 1] - pts[j], n) > RAY_EPS
     for i in np.where(valid)[0]:
@@ -241,13 +285,14 @@ def trace_paths(scene: SceneGeometry, tx, rx, max_reflections: int,
     paths: list[PathComponent] = []
     if not scene.occluded(tx, rx, exclude):
         paths.append(compute_path_component([tx, rx], [], carrier_ghz))
-    for order in range(1, max_reflections + 1):
-        for pts, faces in _candidate_chains(scene, tx, rx, order):
-            chain = [pts[j] for j in range(order + 2)]
+    refl = scene.reflectors
+    for seqs, images in refl.prefixes(tx, max_reflections):
+        for pts, faces in _candidate_chains(refl, seqs, images, tx, rx):
+            chain = list(pts)
             if any(scene.occluded(a, b, exclude)
                    for a, b in zip(chain, chain[1:])):
                 continue
-            amps = [scene.face_amp[f] for f in faces]
+            amps = [refl.amp[f] for f in faces]
             paths.append(compute_path_component(chain, amps, carrier_ghz))
     paths.sort(key=lambda p: (p.length_m, p.bounces))
     return paths

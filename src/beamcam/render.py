@@ -33,7 +33,7 @@ def render_debug_frame(cam: CameraModel, meshes: list[Mesh],
     h, w = cam.height_px, cam.width_px
     img = np.empty((h, w, 3), dtype=np.uint8)
     img[:] = BACKGROUND_RGB
-    forward, _, _ = cam.axes()
+    forward, _, _ = cam.axes
     cam_pos = np.asarray(cam.position)
 
     tris = []

@@ -354,6 +354,7 @@ def parse_scenario(text: str) -> Scenario:
     """Parse and validate a scenario file; raises ScenarioError on any problem."""
     system: SystemParams | None = None
     materials = dict(DEFAULT_MATERIALS)
+    overrides: dict[str, float] | None = None
     named: dict[str, list] = {attr: [] for attr, _ in _NAMED_SECTIONS.values()}
     for section in _split_sections(text):
         if section.kind == "system":
@@ -361,8 +362,17 @@ def parse_scenario(text: str) -> Scenario:
                 raise ScenarioSyntaxError("duplicate [system] section", section.line)
             system = _parse_config(SystemParams, section)
         elif section.kind == "materials":
+            if overrides is not None:
+                raise ScenarioSyntaxError("duplicate [materials] section",
+                                          section.line)
+            overrides = {}
             for key, value, line, col in section.pairs:
-                materials[key] = _parse_float(value, line, col)
+                if key in overrides:
+                    raise ScenarioSyntaxError(
+                        f"duplicate key '{key}' in section [materials]",
+                        line, col)
+                overrides[key] = _parse_float(value, line, col)
+            materials.update(overrides)
         else:
             attr, cls = _NAMED_SECTIONS[section.kind]
             named[attr].append(_parse_config(cls, section))

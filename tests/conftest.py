@@ -1,9 +1,16 @@
 import pathlib
 
 import pytest
+from hypothesis import settings
 
 from beamcam import scenario as sc
 from beamcam.pipeline import Simulator
+
+# Property tests draw the same examples on every run and never time out on a
+# slow host; the example cap keeps them to a few seconds of the suite.
+settings.register_profile("beamcam", derandomize=True, deadline=None,
+                          max_examples=40, database=None)
+settings.load_profile("beamcam")
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 SHIPPED_SCENARIO = REPO_ROOT / "scenarios" / "urban_three_cars.txt"

@@ -5,8 +5,9 @@ from beamcam import channel as ch
 from beamcam import pipeline as pl
 from beamcam import scenario as sc
 from beamcam.camera import BoundingBox, CameraModel, pixel_to_azimuth
+from beamcam.geometry import Mesh
 
-from conftest import MINIMAL_SCENARIO
+from conftest import MINIMAL_SCENARIO, REPO_ROOT
 
 
 def make_bbox(cu, cv, half=20.0, name="car"):
@@ -185,3 +186,17 @@ def test_outage_iff_empty_paths(shipped_truth):
                 assert u.optimal_index is None
                 assert u.beam_snrs_db is None
     assert outages >= 1
+
+
+def test_frame_truth_translates_each_ue_mesh_once(shipped_scenario,
+                                                  monkeypatch):
+    calls = []
+    translated = Mesh.translated
+
+    def counting(mesh, offset):
+        calls.append(offset)
+        return translated(mesh, offset)
+
+    monkeypatch.setattr(Mesh, "translated", counting)
+    pl.Simulator(shipped_scenario, base_dir=REPO_ROOT).frame_truth(150)
+    assert len(calls) == len(shipped_scenario.ues) == 3

@@ -1,10 +1,17 @@
+import dataclasses
+import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, strategies as st
 
 from beamcam import geometry as geo
 from beamcam import raytrace as rt
+from beamcam.pipeline import Simulator
+
+from conftest import REPO_ROOT
 
 
 def wall_scene(material="metal", amp_table=None):
@@ -171,3 +178,112 @@ def test_second_order_paths_exist_in_corner():
         pts = np.asarray(p.points)
         seg = np.linalg.norm(np.diff(pts, axis=0), axis=1).sum()
         assert p.length_m == pytest.approx(seg, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# The prefix table against the full enumeration it replaced
+
+def reference_order(refl, tx, order):
+    """Every order-``order`` face sequence without two coplanar faces in a
+    row, in lexicographic order, with its tx images: no front-side pruning."""
+    nfaces = refl.center.shape[0]
+    seqs = [seq for seq in itertools.product(range(nfaces), repeat=order)
+            if not any(refl.coplanar[a, b] for a, b in zip(seq, seq[1:]))]
+    seqs = np.array(seqs, dtype=int).reshape(len(seqs), order)
+    images = np.empty((order + 1, seqs.shape[0], 3))
+    images[0] = tx
+    for j in range(order):
+        f = seqs[:, j]
+        n = refl.normal[f]
+        d = np.einsum("ij,ij->i", images[j] - refl.center[f], n)
+        images[j + 1] = images[j] - 2.0 * d[:, None] * n
+    return seqs, images
+
+
+def reference_prefixes(refl, tx, max_order):
+    return [reference_order(refl, tx, k) for k in range(1, max_order + 1)]
+
+
+def reference_trace(*args, **kwargs):
+    with mock.patch.object(rt._Reflectors, "prefixes", reference_prefixes):
+        return rt.trace_paths(*args, **kwargs)
+
+
+def shipped_simulator(scenario, order):
+    system = dataclasses.replace(scenario.system, max_reflections=order)
+    return Simulator(dataclasses.replace(scenario, system=system),
+                     base_dir=REPO_ROOT)
+
+
+@pytest.mark.parametrize("order,frames", [
+    (1, (0, 75, 150, 225, 299)),
+    (2, (0, 75, 150, 225, 299)),
+    (3, (0, 150, 299)),
+    (4, (60, 150)),
+])
+def test_pruned_paths_equal_full_enumeration(shipped_scenario, order, frames):
+    sim = shipped_simulator(shipped_scenario, order)
+    bs = np.asarray(sim.bs.position, float)
+    carrier = shipped_scenario.system.carrier_ghz
+    for frame in frames:
+        scene, positions = sim.frame_scene(frame)
+        for name, pos in positions.items():
+            args = (scene, bs, pos, order, carrier)
+            got = rt.trace_paths(*args, exclude=(name,))
+            assert got == reference_trace(*args, exclude=(name,))
+
+
+_coord = st.floats(-15.0, 15.0, allow_nan=False)
+_point = st.tuples(_coord, _coord, st.floats(0.0, 8.0, allow_nan=False))
+_box = st.tuples(
+    _point,
+    st.tuples(*[st.floats(0.5, 12.0, allow_nan=False)] * 3),
+    st.floats(0.0, 90.0, allow_nan=False),
+)
+_unit = st.floats(-1.0, 1.0, allow_nan=False)
+# (face of the first box, in-plane coordinates, height above the face,
+# log-uniform from just above RAY_EPS to 1 m)
+_near_face = st.tuples(st.integers(0, 5), _unit, _unit,
+                       st.floats(-5.9, 0.0).map(lambda e: 10.0 ** e))
+
+
+# tx 3 um in front of the +x face: its one-bounce path off that face is
+# valid, so a pruning bound above RAY_EPS would lose it.
+@example(boxes=[((0.0, 0.0, 2.0), (4.0, 4.0, 4.0), 0.0)], tx=(0.0, 0.0, 0.0),
+         rx=(10.0, 3.0, 2.0), near=(1, 0.0, 0.0, 3e-6), order=2,
+         occluders=False)
+@given(boxes=st.lists(_box, min_size=1, max_size=3), tx=_point, rx=_point,
+       near=st.none() | _near_face, order=st.integers(1, 3),
+       occluders=st.booleans())
+def test_pruned_paths_equal_full_enumeration_random_boxes(
+        boxes, tx, rx, near, order, occluders):
+    faces = [f for c, size, yaw in boxes
+             for f in rt.box_faces(c, size, yaw, material="metal")]
+    if near is not None:
+        # tx just in front of a face, where the pruning bound is tightest.
+        k, s, t, height = near
+        f = faces[k]
+        tx = (np.array(f.center) + s * f.half_u * np.array(f.axis_u)
+              + t * f.half_v * np.array(f.axis_v) + height * np.array(f.normal))
+    tx, rx = np.array(tx), np.array(rx)
+    assume(not np.allclose(tx, rx))
+    meshes = [(f"b{i}", geo.box_mesh(c, size, yaw))
+              for i, (c, size, yaw) in enumerate(boxes)] if occluders else []
+    scene = rt.SceneGeometry(meshes, faces, {"metal": 0.9})
+    # Both directions on one scene: the memoized table must follow tx.
+    for a, b in ((tx, rx), (rx, tx)):
+        assert rt.trace_paths(scene, a, b, order, 28.0) \
+            == reference_trace(scene, a, b, order, 28.0)
+
+
+def test_prefix_table_built_once_per_simulator_and_lazily(shipped_scenario):
+    with mock.patch.object(rt, "_prefix_table",
+                           wraps=rt._prefix_table) as build:
+        sim = shipped_simulator(shipped_scenario, 3)
+        assert build.call_count == 0
+        for frame in (0, 100, 200):
+            sim.frame_truth(frame)
+        assert build.call_count == 1
+    # Rows that survive from the BS, of 18, 294, 4812 coplanar-free ones.
+    table = sim._scene.reflectors.prefixes(np.asarray(sim.bs.position), 3)
+    assert [seqs.shape[0] for seqs, _ in table] == [7, 44, 254]

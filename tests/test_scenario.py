@@ -134,6 +134,9 @@ def test_syntax_error_has_location():
     ("fps = 30", "fps = inf"),
     ("keyframe = 9 : 10, 25", "keyframe = 9 : 10, nan"),  # non-finite vec3
     ("keyframe = 0", "array = a0\nkeyframe = 0"),  # [ue] has no array key
+    ("[array a0]", "[materials]\nglass = 0.3\nglass = 0.5\n[array a0]"),
+    ("[array a0]", "[materials]\nglass = 0.3\n[materials]\nmetal = 0.9\n"
+                   "[array a0]"),
 ])
 def test_syntax_errors(mutation):
     old, new = mutation
