@@ -131,11 +131,8 @@ def project_bbox(cam: CameraModel, mesh: Mesh, ue_name: str,
         u, v = px
         if not (0.0 <= u < cam.width_px and 0.0 <= v < cam.height_px):
             continue
-        if scene is not None:
-            to_vert = vert - cam_pos
-            dist = float(np.linalg.norm(to_vert))
-            if dist > RAY_EPS and scene.occluded(cam_pos, vert, exclude):
-                continue
+        if scene is not None and scene.occluded(cam_pos, vert, exclude):
+            continue
         visible_px.append((u, v))
     if not visible_px:
         return None

@@ -118,13 +118,12 @@ def optimal_beam(h: np.ndarray, codebook: Codebook, tx_power_dbm: float,
                  ) -> tuple[int | None, float | None, list[float]]:
     """Beam-sweep oracle: argmax of per-beam SNR, ties to the lowest index.
 
-    Returns (index, snr_db, per-beam snrs); index is None on outage.
+    Returns (index, snr_db, per-beam snrs). Outage, with index and snr_db
+    None, is decided here and only here: no beam has a usable SNR (every
+    beam is at ``OUTAGE_SNR_DB``).
     """
     snrs = sweep_snrs(h, codebook, tx_power_dbm, noise_power_dbm)
-    if all(s == OUTAGE_SNR_DB for s in snrs):
+    best = max(range(len(snrs)), key=snrs.__getitem__)
+    if snrs[best] == OUTAGE_SNR_DB:
         return None, None, snrs
-    best = 0
-    for i, s in enumerate(snrs):
-        if s > snrs[best]:
-            best = i
     return best, snrs[best], snrs

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .camera import BoundingBox
@@ -155,9 +155,7 @@ def import_records(source) -> tuple[dict, list[FrameRecord]]:
             confidence=det["confidence"],
         )
         snrs = row["beam_snr_db"]
-        optimal_snr = None
-        if not outage and snrs is not None:
-            optimal_snr = snrs[row["optimal_index"]]
+        optimal_snr = None if outage else snrs[row["optimal_index"]]
         frames.setdefault((row["frame"], row["bs"]), []).append(UeFrameRecord(
             ue_name=row["ue"],
             position=tuple(row["position_m"]),
@@ -196,16 +194,8 @@ class Metrics:
     total_rows: int
 
     def as_dict(self) -> dict:
-        return {
-            "top1_accuracy": self.top1_accuracy,
-            "topk_accuracy": {str(k): v for k, v in self.topk_accuracy.items()},
-            "mean_snr_loss_db": self.mean_snr_loss_db,
-            "outage_rate": self.outage_rate,
-            "detection_recall": self.detection_recall,
-            "eligible_rows": self.eligible_rows,
-            "active_rows": self.active_rows,
-            "total_rows": self.total_rows,
-        }
+        return {**asdict(self), "topk_accuracy": {
+            str(k): v for k, v in self.topk_accuracy.items()}}
 
     def format_table(self) -> str:
         rows = [("top-1 accuracy", f"{self.top1_accuracy:.4f}")]
@@ -223,12 +213,6 @@ class Metrics:
         ]
         width = max(len(name) for name, _ in rows)
         return "\n".join(f"{name:<{width}}  {value}" for name, value in rows)
-
-
-def _topk_indices(snrs: tuple[float, ...], k: int) -> list[int]:
-    """Indices of the k best beams, SNR descending, ties to lowest index."""
-    order = sorted(range(len(snrs)), key=lambda i: (-snrs[i], i))
-    return order[:k]
 
 
 def evaluate(records: list[FrameRecord], ks: tuple[int, ...] = (1, 3)
@@ -260,14 +244,15 @@ def evaluate(records: list[FrameRecord], ks: tuple[int, ...] = (1, 3)
             if u.detection is None or u.outage:
                 continue
             eligible += 1
+            p = u.predicted_index
+            if p is None:
+                continue
+            # Rank of beam p with SNR descending, ties to the lowest index.
             snrs = u.beam_snrs_db
+            rank = sum(s > snrs[p] for s in snrs) + snrs[:p].count(snrs[p])
             for k in ks:
-                if (u.predicted_index is not None
-                        and u.predicted_index in _topk_indices(snrs, k)):
-                    hits[k] += 1
-            if u.predicted_index is not None:
-                snr_losses.append(snrs[u.optimal_index]
-                                  - snrs[u.predicted_index])
+                hits[k] += rank < k
+            snr_losses.append(snrs[u.optimal_index] - snrs[p])
     topk = {k: (hits[k] / eligible if eligible else 0.0) for k in ks}
     return Metrics(
         top1_accuracy=topk[1],

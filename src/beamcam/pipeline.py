@@ -198,15 +198,17 @@ class Simulator:
             pos = positions[ue.name]
             bbox = project_bbox(self.camera, meshes[ue.name], ue.name, scene,
                                 exclude=(ue.name,))
-            paths = trace_paths(scene, bs_pos, pos, sysp.max_reflections,
-                                sysp.carrier_ghz, exclude=(ue.name,))
+            # A UE at the BS itself has no path to trace: an outage row.
+            paths = [] if np.allclose(bs_pos, pos) else trace_paths(
+                scene, bs_pos, pos, sysp.max_reflections, sysp.carrier_ghz,
+                exclude=(ue.name,))
             h = build_channel(paths, self.array.elements_n,
                               self.array.spacing_wavelengths,
                               self.bs.boresight_deg)
             index, snr, snrs = optimal_beam(h, self.codebook,
                                             sysp.tx_power_dbm,
                                             sysp.noise_power_dbm)
-            outage = not paths
+            outage = index is None
             ues.append(UeFrameRecord(
                 ue_name=ue.name,
                 position=tuple(float(c) for c in pos),
@@ -231,31 +233,22 @@ class Simulator:
         stage over a shared truth pass.
         """
         ue_index = {ue.name: i for i, ue in enumerate(self.scenario.ues)}
+        cam = self.camera
         out = []
         for rec in truth:
-            new_ues = []
-            detectable = [
-                (ue_index[u.ue_name], u.bbox)
-                for u in rec.ues if u.active and u.bbox is not None
-            ]
-            detections = {
-                d.ue_name: d
-                for d in detect(detectable, model, rec.frame,
-                                self.camera.width_px, self.camera.height_px)
-            }
+            ues = []
             for u in rec.ues:
-                det = detections.get(u.ue_name)
-                if det is not None:
-                    pred_index, pred_az = select_beam(
-                        det, self.camera, self.codebook,
-                        self.bs.boresight_deg)
-                else:
-                    pred_index, pred_az = None, None
-                new_ues.append(replace(u, detection=det,
-                                       predicted_index=pred_index,
-                                       predicted_azimuth_deg=pred_az))
-            out.append(FrameRecord(frame=rec.frame, bs_name=rec.bs_name,
-                                   ues=tuple(new_ues)))
+                det = pred_index = pred_az = None
+                if u.active and u.bbox is not None:
+                    # One box in, at most one detection out.
+                    for det in detect([(ue_index[u.ue_name], u.bbox)], model,
+                                      rec.frame, cam.width_px, cam.height_px):
+                        pred_index, pred_az = select_beam(
+                            det, cam, self.codebook, self.bs.boresight_deg)
+                ues.append(replace(u, detection=det,
+                                   predicted_index=pred_index,
+                                   predicted_azimuth_deg=pred_az))
+            out.append(replace(rec, ues=tuple(ues)))
         return out
 
 

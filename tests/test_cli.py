@@ -1,8 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
 from beamcam import cli
+from beamcam import dataset as ds
+from beamcam import pipeline as pl
+from beamcam import raytrace as rt
+from beamcam import scenario as sc
 
 from conftest import MINIMAL_SCENARIO, SHIPPED_SCENARIO
 
@@ -107,3 +112,47 @@ def test_help_runs():
     with pytest.raises(SystemExit) as exc:
         cli.main(["--help"])
     assert exc.value.code == 0
+
+
+def test_zero_channel_row_is_an_outage(scenario_file, tmp_path, monkeypatch):
+    """Paths whose channel sums to zero leave no usable beam: an outage row
+    that export, import, evaluate and inspect all read."""
+    monkeypatch.setattr(pl, "build_channel",
+                        lambda paths, n, *args: np.zeros(n, complex))
+    out = tmp_path / "ds.jsonl"
+    assert run(["generate", "--scenario", scenario_file, "--out", out]) == 0
+    _, records = ds.import_records(out)
+    assert all(u.outage for rec in records for u in rec.ues)
+    assert ds.evaluate(records).outage_rate == 1.0
+    assert run(["evaluate", out]) == 0
+    assert run(["inspect", out]) == 0
+
+    u = pl.Simulator(sc.parse_scenario(MINIMAL_SCENARIO)).frame_truth(0).ues[0]
+    assert u.paths
+    assert u.outage
+    assert u.beam_snrs_db is None
+    assert u.optimal_index is None and u.optimal_snr_db is None
+
+
+def test_ue_at_the_bs_is_an_outage_row(tmp_path, capsys):
+    scene = tmp_path / "scene.txt"
+    scene.write_text(MINIMAL_SCENARIO.replace(
+        "keyframe = 9", "keyframe = 5 : 0, 0, 6\nkeyframe = 9"))
+    out = tmp_path / "ds.jsonl"
+    assert run(["generate", "--scenario", scene, "--out", out]) == 0
+    _, records = ds.import_records(out)
+    u = records[5].ues[0]
+    assert u.position == (0.0, 0.0, 6.0)
+    assert u.outage and u.paths == () and u.optimal_index is None
+    assert not any(u.outage for rec in records if rec.frame != 5
+                   for u in rec.ues)
+    assert run(["evaluate", out]) == 0
+    assert run(["inspect", out, "--json"]) == 0
+    inspected = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert [s["outages"] for s in inspected] == [0] * 5 + [1] + [0] * 4
+
+    # Direct callers of the tracer still get the error.
+    sim = pl.Simulator(sc.parse_scenario(scene.read_text()))
+    bs = np.asarray(sim.bs.position, float)
+    with pytest.raises(ValueError, match="tx and rx must differ"):
+        rt.trace_paths(sim.frame_scene(5)[0], bs, bs, 2, 28.0)

@@ -3,6 +3,7 @@ import re
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from beamcam import dataset as ds
 from beamcam import pipeline as pl
@@ -176,3 +177,31 @@ def test_format_table_is_aligned():
     # Values start at a common column.
     starts = {re.match(r"^(\S.*?\S)\s\s+", ln).end() for ln in lines}
     assert len(starts) == 1
+
+
+def _topk_indices(snrs, k):
+    """Reference top-k: a full sort, SNR descending, ties to lowest index."""
+    order = sorted(range(len(snrs)), key=lambda i: (-snrs[i], i))
+    return order[:k]
+
+
+# Few distinct values, so tables are full of ties and -inf entries.
+SNR_VALUES = st.one_of(
+    st.sampled_from([float("-inf"), -12.5, 0.0, 3.0]),
+    st.floats(-60.0, 60.0),
+)
+
+
+@settings(max_examples=200)
+@given(st.lists(SNR_VALUES, min_size=1, max_size=32).flatmap(
+    lambda snrs: st.tuples(st.just(tuple(snrs)),
+                           st.integers(0, len(snrs) - 1))))
+def test_topk_matches_sort_reference(table):
+    snrs, predicted = table
+    ks = tuple(range(1, len(snrs) + 2))
+    row = make_row(snrs=snrs, optimal=snrs.index(max(snrs)),
+                   predicted=predicted)
+    m = ds.evaluate([frame(0, [row])], ks)
+    for k in ks:
+        assert m.topk_accuracy[k] == float(
+            predicted in _topk_indices(snrs, k))
