@@ -122,27 +122,24 @@ def project_bbox(cam: CameraModel, mesh: Mesh, ue_name: str,
     nothing is visible.
     """
     verts = mesh.vertices()
-    cam_pos = np.asarray(cam.position)
-    visible_px: list[tuple[float, float]] = []
-    for vert in verts:
-        px = project_point(cam, vert)
-        if px is None:
-            continue
-        u, v = px
-        if not (0.0 <= u < cam.width_px and 0.0 <= v < cam.height_px):
-            continue
-        if scene is not None and scene.occluded(cam_pos, vert, exclude):
-            continue
-        visible_px.append((u, v))
-    if not visible_px:
+    pixels = [project_point(cam, vert) for vert in verts]
+    keep = [i for i, px in enumerate(pixels) if px is not None
+            and 0.0 <= px[0] < cam.width_px and 0.0 <= px[1] < cam.height_px]
+    if scene is not None and keep:
+        # One occlusion pass over the rays to the in-image vertices.
+        blocked = scene.tset.segments_occluded(
+            np.broadcast_to(cam.position, (len(keep), 3)), verts[keep],
+            exclude)
+        keep = [i for i, b in zip(keep, blocked) if not b]
+    if not keep:
         return None
-    us = [p[0] for p in visible_px]
-    vs = [p[1] for p in visible_px]
+    us = [pixels[i][0] for i in keep]
+    vs = [pixels[i][1] for i in keep]
     return BoundingBox(
         u_min=max(0.0, min(us)),
         v_min=max(0.0, min(vs)),
         u_max=min(float(cam.width_px), max(us)),
         v_max=min(float(cam.height_px), max(vs)),
         ue_name=ue_name,
-        visibility=len(visible_px) / len(verts),
+        visibility=len(keep) / len(verts),
     )

@@ -125,8 +125,72 @@ def export_records(records: list[FrameRecord], destination,
     return count
 
 
+_ROW_KEYS = frozenset((
+    "frame", "bs", "ue", "position_m", "activity", "bbox_px", "detection",
+    "paths", "beam_snr_db", "optimal_index", "predicted_index",
+    "predicted_azimuth_deg",
+))
+
+
+def _beam_index(value, snrs) -> bool:
+    """True iff value is an int index into the SNR list snrs."""
+    return (type(value) is int and isinstance(snrs, list)
+            and 0 <= value < len(snrs))
+
+
+def _ue_record(row: dict) -> UeFrameRecord:
+    """One data row as a UeFrameRecord.
+
+    DatasetError for a missing key or for beam fields that disagree
+    (``evaluate`` indexes the SNR table with both indices).
+    """
+    missing = _ROW_KEYS.difference(row)
+    if missing:
+        raise DatasetError(f"missing key(s) {', '.join(sorted(missing))}")
+    if type(row["frame"]) is not int or not isinstance(row["bs"], str):
+        raise DatasetError("frame must be an integer and bs a string")
+    snrs = row["beam_snr_db"]
+    outage = row["optimal_index"] == OUTAGE_MARKER
+    if outage:
+        if snrs is not None:
+            raise DatasetError("an outage row must have beam_snr_db null")
+        optimal_index = optimal_snr = None
+    else:
+        optimal_index = row["optimal_index"]
+        if not _beam_index(optimal_index, snrs):
+            raise DatasetError("optimal_index must be 'outage' or an index "
+                               "into beam_snr_db")
+        if not (row["predicted_index"] is None
+                or _beam_index(row["predicted_index"], snrs)):
+            raise DatasetError("predicted_index must be null or an index "
+                               "into beam_snr_db")
+        optimal_snr = snrs[optimal_index]
+    det = row["detection"]
+    return UeFrameRecord(
+        ue_name=row["ue"],
+        position=tuple(row["position_m"]),
+        active=row["activity"],
+        bbox=_bbox_from_json(row["bbox_px"], row["ue"]),
+        paths=tuple(_path_from_json(p) for p in row["paths"]),
+        beam_snrs_db=None if snrs is None else tuple(snrs),
+        optimal_index=optimal_index,
+        optimal_snr_db=optimal_snr,
+        outage=outage,
+        detection=None if det is None else Detection(
+            ue_name=row["ue"],
+            bbox=_bbox_from_json(det["bbox_px"], row["ue"]),
+            confidence=det["confidence"],
+        ),
+        predicted_index=row["predicted_index"],
+        predicted_azimuth_deg=row["predicted_azimuth_deg"],
+    )
+
+
 def import_records(source) -> tuple[dict, list[FrameRecord]]:
-    """Read a JSON-lines dataset back into (header, FrameRecords)."""
+    """Read a JSON-lines dataset back into (header, FrameRecords).
+
+    A malformed row raises DatasetError naming its line number.
+    """
     if hasattr(source, "read"):
         text = source.read()
     else:
@@ -135,41 +199,27 @@ def import_records(source) -> tuple[dict, list[FrameRecord]]:
         except OSError as exc:
             raise DatasetError(f"cannot read dataset from "
                                f"'{source}': {exc}") from exc
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), 1)
+             if ln.strip()]
     if not lines:
         raise DatasetError("empty dataset file")
-    header = json.loads(lines[0])
+    header = json.loads(lines[0][1])
     if header.get("schema") != SCHEMA_NAME:
         raise DatasetError(f"unexpected schema {header.get('schema')!r}")
     if header.get("version") != SCHEMA_VERSION:
         raise DatasetError(f"unsupported schema version "
                            f"{header.get('version')!r}")
     frames: dict[tuple[int, str], list[UeFrameRecord]] = {}
-    for ln in lines[1:]:
-        row = json.loads(ln)
-        outage = row["optimal_index"] == OUTAGE_MARKER
-        det = row["detection"]
-        detection = None if det is None else Detection(
-            ue_name=row["ue"],
-            bbox=_bbox_from_json(det["bbox_px"], row["ue"]),
-            confidence=det["confidence"],
-        )
-        snrs = row["beam_snr_db"]
-        optimal_snr = None if outage else snrs[row["optimal_index"]]
-        frames.setdefault((row["frame"], row["bs"]), []).append(UeFrameRecord(
-            ue_name=row["ue"],
-            position=tuple(row["position_m"]),
-            active=row["activity"],
-            bbox=_bbox_from_json(row["bbox_px"], row["ue"]),
-            paths=tuple(_path_from_json(p) for p in row["paths"]),
-            beam_snrs_db=None if snrs is None else tuple(snrs),
-            optimal_index=None if outage else row["optimal_index"],
-            optimal_snr_db=optimal_snr,
-            outage=outage,
-            detection=detection,
-            predicted_index=row["predicted_index"],
-            predicted_azimuth_deg=row["predicted_azimuth_deg"],
-        ))
+    for lineno, ln in lines[1:]:
+        try:
+            row = json.loads(ln)
+            record = _ue_record(row)
+            frames.setdefault((row["frame"], row["bs"]), []).append(record)
+        except DatasetError as exc:
+            raise DatasetError(f"line {lineno}: {exc}") from None
+        except (LookupError, TypeError, ValueError) as exc:
+            raise DatasetError(f"line {lineno}: malformed row "
+                               f"({type(exc).__name__}: {exc})") from exc
     records = [
         FrameRecord(frame=frame, bs_name=bs, ues=tuple(ues))
         for (frame, bs), ues in sorted(frames.items())

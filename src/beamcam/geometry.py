@@ -27,6 +27,16 @@ def normalize(v: np.ndarray) -> np.ndarray:
     return v / n
 
 
+def same_point(a, b) -> bool:
+    """``np.allclose(a, b)`` for two points, without its per-call cost.
+
+    Same rule per component: ``|a - b| <= 1e-8 + 1e-5 * |b|``.
+    """
+    return all(abs(x - y) <= 1e-8 + 1e-5 * abs(y)
+               for x, y in zip(np.asarray(a, float).tolist(),
+                               np.asarray(b, float).tolist()))
+
+
 def rot_z_deg(yaw_deg: float) -> np.ndarray:
     c = np.cos(np.radians(yaw_deg))
     s = np.sin(np.radians(yaw_deg))
@@ -59,6 +69,7 @@ class Mesh:
         self.tris = tris
         self.tris.setflags(write=False)
         self.material = material
+        self._vertices: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self.tris.shape[0]
@@ -68,16 +79,22 @@ class Mesh:
         return [tuple(t) for t in self.tris]
 
     def vertices(self) -> np.ndarray:
-        """Unique vertices, shape (V, 3)."""
-        flat = self.tris.reshape(-1, 3)
-        return np.unique(flat, axis=0)
+        """Unique vertices, shape (V, 3), read-only; computed once."""
+        if self._vertices is None:
+            self._vertices = np.unique(self.tris.reshape(-1, 3), axis=0)
+            self._vertices.setflags(write=False)
+        return self._vertices
 
     def areas(self) -> np.ndarray:
         return _tri_areas(self.tris)
 
     def translated(self, offset) -> "Mesh":
-        return Mesh(self.tris + np.asarray(offset, dtype=float),
-                    self.material, check=False)
+        """This mesh moved by offset; carries its unique vertices along."""
+        offset = np.asarray(offset, dtype=float)
+        mesh = Mesh(self.tris + offset, self.material, check=False)
+        mesh._vertices = self.vertices() + offset
+        mesh._vertices.setflags(write=False)
+        return mesh
 
 
 def _tri_areas(tris: np.ndarray) -> np.ndarray:
@@ -143,7 +160,7 @@ def interpolate_position(traj: Trajectory, frame: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Ray casting (Moller-Trumbore, vectorized over triangles)
+# Ray casting (Moller-Trumbore, vectorized over rays and triangles)
 
 class TriangleSet:
     """Concatenated triangles from several meshes, with per-triangle owner ids."""
@@ -170,36 +187,56 @@ class TriangleSet:
 
     def owner_mask(self, exclude: tuple[str, ...]) -> np.ndarray | None:
         """Boolean keep-mask over triangles, or None if nothing is excluded."""
-        if not exclude:
-            return None
-        ids = [i for i, name in enumerate(self.names) if name in exclude]
-        if not ids:
-            return None
-        return ~np.isin(self.owners, ids)
+        keep = None
+        for i, name in enumerate(self.names):
+            if name in exclude:
+                other = self.owners != i
+                keep = other if keep is None else keep & other
+        return keep
 
-    def _hit_ts(self, origin, direction, mask):
-        if self.v0.shape[0] == 0:
-            return np.zeros(0), np.zeros(0, dtype=int)
+    def _hit_ts(self, origins, directions, mask):
+        """Hit distances of S rays against the kept triangles.
+
+        ``origins`` and unit ``directions`` have shape (S, 3). Returns the
+        (S, T) distances along each ray, -inf where it misses, and the
+        indices of the T kept triangles.
+
+        Every value is bit-identical to the one-ray form of the test
+        (``np.cross``, then ``np.einsum("ij,ij->i")`` and ``np.dot`` over
+        (T, 3) arrays): the cross products use ``np.cross``'s formula, the
+        einsum dot products add their terms in the order einsum uses for
+        three terms, (0 + 2) + 1 (numpy 2.4, x86-64), and ``np.matmul``
+        makes the same BLAS call per ray that ``np.dot`` makes, fused
+        multiply-adds included.
+        """
         v0, e1, e2 = self.v0, self.e1, self.e2
         idx = np.arange(v0.shape[0])
         if mask is not None:
             v0, e1, e2, idx = v0[mask], e1[mask], e2[mask], idx[mask]
-        p = np.cross(direction[None, :], e2)
-        det = np.einsum("ij,ij->i", e1, p)
+        d0, d1, d2 = (directions[:, k, None] for k in range(3))
+        a0, a1, a2 = e1.T
+        b0, b1, b2 = e2.T
+        p0 = d1 * b2 - d2 * b1
+        p1 = d2 * b0 - d0 * b2
+        p2 = d0 * b1 - d1 * b0
+        det = a0 * p0 + a2 * p2 + a1 * p1
         ok = np.abs(det) > 1e-14
         inv = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
-        s = origin[None, :] - v0
-        u = np.einsum("ij,ij->i", s, p) * inv
-        q = np.cross(s, e1)
-        v = np.dot(q, direction) * inv
-        t = np.einsum("ij,ij->i", e2, q) * inv
+        s0, s1, s2 = (origins[:, k, None] - v0[:, k] for k in range(3))
+        u = (s0 * p0 + s2 * p2 + s1 * p1) * inv
+        q = np.stack([s1 * a2 - s2 * a1, s2 * a0 - s0 * a2,
+                      s0 * a1 - s1 * a0], axis=-1)
+        v = np.matmul(q, directions[:, :, None])[..., 0] * inv
+        t = (b0 * q[..., 0] + b2 * q[..., 2] + b1 * q[..., 1]) * inv
         ok &= (u >= 0.0) & (v >= 0.0) & (u + v <= 1.0)
         return np.where(ok, t, -np.inf), idx
 
     def nearest_hit(self, origin, direction, t_max, exclude=(), t_min=RAY_EPS):
-        ts, idx = self._hit_ts(np.asarray(origin, float),
-                               np.asarray(direction, float),
+        origin = np.asarray(origin, float)
+        direction = np.asarray(direction, float)
+        ts, idx = self._hit_ts(origin[None], direction[None],
                                self.owner_mask(tuple(exclude)))
+        ts = ts[0]
         valid = (ts > t_min) & (ts < t_max)
         if not np.any(valid):
             return None
@@ -208,20 +245,35 @@ class TriangleSet:
         t = float(ts[best])
         return Hit(
             t=t,
-            point=np.asarray(origin, float) + t * np.asarray(direction, float),
+            point=origin + t * direction,
             triangle_index=int(idx[best]),
             owner=self.names[self.owners[idx[best]]],
         )
 
+    def segments_occluded(self, a, b, exclude=()) -> np.ndarray:
+        """Whether each segment a[i] -> b[i] is blocked, shape (S,).
+
+        A segment no longer than 2 * RAY_EPS is never blocked; otherwise
+        only hits with RAY_EPS < t < length - RAY_EPS count, so segments
+        ending on a surface are not blocked by it. All segments are tested
+        in one pass.
+        """
+        a = np.asarray(a, float).reshape(-1, 3)
+        d = np.asarray(b, float).reshape(-1, 3) - a
+        # np.linalg.norm of one vector, per row: sqrt of a BLAS dot.
+        length = np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
+        blocked = np.zeros(len(a), dtype=bool)
+        live = length > 2 * RAY_EPS
+        if len(self.v0) and np.any(live):
+            length = length[live]
+            ts, _ = self._hit_ts(a[live], d[live] / length[:, None],
+                                 self.owner_mask(tuple(exclude)))
+            blocked[live] = np.any(
+                (ts > RAY_EPS) & (ts < (length - RAY_EPS)[:, None]), axis=1)
+        return blocked
+
     def segment_occluded(self, a, b, exclude=()) -> bool:
-        a = np.asarray(a, float)
-        b = np.asarray(b, float)
-        d = b - a
-        length = float(np.linalg.norm(d))
-        if length <= 2 * RAY_EPS:
-            return False
-        ts, _ = self._hit_ts(a, d / length, self.owner_mask(tuple(exclude)))
-        return bool(np.any((ts > RAY_EPS) & (ts < length - RAY_EPS)))
+        return bool(self.segments_occluded(a, b, exclude)[0])
 
 
 @dataclass(frozen=True)

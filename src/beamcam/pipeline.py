@@ -20,7 +20,8 @@ import numpy as np
 from .camera import BoundingBox, CameraModel, pixel_to_azimuth, project_bbox
 from .channel import (Codebook, build_channel, generate_codebook, optimal_beam,
                       world_to_array_deg)
-from .geometry import Mesh, Trajectory, box_mesh, interpolate_position
+from .geometry import (Mesh, Trajectory, box_mesh, interpolate_position,
+                       same_point)
 from .raytrace import Face, PathComponent, SceneGeometry, box_faces, trace_paths
 from .scenario import Scenario, UeConfig
 from . import stl
@@ -199,7 +200,7 @@ class Simulator:
             bbox = project_bbox(self.camera, meshes[ue.name], ue.name, scene,
                                 exclude=(ue.name,))
             # A UE at the BS itself has no path to trace: an outage row.
-            paths = [] if np.allclose(bs_pos, pos) else trace_paths(
+            paths = [] if same_point(bs_pos, pos) else trace_paths(
                 scene, bs_pos, pos, sysp.max_reflections, sysp.carrier_ghz,
                 exclude=(ue.name,))
             h = build_channel(paths, self.array.elements_n,

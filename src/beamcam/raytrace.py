@@ -2,11 +2,12 @@
 
 Line-of-sight plus image-method reflections of order 1..max_reflections
 over the planar rectangular faces of box reflectors. Every candidate path
-is validated segment by segment: reflection points must fall inside their
-faces, both neighbors of a bounce must lie on the outward side, and no
-segment may be occluded by scene geometry. Blocked paths are dropped
-outright (no diffraction, scattering or penetration); an empty result
-means outage.
+is validated geometrically (reflection points must fall inside their
+faces, both neighbors of a bounce must lie on the outward side), and then
+the segments of the LOS path and of every valid chain, of all orders, are
+tested for occlusion by scene geometry in one batched pass. A path with
+any blocked segment is dropped outright (no diffraction, scattering or
+penetration); an empty result means outage.
 
 Candidate face sequences come from a prefix table built once per set of
 faces and transmitter (beam-tracing visibility pruning). Order-k+1 rows
@@ -28,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import RAY_EPS, Mesh, TriangleSet, azimuth_deg, elevation_deg, rot_z_deg
+from .geometry import (RAY_EPS, Mesh, TriangleSet, azimuth_deg, elevation_deg,
+                       rot_z_deg, same_point)
 
 #: Speed of light, m/s.
 C_LIGHT = 299_792_458.0
@@ -224,21 +226,17 @@ class SceneGeometry:
         scene.tset = TriangleSet(meshes)
         return scene
 
-    def occluded(self, a, b, exclude=()) -> bool:
-        return self.tset.segment_occluded(a, b, exclude)
-
 
 def _candidate_chains(refl: _Reflectors, seqs: np.ndarray,
-                      images: np.ndarray, tx: np.ndarray, rx: np.ndarray):
+                      images: np.ndarray, tx: np.ndarray, rx: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized image-method backtracking for one reflection order.
 
-    ``seqs`` and ``images`` are one order of the prefix table of tx. Yields
-    (points, face_indices) per geometrically valid chain; occlusion is not
-    tested here.
+    ``seqs`` and ``images`` are one order of the prefix table of tx.
+    Returns the points (order + 2, n, 3) and face sequences (n, order) of
+    the n geometrically valid chains; occlusion is not tested here.
     """
     s, order = seqs.shape
-    if s == 0:
-        return
     pts = np.empty((order + 2, s, 3))
     pts[0] = tx
     pts[-1] = rx
@@ -266,8 +264,7 @@ def _candidate_chains(refl: _Reflectors, seqs: np.ndarray,
         n = refl.normal[seqs[:, j - 1]]
         valid &= np.einsum("ij,ij->i", pts[j - 1] - pts[j], n) > RAY_EPS
         valid &= np.einsum("ij,ij->i", pts[j + 1] - pts[j], n) > RAY_EPS
-    for i in np.where(valid)[0]:
-        yield pts[:, i, :], seqs[i]
+    return pts[:, valid], seqs[valid]
 
 
 def trace_paths(scene: SceneGeometry, tx, rx, max_reflections: int,
@@ -279,20 +276,30 @@ def trace_paths(scene: SceneGeometry, tx, rx, max_reflections: int,
     """
     tx = np.asarray(tx, float)
     rx = np.asarray(rx, float)
-    if np.allclose(tx, rx):
+    if same_point(tx, rx):
         raise ValueError("tx and rx must differ")
-    exclude = tuple(exclude)
-    paths: list[PathComponent] = []
-    if not scene.occluded(tx, rx, exclude):
-        paths.append(compute_path_component([tx, rx], [], carrier_ghz))
     refl = scene.reflectors
-    for seqs, images in refl.prefixes(tx, max_reflections):
-        for pts, faces in _candidate_chains(refl, seqs, images, tx, rx):
-            chain = list(pts)
-            if any(scene.occluded(a, b, exclude)
-                   for a, b in zip(chain, chain[1:])):
-                continue
-            amps = [refl.amp[f] for f in faces]
-            paths.append(compute_path_component(chain, amps, carrier_ghz))
+    chains = [_candidate_chains(refl, seqs, images, tx, rx)
+              for seqs, images in refl.prefixes(tx, max_reflections)]
+    # The LOS segment, then every hop of every chain (chain-major), in one
+    # occlusion pass.
+    starts = [tx[None]] + [pts[:-1].swapaxes(0, 1).reshape(-1, 3)
+                           for pts, _ in chains]
+    ends = [rx[None]] + [pts[1:].swapaxes(0, 1).reshape(-1, 3)
+                         for pts, _ in chains]
+    blocked = scene.tset.segments_occluded(
+        np.concatenate(starts), np.concatenate(ends), exclude)
+    paths: list[PathComponent] = []
+    if not blocked[0]:
+        paths.append(compute_path_component([tx, rx], [], carrier_ghz))
+    at = 1
+    for pts, seqs in chains:
+        n, hops = seqs.shape[0], seqs.shape[1] + 1
+        chain_blocked = blocked[at:at + n * hops].reshape(n, hops).any(axis=1)
+        at += n * hops
+        for i in np.flatnonzero(~chain_blocked):
+            amps = [refl.amp[f] for f in seqs[i]]
+            paths.append(compute_path_component(list(pts[:, i]), amps,
+                                                carrier_ghz))
     paths.sort(key=lambda p: (p.length_m, p.bounces))
     return paths

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -57,6 +58,16 @@ def test_generate_determinism(scenario_file, tmp_path):
     assert run(args + ["--out", a]) == 0
     assert run(args + ["--out", b]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_shipped_generate_bytes_are_pinned(tmp_path):
+    out = tmp_path / "ds.jsonl"
+    assert run(["generate", "--scenario", SHIPPED_SCENARIO, "--seed", 0,
+                "--pixel-sigma", 2, "--out", out]) == 0
+    data = out.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == \
+        "c5393b2ba4ba994a8c1f5f146a8d8478cb2f38bd74136f394678319cc7f21830"
+    assert b"NaN" not in data and b"Infinity" not in data
 
 
 def test_render_command(tmp_path):

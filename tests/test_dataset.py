@@ -5,6 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from beamcam import cli
 from beamcam import dataset as ds
 from beamcam import pipeline as pl
 from beamcam.camera import BoundingBox
@@ -162,6 +163,31 @@ def test_import_errors(tmp_path):
         ds.import_records(p)
     with pytest.raises(ds.DatasetError):
         ds.import_records(tmp_path / "missing.jsonl")
+
+
+def _drop_snr_table(row):
+    row["beam_snr_db"] = None
+
+
+def _drop_paths_key(row):
+    del row["paths"]
+
+
+@pytest.mark.parametrize("edit", [_drop_snr_table, _drop_paths_key])
+def test_malformed_row_names_its_line(edit, minimal_scenario, tmp_path,
+                                      capsys):
+    path = tmp_path / "ds.jsonl"
+    ds.export_records(pl.run_simulation(minimal_scenario), path)
+    lines = path.read_text().splitlines()
+    row = json.loads(lines[3])
+    assert isinstance(row["optimal_index"], int)
+    edit(row)
+    lines[3] = json.dumps(row)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ds.DatasetError, match=r"^line 4: "):
+        ds.import_records(path)
+    assert cli.main(["evaluate", str(path)]) == 1
+    assert "line 4: " in capsys.readouterr().err
 
 
 def test_evaluate_empty_raises():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from beamcam import geometry as geo
 from beamcam import stl
@@ -38,6 +39,19 @@ def test_azimuth_elevation_conventions():
     assert geo.azimuth_deg(geo.vec3(0, 1, 0)) == pytest.approx(90.0)
     assert geo.azimuth_deg(geo.vec3(-1, 0, 0)) == pytest.approx(180.0)
     assert geo.elevation_deg(geo.vec3(1, 0, 1)) == pytest.approx(45.0)
+
+
+COORD = st.floats(-1e3, 1e3)
+NEAR = st.tuples(st.floats(-2e-5, 2e-5), st.floats(-2e-8, 2e-8))
+
+
+@given(st.tuples(COORD, COORD, COORD), st.tuples(NEAR, NEAR, NEAR))
+@example((0.0, 0.0, 6.0), ((0.0, 0.0),) * 3)
+def test_same_point_is_allclose(a, offsets):
+    # Offsets straddle allclose's tolerance |a - b| <= 1e-8 + 1e-5 |b|.
+    b = tuple(x * (1.0 + r) + c for x, (r, c) in zip(a, offsets))
+    assert geo.same_point(a, b) == np.allclose(a, b)
+    assert geo.same_point(b, a) == np.allclose(b, a)
 
 
 def test_ray_hits_box_front_face():
@@ -93,6 +107,90 @@ def test_nearest_hit_matches_bruteforce_scan():
         else:
             assert hit is not None
             assert hit.t == pytest.approx(best, abs=1e-9)
+
+
+def reference_occluded(meshes, a, b):
+    """One segment against the triangles of meshes, with the one-ray form
+    of the Moller-Trumbore test (``np.cross``, einsum and ``np.dot`` over
+    (T, 3) arrays) and the segment rules of ``segments_occluded``."""
+    d = b - a
+    length = float(np.linalg.norm(d))
+    if length <= 2 * geo.RAY_EPS or not meshes:
+        return False
+    direction = d / length
+    tris = np.concatenate([m.tris for m in meshes])
+    v0, e1, e2 = tris[:, 0], tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]
+    p = np.cross(direction[None, :], e2)
+    det = np.einsum("ij,ij->i", e1, p)
+    ok = np.abs(det) > 1e-14
+    inv = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
+    s = a[None, :] - v0
+    u = np.einsum("ij,ij->i", s, p) * inv
+    q = np.cross(s, e1)
+    v = np.dot(q, direction) * inv
+    t = np.einsum("ij,ij->i", e2, q) * inv
+    ok &= (u >= 0.0) & (v >= 0.0) & (u + v <= 1.0)
+    t = t[ok]
+    return bool(np.any((t > geo.RAY_EPS) & (t < length - geo.RAY_EPS)))
+
+
+BOXES = st.lists(st.tuples(
+    st.tuples(*[st.floats(-5.0, 5.0)] * 3),
+    st.tuples(*[st.floats(0.5, 4.0)] * 3),
+    st.one_of(st.just(0.0), st.floats(0.0, 360.0)),
+), max_size=4)
+
+
+@st.composite
+def occlusion_cases(draw):
+    """(boxes, segments, excluded names): segments are free, end on a box
+    face, have zero length or are no longer than 2 * RAY_EPS."""
+    boxes = draw(BOXES)
+    meshes = [geo.box_mesh(*box) for box in boxes]
+
+    def point():
+        if meshes and draw(st.booleans()):
+            mesh = meshes[draw(st.integers(0, len(meshes) - 1))]
+            w = np.array(draw(st.tuples(*[st.floats(0.0, 1.0)] * 3))) + 1e-3
+            return tuple(w / w.sum() @ mesh.tris[draw(st.integers(0, 11))])
+        return draw(st.tuples(*[st.floats(-8.0, 8.0)] * 3))
+
+    segments = []
+    for _ in range(draw(st.integers(1, 10))):
+        a = point()
+        kind = draw(st.sampled_from(["free", "zero", "short"]))
+        if kind == "zero":
+            b = a
+        elif kind == "short":
+            step = draw(st.floats(0.0, 2 * geo.RAY_EPS))
+            b = tuple(np.asarray(a) + step * geo.normalize(
+                np.array(draw(st.tuples(*[st.floats(0.1, 1.0)] * 3)))))
+        else:
+            b = point()
+        segments.append((a, b))
+    names = [f"m{i}" for i in range(len(boxes))] + ["absent"]
+    exclude = draw(st.lists(st.sampled_from(names), unique=True))
+    return boxes, segments, tuple(exclude)
+
+
+@given(occlusion_cases())
+# A hit at exactly t == RAY_EPS (power-of-two box, so the arithmetic is
+# exact) does not count.
+@example(([((0.0, 1.0, 0.0), (2.0, 2.0, 2.0), 0.0)],
+          [((0.25, -geo.RAY_EPS, 0.5), (0.25, 1.0, 0.5))], ()))
+def test_segments_occluded_matches_one_segment_reference(case):
+    boxes, segments, exclude = case
+    meshes = [(f"m{i}", geo.box_mesh(*box)) for i, box in enumerate(boxes)]
+    tset = geo.TriangleSet(meshes)
+    a = np.array([seg[0] for seg in segments], dtype=float)
+    b = np.array([seg[1] for seg in segments], dtype=float)
+    # Zero-length segments are answered without dividing by zero.
+    with np.errstate(divide="raise", invalid="raise"):
+        got = tset.segments_occluded(a, b, exclude)
+    kept = [m for name, m in meshes if name not in exclude]
+    want = [reference_occluded(kept, p, q) for p, q in zip(a, b)]
+    assert got.tolist() == want
+    assert tset.segment_occluded(a[0], b[0], exclude) == want[0]
 
 
 def test_stl_binary_roundtrip_bit_exact():

@@ -4,8 +4,10 @@ import pytest
 from beamcam import channel as ch
 from beamcam import pipeline as pl
 from beamcam import scenario as sc
-from beamcam.camera import BoundingBox, CameraModel, pixel_to_azimuth
-from beamcam.geometry import Mesh
+from beamcam.camera import (BoundingBox, CameraModel, pixel_to_azimuth,
+                            project_bbox)
+from beamcam.geometry import Mesh, TriangleSet
+from beamcam.raytrace import trace_paths
 
 from conftest import MINIMAL_SCENARIO, REPO_ROOT
 
@@ -200,3 +202,44 @@ def test_frame_truth_translates_each_ue_mesh_once(shipped_scenario,
     monkeypatch.setattr(Mesh, "translated", counting)
     pl.Simulator(shipped_scenario, base_dir=REPO_ROOT).frame_truth(150)
     assert len(calls) == len(shipped_scenario.ues) == 3
+
+
+def test_occlusion_is_one_kernel_pass_per_trace_and_bbox(shipped_scenario,
+                                                         monkeypatch):
+    rays = []
+    hit_ts = TriangleSet._hit_ts
+
+    def counting(tset, origins, directions, mask):
+        rays.append(len(origins))
+        return hit_ts(tset, origins, directions, mask)
+
+    def per_segment(*args, **kwargs):
+        raise AssertionError("occlusion tested one segment at a time")
+
+    monkeypatch.setattr(TriangleSet, "_hit_ts", counting)
+    monkeypatch.setattr(TriangleSet, "segment_occluded", per_segment)
+    sim = pl.Simulator(shipped_scenario, base_dir=REPO_ROOT)
+    sysp = shipped_scenario.system
+    bs = np.asarray(sim.bs.position, float)
+    traces = traced = bbox_passes = 0
+    for frame in range(0, sysp.frames, 20):
+        scene, positions = sim.frame_scene(frame)
+        meshes = dict(zip(scene.tset.names, scene.tset.meshes))
+        for ue in shipped_scenario.ues:
+            rays.clear()
+            trace_paths(scene, bs, positions[ue.name], sysp.max_reflections,
+                        sysp.carrier_ghz, exclude=(ue.name,))
+            assert len(rays) == 1
+            traces += 1
+            traced += rays[0]
+            rays.clear()
+            project_bbox(sim.camera, meshes[ue.name], ue.name, scene,
+                         exclude=(ue.name,))
+            assert len(rays) <= 1
+            bbox_passes += len(rays)
+        rays.clear()
+        sim.frame_truth(frame)
+        assert len(rays) <= 2 * len(shipped_scenario.ues)
+    # The one pass per trace carries reflected hops too, not just LOS.
+    assert traced > traces
+    assert bbox_passes > 0
