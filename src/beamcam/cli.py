@@ -110,19 +110,21 @@ def _cmd_inspect(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.seeds < 1:
+        raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
+    # Every model is made before the truth pass, so a bad sigma fails fast.
+    models = [[DetectorNoiseModel(pixel_sigma=float(sigma),
+                                  miss_prob=args.miss_prob, seed=seed)
+               for seed in range(args.seed, args.seed + args.seeds)]
+              for sigma in args.sigmas.split(",")]
     scenario = _load_scenario(args.scenario)
     sim = Simulator(scenario, args.bs, Path(args.scenario).parent)
     truth = sim.run_truth()
-    sigmas = [float(s) for s in args.sigmas.split(",")]
     rows = []
-    for sigma in sigmas:
-        accs = []
-        for seed in range(args.seed, args.seed + args.seeds):
-            model = DetectorNoiseModel(pixel_sigma=sigma,
-                                       miss_prob=args.miss_prob, seed=seed)
-            records = sim.apply_detector(truth, model)
-            accs.append(ds.evaluate(records).top1_accuracy)
-        rows.append((sigma, sum(accs) / len(accs)))
+    for group in models:
+        accs = [ds.evaluate(sim.apply_detector(truth, model)).top1_accuracy
+                for model in group]
+        rows.append((group[0].pixel_sigma, sum(accs) / len(accs)))
     lines = ["pixel_sigma,mean_top1_accuracy"]
     lines += [f"{sigma:g},{acc:.6f}" for sigma, acc in rows]
     csv_text = "\n".join(lines) + "\n"

@@ -1,9 +1,15 @@
 """Dataset serialization (JSON lines) and evaluation metrics.
 
-One JSON object per (frame, UE) entry, preceded by a schema-version
-header line. Outage is an explicit marker string, never a float
-sentinel. Evaluation works purely off the stored per-beam SNR tables so
-it never depends on physics code.
+A schema-version header line, then one JSON object per (frame, UE).
+``ROW`` is the one declaration of that object: each key, in file order,
+with its JSON kind, down to the bbox, detection and path objects. The
+bbox/path codecs iterate its keys, and ``import_records`` checks every
+field of every row against it (and a few cross-field rules), so a file
+that imports is one ``evaluate`` and ``inspect`` can read. The output is
+standard JSON: outage is the marker string ``"outage"`` with a null SNR
+table, and a single zero-gain beam (``OUTAGE_SNR_DB``) is written as
+null. Evaluation works purely off the stored per-beam SNR tables so it
+never depends on physics code.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .camera import BoundingBox
+from .channel import OUTAGE_SNR_DB
 from .pipeline import Detection, FrameRecord, UeFrameRecord
 from .raytrace import PathComponent
 
@@ -21,99 +28,78 @@ SCHEMA_NAME = "beamcam-records"
 SCHEMA_VERSION = 1
 OUTAGE_MARKER = "outage"
 
+# JSON kinds: int, str, float (a finite number, integers included, never
+# a bool), None (null), [kind] (a list of kind), {key: kind, ...} (an
+# object with exactly these keys) and (kind, kind) (either of them).
+_BBOX = {"u_min": float, "v_min": float, "u_max": float, "v_max": float,
+         "visibility": float}
+# After delay_ns the keys follow PathComponent's fields (_path_from_json).
+_PATH = {"gain_db": float, "phase_deg": float, "delay_ns": float,
+         "aod_az_deg": float, "aod_el_deg": float, "aoa_az_deg": float,
+         "aoa_el_deg": float, "bounces": int, "length_m": float}
+_DETECTION = {"bbox_px": _BBOX, "confidence": float}
+ROW = {
+    "frame": int, "bs": str, "ue": str, "position_m": [float],
+    "activity": int, "bbox_px": (_BBOX, None),
+    "detection": (_DETECTION, None), "paths": [_PATH],
+    "beam_snr_db": ([(float, None)], None),
+    "optimal_index": (int, str), "predicted_index": (int, None),
+    "predicted_azimuth_deg": (float, None),
+}
+_KIND_NAMES = {int: "an integer", str: "a string", float: "a number",
+               type(None): "null", list: "a list", dict: "an object"}
+
 
 class DatasetError(Exception):
     pass
 
 
 def _bbox_to_json(bbox: BoundingBox | None):
-    if bbox is None:
-        return None
-    return {
-        "u_min": bbox.u_min, "v_min": bbox.v_min,
-        "u_max": bbox.u_max, "v_max": bbox.v_max,
-        "visibility": bbox.visibility,
-    }
+    return None if bbox is None else {k: getattr(bbox, k) for k in _BBOX}
 
 
 def _bbox_from_json(obj, ue_name: str) -> BoundingBox | None:
-    if obj is None:
-        return None
-    return BoundingBox(u_min=obj["u_min"], v_min=obj["v_min"],
-                       u_max=obj["u_max"], v_max=obj["v_max"],
-                       ue_name=ue_name, visibility=obj["visibility"])
+    return None if obj is None else BoundingBox(**obj, ue_name=ue_name)
 
 
 def _path_to_json(p: PathComponent):
-    return {
-        "gain_db": p.gain_db,
-        "phase_deg": p.phase_deg,
-        "delay_ns": p.delay_s * 1e9,
-        "aod_az_deg": p.aod_az_deg,
-        "aod_el_deg": p.aod_el_deg,
-        "aoa_az_deg": p.aoa_az_deg,
-        "aoa_el_deg": p.aoa_el_deg,
-        "bounces": p.bounces,
-        "length_m": p.length_m,
-    }
+    return {key: getattr(p, key) for key in _PATH}
 
 
 def _path_from_json(obj) -> PathComponent:
-    amp = 10.0 ** (obj["gain_db"] / 20.0)
-    phase = math.radians(obj["phase_deg"])
+    gain_db, phase_deg, delay_ns, *fields = map(obj.__getitem__, _PATH)
+    phase = math.radians(phase_deg)
     return PathComponent(
-        gain=amp * complex(math.cos(phase), math.sin(phase)),
-        delay_s=obj["delay_ns"] * 1e-9,
-        aod_az_deg=obj["aod_az_deg"],
-        aod_el_deg=obj["aod_el_deg"],
-        aoa_az_deg=obj["aoa_az_deg"],
-        aoa_el_deg=obj["aoa_el_deg"],
-        bounces=obj["bounces"],
-        length_m=obj["length_m"],
-        points=(),
-    )
+        10.0 ** (gain_db / 20.0) * complex(math.cos(phase), math.sin(phase)),
+        delay_ns * 1e-9, *fields, points=())
 
 
 def record_rows(records: list[FrameRecord]):
-    """Flatten FrameRecords into one JSON-ready dict per (frame, UE)."""
+    """Flatten FrameRecords into one JSON-ready dict per (frame, UE), its
+    values in the order of the keys of ``ROW``."""
     for rec in records:
         for u in rec.ues:
-            det = u.detection
-            yield {
-                "frame": rec.frame,
-                "bs": rec.bs_name,
-                "ue": u.ue_name,
-                "position_m": list(u.position),
-                "activity": u.active,
-                "bbox_px": _bbox_to_json(u.bbox),
-                "detection": None if det is None else {
-                    "bbox_px": _bbox_to_json(det.bbox),
-                    "confidence": det.confidence,
-                },
-                "paths": [_path_to_json(p) for p in u.paths],
-                "beam_snr_db": None if u.beam_snrs_db is None
-                else list(u.beam_snrs_db),
-                "optimal_index": OUTAGE_MARKER if u.outage
-                else u.optimal_index,
-                "predicted_index": u.predicted_index,
-                "predicted_azimuth_deg": u.predicted_azimuth_deg,
-            }
+            det, snrs = u.detection, u.beam_snrs_db
+            yield dict(zip(ROW, (
+                rec.frame, rec.bs_name, u.ue_name, list(u.position), u.active,
+                _bbox_to_json(u.bbox),
+                None if det is None else dict(zip(_DETECTION, (
+                    _bbox_to_json(det.bbox), det.confidence), strict=True)),
+                [_path_to_json(p) for p in u.paths],
+                None if snrs is None
+                else [None if s == OUTAGE_SNR_DB else s for s in snrs],
+                OUTAGE_MARKER if u.outage else u.optimal_index,
+                u.predicted_index, u.predicted_azimuth_deg), strict=True))
 
 
 def export_records(records: list[FrameRecord], destination,
                    metadata: dict | None = None) -> int:
     """Write records as JSON lines; returns the number of data rows."""
-    header = {
-        "schema": SCHEMA_NAME,
-        "version": SCHEMA_VERSION,
-        **(metadata or {}),
-    }
-    lines = [json.dumps(header, sort_keys=True)]
-    count = 0
-    for row in record_rows(records):
-        lines.append(json.dumps(row))
-        count += 1
-    payload = "\n".join(lines) + "\n"
+    header = {"schema": SCHEMA_NAME, "version": SCHEMA_VERSION,
+              **(metadata or {})}
+    rows = [json.dumps(row, allow_nan=False) for row in record_rows(records)]
+    payload = "\n".join(
+        [json.dumps(header, sort_keys=True, allow_nan=False), *rows]) + "\n"
     if hasattr(destination, "write"):
         destination.write(payload)
     else:
@@ -122,74 +108,90 @@ def export_records(records: list[FrameRecord], destination,
         except OSError as exc:
             raise DatasetError(f"cannot write dataset to "
                                f"'{destination}': {exc}") from exc
-    return count
+    return len(rows)
 
 
-_ROW_KEYS = frozenset((
-    "frame", "bs", "ue", "position_m", "activity", "bbox_px", "detection",
-    "paths", "beam_snr_db", "optimal_index", "predicted_index",
-    "predicted_azimuth_deg",
-))
+def _type(kind) -> type:
+    """The Python type of a JSON value of kind, as json.loads gives it."""
+    return kind if kind in (int, str, float) else type(kind)
 
 
-def _beam_index(value, snrs) -> bool:
-    """True iff value is an int index into the SNR list snrs."""
-    return (type(value) is int and isinstance(snrs, list)
-            and 0 <= value < len(snrs))
-
-
-def _ue_record(row: dict) -> UeFrameRecord:
-    """One data row as a UeFrameRecord.
-
-    DatasetError for a missing key or for beam fields that disagree
-    (``evaluate`` indexes the SNR table with both indices).
-    """
-    missing = _ROW_KEYS.difference(row)
-    if missing:
-        raise DatasetError(f"missing key(s) {', '.join(sorted(missing))}")
-    if type(row["frame"]) is not int or not isinstance(row["bs"], str):
-        raise DatasetError("frame must be an integer and bs a string")
-    snrs = row["beam_snr_db"]
-    outage = row["optimal_index"] == OUTAGE_MARKER
-    if outage:
-        if snrs is not None:
-            raise DatasetError("an outage row must have beam_snr_db null")
-        optimal_index = optimal_snr = None
+def _check(value, kind, where: str = "") -> None:
+    """DatasetError naming the first part of value that is not of kind."""
+    alternatives = kind if type(kind) is tuple else (kind,)
+    for kind in alternatives:
+        if kind is float:  # json.loads reads NaN and Infinity as floats
+            if type(value) in (int, float) and math.isfinite(value):
+                return
+        elif type(value) is _type(kind):
+            break
     else:
-        optimal_index = row["optimal_index"]
-        if not _beam_index(optimal_index, snrs):
-            raise DatasetError("optimal_index must be 'outage' or an index "
-                               "into beam_snr_db")
-        if not (row["predicted_index"] is None
-                or _beam_index(row["predicted_index"], snrs)):
+        names = " or ".join(_KIND_NAMES[_type(k)] for k in alternatives)
+        raise DatasetError(f"{where or 'a row'} must be {names}")
+    if type(kind) is list:
+        for i, item in enumerate(value):
+            _check(item, kind[0], f"{where}[{i}]")
+    elif type(kind) is dict:
+        prefix = f"{where}." if where else ""
+        for key in value:
+            if key not in kind:
+                raise DatasetError(f"unknown key {prefix}{key}")
+        for key, sub in kind.items():
+            if key not in value:
+                raise DatasetError(f"missing key {prefix}{key}")
+            _check(value[key], sub, prefix + key)
+
+
+def _ue_record(row) -> tuple[int, str, UeFrameRecord]:
+    """One data row as (frame, bs, UeFrameRecord); DatasetError if it does
+    not fit ``ROW`` or its beam fields disagree (``evaluate`` indexes the
+    SNR table with both indices)."""
+    _check(row, ROW)
+    (frame, bs, ue, position, active, bbox, det, paths, snrs, optimal,
+     predicted, predicted_az) = map(row.__getitem__, ROW)
+    if len(position) != 3:
+        raise DatasetError("position_m must have 3 entries")
+    if active not in (0, 1):
+        raise DatasetError("activity must be 0 or 1")
+    outage = optimal == OUTAGE_MARKER
+    if outage != (snrs is None):
+        raise DatasetError("optimal_index must be 'outage' exactly when "
+                           "beam_snr_db is null")
+    if not outage:
+        if not (type(optimal) is int and 0 <= optimal < len(snrs)
+                and snrs[optimal] is not None):
+            raise DatasetError("optimal_index must be 'outage' or the index "
+                               "of a non-null beam_snr_db entry")
+        if predicted is not None and not 0 <= predicted < len(snrs):
             raise DatasetError("predicted_index must be null or an index "
                                "into beam_snr_db")
-        optimal_snr = snrs[optimal_index]
-    det = row["detection"]
-    return UeFrameRecord(
-        ue_name=row["ue"],
-        position=tuple(row["position_m"]),
-        active=row["activity"],
-        bbox=_bbox_from_json(row["bbox_px"], row["ue"]),
-        paths=tuple(_path_from_json(p) for p in row["paths"]),
-        beam_snrs_db=None if snrs is None else tuple(snrs),
-        optimal_index=optimal_index,
-        optimal_snr_db=optimal_snr,
-        outage=outage,
-        detection=None if det is None else Detection(
-            ue_name=row["ue"],
-            bbox=_bbox_from_json(det["bbox_px"], row["ue"]),
-            confidence=det["confidence"],
-        ),
-        predicted_index=row["predicted_index"],
-        predicted_azimuth_deg=row["predicted_azimuth_deg"],
-    )
+        snrs = tuple(OUTAGE_SNR_DB if s is None else s for s in snrs)
+    if det is not None:
+        det_bbox, confidence = map(det.__getitem__, _DETECTION)
+        det = Detection(ue, _bbox_from_json(det_bbox, ue), confidence)
+    return frame, bs, UeFrameRecord(
+        ue_name=ue, position=tuple(position), active=active,
+        bbox=_bbox_from_json(bbox, ue),
+        paths=tuple(map(_path_from_json, paths)), beam_snrs_db=snrs,
+        optimal_index=None if outage else optimal,
+        optimal_snr_db=None if outage else snrs[optimal], outage=outage,
+        detection=det, predicted_index=predicted,
+        predicted_azimuth_deg=predicted_az)
+
+
+def _header(obj) -> dict:
+    if type(obj) is not dict:
+        raise DatasetError("the header must be a JSON object")
+    for key, known in (("schema", SCHEMA_NAME), ("version", SCHEMA_VERSION)):
+        if obj.get(key) != known:
+            raise DatasetError(f"unsupported {key} {obj.get(key)!r}")
+    return obj
 
 
 def import_records(source) -> tuple[dict, list[FrameRecord]]:
     """Read a JSON-lines dataset back into (header, FrameRecords).
 
-    A malformed row raises DatasetError naming its line number.
+    A malformed line raises DatasetError naming its line number.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -203,28 +205,23 @@ def import_records(source) -> tuple[dict, list[FrameRecord]]:
              if ln.strip()]
     if not lines:
         raise DatasetError("empty dataset file")
-    header = json.loads(lines[0][1])
-    if header.get("schema") != SCHEMA_NAME:
-        raise DatasetError(f"unexpected schema {header.get('schema')!r}")
-    if header.get("version") != SCHEMA_VERSION:
-        raise DatasetError(f"unsupported schema version "
-                           f"{header.get('version')!r}")
+    header = None
     frames: dict[tuple[int, str], list[UeFrameRecord]] = {}
-    for lineno, ln in lines[1:]:
+    for lineno, ln in lines:
         try:
-            row = json.loads(ln)
-            record = _ue_record(row)
-            frames.setdefault((row["frame"], row["bs"]), []).append(record)
+            obj = json.loads(ln)
+            if header is None:
+                header = _header(obj)
+                continue
+            frame, bs, record = _ue_record(obj)
+            frames.setdefault((frame, bs), []).append(record)
         except DatasetError as exc:
             raise DatasetError(f"line {lineno}: {exc}") from None
-        except (LookupError, TypeError, ValueError) as exc:
-            raise DatasetError(f"line {lineno}: malformed row "
+        except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
+            raise DatasetError(f"line {lineno}: malformed line "
                                f"({type(exc).__name__}: {exc})") from exc
-    records = [
-        FrameRecord(frame=frame, bs_name=bs, ues=tuple(ues))
-        for (frame, bs), ues in sorted(frames.items())
-    ]
-    return header, records
+    return header, [FrameRecord(frame=frame, bs_name=bs, ues=tuple(ues))
+                    for (frame, bs), ues in sorted(frames.items())]
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ codebook bin.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -36,8 +37,9 @@ class DetectorNoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        if self.pixel_sigma < 0:
-            raise ValueError("pixel_sigma must be >= 0")
+        if not (math.isfinite(self.pixel_sigma) and self.pixel_sigma >= 0):
+            raise ValueError(f"pixel_sigma must be a finite number >= 0, "
+                             f"got {self.pixel_sigma}")
         if not 0.0 <= self.miss_prob <= 1.0:
             raise ValueError("miss_prob must be in [0, 1]")
 

@@ -106,6 +106,10 @@ class PathComponent:
     def phase_deg(self) -> float:
         return math.degrees(math.atan2(self.gain.imag, self.gain.real))
 
+    @property
+    def delay_ns(self) -> float:
+        return self.delay_s * 1e9
+
 
 def compute_path_component(points, reflection_amps, carrier_ghz: float
                            ) -> PathComponent:

@@ -119,6 +119,22 @@ def test_error_exit_codes(tmp_path, capsys):
     assert run(["evaluate", tmp_path / "missing.jsonl"]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["generate", "--pixel-sigma", "nan"],
+    ["generate", "--pixel-sigma", "inf"],
+    ["sweep", "--sigmas", "0,nan", "--seeds", 2],
+    ["sweep", "--seeds", 0],
+])
+def test_bad_detector_settings_exit_1(argv, scenario_file, tmp_path, capsys):
+    out = tmp_path / "x.jsonl"
+    command, *options = argv
+    if command == "generate":
+        options += ["--out", out]
+    assert run([command, "--scenario", scenario_file, *options]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_help_runs():
     with pytest.raises(SystemExit) as exc:
         cli.main(["--help"])

@@ -1,3 +1,5 @@
+import contextlib
+import functools
 import io
 import re
 import json
@@ -8,7 +10,10 @@ from hypothesis import given, settings, strategies as st
 from beamcam import cli
 from beamcam import dataset as ds
 from beamcam import pipeline as pl
+from beamcam import scenario as sc
 from beamcam.camera import BoundingBox
+
+from conftest import MINIMAL_SCENARIO
 
 
 def make_row(ue="car", active=1, outage=False, snrs=None, optimal=0,
@@ -173,7 +178,29 @@ def _drop_paths_key(row):
     del row["paths"]
 
 
-@pytest.mark.parametrize("edit", [_drop_snr_table, _drop_paths_key])
+def _string_snr_entry(row):
+    row["beam_snr_db"][2] = "x"
+
+
+def _null_optimal_beam(row):
+    row["beam_snr_db"][row["optimal_index"]] = None
+
+
+def _string_activity(row):
+    row["activity"] = "x"
+
+
+def _string_bbox_u_min(row):
+    row["bbox_px"]["u_min"] = "x"
+
+
+def _huge_path_gain(row):
+    row["paths"][0]["gain_db"] = 1e300
+
+
+@pytest.mark.parametrize("edit", [
+    _drop_snr_table, _drop_paths_key, _string_snr_entry, _null_optimal_beam,
+    _string_activity, _string_bbox_u_min, _huge_path_gain])
 def test_malformed_row_names_its_line(edit, minimal_scenario, tmp_path,
                                       capsys):
     path = tmp_path / "ds.jsonl"
@@ -188,6 +215,105 @@ def test_malformed_row_names_its_line(edit, minimal_scenario, tmp_path,
         ds.import_records(path)
     assert cli.main(["evaluate", str(path)]) == 1
     assert "line 4: " in capsys.readouterr().err
+    assert cli.main(["inspect", str(path)]) == 1
+    assert "error: line 4: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("first_line", ["[1, 2]", '"x"', "not json"])
+def test_header_must_be_a_json_object(first_line, tmp_path, capsys):
+    path = tmp_path / "ds.jsonl"
+    path.write_text(first_line + "\n")
+    with pytest.raises(ds.DatasetError, match=r"^line 1: "):
+        ds.import_records(path)
+    for command in ("evaluate", "inspect"):
+        assert cli.main([command, str(path)]) == 1
+        assert "error: line 1: " in capsys.readouterr().err
+
+
+def test_zero_gain_beam_is_written_as_null(tmp_path):
+    snrs = (3.0, float("-inf"), *(float(-i) for i in range(2, 16)))
+    records = [frame(0, [make_row(snrs=snrs)]),
+               frame(1, [make_row(snrs=snrs, predicted=1)])]
+    path = tmp_path / "ds.jsonl"
+    ds.export_records(records, path)
+    text = path.read_text()
+    assert "Infinity" not in text and "NaN" not in text
+    assert json.loads(text.splitlines()[1])["beam_snr_db"][1] is None
+    _, back = ds.import_records(path)
+    assert [u.beam_snrs_db for rec in back for u in rec.ues] == [snrs, snrs]
+    assert ds.evaluate(back) == ds.evaluate(records)
+
+
+def test_written_rows_fit_the_declared_shape(shipped_truth):
+    sim, truth = shipped_truth
+    detected = sim.apply_detector(
+        truth, pl.DetectorNoiseModel(pixel_sigma=2.0, miss_prob=0.2, seed=0))
+    for records in (truth, detected):
+        for row in ds.record_rows(records):
+            ds._check(row, ds.ROW)
+            assert list(row) == list(ds.ROW)
+
+
+# A small dataset with eligible, undetected, inactive (frames 3-4) and
+# outage (frame 5: the UE at the BS) rows.
+MUTATION_SCENARIO = MINIMAL_SCENARIO.replace(
+    "keyframe = 9", "active = 0-2, 5-9\nkeyframe = 5 : 0, 0, 6\nkeyframe = 9")
+REPLACEMENTS = [None, True, 0, -1, 7, 1e300, "x", "outage", [], {}]
+DELETE = object()
+
+
+def _field_paths(value, path=()):
+    """Key paths of every field inside a parsed row, at any depth."""
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for key, sub in items:
+            yield path + (key,)
+            yield from _field_paths(sub, path + (key,))
+
+
+@functools.cache
+def _mutation_base():
+    """The dataset's lines, and (line index, key path) of every field."""
+    records = pl.run_simulation(
+        sc.parse_scenario(MUTATION_SCENARIO),
+        pl.DetectorNoiseModel(pixel_sigma=2.0, miss_prob=0.4, seed=1))
+    ues = [u for rec in records for u in rec.ues]
+    assert any(u.outage for u in ues) and not all(u.active for u in ues)
+    assert any(u.active and u.bbox and not u.detection for u in ues)
+    buf = io.StringIO()
+    ds.export_records(records, buf)
+    lines = buf.getvalue().splitlines()
+    targets = [(n, keys) for n in range(1, len(lines))
+               for keys in _field_paths(json.loads(lines[n]))]
+    return lines, targets
+
+
+@given(data=st.data())
+def test_one_field_edit_is_rejected_or_readable(tmp_path_factory, data):
+    """Changing or deleting one field of a valid row, at any depth, either
+    raises DatasetError on import or gives records that evaluate and
+    inspect read without an exception."""
+    lines, targets = _mutation_base()
+    path = tmp_path_factory.getbasetemp() / "mutated.jsonl"
+    lineno, keys = data.draw(st.sampled_from(targets))
+    value = data.draw(st.sampled_from([DELETE, *REPLACEMENTS]))
+    row = json.loads(lines[lineno])
+    parent = row
+    for key in keys[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[keys[-1]]
+    else:
+        parent[keys[-1]] = value
+    path.write_text("\n".join(
+        [*lines[:lineno], json.dumps(row), *lines[lineno + 1:]]) + "\n")
+    try:
+        _, records = ds.import_records(path)
+    except ds.DatasetError:
+        return
+    ds.evaluate(records, ks=(1, 3, 5))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["inspect", str(path)]) == 0
 
 
 def test_evaluate_empty_raises():
