@@ -31,6 +31,9 @@ def _render_frame_bytes(sim: Simulator, record: FrameRecord) -> bytes:
 
 
 def _cmd_generate(args) -> int:
+    if args.render_every < 0:
+        raise ValueError(f"--render-every must be >= 0, got "
+                         f"{args.render_every}")
     scenario = _load_scenario(args.scenario)
     base_dir = Path(args.scenario).parent
     model = DetectorNoiseModel(pixel_sigma=args.pixel_sigma,
@@ -63,7 +66,8 @@ def _cmd_evaluate(args) -> int:
     ks = tuple(args.topk)
     metrics = ds.evaluate(records, ks)
     if args.json:
-        print(json.dumps(metrics.as_dict(), indent=2, sort_keys=True))
+        print(json.dumps(metrics.as_dict(), indent=2, sort_keys=True,
+                         allow_nan=False))
     else:
         print(metrics.format_table())
     return 0
@@ -99,7 +103,7 @@ def _cmd_inspect(args) -> int:
             ),
         })
     if args.json:
-        print(json.dumps(summaries))
+        print(json.dumps(summaries, allow_nan=False))
     else:
         print(f"{'frame':>6} {'active':>6} {'visible':>7} "
               f"{'detected':>8} {'outages':>7} {'correct':>7}")
@@ -113,18 +117,15 @@ def _cmd_sweep(args) -> int:
     if args.seeds < 1:
         raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
     # Every model is made before the truth pass, so a bad sigma fails fast.
-    models = [[DetectorNoiseModel(pixel_sigma=float(sigma),
-                                  miss_prob=args.miss_prob, seed=seed)
-               for seed in range(args.seed, args.seed + args.seeds)]
+    sigmas = [DetectorNoiseModel(pixel_sigma=float(sigma),
+                                 miss_prob=args.miss_prob).pixel_sigma
               for sigma in args.sigmas.split(",")]
     scenario = _load_scenario(args.scenario)
     sim = Simulator(scenario, args.bs, Path(args.scenario).parent)
     truth = sim.run_truth()
-    rows = []
-    for group in models:
-        accs = [ds.evaluate(sim.apply_detector(truth, model)).top1_accuracy
-                for model in group]
-        rows.append((group[0].pixel_sigma, sum(accs) / len(accs)))
+    accs = sim.sweep(truth, sigmas, range(args.seed, args.seed + args.seeds),
+                     args.miss_prob)
+    rows = [(sigma, sum(a) / len(a)) for sigma, a in zip(sigmas, accs)]
     lines = ["pixel_sigma,mean_top1_accuracy"]
     lines += [f"{sigma:g},{acc:.6f}" for sigma, acc in rows]
     csv_text = "\n".join(lines) + "\n"
@@ -133,7 +134,7 @@ def _cmd_sweep(args) -> int:
         print(f"wrote {args.out}")
     if args.json:
         print(json.dumps([{"pixel_sigma": s, "mean_top1_accuracy": a}
-                          for s, a in rows]))
+                          for s, a in rows], allow_nan=False))
     elif not args.out:
         print(csv_text, end="")
     return 0

@@ -129,8 +129,16 @@ def _check(value, kind, where: str = "") -> None:
         names = " or ".join(_KIND_NAMES[_type(k)] for k in alternatives)
         raise DatasetError(f"{where or 'a row'} must be {names}")
     if type(kind) is list:
+        item_kind = kind[0]
+        nullable = item_kind == (float, None)
+        numbers = nullable or item_kind is float
         for i, item in enumerate(value):
-            _check(item, kind[0], f"{where}[{i}]")
+            # Position and SNR entries are most of a row's values: a good
+            # one passes here, and only a bad one recurses, to raise.
+            if numbers and (type(item) in (int, float) and math.isfinite(item)
+                            or nullable and item is None):
+                continue
+            _check(item, item_kind, f"{where}[{i}]")
     elif type(kind) is dict:
         prefix = f"{where}." if where else ""
         for key in value:
@@ -241,8 +249,13 @@ class Metrics:
     total_rows: int
 
     def as_dict(self) -> dict:
-        return {**asdict(self), "topk_accuracy": {
-            str(k): v for k, v in self.topk_accuracy.items()}}
+        """JSON-ready: a non-finite value (an infinite SNR loss, when a
+        prediction lands on a zero-gain beam) is None."""
+        out = {k: None if type(v) is float and not math.isfinite(v) else v
+               for k, v in asdict(self).items()}
+        out["topk_accuracy"] = {
+            str(k): v for k, v in self.topk_accuracy.items()}
+        return out
 
     def format_table(self) -> str:
         rows = [("top-1 accuracy", f"{self.top1_accuracy:.4f}")]
@@ -267,6 +280,8 @@ def evaluate(records: list[FrameRecord], ks: tuple[int, ...] = (1, 3)
     """Compute metrics from stored records; deterministic, order-invariant."""
     if not records:
         raise DatasetError("cannot evaluate an empty record list")
+    if any(k < 1 for k in ks):
+        raise ValueError(f"top-k values must be >= 1, got {sorted(ks)}")
     ks = tuple(sorted(set(ks) | {1}))
     total = 0
     active = 0

@@ -12,6 +12,7 @@ codebook bin.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -88,22 +89,37 @@ def _clip(x, limit) -> float:
     return min(max(float(x), 0.0), float(limit))
 
 
+def noise_draws(seed: int, frame: int, ue_index: int
+                ) -> tuple[float, float, float]:
+    """The detector's draws for one (seed, frame, UE index): (miss, z_u, z_v).
+
+    The one place a detector RNG stream is made: one stream per (seed,
+    frame, UE index), so the draws do not depend on evaluation order, and
+    they do not depend on sigma, whose jitter is ``z * sigma``.
+    """
+    rng = np.random.default_rng([seed, frame, ue_index])
+    miss = rng.random()
+    z_u, z_v = rng.standard_normal(2).tolist()
+    return miss, z_u, z_v
+
+
 def detect(truth: list[tuple[int, BoundingBox]], model: DetectorNoiseModel,
            frame: int, width_px: int, height_px: int) -> list[Detection]:
     """Noise-parameterized oracle detector over truth bounding boxes.
 
-    ``truth`` pairs each box with its UE index in the scenario; the RNG
-    stream is split per (seed, frame, ue index), so outputs are
-    deterministic and independent of evaluation order, and noise draws are
-    coupled across sigma values for a fixed seed.
+    ``truth`` pairs each box with its UE index in the scenario. The noise
+    is drawn once per (seed, frame, UE index) by ``noise_draws`` and scaled
+    by sigma, so outputs are deterministic and independent of evaluation
+    order, and every sigma shares the same draws for a fixed seed: the
+    jitter at 2 sigma is exactly twice the jitter at sigma.
     """
     detections = []
+    sigma = model.pixel_sigma
     for ue_index, bbox in truth:
-        rng = np.random.default_rng([model.seed, frame, ue_index])
-        miss_draw = rng.random()
-        du, dv = rng.standard_normal(2) * model.pixel_sigma
-        if miss_draw < model.miss_prob:
+        miss, z_u, z_v = noise_draws(model.seed, frame, ue_index)
+        if miss < model.miss_prob:
             continue
+        du, dv = z_u * sigma, z_v * sigma
         jittered = BoundingBox(
             u_min=_clip(bbox.u_min + du, width_px),
             v_min=_clip(bbox.v_min + dv, height_px),
@@ -116,15 +132,22 @@ def detect(truth: list[tuple[int, BoundingBox]], model: DetectorNoiseModel,
     return detections
 
 
-def select_beam(detection: Detection, cam: CameraModel, codebook: Codebook,
-                boresight_deg: float) -> tuple[int | None, float]:
-    """Map a detection to (codebook index, predicted world azimuth).
+def select_beam(u_min: float, u_max: float, cam: CameraModel,
+                codebook: Codebook, boresight_deg: float
+                ) -> tuple[int | None, float]:
+    """Map a box's horizontal edges to (codebook index, world azimuth).
 
-    Index is None when the azimuth falls outside the array half-space.
+    The edges are clipped to the image, as ``detect`` clips them, and the
+    centre column is mapped to an azimuth. Scalar ``math`` on purpose:
+    ``np.arctan`` may differ from ``math.atan`` in the last bit, which can
+    move a prediction across a bin edge, and a few-row round would pay
+    numpy's per-call overhead. Index is None when the azimuth falls
+    outside the array half-space.
     """
-    az_world = pixel_to_azimuth(cam, detection.bbox.center_u)
-    az_array = world_to_array_deg(az_world, boresight_deg)
-    return codebook.bin_index(az_array), az_world
+    center_u = (_clip(u_min, cam.width_px) + _clip(u_max, cam.width_px)) / 2.0
+    az_world = pixel_to_azimuth(cam, center_u)
+    return (codebook.bin_index(world_to_array_deg(az_world, boresight_deg)),
+            az_world)
 
 
 class Simulator:
@@ -232,8 +255,8 @@ class Simulator:
                        model: DetectorNoiseModel) -> list[FrameRecord]:
         """Attach detections and beam predictions to truth records.
 
-        Cheap relative to run_truth, so noise sweeps recompute only this
-        stage over a shared truth pass.
+        Cheap relative to run_truth, so one truth pass serves any number
+        of detector models.
         """
         ue_index = {ue.name: i for i, ue in enumerate(self.scenario.ues)}
         cam = self.camera
@@ -247,12 +270,56 @@ class Simulator:
                     for det in detect([(ue_index[u.ue_name], u.bbox)], model,
                                       rec.frame, cam.width_px, cam.height_px):
                         pred_index, pred_az = select_beam(
-                            det, cam, self.codebook, self.bs.boresight_deg)
+                            det.bbox.u_min, det.bbox.u_max, cam,
+                            self.codebook, self.bs.boresight_deg)
                 ues.append(replace(u, detection=det,
                                    predicted_index=pred_index,
                                    predicted_azimuth_deg=pred_az))
             out.append(replace(rec, ues=tuple(ues)))
         return out
+
+    def sweep(self, truth: list[FrameRecord], sigmas: Iterable[float],
+              seeds: Iterable[int], miss_prob: float = 0.0
+              ) -> list[list[float]]:
+        """Top-1 accuracy at each (sigma, seed): one list per sigma, in the
+        order of ``seeds``.
+
+        Each value equals ``evaluate(apply_detector(truth, model))
+        .top1_accuracy`` for ``DetectorNoiseModel(sigma, miss_prob, seed)``,
+        but no record is built. The noise is drawn once per (seed, frame,
+        UE) by ``noise_draws`` and shared by every sigma. Only rows the
+        detector sees (active, with a bbox) that are not outages can count,
+        so only those are drawn. A hit is a predicted index equal to the
+        optimal one: that is ``evaluate``'s rank 0, since ``optimal_beam``
+        picks the first argmax of the SNR table and rank 0 is the first
+        argmax.
+        """
+        sigmas = [DetectorNoiseModel(float(s), miss_prob).pixel_sigma
+                  for s in sigmas]
+        ue_index = {ue.name: i for i, ue in enumerate(self.scenario.ues)}
+        rows = [(rec.frame, ue_index[u.ue_name], u.bbox.u_min, u.bbox.u_max,
+                 u.optimal_index)
+                for rec in truth for u in rec.ues
+                if u.active and u.bbox is not None and not u.outage]
+        cam, codebook, boresight = (self.camera, self.codebook,
+                                    self.bs.boresight_deg)
+        accs = [[] for _ in sigmas]
+        for seed in seeds:
+            hits = [0] * len(sigmas)
+            eligible = 0
+            for frame, ue, u_min, u_max, optimal in rows:
+                miss, z_u, _ = noise_draws(seed, frame, ue)
+                if miss < miss_prob:
+                    continue
+                eligible += 1
+                for i, sigma in enumerate(sigmas):
+                    du = z_u * sigma
+                    index, _ = select_beam(u_min + du, u_max + du, cam,
+                                           codebook, boresight)
+                    hits[i] += index == optimal
+            for acc, h in zip(accs, hits):
+                acc.append(h / eligible if eligible else 0.0)
+        return accs
 
 
 def run_simulation(scenario: Scenario,

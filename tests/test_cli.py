@@ -79,6 +79,36 @@ def test_render_command(tmp_path):
     assert len(data) == len(b"P6\n1280 720\n255\n") + 1280 * 720 * 3
 
 
+def test_evaluate_json_writes_an_infinite_snr_loss_as_null(
+        scenario_file, tmp_path, capsys):
+    out = tmp_path / "ds.jsonl"
+    assert run(["generate", "--scenario", scenario_file, "--out", out]) == 0
+    header, *rows = [json.loads(ln) for ln in out.read_text().splitlines()]
+    # Predict a beam other than the optimal one, and give it zero gain.
+    row = rows[0]
+    p = 2 if row["optimal_index"] == 1 else 1
+    row["beam_snr_db"][p] = None
+    row["predicted_index"] = p
+    out.write_text("".join(json.dumps(r) + "\n" for r in (header, *rows)))
+    capsys.readouterr()
+    assert run(["evaluate", out]) == 0
+    assert "mean SNR loss (dB)  inf" in capsys.readouterr().out
+    assert run(["evaluate", out, "--json"]) == 0
+    text = capsys.readouterr().out
+    assert "Infinity" not in text
+    assert json.loads(text)["mean_snr_loss_db"] is None
+
+
+def test_evaluate_rejects_topk_below_1(scenario_file, tmp_path, capsys):
+    out = tmp_path / "ds.jsonl"
+    assert run(["generate", "--scenario", scenario_file, "--out", out]) == 0
+    capsys.readouterr()
+    for ks in (["0"], ["3", "-2"]):
+        assert run(["evaluate", out, "--topk", *ks]) == 1
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "accuracy" not in captured.out
+
+
 def test_inspect_command(scenario_file, tmp_path, capsys):
     out = tmp_path / "ds.jsonl"
     run(["generate", "--scenario", scenario_file, "--out", out])
@@ -107,6 +137,13 @@ def test_sweep_command(scenario_file, tmp_path, capsys):
     assert [row["pixel_sigma"] for row in payload] == [0.0, 4.0]
 
 
+def test_shipped_sweep_csv_is_pinned(capsys):
+    assert run(["sweep", "--scenario", SHIPPED_SCENARIO, "--seed", 0]) == 0
+    assert capsys.readouterr().out == (
+        "pixel_sigma,mean_top1_accuracy\n0,0.910198\n2,0.904795\n"
+        "5,0.894825\n10,0.876104\n20,0.838356\n")
+
+
 def test_error_exit_codes(tmp_path, capsys):
     missing = tmp_path / "nope.txt"
     assert run(["generate", "--scenario", missing,
@@ -124,6 +161,7 @@ def test_error_exit_codes(tmp_path, capsys):
     ["generate", "--pixel-sigma", "inf"],
     ["sweep", "--sigmas", "0,nan", "--seeds", 2],
     ["sweep", "--seeds", 0],
+    ["generate", "--render-every", "-1"],
 ])
 def test_bad_detector_settings_exit_1(argv, scenario_file, tmp_path, capsys):
     out = tmp_path / "x.jsonl"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from beamcam import channel as ch
+from beamcam import dataset as ds
 from beamcam import pipeline as pl
 from beamcam import scenario as sc
 from beamcam.camera import (BoundingBox, CameraModel, pixel_to_azimuth,
@@ -79,9 +80,11 @@ def test_detect_clips_to_image():
 
 
 def camera_90():
+    # 150 degrees wide, so every column the tests below use lies inside the
+    # image, which select_beam clips to.
     return CameraModel.from_bs(sc.BsConfig(
         name="b", position=(0.0, 0.0, 6.0), boresight_deg=90.0,
-        array_ref="a", camera=sc.CameraConfig(yaw_deg=90.0),
+        array_ref="a", camera=sc.CameraConfig(yaw_deg=90.0, hfov_deg=150.0),
     ))
 
 
@@ -92,8 +95,7 @@ def test_select_beam_bin_arithmetic():
     # azimuth, so world 120 falls in bin [90, 135) = 2, and so on.
     for az_world, expected in ((120.0, 2), (135.0, 3), (60.0, 1), (30.0, 0)):
         u = cam.cx + cam.fx * np.tan(np.radians(az_world - 90.0))
-        det = pl.Detection("car", make_bbox(u, 360.0, half=0.5))
-        idx, az = pl.select_beam(det, cam, cb, boresight_deg=90.0)
+        idx, az = pl.select_beam(u - 0.5, u + 0.5, cam, cb, boresight_deg=90.0)
         assert idx == expected
         assert az % 360.0 == pytest.approx(az_world, abs=1e-9)
 
@@ -104,9 +106,51 @@ def test_select_beam_boundary_is_half_open():
     # Array-relative exactly 45 degrees falls in bin 1 UNLESS jitter; the
     # bins are half-open [45, 90).
     u = cam.cx + cam.fx * np.tan(np.radians(45.0))  # world az 135 = rel 135
-    det = pl.Detection("car", make_bbox(u, 360.0, half=0.5))
-    idx, _ = pl.select_beam(det, cam, cb, boresight_deg=90.0)
+    idx, _ = pl.select_beam(u - 0.5, u + 0.5, cam, cb, boresight_deg=90.0)
     assert idx == 3  # rel azimuth 135 -> bin [135, 180)
+
+
+def test_select_beam_clips_edges_to_the_image():
+    cam = camera_90()
+    cb = ch.generate_codebook(8, 0.5, 4)
+    assert pl.select_beam(-80.0, 40.0, cam, cb, 90.0) \
+        == pl.select_beam(0.0, 40.0, cam, cb, 90.0)
+    w = cam.width_px
+    assert pl.select_beam(w - 10.0, w + 90.0, cam, cb, 90.0) \
+        == pl.select_beam(w - 10.0, float(w), cam, cb, 90.0)
+
+
+def test_detect_jitter_is_linear_in_sigma():
+    """One draw per (seed, frame, UE) serves every sigma: on an unclipped
+    box, the jitter at 2 sigma is exactly twice the jitter at sigma."""
+    box = make_bbox(640.0, 360.0, half=20.0)
+    for seed in range(5):
+        _, z_u, z_v = pl.noise_draws(seed, 11, 2)
+        du, dv = z_u * 1.5, z_v * 1.5
+        assert (du, dv) != (0.0, 0.0)
+        for sigma, scale in ((1.5, 1.0), (3.0, 2.0)):
+            model = pl.DetectorNoiseModel(pixel_sigma=sigma, seed=seed)
+            det = pl.detect([(2, box)], model, 11, 1280, 720)[0].bbox
+            assert (det.u_min, det.v_min, det.u_max, det.v_max) == (
+                box.u_min + scale * du, box.v_min + scale * dv,
+                box.u_max + scale * du, box.v_max + scale * dv)
+
+
+@pytest.mark.parametrize("miss_prob", [0.0, 0.3])
+def test_sweep_matches_apply_detector_and_evaluate(shipped_truth, miss_prob):
+    sim, truth = shipped_truth
+    sigmas, seeds = [0.0, 2.0, 7.5], range(4)
+    accs = sim.sweep(truth, sigmas, seeds, miss_prob)
+    assert accs == [[ds.evaluate(sim.apply_detector(
+        truth, pl.DetectorNoiseModel(sigma, miss_prob, seed))).top1_accuracy
+        for seed in seeds] for sigma in sigmas]
+    assert len({acc for row in accs for acc in row}) > 1
+
+
+def test_sweep_without_eligible_rows_scores_zero(minimal_scenario):
+    sim = pl.Simulator(minimal_scenario)
+    assert sim.sweep(sim.run_truth(), [0.0, 4.0], range(2), 1.0) \
+        == [[0.0, 0.0], [0.0, 0.0]]
 
 
 def test_simulator_end_to_end_minimal(minimal_scenario):
