@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import RAY_EPS, Mesh
+from .geometry import RAY_EPS, Mesh, rowdot
 from .raytrace import SceneGeometry
 from .scenario import BsConfig
 
@@ -89,20 +89,29 @@ class BoundingBox:
         return (self.v_min + self.v_max) / 2.0
 
 
-def project_point(cam: CameraModel, p_world) -> tuple[float, float] | None:
-    """Perspective projection; None for points behind the camera plane.
+def project_points(cam: CameraModel, points
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Perspective projection of points (shape (n, 3)) at once.
 
-    Points outside the image rectangle still project (clipping is the
-    caller's job).
+    Returns the pixel coordinates u and v, and whether each point is in
+    front of the camera plane; the pixels of points behind it are
+    meaningless. Points outside the image rectangle still project
+    (clipping is the caller's job).
     """
     forward, u_axis, v_axis = cam.axes
-    rel = np.asarray(p_world, float) - np.asarray(cam.position)
-    z = float(np.dot(rel, forward))
-    if z <= RAY_EPS:
-        return None
-    u = cam.cx + cam.fx * float(np.dot(rel, u_axis)) / z
-    v = cam.cy + cam.fy * float(np.dot(rel, v_axis)) / z
-    return u, v
+    rel = np.asarray(points, float).reshape(-1, 3) - np.asarray(cam.position)
+    z = rowdot(rel, forward)
+    front = z > RAY_EPS
+    z = np.where(front, z, 1.0)
+    u = cam.cx + cam.fx * rowdot(rel, u_axis) / z
+    v = cam.cy + cam.fy * rowdot(rel, v_axis) / z
+    return u, v, front
+
+
+def project_point(cam: CameraModel, p_world) -> tuple[float, float] | None:
+    """Pixel of one point; None for a point behind the camera plane."""
+    u, v, front = project_points(cam, p_world)
+    return (float(u[0]), float(v[0])) if front[0] else None
 
 
 def pixel_to_azimuth(cam: CameraModel, u: float) -> float:
@@ -111,35 +120,73 @@ def pixel_to_azimuth(cam: CameraModel, u: float) -> float:
     return (cam.yaw_deg + offset) % 360.0
 
 
+class VertexRays:
+    """The vertices of several meshes projected at once, and the occlusion
+    rays from the camera to the vertices that land inside the image.
+
+    ``starts``, ``ends`` and ``mesh`` give each ray's camera end, vertex and
+    mesh index. ``boxes`` turns the rays' occlusion verdicts into one
+    bounding box per mesh.
+    """
+
+    def __init__(self, cam: CameraModel, meshes: list[Mesh]):
+        verts = [m.vertices() for m in meshes]
+        self._counts = [len(v) for v in verts]
+        points = np.concatenate(verts)
+        u, v, front = project_points(cam, points)
+        inside = front & (u >= 0.0) & (u < cam.width_px) \
+            & (v >= 0.0) & (v < cam.height_px)
+        self.ends = points[inside]
+        self.starts = np.empty_like(self.ends)
+        self.starts[:] = cam.position
+        self.mesh = np.repeat(np.arange(len(meshes)), self._counts)[inside]
+        self._uv = np.column_stack([u[inside], v[inside]])
+        self._size = (float(cam.width_px), float(cam.height_px))
+
+    def boxes(self, blocked: np.ndarray, names: list[str]
+              ) -> list[BoundingBox | None]:
+        """One box per mesh over its unblocked rays, or None if it has none.
+
+        Visibility is the fraction of the mesh's vertices that are in front
+        of the camera, inside the image and unblocked.
+        """
+        width, height = self._size
+        seen = ~np.asarray(blocked, bool)
+        mesh, uv = self.mesh[seen].tolist(), self._uv[seen].tolist()
+        boxes: list[BoundingBox | None] = []
+        for i, (name, count) in enumerate(zip(names, self._counts)):
+            pixels = [px for m, px in zip(mesh, uv) if m == i]
+            if not pixels:
+                boxes.append(None)
+                continue
+            us = [u for u, _ in pixels]
+            vs = [v for _, v in pixels]
+            boxes.append(BoundingBox(
+                u_min=max(0.0, min(us)),
+                v_min=max(0.0, min(vs)),
+                u_max=min(width, max(us)),
+                v_max=min(height, max(vs)),
+                ue_name=name,
+                visibility=len(pixels) / count,
+            ))
+        return boxes
+
+
 def project_bbox(cam: CameraModel, mesh: Mesh, ue_name: str,
                  scene: SceneGeometry | None = None,
                  exclude=()) -> BoundingBox | None:
     """Occlusion-aware bounding box of a UE mesh.
 
     The box spans the projected vertices that are in front of the camera,
-    inside the image and pass an occlusion ray test; visibility is the
-    fraction of mesh vertices passing all three tests. Returns None when
-    nothing is visible.
+    inside the image and pass an occlusion ray test against the meshes of
+    ``scene`` not named in ``exclude``; visibility is the fraction of mesh
+    vertices passing all three tests. Returns None when nothing is visible.
+    The one-mesh case of ``VertexRays``.
     """
-    verts = mesh.vertices()
-    pixels = [project_point(cam, vert) for vert in verts]
-    keep = [i for i, px in enumerate(pixels) if px is not None
-            and 0.0 <= px[0] < cam.width_px and 0.0 <= px[1] < cam.height_px]
-    if scene is not None and keep:
-        # One occlusion pass over the rays to the in-image vertices.
-        blocked = scene.tset.segments_occluded(
-            np.broadcast_to(cam.position, (len(keep), 3)), verts[keep],
-            exclude)
-        keep = [i for i, b in zip(keep, blocked) if not b]
-    if not keep:
-        return None
-    us = [pixels[i][0] for i in keep]
-    vs = [pixels[i][1] for i in keep]
-    return BoundingBox(
-        u_min=max(0.0, min(us)),
-        v_min=max(0.0, min(vs)),
-        u_max=min(float(cam.width_px), max(us)),
-        v_max=min(float(cam.height_px), max(vs)),
-        ue_name=ue_name,
-        visibility=len(keep) / len(verts),
-    )
+    rays = VertexRays(cam, [mesh])
+    blocked = np.zeros(len(rays.ends), dtype=bool)
+    if scene is not None and len(rays.ends):
+        tset = scene.tset
+        blocked = tset.segments_occluded(rays.starts, rays.ends,
+                                         tset.owned_by(exclude))
+    return rays.boxes(blocked, [ue_name])[0]

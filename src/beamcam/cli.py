@@ -30,6 +30,14 @@ def _render_frame_bytes(sim: Simulator, record: FrameRecord) -> bytes:
     return write_ppm(img)
 
 
+def _write_stats(sim: Simulator, path: str | None) -> None:
+    """Write the counts of the truth pass as JSON, when asked to."""
+    if path:
+        Path(path).write_text(json.dumps(sim.stats, indent=2, sort_keys=True,
+                                         allow_nan=False) + "\n",
+                              encoding="utf-8")
+
+
 def _cmd_generate(args) -> int:
     if args.render_every < 0:
         raise ValueError(f"--render-every must be >= 0, got "
@@ -48,6 +56,7 @@ def _cmd_generate(args) -> int:
         "bs": sim.bs.name,
     }
     count = ds.export_records(records, args.out, metadata)
+    _write_stats(sim, args.stats)
     rendered = 0
     if args.render_every:
         render_dir = Path(args.render_dir or Path(args.out).parent)
@@ -123,6 +132,7 @@ def _cmd_sweep(args) -> int:
     scenario = _load_scenario(args.scenario)
     sim = Simulator(scenario, args.bs, Path(args.scenario).parent)
     truth = sim.run_truth()
+    _write_stats(sim, args.stats)
     accs = sim.sweep(truth, sigmas, range(args.seed, args.seed + args.seeds),
                      args.miss_prob)
     rows = [(sigma, sum(a) / len(a)) for sigma, a in zip(sigmas, accs)]
@@ -163,6 +173,9 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--render-dir", default=None,
                      help="directory for renders (default: alongside --out)")
     gen.add_argument("--bs", default=None, help="BS name (default: first)")
+    gen.add_argument("--stats", default=None, metavar="FILE.json",
+                     help="write the truth pass's counts (boxes, chains, "
+                          "paths, segments, outages) as JSON")
     gen.set_defaults(func=_cmd_generate)
 
     ev = sub.add_parser("evaluate", help="compute metrics from a dataset")
@@ -197,6 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--out", default=None, help="CSV output path")
     sw.add_argument("--json", action="store_true")
     sw.add_argument("--bs", default=None)
+    sw.add_argument("--stats", default=None, metavar="FILE.json",
+                    help="write the truth pass's counts as JSON")
     sw.set_defaults(func=_cmd_sweep)
     return parser
 

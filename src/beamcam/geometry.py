@@ -43,14 +43,34 @@ def rot_z_deg(yaw_deg: float) -> np.ndarray:
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-def azimuth_deg(d: np.ndarray) -> float:
-    """Azimuth of direction d in [0, 360)."""
-    return float(np.degrees(np.arctan2(d[1], d[0])) % 360.0)
+def rowdot(a, b) -> np.ndarray:
+    """``np.dot`` of each pair of rows of a and b (shape (..., 3)), bitwise.
+
+    ``np.matmul`` of a (1, 3) by a (3, 1) block makes the same BLAS dot call
+    that ``np.dot`` makes for two vectors, so every value equals the
+    one-vector form; ``a @ b`` over whole arrays is a matrix-vector call,
+    which may round differently.
+    """
+    a = np.asarray(a, float)
+    b = np.asarray(b, float)
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
-def elevation_deg(d: np.ndarray) -> float:
-    n = float(np.linalg.norm(d))
-    return float(np.degrees(np.arcsin(np.clip(d[2] / n, -1.0, 1.0))))
+def norms(d) -> np.ndarray:
+    """``np.linalg.norm`` of each row of d (shape (..., 3)), bit for bit."""
+    return np.sqrt(rowdot(d, d))
+
+
+def azimuth_deg(d):
+    """Azimuth in [0, 360) of each direction d (shape (..., 3))."""
+    d = np.asarray(d, float)
+    return np.degrees(np.arctan2(d[..., 1], d[..., 0])) % 360.0
+
+
+def elevation_deg(d):
+    """Elevation of each direction d (shape (..., 3)), degrees."""
+    d = np.asarray(d, float)
+    return np.degrees(np.arcsin(np.clip(d[..., 2] / norms(d), -1.0, 1.0)))
 
 
 class Mesh:
@@ -185,21 +205,20 @@ class TriangleSet:
         self.names = [name for name, _ in meshes]
         self.meshes = [m for _, m in meshes]
 
-    def owner_mask(self, exclude: tuple[str, ...]) -> np.ndarray | None:
-        """Boolean keep-mask over triangles, or None if nothing is excluded."""
-        keep = None
+    def owned_by(self, names) -> np.ndarray:
+        """Bool (T,): which triangles belong to a mesh named in ``names``."""
+        mask = np.zeros(len(self.owners), dtype=bool)
         for i, name in enumerate(self.names):
-            if name in exclude:
-                other = self.owners != i
-                keep = other if keep is None else keep & other
-        return keep
+            if name in names:
+                mask |= self.owners == i
+        return mask
 
-    def _hit_ts(self, origins, directions, mask):
-        """Hit distances of S rays against the kept triangles.
+    def _hit_ts(self, origins, directions):
+        """Hit distances of S rays against every triangle.
 
         ``origins`` and unit ``directions`` have shape (S, 3). Returns the
-        (S, T) distances along each ray, -inf where it misses, and the
-        indices of the T kept triangles.
+        (S, T) distances along each ray, -inf where it misses. Each value
+        depends only on its own ray and triangle.
 
         Every value is bit-identical to the one-ray form of the test
         (``np.cross``, then ``np.einsum("ij,ij->i")`` and ``np.dot`` over
@@ -210,9 +229,6 @@ class TriangleSet:
         multiply-adds included.
         """
         v0, e1, e2 = self.v0, self.e1, self.e2
-        idx = np.arange(v0.shape[0])
-        if mask is not None:
-            v0, e1, e2, idx = v0[mask], e1[mask], e2[mask], idx[mask]
         d0, d1, d2 = (directions[:, k, None] for k in range(3))
         a0, a1, a2 = e1.T
         b0, b1, b2 = e2.T
@@ -229,15 +245,13 @@ class TriangleSet:
         v = np.matmul(q, directions[:, :, None])[..., 0] * inv
         t = (b0 * q[..., 0] + b2 * q[..., 2] + b1 * q[..., 1]) * inv
         ok &= (u >= 0.0) & (v >= 0.0) & (u + v <= 1.0)
-        return np.where(ok, t, -np.inf), idx
+        return np.where(ok, t, -np.inf)
 
     def nearest_hit(self, origin, direction, t_max, exclude=(), t_min=RAY_EPS):
         origin = np.asarray(origin, float)
         direction = np.asarray(direction, float)
-        ts, idx = self._hit_ts(origin[None], direction[None],
-                               self.owner_mask(tuple(exclude)))
-        ts = ts[0]
-        valid = (ts > t_min) & (ts < t_max)
+        ts = self._hit_ts(origin[None], direction[None])[0]
+        valid = (ts > t_min) & (ts < t_max) & ~self.owned_by(exclude)
         if not np.any(valid):
             return None
         sel = np.where(valid)[0]
@@ -246,34 +260,36 @@ class TriangleSet:
         return Hit(
             t=t,
             point=origin + t * direction,
-            triangle_index=int(idx[best]),
-            owner=self.names[self.owners[idx[best]]],
+            triangle_index=int(best),
+            owner=self.names[self.owners[best]],
         )
 
-    def segments_occluded(self, a, b, exclude=()) -> np.ndarray:
+    def segments_occluded(self, a, b, ignore=None) -> np.ndarray:
         """Whether each segment a[i] -> b[i] is blocked, shape (S,).
 
-        A segment no longer than 2 * RAY_EPS is never blocked; otherwise
-        only hits with RAY_EPS < t < length - RAY_EPS count, so segments
-        ending on a surface are not blocked by it. All segments are tested
-        in one pass.
+        ``ignore``, a bool (S, T) array or one (T,) row for every segment,
+        is True where triangle t never blocks segment s (the segment's own
+        endpoint bodies; see ``owned_by``). A segment no longer than
+        2 * RAY_EPS is never blocked; otherwise only hits with RAY_EPS < t <
+        length - RAY_EPS count, so segments ending on a surface are not
+        blocked by it. All segments are tested in one kernel pass.
         """
         a = np.asarray(a, float).reshape(-1, 3)
         d = np.asarray(b, float).reshape(-1, 3) - a
-        # np.linalg.norm of one vector, per row: sqrt of a BLAS dot.
-        length = np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
+        length = norms(d)
         blocked = np.zeros(len(a), dtype=bool)
         live = length > 2 * RAY_EPS
         if len(self.v0) and np.any(live):
             length = length[live]
-            ts, _ = self._hit_ts(a[live], d[live] / length[:, None],
-                                 self.owner_mask(tuple(exclude)))
-            blocked[live] = np.any(
-                (ts > RAY_EPS) & (ts < (length - RAY_EPS)[:, None]), axis=1)
+            ts = self._hit_ts(a[live], d[live] / length[:, None])
+            hit = (ts > RAY_EPS) & (ts < (length - RAY_EPS)[:, None])
+            if ignore is not None:
+                hit &= ~(ignore[live] if ignore.ndim == 2 else ignore)
+            blocked[live] = hit.any(axis=1)
         return blocked
 
     def segment_occluded(self, a, b, exclude=()) -> bool:
-        return bool(self.segments_occluded(a, b, exclude)[0])
+        return bool(self.segments_occluded(a, b, self.owned_by(exclude))[0])
 
 
 @dataclass(frozen=True)

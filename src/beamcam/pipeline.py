@@ -3,7 +3,8 @@
 Each frame is built from a single immutable snapshot: UE positions are
 interpolated once, the same meshes feed both the camera (bounding boxes)
 and the ray tracer (paths, per-beam SNR, optimal index), so visual and
-wireless truth are synchronized by construction. The prediction side
+wireless truth are synchronized by construction; every UE's boxes and
+paths come from one occlusion pass per frame. The prediction side
 gates on activity, detects with a pluggable noise-parameterized oracle
 detector, maps the bbox center pixel to an azimuth and quantizes it to a
 codebook bin.
@@ -12,6 +13,7 @@ codebook bin.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -19,12 +21,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .camera import BoundingBox, CameraModel, pixel_to_azimuth, project_bbox
+from .camera import BoundingBox, CameraModel, VertexRays, pixel_to_azimuth
 from .channel import (Codebook, build_channel, generate_codebook, optimal_beam,
                       world_to_array_deg)
 from .geometry import (Mesh, Trajectory, box_mesh, interpolate_position,
                        same_point)
-from .raytrace import Face, PathComponent, SceneGeometry, box_faces, trace_paths
+from .raytrace import Candidates, Face, PathComponent, SceneGeometry, box_faces
 from .scenario import Scenario, UeConfig
 from . import stl
 
@@ -189,6 +191,11 @@ class Simulator:
         self._trajectories = {
             ue.name: Trajectory(ue.keyframes) for ue in scenario.ues
         }
+        #: Counts of the truth passes so far (``frame_truth``): boxes
+        #: projected and visible, receivers traced, geometrically valid
+        #: chains per reflection order, paths kept per bounce count,
+        #: occlusion segments tested and outage rows.
+        self.stats: Counter[str] = Counter()
 
     @cached_property
     def _scene(self) -> SceneGeometry:
@@ -214,20 +221,37 @@ class Simulator:
         return self._scene.with_meshes(meshes), positions
 
     def frame_truth(self, frame: int) -> FrameRecord:
-        """Truth-only record (no detection / prediction fields)."""
+        """Truth-only record (no detection / prediction fields).
+
+        One pass over every UE of the frame: the candidate chains of every
+        traced UE and the vertex rays of every UE box share one occlusion
+        pass, in which each row ignores its own UE's body.
+        """
         sysp = self.scenario.system
         scene, positions = self.frame_scene(frame)
+        tset = scene.tset
         bs_pos = np.asarray(self.bs.position, float)
-        meshes = dict(zip(scene.tset.names, scene.tset.meshes))
-        ues = []
-        for ue in self.scenario.ues:
-            pos = positions[ue.name]
-            bbox = project_bbox(self.camera, meshes[ue.name], ue.name, scene,
-                                exclude=(ue.name,))
-            # A UE at the BS itself has no path to trace: an outage row.
-            paths = [] if same_point(bs_pos, pos) else trace_paths(
-                scene, bs_pos, pos, sysp.max_reflections, sysp.carrier_ghz,
-                exclude=(ue.name,))
+        meshes = dict(zip(tset.names, tset.meshes))
+        ues = self.scenario.ues
+        # A UE at the BS itself has no path to trace: an outage row.
+        traced = [i for i, ue in enumerate(ues)
+                  if not same_point(bs_pos, positions[ue.name])]
+        cand = Candidates(scene.reflectors, bs_pos,
+                          [positions[ues[i].name] for i in traced],
+                          sysp.max_reflections)
+        rays = VertexRays(self.camera, [meshes[ue.name] for ue in ues])
+        starts, ends, rec = cand.segments()
+        own = np.array([tset.owned_by((ue.name,)) for ue in ues])
+        row_ue = np.concatenate([np.array(traced, dtype=int)[rec], rays.mesh])
+        blocked = tset.segments_occluded(
+            np.concatenate([starts, rays.starts]),
+            np.concatenate([ends, rays.ends]), own[row_ue])
+        traced_paths = dict(zip(traced, cand.paths(blocked[:len(starts)],
+                                                   sysp.carrier_ghz)))
+        bboxes = rays.boxes(blocked[len(starts):], [ue.name for ue in ues])
+        records = []
+        for i, (ue, bbox) in enumerate(zip(ues, bboxes)):
+            paths = traced_paths.get(i, [])
             h = build_channel(paths, self.array.elements_n,
                               self.array.spacing_wavelengths,
                               self.bs.boresight_deg)
@@ -235,9 +259,9 @@ class Simulator:
                                             sysp.tx_power_dbm,
                                             sysp.noise_power_dbm)
             outage = index is None
-            ues.append(UeFrameRecord(
+            records.append(UeFrameRecord(
                 ue_name=ue.name,
-                position=tuple(float(c) for c in pos),
+                position=tuple(positions[ue.name].tolist()),
                 active=activity_state(ue, frame),
                 bbox=bbox,
                 paths=tuple(paths),
@@ -246,7 +270,24 @@ class Simulator:
                 optimal_snr_db=snr,
                 outage=outage,
             ))
-        return FrameRecord(frame=frame, bs_name=self.bs.name, ues=tuple(ues))
+        self._count(cand, bboxes, len(row_ue), records)
+        return FrameRecord(frame=frame, bs_name=self.bs.name,
+                           ues=tuple(records))
+
+    def _count(self, cand: Candidates, bboxes: list[BoundingBox | None],
+               segments: int, records: list[UeFrameRecord]) -> None:
+        """Add one frame's counts to ``stats``."""
+        kept = Counter(p.bounces for r in records for p in r.paths)
+        self.stats.update({
+            "boxes_projected": len(bboxes),
+            "boxes_visible": sum(b is not None for b in bboxes),
+            "receivers_traced": len(cand.rxs),
+            **{f"chains_valid.o{k}": len(rec)
+               for k, (rec, _, _) in enumerate(cand.chains) if k},
+            **{f"paths_kept.b{k}": kept[k] for k in range(len(cand.chains))},
+            "segments_tested": segments,
+            "outage_rows": sum(r.outage for r in records),
+        })
 
     def run_truth(self) -> list[FrameRecord]:
         return [self.frame_truth(f) for f in range(self.scenario.system.frames)]

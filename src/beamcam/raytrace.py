@@ -1,13 +1,15 @@
-"""Specular multipath tracing between a transmitter and a receiver.
+"""Specular multipath tracing between a transmitter and its receivers.
 
 Line-of-sight plus image-method reflections of order 1..max_reflections
 over the planar rectangular faces of box reflectors. Every candidate path
 is validated geometrically (reflection points must fall inside their
-faces, both neighbors of a bounce must lie on the outward side), and then
-the segments of the LOS path and of every valid chain, of all orders, are
-tested for occlusion by scene geometry in one batched pass. A path with
-any blocked segment is dropped outright (no diffraction, scattering or
-penetration); an empty result means outage.
+faces, both neighbors of a bounce must lie on the outward side), every
+receiver of a frame at once, and a candidate is dropped at the first
+check it fails. Then the segments of the LOS paths and of every valid
+chain, of all orders, are tested for occlusion by scene geometry in one
+batched pass. A path with any blocked segment is dropped outright (no
+diffraction, scattering or penetration); an empty result means outage.
+``trace_paths`` is the one-receiver case.
 
 Candidate face sequences come from a prefix table built once per set of
 faces and transmitter (beam-tracing visibility pruning). Order-k+1 rows
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (RAY_EPS, Mesh, TriangleSet, azimuth_deg, elevation_deg,
-                       rot_z_deg, same_point)
+                       norms, rot_z_deg, same_point)
 
 #: Speed of light, m/s.
 C_LIGHT = 299_792_458.0
@@ -111,42 +113,62 @@ class PathComponent:
         return self.delay_s * 1e9
 
 
+def path_components(points: np.ndarray, amps: np.ndarray,
+                    carrier_ghz: float) -> list[PathComponent]:
+    """Gain, delay and angles of n polyline paths with the same bounce count.
+
+    ``points`` has shape (bounces + 2, n, 3), tx to rx, and ``amps`` shape
+    (n, bounces), the reflection amplitude of each bounce. Amplitude is
+    lambda/(4*pi*L) times the product of the reflection amplitudes; phase
+    is -2*pi*L/lambda. Each path's values equal those of the one-path
+    scalar form: ``norms`` is ``np.linalg.norm`` per segment, the segment
+    lengths are summed left to right, numpy's array angles equal its
+    scalar ones, and the phase stays on ``math.cos``/``math.sin``.
+    """
+    segments = points[1:] - points[:-1]
+    seg_lengths = norms(segments)
+    if np.any(seg_lengths <= 0.0):
+        raise ValueError("degenerate zero-length path segment")
+    length = np.add.accumulate(seg_lengths, axis=0)[-1]
+    lam = C_LIGHT / (carrier_ghz * 1e9)
+    amp = lam / (4.0 * math.pi * length)
+    for r in amps.T:
+        amp = amp * r
+    phase = -2.0 * math.pi * length / lam
+    # Departure directions (first segments), then arrival directions.
+    n = len(length)
+    ends = np.concatenate([segments[0], -segments[-1]])
+    az = azimuth_deg(ends).tolist()
+    el = elevation_deg(ends).tolist()
+    columns = zip(amp.tolist(), phase.tolist(), (length / C_LIGHT).tolist(),
+                  az[:n], el[:n], az[n:], el[n:], length.tolist(),
+                  points.swapaxes(0, 1).tolist())
+    bounces = points.shape[0] - 2
+    return [PathComponent(
+        gain=a * complex(math.cos(ph), math.sin(ph)),
+        delay_s=delay,
+        aod_az_deg=aod_az,
+        aod_el_deg=aod_el,
+        aoa_az_deg=aoa_az,
+        aoa_el_deg=aoa_el,
+        bounces=bounces,
+        length_m=length_m,
+        points=tuple(map(tuple, pts)),
+    ) for (a, ph, delay, aod_az, aod_el, aoa_az, aoa_el, length_m,
+           pts) in columns]
+
+
 def compute_path_component(points, reflection_amps, carrier_ghz: float
                            ) -> PathComponent:
-    """Gain, delay and angles of a polyline path tx -> bounces -> rx.
-
-    Amplitude is lambda/(4*pi*L) times the product of per-bounce reflection
-    amplitudes; phase is -2*pi*L/lambda.
-    """
-    pts = [np.asarray(p, float) for p in points]
+    """Gain, delay and angles of one polyline path tx -> bounces -> rx:
+    the one-path case of ``path_components``."""
+    pts = np.asarray(points, float).reshape(-1, 3)
     if len(pts) < 2:
         raise ValueError("path needs at least two points")
     if len(reflection_amps) != len(pts) - 2:
         raise ValueError("need one reflection amplitude per interior vertex")
-    segments = [b - a for a, b in zip(pts, pts[1:])]
-    seg_lengths = [float(np.linalg.norm(s)) for s in segments]
-    if any(l <= 0.0 for l in seg_lengths):
-        raise ValueError("degenerate zero-length path segment")
-    length = sum(seg_lengths)
-    lam = C_LIGHT / (carrier_ghz * 1e9)
-    amp = lam / (4.0 * math.pi * length)
-    for r in reflection_amps:
-        amp *= r
-    phase = -2.0 * math.pi * length / lam
-    gain = amp * complex(math.cos(phase), math.sin(phase))
-    first = segments[0]
-    last = -segments[-1]
-    return PathComponent(
-        gain=gain,
-        delay_s=length / C_LIGHT,
-        aod_az_deg=azimuth_deg(first),
-        aod_el_deg=elevation_deg(first),
-        aoa_az_deg=azimuth_deg(last),
-        aoa_el_deg=elevation_deg(last),
-        bounces=len(pts) - 2,
-        length_m=length,
-        points=tuple(tuple(float(c) for c in p) for p in pts),
-    )
+    amps = np.asarray(reflection_amps, float).reshape(1, len(pts) - 2)
+    return path_components(pts[:, None], amps, carrier_ghz)[0]
 
 
 class _Reflectors:
@@ -232,43 +254,112 @@ class SceneGeometry:
 
 
 def _candidate_chains(refl: _Reflectors, seqs: np.ndarray,
-                      images: np.ndarray, tx: np.ndarray, rx: np.ndarray
-                      ) -> tuple[np.ndarray, np.ndarray]:
+                      images: np.ndarray, tx: np.ndarray, rxs: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized image-method backtracking for one reflection order.
 
-    ``seqs`` and ``images`` are one order of the prefix table of tx.
-    Returns the points (order + 2, n, 3) and face sequences (n, order) of
-    the n geometrically valid chains; occlusion is not tested here.
+    ``seqs`` and ``images`` are one order of the prefix table of tx; every
+    receiver in ``rxs`` (shape (R, 3)) is paired with every prefix row.
+    A pair is dropped as soon as one of its checks fails: each bounce's
+    point must fall inside its face, and both neighbors of a bounce must
+    lie on the face's outward side. Returns the receiver index (n,),
+    points (order + 2, n, 3) and face sequences (n, order) of the n
+    geometrically valid chains, receiver by receiver, each receiver's in
+    prefix-row order; occlusion is not tested here.
     """
     s, order = seqs.shape
-    pts = np.empty((order + 2, s, 3))
-    pts[0] = tx
-    pts[-1] = rx
-    valid = np.ones(s, dtype=bool)
+    pair = np.arange(len(rxs) * s)  # receiver pair // s, prefix row pair % s
+    back = [rxs[pair // s]]  # points from rx back to the current bounce
+    n_after = None  # normals of the bounce after the current one
     for j in range(order, 0, -1):
-        f = seqs[:, j - 1]
+        row = pair % s
+        f = seqs[row, j - 1]
         n = refl.normal[f]
         c = refl.center[f]
-        img = images[j]
-        dvec = pts[j + 1] - img
+        img = images[j, row]
+        after = back[-1]
+        dvec = after - img
         denom = np.einsum("ij,ij->i", dvec, n)
-        safe = np.abs(denom) > 1e-14
-        valid &= safe
-        tpar = np.einsum("ij,ij->i", c - img, n) / np.where(safe, denom, 1.0)
-        valid &= (tpar > 0.0) & (tpar < 1.0)
+        ok = np.abs(denom) > 1e-14
+        tpar = np.einsum("ij,ij->i", c - img, n) / np.where(ok, denom, 1.0)
+        ok &= (tpar > 0.0) & (tpar < 1.0)
         q = img + tpar[:, None] * dvec
         rel = q - c
-        valid &= np.abs(np.einsum("ij,ij->i", rel, refl.u[f])) \
+        ok &= np.abs(np.einsum("ij,ij->i", rel, refl.u[f])) \
             <= refl.hu[f] + _CONTAIN_TOL
-        valid &= np.abs(np.einsum("ij,ij->i", rel, refl.v[f])) \
+        ok &= np.abs(np.einsum("ij,ij->i", rel, refl.v[f])) \
             <= refl.hv[f] + _CONTAIN_TOL
-        pts[j] = q
-    # Both neighbors of every bounce must sit on the outward (front) side.
-    for j in range(1, order + 1):
-        n = refl.normal[seqs[:, j - 1]]
-        valid &= np.einsum("ij,ij->i", pts[j - 1] - pts[j], n) > RAY_EPS
-        valid &= np.einsum("ij,ij->i", pts[j + 1] - pts[j], n) > RAY_EPS
-    return pts[:, valid], seqs[valid]
+        # The point after this bounce in front of it, and this bounce's
+        # point in front of the bounce after it.
+        ok &= np.einsum("ij,ij->i", after - q, n) > RAY_EPS
+        if n_after is not None:
+            ok &= np.einsum("ij,ij->i", q - after, n_after) > RAY_EPS
+        pair, n_after = pair[ok], n[ok]
+        back = [p[ok] for p in back] + [q[ok]]
+    ok = np.einsum("ij,ij->i", tx - back[-1], n_after) > RAY_EPS
+    pair = pair[ok]
+    pts = np.empty((order + 2, len(pair), 3))
+    pts[0] = tx
+    for j, p in enumerate(reversed(back), 1):
+        pts[j] = p[ok]
+    return pair // s, pts, seqs[pair % s]
+
+
+class Candidates:
+    """Every receiver's LOS segment and geometrically valid chains from one
+    tx, over reflection orders 1..max_reflections, before occlusion.
+
+    ``segments`` lists the rows an occlusion pass must test; ``paths``
+    keeps the paths whose rows are all unblocked.
+    """
+
+    def __init__(self, refl: _Reflectors, tx, rxs, max_reflections: int):
+        self.refl = refl
+        tx = np.asarray(tx, float)
+        rxs = np.asarray(rxs, float).reshape(-1, 3)
+        self.rxs = rxs
+        los = np.empty((2,) + rxs.shape)
+        los[0] = tx
+        los[1] = rxs
+        # (receiver, points, face sequences) of the chains of each order;
+        # the LOS segments are the chains of order 0.
+        self.chains = [(np.arange(len(rxs)), los,
+                        np.zeros((len(rxs), 0), dtype=int))]
+        self.chains += [_candidate_chains(refl, seqs, images, tx, rxs)
+                        for seqs, images in refl.prefixes(tx, max_reflections)]
+
+    def segments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(starts, ends, receiver) of every row: every hop of every chain,
+        order by order from the LOS segments up, chain-major."""
+        starts, ends, rec = [], [], []
+        for r, pts, _ in self.chains:
+            starts.append(pts[:-1].swapaxes(0, 1).reshape(-1, 3))
+            ends.append(pts[1:].swapaxes(0, 1).reshape(-1, 3))
+            rec.append(np.repeat(r, len(pts) - 1))
+        return np.concatenate(starts), np.concatenate(ends), \
+            np.concatenate(rec)
+
+    def paths(self, blocked: np.ndarray, carrier_ghz: float
+              ) -> list[list[PathComponent]]:
+        """Each receiver's unoccluded paths, sorted by (length, bounces).
+
+        ``blocked`` holds the occlusion verdict of each row of ``segments``;
+        a path with any blocked row is dropped. An empty list means outage.
+        """
+        paths: list[list[PathComponent]] = [[] for _ in self.rxs]
+        at = 0
+        for rec, pts, seqs in self.chains:
+            n, hops = seqs.shape[0], seqs.shape[1] + 1
+            keep = ~blocked[at:at + n * hops].reshape(n, hops).any(axis=1)
+            at += n * hops
+            if keep.any():
+                amps = self.refl.amp[seqs[keep]]
+                comps = path_components(pts[:, keep], amps, carrier_ghz)
+                for r, comp in zip(rec[keep].tolist(), comps):
+                    paths[r].append(comp)
+        for p in paths:
+            p.sort(key=lambda c: (c.length_m, c.bounces))
+        return paths
 
 
 def trace_paths(scene: SceneGeometry, tx, rx, max_reflections: int,
@@ -276,34 +367,15 @@ def trace_paths(scene: SceneGeometry, tx, rx, max_reflections: int,
     """All unoccluded LOS and specular paths, sorted by (length, bounces).
 
     ``exclude`` names meshes (the endpoint UEs' own bodies) that never
-    occlude. An empty list means outage.
+    occlude. An empty list means outage. The one-receiver case of
+    ``Candidates``, with its rows tested in one occlusion pass.
     """
     tx = np.asarray(tx, float)
     rx = np.asarray(rx, float)
     if same_point(tx, rx):
         raise ValueError("tx and rx must differ")
-    refl = scene.reflectors
-    chains = [_candidate_chains(refl, seqs, images, tx, rx)
-              for seqs, images in refl.prefixes(tx, max_reflections)]
-    # The LOS segment, then every hop of every chain (chain-major), in one
-    # occlusion pass.
-    starts = [tx[None]] + [pts[:-1].swapaxes(0, 1).reshape(-1, 3)
-                           for pts, _ in chains]
-    ends = [rx[None]] + [pts[1:].swapaxes(0, 1).reshape(-1, 3)
-                         for pts, _ in chains]
-    blocked = scene.tset.segments_occluded(
-        np.concatenate(starts), np.concatenate(ends), exclude)
-    paths: list[PathComponent] = []
-    if not blocked[0]:
-        paths.append(compute_path_component([tx, rx], [], carrier_ghz))
-    at = 1
-    for pts, seqs in chains:
-        n, hops = seqs.shape[0], seqs.shape[1] + 1
-        chain_blocked = blocked[at:at + n * hops].reshape(n, hops).any(axis=1)
-        at += n * hops
-        for i in np.flatnonzero(~chain_blocked):
-            amps = [refl.amp[f] for f in seqs[i]]
-            paths.append(compute_path_component(list(pts[:, i]), amps,
-                                                carrier_ghz))
-    paths.sort(key=lambda p: (p.length_m, p.bounces))
-    return paths
+    cand = Candidates(scene.reflectors, tx, rx, max_reflections)
+    starts, ends, _ = cand.segments()
+    tset = scene.tset
+    blocked = tset.segments_occluded(starts, ends, tset.owned_by(exclude))
+    return cand.paths(blocked, carrier_ghz)[0]

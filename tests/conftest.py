@@ -1,10 +1,14 @@
 import pathlib
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
 from beamcam import scenario as sc
+from beamcam.camera import project_bbox
+from beamcam.geometry import same_point
 from beamcam.pipeline import Simulator
+from beamcam.raytrace import trace_paths
 
 # Property tests draw the same examples on every run and never time out on a
 # slow host; the example cap keeps them to a few seconds of the suite.
@@ -57,3 +61,22 @@ def shipped_truth(shipped_scenario):
 @pytest.fixture()
 def minimal_scenario():
     return sc.parse_scenario(MINIMAL_SCENARIO)
+
+
+def assert_frame_pass_is_one_receiver_calls(sim, frame):
+    """Each UE's record from the one pass of ``frame_truth`` equals what
+    ``project_bbox`` and ``trace_paths`` give for that UE alone (a UE at the
+    BS gets no paths); returns the record."""
+    rec = sim.frame_truth(frame)
+    scene, positions = sim.frame_scene(frame)
+    meshes = dict(zip(scene.tset.names, scene.tset.meshes))
+    bs = np.asarray(sim.bs.position, float)
+    system = sim.scenario.system
+    for ue, u in zip(sim.scenario.ues, rec.ues):
+        pos = positions[ue.name]
+        assert u.bbox == project_bbox(sim.camera, meshes[ue.name], ue.name,
+                                      scene, exclude=(ue.name,))
+        assert list(u.paths) == ([] if same_point(bs, pos) else trace_paths(
+            scene, bs, pos, system.max_reflections, system.carrier_ghz,
+            exclude=(ue.name,)))
+    return rec

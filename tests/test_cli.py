@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from beamcam import cli
 from beamcam import dataset as ds
@@ -10,7 +11,8 @@ from beamcam import pipeline as pl
 from beamcam import raytrace as rt
 from beamcam import scenario as sc
 
-from conftest import MINIMAL_SCENARIO, SHIPPED_SCENARIO
+from conftest import (MINIMAL_SCENARIO, SHIPPED_SCENARIO,
+                      assert_frame_pass_is_one_receiver_calls)
 
 
 @pytest.fixture()
@@ -60,14 +62,116 @@ def test_generate_determinism(scenario_file, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+SEED0_SHA256 = \
+    "c5393b2ba4ba994a8c1f5f146a8d8478cb2f38bd74136f394678319cc7f21830"
+
+
 def test_shipped_generate_bytes_are_pinned(tmp_path):
     out = tmp_path / "ds.jsonl"
     assert run(["generate", "--scenario", SHIPPED_SCENARIO, "--seed", 0,
                 "--pixel-sigma", 2, "--out", out]) == 0
     data = out.read_bytes()
-    assert hashlib.sha256(data).hexdigest() == \
-        "c5393b2ba4ba994a8c1f5f146a8d8478cb2f38bd74136f394678319cc7f21830"
+    assert hashlib.sha256(data).hexdigest() == SEED0_SHA256
     assert b"NaN" not in data and b"Infinity" not in data
+
+
+def test_generate_stats_count_the_truth_pass(tmp_path):
+    out, stats = tmp_path / "ds.jsonl", tmp_path / "stats.json"
+    assert run(["generate", "--scenario", SHIPPED_SCENARIO, "--seed", 0,
+                "--pixel-sigma", 2, "--out", out, "--stats", stats]) == 0
+    # The dataset is the same with and without --stats.
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SEED0_SHA256
+    # 900 LOS segments plus 755 valid chains before occlusion; 1,271 paths
+    # kept after it.
+    assert json.loads(stats.read_text()) == {
+        "boxes_projected": 900, "boxes_visible": 754,
+        "receivers_traced": 900,
+        "chains_valid.o1": 680, "chains_valid.o2": 75,
+        "paths_kept.b0": 636, "paths_kept.b1": 604, "paths_kept.b2": 31,
+        "segments_tested": 9681, "outage_rows": 139,
+    }
+
+
+def test_sweep_stats_equal_generate_stats(scenario_file, tmp_path):
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    assert run(["generate", "--scenario", scenario_file,
+                "--out", tmp_path / "ds.jsonl", "--stats", first]) == 0
+    assert run(["sweep", "--scenario", scenario_file, "--seeds", 2,
+                "--out", tmp_path / "sweep.csv", "--stats", second]) == 0
+    assert first.read_text() == second.read_text()
+    assert json.loads(first.read_text())["receivers_traced"] == 10
+
+
+# ---------------------------------------------------------------------------
+# Small valid scenarios, end to end
+
+_MATERIAL = st.sampled_from(["brick", "concrete", "metal"])
+_SIZE = st.tuples(*[st.floats(0.5, 20.0)] * 3)
+_BS_POSITION = (0.0, 0.0, 6.0)
+
+
+@st.composite
+def small_scenarios(draw):
+    """Valid scenarios of 1-4 boxes, 1-3 UEs and 2-6 frames, at reflection
+    orders 0-2 with random N and Q; a UE may sit at the BS."""
+    frames = draw(st.integers(2, 6))
+    boresight = draw(st.just(90.0) | st.floats(0.0, 359.0))
+    reflectors = tuple(
+        sc.ReflectorConfig(
+            name=f"r{i}",
+            center=draw(st.tuples(st.floats(-30.0, 30.0),
+                                  st.floats(-10.0, 60.0),
+                                  st.floats(0.0, 10.0))),
+            size=draw(_SIZE), yaw_deg=draw(st.floats(0.0, 90.0)),
+            material=draw(_MATERIAL))
+        for i in range(draw(st.integers(1, 4))))
+    point = st.tuples(st.floats(-30.0, 30.0), st.floats(-30.0, 60.0),
+                      st.floats(0.0, 3.0))
+    ues = []
+    for i in range(draw(st.integers(1, 3))):
+        kf_frames = sorted(draw(st.lists(st.integers(0, frames - 1),
+                                         min_size=1, max_size=3, unique=True)))
+        ranges = draw(st.lists(st.lists(st.integers(0, frames - 1),
+                                        min_size=2, max_size=2), max_size=2))
+        ues.append(sc.UeConfig(
+            name=f"u{i}", size=draw(st.tuples(*[st.floats(0.5, 5.0)] * 3)),
+            material=draw(_MATERIAL),
+            active_ranges=tuple(tuple(sorted(r)) for r in ranges),
+            keyframes=tuple((f, draw(st.just(_BS_POSITION) | point))
+                            for f in kf_frames)))
+    return sc.Scenario(
+        system=sc.SystemParams(
+            frames=frames, fps=30.0, carrier_ghz=draw(st.floats(1.0, 100.0)),
+            max_reflections=draw(st.integers(0, 2)),
+            codebook_size_q=draw(st.integers(1, 32))),
+        arrays=(sc.ArrayConfig(name="a0",
+                               elements_n=draw(st.integers(1, 16))),),
+        bss=(sc.BsConfig(name="bs", position=_BS_POSITION,
+                         boresight_deg=boresight, array_ref="a0",
+                         camera=sc.CameraConfig(yaw_deg=boresight)),),
+        reflectors=reflectors, ues=tuple(ues))
+
+
+@given(small_scenarios())
+def test_small_scenarios_run_end_to_end(tmp_path_factory, scenario):
+    text = sc.serialize_scenario(scenario)
+    assert sc.parse_scenario(text) == scenario
+    assert sc.serialize_scenario(sc.parse_scenario(text)) == text
+    work = tmp_path_factory.mktemp("scenario")
+    path, out = work / "scene.txt", work / "ds.jsonl"
+    path.write_text(text)
+    assert run(["generate", "--scenario", path, "--out", out,
+                "--pixel-sigma", 3, "--miss-prob", 0.2]) == 0
+    _, records = ds.import_records(out)
+    assert all(u.outage == (u.optimal_index is None)
+               for rec in records for u in rec.ues)
+    assert run(["evaluate", out, "--json"]) == 0
+    assert run(["inspect", out]) == 0
+    # Batching the frame's UEs into one pass couples no receivers.
+    sim = pl.Simulator(scenario)
+    for frame in range(scenario.system.frames):
+        rec = assert_frame_pass_is_one_receiver_calls(sim, frame)
+        assert all(u.outage == (u.optimal_index is None) for u in rec.ues)
 
 
 def test_render_command(tmp_path):

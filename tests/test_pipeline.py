@@ -1,3 +1,7 @@
+import dataclasses
+import hashlib
+import io
+
 import numpy as np
 import pytest
 
@@ -10,7 +14,8 @@ from beamcam.camera import (BoundingBox, CameraModel, pixel_to_azimuth,
 from beamcam.geometry import Mesh, TriangleSet
 from beamcam.raytrace import trace_paths
 
-from conftest import MINIMAL_SCENARIO, REPO_ROOT
+from conftest import (MINIMAL_SCENARIO, REPO_ROOT,
+                      assert_frame_pass_is_one_receiver_calls)
 
 
 def make_bbox(cu, cv, half=20.0, name="car"):
@@ -253,9 +258,9 @@ def test_occlusion_is_one_kernel_pass_per_trace_and_bbox(shipped_scenario,
     rays = []
     hit_ts = TriangleSet._hit_ts
 
-    def counting(tset, origins, directions, mask):
+    def counting(tset, origins, directions):
         rays.append(len(origins))
-        return hit_ts(tset, origins, directions, mask)
+        return hit_ts(tset, origins, directions)
 
     def per_segment(*args, **kwargs):
         raise AssertionError("occlusion tested one segment at a time")
@@ -269,6 +274,7 @@ def test_occlusion_is_one_kernel_pass_per_trace_and_bbox(shipped_scenario,
     for frame in range(0, sysp.frames, 20):
         scene, positions = sim.frame_scene(frame)
         meshes = dict(zip(scene.tset.names, scene.tset.meshes))
+        one_receiver = 0
         for ue in shipped_scenario.ues:
             rays.clear()
             trace_paths(scene, bs, positions[ue.name], sysp.max_reflections,
@@ -276,14 +282,130 @@ def test_occlusion_is_one_kernel_pass_per_trace_and_bbox(shipped_scenario,
             assert len(rays) == 1
             traces += 1
             traced += rays[0]
+            one_receiver += rays[0]
             rays.clear()
             project_bbox(sim.camera, meshes[ue.name], ue.name, scene,
                          exclude=(ue.name,))
             assert len(rays) <= 1
             bbox_passes += len(rays)
+            one_receiver += sum(rays)
         rays.clear()
         sim.frame_truth(frame)
-        assert len(rays) <= 2 * len(shipped_scenario.ues)
+        # Every UE's LOS, chain hops and vertex rays in one kernel call.
+        assert rays == [one_receiver]
     # The one pass per trace carries reflected hops too, not just LOS.
     assert traced > traces
     assert bbox_passes > 0
+
+
+# sha256 of ``export_records([frame_truth(f)])`` at max_reflections 4, as
+# pinned for these frames by perfbench/goldens.json
+# (deep_order4_frame_sha256). Frame 30 has a 3-bounce path.
+ORDER4_FRAME_SHA256 = {
+    0: "a6f56e11cc0ca6d32dc4011abff23439e838f6165011f6cd1098180f1302902a",
+    30: "98db111d33c9dd6b4f601b51d344a6f745201130b559d462a740dd8e219c9a73",
+    150: "b1b4297f30fbe0e2a691d6dfe95350402e264ac9c08168dec2c441f80e82d8c9",
+    299: "4803ef5eedb6d0f99701107b76bcebd2ea665c810f42b551d8beb8b0f51781b3",
+}
+
+
+def test_order4_frames_are_bit_identical(shipped_scenario):
+    system = dataclasses.replace(shipped_scenario.system, max_reflections=4)
+    sim = pl.Simulator(dataclasses.replace(shipped_scenario, system=system),
+                       base_dir=REPO_ROOT)
+    for frame, digest in ORDER4_FRAME_SHA256.items():
+        buf = io.StringIO()
+        ds.export_records([sim.frame_truth(frame)], buf)
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+    assert sim.stats["paths_kept.b3"] > 0
+
+
+# ---------------------------------------------------------------------------
+# The frame pass against the one-receiver calls
+
+def with_sections(text, *sections):
+    return text + "".join("\n" + section for section in sections)
+
+
+NO_REFLECTORS = with_sections(
+    MINIMAL_SCENARIO.replace("""[reflector wall]
+center = 0, 40, 5
+size = 30, 1, 10
+material = concrete
+""", ""), """[ue van]
+size = 5, 2, 2.5
+keyframe = 0 : 8, 35, 1.25
+keyframe = 9 : -8, 35, 1.25
+""")
+# Two UEs whose boxes overlap on every frame.
+OVERLAPPING = with_sections(MINIMAL_SCENARIO, """[ue car2]
+size = 6, 1, 3
+keyframe = 0 : -10, 26, 1.5
+keyframe = 9 : 10, 26, 1.5
+""")
+# A UE behind the camera, which looks along +y.
+BEHIND = with_sections(MINIMAL_SCENARIO, """[ue behind]
+size = 4, 2, 1.5
+keyframe = 0 : -5, -20, 0.75
+keyframe = 9 : 5, -20, 0.75
+""")
+
+
+@pytest.mark.parametrize("text", [NO_REFLECTORS, OVERLAPPING, BEHIND],
+                         ids=["no_reflectors", "overlapping", "behind"])
+def test_frame_pass_matches_one_receiver_calls(text):
+    sim = pl.Simulator(sc.parse_scenario(text))
+    for frame in range(sim.scenario.system.frames):
+        assert_frame_pass_is_one_receiver_calls(sim, frame)
+    assert sim.stats["receivers_traced"] == 10 * len(sim.scenario.ues)
+
+
+def test_overlapping_boxes_each_ignore_only_their_own():
+    sim = pl.Simulator(sc.parse_scenario(OVERLAPPING))
+    alone = pl.Simulator(sc.parse_scenario(MINIMAL_SCENARIO))
+    # The other body hides part of the car, and blocks some of its paths.
+    recs = [sim.frame_truth(f).ues[0] for f in range(10)]
+    solo = [alone.frame_truth(f).ues[0] for f in range(10)]
+    assert [r.ue_name for r in recs] == ["car"] * 10
+    assert any(r.bbox is None or r.bbox.visibility < s.bbox.visibility
+               for r, s in zip(recs, solo))
+    assert sum(len(r.paths) for r in recs) < sum(len(s.paths) for s in solo)
+
+
+def test_ue_behind_the_camera_has_no_box_but_has_paths():
+    sim = pl.Simulator(sc.parse_scenario(BEHIND))
+    for frame in range(10):
+        behind = sim.frame_truth(frame).ues[0]
+        assert behind.ue_name == "behind"
+        assert behind.bbox is None and behind.paths
+    assert sim.stats["boxes_visible"] == 10
+
+
+@pytest.mark.parametrize("order", [0, 3])
+def test_frame_pass_matches_one_receiver_calls_at_order(shipped_scenario,
+                                                       order):
+    system = dataclasses.replace(shipped_scenario.system,
+                                 max_reflections=order)
+    sim = pl.Simulator(dataclasses.replace(shipped_scenario, system=system),
+                       base_dir=REPO_ROOT)
+    for frame in (0, 30, 150, 299):
+        assert_frame_pass_is_one_receiver_calls(sim, frame)
+    assert sorted(k for k in sim.stats if k.startswith("chains_valid")) \
+        == [f"chains_valid.o{k}" for k in range(1, order + 1)]
+
+
+def test_ue_at_the_bs_is_an_outage_row_next_to_traced_ues(shipped_scenario):
+    # Sorted first by name, so the traced UEs are not the first rows.
+    text = with_sections(sc.serialize_scenario(shipped_scenario), """\
+[ue a_at_bs]
+size = 0.5, 0.5, 0.5
+keyframe = 0 : 0, 0, 6
+keyframe = 100 : 0, 10, 6
+""")
+    sim = pl.Simulator(sc.parse_scenario(text), base_dir=REPO_ROOT)
+    at_bs = assert_frame_pass_is_one_receiver_calls(sim, 0).ues[0]
+    assert at_bs.ue_name == "a_at_bs"
+    assert at_bs.outage and at_bs.paths == ()
+    # Away from the BS it is traced like the others.
+    assert not assert_frame_pass_is_one_receiver_calls(sim, 100).ues[0].outage
+    assert sim.stats["receivers_traced"] == 3 + 4
