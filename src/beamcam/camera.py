@@ -124,13 +124,13 @@ class VertexRays:
     """The vertices of several meshes projected at once, and the occlusion
     rays from the camera to the vertices that land inside the image.
 
-    ``starts``, ``ends`` and ``mesh`` give each ray's camera end, vertex and
-    mesh index. ``boxes`` turns the rays' occlusion verdicts into one
-    bounding box per mesh.
+    ``verts`` holds each mesh's unique vertices, shape (V, 3). ``starts``,
+    ``ends`` and ``mesh`` give each ray's camera end, vertex and mesh index.
+    ``boxes`` turns the rays' occlusion verdicts into one bounding box per
+    mesh.
     """
 
-    def __init__(self, cam: CameraModel, meshes: list[Mesh]):
-        verts = [m.vertices() for m in meshes]
+    def __init__(self, cam: CameraModel, verts: list[np.ndarray]):
         self._counts = [len(v) for v in verts]
         points = np.concatenate(verts)
         u, v, front = project_points(cam, points)
@@ -139,7 +139,7 @@ class VertexRays:
         self.ends = points[inside]
         self.starts = np.empty_like(self.ends)
         self.starts[:] = cam.position
-        self.mesh = np.repeat(np.arange(len(meshes)), self._counts)[inside]
+        self.mesh = np.repeat(np.arange(len(verts)), self._counts)[inside]
         self._uv = np.column_stack([u[inside], v[inside]])
         self._size = (float(cam.width_px), float(cam.height_px))
 
@@ -183,7 +183,7 @@ def project_bbox(cam: CameraModel, mesh: Mesh, ue_name: str,
     vertices passing all three tests. Returns None when nothing is visible.
     The one-mesh case of ``VertexRays``.
     """
-    rays = VertexRays(cam, [mesh])
+    rays = VertexRays(cam, [mesh.vertices()])
     blocked = np.zeros(len(rays.ends), dtype=bool)
     if scene is not None and len(rays.ends):
         tset = scene.tset

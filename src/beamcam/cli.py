@@ -26,7 +26,7 @@ def _render_frame_bytes(sim: Simulator, record: FrameRecord) -> bytes:
     """PPM of one frame's scene with the truth boxes already in its record."""
     scene, _ = sim.frame_scene(record.frame)
     bboxes = [u.bbox for u in record.ues if u.bbox is not None]
-    img = render_debug_frame(sim.camera, scene.tset.meshes, bboxes)
+    img = render_debug_frame(sim.camera, scene.tset, bboxes)
     return write_ppm(img)
 
 

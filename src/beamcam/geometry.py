@@ -1,4 +1,4 @@
-"""Shared 3D primitives: meshes, box builders, trajectories, ray casting.
+"""Shared 3D primitives: meshes, box builders, trajectories, occlusion.
 
 World frame convention (used by every module): right-handed, z up,
 azimuth measured in the xy-plane counterclockwise from +x, degrees.
@@ -6,6 +6,7 @@ azimuth measured in the xy-plane counterclockwise from +x, degrees.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,10 +95,6 @@ class Mesh:
     def __len__(self) -> int:
         return self.tris.shape[0]
 
-    @property
-    def triangles(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        return [tuple(t) for t in self.tris]
-
     def vertices(self) -> np.ndarray:
         """Unique vertices, shape (V, 3), read-only; computed once."""
         if self._vertices is None:
@@ -107,14 +104,6 @@ class Mesh:
 
     def areas(self) -> np.ndarray:
         return _tri_areas(self.tris)
-
-    def translated(self, offset) -> "Mesh":
-        """This mesh moved by offset; carries its unique vertices along."""
-        offset = np.asarray(offset, dtype=float)
-        mesh = Mesh(self.tris + offset, self.material, check=False)
-        mesh._vertices = self.vertices() + offset
-        mesh._vertices.setflags(write=False)
-        return mesh
 
 
 def _tri_areas(tris: np.ndarray) -> np.ndarray:
@@ -183,35 +172,49 @@ def interpolate_position(traj: Trajectory, frame: float) -> np.ndarray:
 # Ray casting (Moller-Trumbore, vectorized over rays and triangles)
 
 class TriangleSet:
-    """Concatenated triangles from several meshes, with per-triangle owner ids."""
+    """Occluder table: the triangles of several named meshes, one owner
+    index per triangle, and each owner's name and material.
+
+    ``tris`` has shape (T, 3, 3); ``v0``, ``e1`` and ``e2`` are the
+    Moller-Trumbore arrays derived from it.
+    """
 
     def __init__(self, meshes: list[tuple[str, Mesh]]):
-        if meshes:
-            v0 = np.concatenate([m.tris[:, 0] for _, m in meshes])
-            e1 = np.concatenate([m.tris[:, 1] - m.tris[:, 0] for _, m in meshes])
-            e2 = np.concatenate([m.tris[:, 2] - m.tris[:, 0] for _, m in meshes])
-            owners = np.concatenate(
-                [np.full(len(m), i, dtype=int) for i, (_, m) in enumerate(meshes)]
-            )
-        else:
-            v0 = np.zeros((0, 3))
-            e1 = np.zeros((0, 3))
-            e2 = np.zeros((0, 3))
-            owners = np.zeros(0, dtype=int)
-        self.v0 = v0
-        self.e1 = e1
-        self.e2 = e2
-        self.owners = owners
         self.names = [name for name, _ in meshes]
-        self.meshes = [m for _, m in meshes]
+        self.materials = [m.material for _, m in meshes]
+        self.owners = np.repeat(np.arange(len(meshes)),
+                                [len(m) for _, m in meshes])
+        self._place(np.concatenate([np.empty((0, 3, 3))]
+                                   + [m.tris for _, m in meshes]))
+
+    def _place(self, tris: np.ndarray) -> None:
+        """Take ``tris`` as the table's triangles and derive the kernel's
+        arrays from them."""
+        tris.setflags(write=False)
+        self.tris = tris
+        self.v0 = tris[:, 0]
+        self.e1 = tris[:, 1] - tris[:, 0]
+        self.e2 = tris[:, 2] - tris[:, 0]
+
+    def moved(self, first: int, offsets) -> "TriangleSet":
+        """This table with mesh ``first + i`` translated by ``offsets[i]``.
+
+        A moved triangle is ``tri + offset``, and its edges are taken from
+        the moved triangle, since ``(a + o) - (b + o)`` need not equal
+        ``a - b`` in the last bit.
+        """
+        offsets = np.asarray(offsets, float).reshape(-1, 3)
+        lo, hi = np.searchsorted(self.owners, [first, first + len(offsets)])
+        tris = self.tris.copy()
+        tris[lo:hi] += offsets[self.owners[lo:hi] - first, None]
+        table = copy.copy(self)
+        table._place(tris)
+        return table
 
     def owned_by(self, names) -> np.ndarray:
         """Bool (T,): which triangles belong to a mesh named in ``names``."""
-        mask = np.zeros(len(self.owners), dtype=bool)
-        for i, name in enumerate(self.names):
-            if name in names:
-                mask |= self.owners == i
-        return mask
+        return np.isin(self.owners, [i for i, name in enumerate(self.names)
+                                     if name in names])
 
     def _hit_ts(self, origins, directions):
         """Hit distances of S rays against every triangle.
@@ -247,32 +250,15 @@ class TriangleSet:
         ok &= (u >= 0.0) & (v >= 0.0) & (u + v <= 1.0)
         return np.where(ok, t, -np.inf)
 
-    def nearest_hit(self, origin, direction, t_max, exclude=(), t_min=RAY_EPS):
-        origin = np.asarray(origin, float)
-        direction = np.asarray(direction, float)
-        ts = self._hit_ts(origin[None], direction[None])[0]
-        valid = (ts > t_min) & (ts < t_max) & ~self.owned_by(exclude)
-        if not np.any(valid):
-            return None
-        sel = np.where(valid)[0]
-        best = sel[np.argmin(ts[sel])]
-        t = float(ts[best])
-        return Hit(
-            t=t,
-            point=origin + t * direction,
-            triangle_index=int(best),
-            owner=self.names[self.owners[best]],
-        )
-
-    def segments_occluded(self, a, b, ignore=None) -> np.ndarray:
+    def segments_occluded(self, a, b, ignore) -> np.ndarray:
         """Whether each segment a[i] -> b[i] is blocked, shape (S,).
 
-        ``ignore``, a bool (S, T) array or one (T,) row for every segment,
-        is True where triangle t never blocks segment s (the segment's own
-        endpoint bodies; see ``owned_by``). A segment no longer than
-        2 * RAY_EPS is never blocked; otherwise only hits with RAY_EPS < t <
-        length - RAY_EPS count, so segments ending on a surface are not
-        blocked by it. All segments are tested in one kernel pass.
+        ``ignore``, a bool mask that broadcasts to (S, T), is True where
+        triangle t never blocks segment s (the bodies of the segment's own
+        UE; see ``owned_by``). A segment no longer than 2 * RAY_EPS is never
+        blocked; otherwise only hits with RAY_EPS < t < length - RAY_EPS
+        count, so segments ending on a surface are not blocked by it. All
+        segments are tested in one kernel pass.
         """
         a = np.asarray(a, float).reshape(-1, 3)
         d = np.asarray(b, float).reshape(-1, 3) - a
@@ -283,28 +269,9 @@ class TriangleSet:
             length = length[live]
             ts = self._hit_ts(a[live], d[live] / length[:, None])
             hit = (ts > RAY_EPS) & (ts < (length - RAY_EPS)[:, None])
-            if ignore is not None:
-                hit &= ~(ignore[live] if ignore.ndim == 2 else ignore)
+            hit &= ~np.broadcast_to(ignore, (len(a), len(self.v0)))[live]
             blocked[live] = hit.any(axis=1)
         return blocked
 
     def segment_occluded(self, a, b, exclude=()) -> bool:
         return bool(self.segments_occluded(a, b, self.owned_by(exclude))[0])
-
-
-@dataclass(frozen=True)
-class Hit:
-    t: float
-    point: np.ndarray
-    triangle_index: int
-    owner: str
-
-
-def ray_intersect(origin, direction, meshes, t_max: float):
-    """Nearest intersection of a ray with a list of meshes.
-
-    Returns a Hit with t in (RAY_EPS, t_max), or None if unobstructed.
-    Direction must be unit length.
-    """
-    tset = TriangleSet([(str(i), m) for i, m in enumerate(meshes)])
-    return tset.nearest_hit(origin, direction, t_max)

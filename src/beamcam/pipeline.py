@@ -168,7 +168,9 @@ class Simulator:
         self.camera = CameraModel.from_bs(self.bs)
         base_dir = Path(base_dir) if base_dir is not None else Path.cwd()
 
-        self._static: list[tuple[str, Mesh]] = []
+        #: Reflector meshes, then each UE's box at the origin: UE i is
+        #: occluder ``first + i`` of every frame's table.
+        self._meshes: list[tuple[str, Mesh]] = []
         self._faces: list[Face] = []
         for refl in scenario.reflectors:
             if refl.mesh_path is not None:
@@ -178,16 +180,16 @@ class Simulator:
             else:
                 mesh = box_mesh(refl.center, refl.size, refl.yaw_deg,
                                 refl.material)
-            self._static.append((refl.name, mesh))
+            self._meshes.append((refl.name, mesh))
             # Specular bounces always come from the box parameters.
             self._faces.extend(
                 box_faces(refl.center, refl.size, refl.yaw_deg, refl.material)
             )
-
-        self._ue_base = {
-            ue.name: box_mesh((0.0, 0.0, 0.0), ue.size, material=ue.material)
+        self._first = len(self._meshes)
+        self._meshes += [
+            (ue.name, box_mesh((0.0, 0.0, 0.0), ue.size, material=ue.material))
             for ue in scenario.ues
-        }
+        ]
         self._trajectories = {
             ue.name: Trajectory(ue.keyframes) for ue in scenario.ues
         }
@@ -199,53 +201,58 @@ class Simulator:
 
     @cached_property
     def _scene(self) -> SceneGeometry:
-        """Reflector faces whose arrays and image-source table every frame
+        """The one scene every frame moves its UEs in: the occluder table,
+        and the reflector faces whose arrays and image-source table every
         snapshot shares; built on first use, not at set-up."""
-        return SceneGeometry([], self._faces, self.scenario.material_table)
+        return SceneGeometry(self._meshes, self._faces,
+                             self.scenario.material_table)
 
     def ue_position(self, ue_name: str, frame: int) -> np.ndarray:
         return interpolate_position(self._trajectories[ue_name], frame)
 
     def frame_scene(self, frame: int
                     ) -> tuple[SceneGeometry, dict[str, np.ndarray]]:
-        """Immutable snapshot of all geometry at one frame."""
+        """Immutable snapshot of all geometry at one frame: the scene with
+        each UE's box moved to its position."""
         positions = {
             ue.name: self.ue_position(ue.name, frame)
             for ue in self.scenario.ues
         }
-        meshes = list(self._static)
-        meshes += [
-            (name, self._ue_base[name].translated(pos))
-            for name, pos in positions.items()
-        ]
-        return self._scene.with_meshes(meshes), positions
+        scene = self._scene.moved(self._first, list(positions.values()))
+        return scene, positions
 
     def frame_truth(self, frame: int) -> FrameRecord:
         """Truth-only record (no detection / prediction fields).
 
         One pass over every UE of the frame: the candidate chains of every
         traced UE and the vertex rays of every UE box share one occlusion
-        pass, in which each row ignores its own UE's body.
+        pass, in which each row ignores its own UE's body (occluder
+        ``first + i`` for UE i) and the body of any UE at the BS.
         """
         sysp = self.scenario.system
         scene, positions = self.frame_scene(frame)
         tset = scene.tset
         bs_pos = np.asarray(self.bs.position, float)
-        meshes = dict(zip(tset.names, tset.meshes))
         ues = self.scenario.ues
-        # A UE at the BS itself has no path to trace: an outage row.
-        traced = [i for i, ue in enumerate(ues)
-                  if not same_point(bs_pos, positions[ue.name])]
-        cand = Candidates(scene.reflectors, bs_pos,
-                          [positions[ues[i].name] for i in traced],
+        pos = [positions[ue.name] for ue in ues]
+        # A UE at the BS itself has no path to trace: an outage row. Its
+        # body blocks no row, as the BS sits inside it.
+        at_bs = [same_point(bs_pos, p) for p in pos]
+        traced = [i for i, a in enumerate(at_bs) if not a]
+        cand = Candidates(scene.reflectors, bs_pos, [pos[i] for i in traced],
                           sysp.max_reflections)
-        rays = VertexRays(self.camera, [meshes[ue.name] for ue in ues])
+        rays = VertexRays(self.camera, [
+            mesh.vertices() + p
+            for (_, mesh), p in zip(self._meshes[self._first:], pos)])
         starts, ends, rec = cand.segments()
-        own = np.array([tset.owned_by((ue.name,)) for ue in ues])
         row_ue = np.concatenate([np.array(traced, dtype=int)[rec], rays.mesh])
+        body_at_bs = np.zeros(len(tset.names), dtype=bool)
+        body_at_bs[self._first:] = at_bs
+        ignore = ((tset.owners == self._first + row_ue[:, None])
+                  | body_at_bs[tset.owners])
         blocked = tset.segments_occluded(
             np.concatenate([starts, rays.starts]),
-            np.concatenate([ends, rays.ends]), own[row_ue])
+            np.concatenate([ends, rays.ends]), ignore)
         traced_paths = dict(zip(traced, cand.paths(blocked[:len(starts)],
                                                    sysp.carrier_ghz)))
         bboxes = rays.boxes(blocked[len(starts):], [ue.name for ue in ues])
@@ -261,7 +268,7 @@ class Simulator:
             outage = index is None
             records.append(UeFrameRecord(
                 ue_name=ue.name,
-                position=tuple(positions[ue.name].tolist()),
+                position=tuple(pos[i].tolist()),
                 active=activity_state(ue, frame),
                 bbox=bbox,
                 paths=tuple(paths),

@@ -40,14 +40,6 @@ C_LIGHT = 299_792_458.0
 _CONTAIN_TOL = 1e-9
 
 
-def mirror_point(p, plane_point, normal) -> np.ndarray:
-    """Reflection of p across the plane (point, unit normal)."""
-    p = np.asarray(p, float)
-    n = np.asarray(normal, float)
-    d = float(np.dot(p - np.asarray(plane_point, float), n))
-    return p - 2.0 * d * n
-
-
 @dataclass(frozen=True)
 class Face:
     """Planar rectangle: center, outward unit normal, in-plane half axes."""
@@ -174,8 +166,8 @@ def compute_path_component(points, reflection_amps, carrier_ghz: float
 class _Reflectors:
     """Static reflector faces as arrays, plus the image-source table of one tx.
 
-    Shared by every snapshot made with ``SceneGeometry.with_meshes``, so the
-    table is built once per set of faces and transmitter, on first use.
+    Shared by every snapshot made with ``SceneGeometry.moved``, so the table
+    is built once per set of faces and transmitter, on first use.
     """
 
     def __init__(self, faces: list[Face], materials: dict[str, float]):
@@ -237,19 +229,18 @@ def _prefix_table(refl: _Reflectors, tx: np.ndarray, max_order: int
 
 
 class SceneGeometry:
-    """Immutable per-frame snapshot: occluder triangles plus reflector faces."""
+    """Occluder table plus reflector faces."""
 
     def __init__(self, meshes: list[tuple[str, Mesh]], faces: list[Face],
                  materials: dict[str, float]):
         self.tset = TriangleSet(meshes)
-        self.faces = list(faces)
-        self.materials = dict(materials)
-        self.reflectors = _Reflectors(self.faces, self.materials)
+        self.reflectors = _Reflectors(faces, materials)
 
-    def with_meshes(self, meshes: list[tuple[str, Mesh]]) -> "SceneGeometry":
-        """Snapshot with other occluder meshes and these same reflectors."""
+    def moved(self, first: int, offsets) -> "SceneGeometry":
+        """This scene with occluder mesh ``first + i`` moved by
+        ``offsets[i]``; the reflectors are shared."""
         scene = copy.copy(self)
-        scene.tset = TriangleSet(meshes)
+        scene.tset = self.tset.moved(first, offsets)
         return scene
 
 

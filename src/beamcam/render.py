@@ -1,6 +1,6 @@
 """Deterministic flat-shaded debug renderer writing binary PPM (P6).
 
-Painter's algorithm over the frame's triangle soup, flat color per
+Painter's algorithm over the frame's occluder table, flat color per
 propagation material with a fixed directional light, plus bounding box
 overlays. Identical inputs produce identical bytes, which makes renders
 usable as byte-exact goldens.
@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .camera import BoundingBox, CameraModel, project_point
-from .geometry import Mesh
+from .geometry import TriangleSet
 
 BACKGROUND_RGB = (38, 50, 66)
 BBOX_RGB = (255, 220, 40)
@@ -27,30 +27,31 @@ _FALLBACK_RGB = (90, 160, 90)
 _LIGHT_DIR = np.array([0.40824829, 0.40824829, 0.81649658])  # fixed, unit
 
 
-def render_debug_frame(cam: CameraModel, meshes: list[Mesh],
+def render_debug_frame(cam: CameraModel, tset: TriangleSet,
                        bboxes: list[BoundingBox] = ()) -> np.ndarray:
-    """Rasterize the scene; returns an (H, W, 3) uint8 image."""
+    """Rasterize the triangles of an occluder table, each in its owner's
+    material color; returns an (H, W, 3) uint8 image."""
     h, w = cam.height_px, cam.width_px
     img = np.empty((h, w, 3), dtype=np.uint8)
     img[:] = BACKGROUND_RGB
     forward, _, _ = cam.axes
     cam_pos = np.asarray(cam.position)
+    bases = [np.array(MATERIAL_RGB.get(m, _FALLBACK_RGB), float)
+             for m in tset.materials]
 
     tris = []
-    for mesh in meshes:
-        base = np.array(MATERIAL_RGB.get(mesh.material, _FALLBACK_RGB), float)
-        for tri in mesh.tris:
-            pts = [project_point(cam, v) for v in tri]
-            if any(p is None for p in pts):
-                continue
-            depth = float(np.mean((tri - cam_pos) @ forward))
-            normal = np.cross(tri[1] - tri[0], tri[2] - tri[0])
-            nlen = np.linalg.norm(normal)
-            if nlen == 0.0:
-                continue
-            shade = 0.55 + 0.45 * abs(float(normal @ _LIGHT_DIR)) / nlen
-            color = np.clip(base * shade, 0, 255).astype(np.uint8)
-            tris.append((depth, np.array(pts), color))
+    for tri, owner in zip(tset.tris, tset.owners.tolist()):
+        pts = [project_point(cam, v) for v in tri]
+        if any(p is None for p in pts):
+            continue
+        depth = float(np.mean((tri - cam_pos) @ forward))
+        normal = np.cross(tri[1] - tri[0], tri[2] - tri[0])
+        nlen = np.linalg.norm(normal)
+        if nlen == 0.0:
+            continue
+        shade = 0.55 + 0.45 * abs(float(normal @ _LIGHT_DIR)) / nlen
+        color = np.clip(bases[owner] * shade, 0, 255).astype(np.uint8)
+        tris.append((depth, np.array(pts), color))
 
     # Far to near so closer triangles overwrite farther ones.
     tris.sort(key=lambda item: -item[0])

@@ -6,7 +6,7 @@ from hypothesis import settings
 
 from beamcam import scenario as sc
 from beamcam.camera import project_bbox
-from beamcam.geometry import same_point
+from beamcam.geometry import Mesh, same_point
 from beamcam.pipeline import Simulator
 from beamcam.raytrace import trace_paths
 
@@ -65,18 +65,22 @@ def minimal_scenario():
 
 def assert_frame_pass_is_one_receiver_calls(sim, frame):
     """Each UE's record from the one pass of ``frame_truth`` equals what
-    ``project_bbox`` and ``trace_paths`` give for that UE alone (a UE at the
-    BS gets no paths); returns the record."""
+    ``project_bbox`` and ``trace_paths`` give for that UE alone, with its
+    own body and the bodies of UEs at the BS excluded (a UE at the BS gets
+    no paths); returns the record."""
     rec = sim.frame_truth(frame)
     scene, positions = sim.frame_scene(frame)
-    meshes = dict(zip(scene.tset.names, scene.tset.meshes))
+    tset = scene.tset
     bs = np.asarray(sim.bs.position, float)
     system = sim.scenario.system
+    at_bs = tuple(name for name, pos in positions.items()
+                  if same_point(bs, pos))
     for ue, u in zip(sim.scenario.ues, rec.ues):
-        pos = positions[ue.name]
-        assert u.bbox == project_bbox(sim.camera, meshes[ue.name], ue.name,
-                                      scene, exclude=(ue.name,))
-        assert list(u.paths) == ([] if same_point(bs, pos) else trace_paths(
-            scene, bs, pos, system.max_reflections, system.carrier_ghz,
-            exclude=(ue.name,)))
+        mesh = Mesh(tset.tris[tset.owners == tset.names.index(ue.name)])
+        exclude = (ue.name,) + at_bs
+        assert u.bbox == project_bbox(sim.camera, mesh, ue.name, scene,
+                                      exclude=exclude)
+        assert list(u.paths) == ([] if ue.name in at_bs else trace_paths(
+            scene, bs, positions[ue.name], system.max_reflections,
+            system.carrier_ghz, exclude=exclude))
     return rec

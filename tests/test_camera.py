@@ -129,8 +129,8 @@ def test_render_deterministic_and_well_formed():
                            material="brick")]
     scene = scene_of([("a", meshes[0]), ("b", meshes[1])])
     box = cam.project_bbox(c, meshes[0], "a", scene, exclude=("a",))
-    img1 = render.render_debug_frame(c, meshes, [box])
-    img2 = render.render_debug_frame(c, meshes, [box])
+    img1 = render.render_debug_frame(c, scene.tset, [box])
+    img2 = render.render_debug_frame(c, scene.tset, [box])
     assert img1.shape == (90, 160, 3)
     assert img1.dtype == np.uint8
     assert np.array_equal(img1, img2)

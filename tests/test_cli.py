@@ -7,9 +7,11 @@ from hypothesis import given, strategies as st
 
 from beamcam import cli
 from beamcam import dataset as ds
+from beamcam import geometry as geo
 from beamcam import pipeline as pl
 from beamcam import raytrace as rt
 from beamcam import scenario as sc
+from beamcam import stl
 
 from conftest import (MINIMAL_SCENARIO, SHIPPED_SCENARIO,
                       assert_frame_pass_is_one_receiver_calls)
@@ -174,13 +176,52 @@ def test_small_scenarios_run_end_to_end(tmp_path_factory, scenario):
         assert all(u.outage == (u.optimal_index is None) for u in rec.ues)
 
 
-def test_render_command(tmp_path):
+# sha256 of ``beamcam render --frame N`` on the shipped scenario, as pinned
+# by perfbench/goldens.json (render_sha256).
+RENDER_SHA256 = {
+    0: "43bbbfa65ed2065e20d2387f133b0429a2e6768a824ceb4aef2c8613832ed56b",
+    100: "71cabab335fa2a682b5fbf35628abeb2f764fe9b141d6e59762427427ac8eabc",
+    200: "726d101508e522e9fc754cc315f816e676f0682dffd032c283b8720e48592a47",
+}
+
+
+@pytest.mark.parametrize("frame", sorted(RENDER_SHA256))
+def test_render_command(tmp_path, frame):
     out = tmp_path / "f.ppm"
     assert run(["render", "--scenario", SHIPPED_SCENARIO,
-                "--frame", 150, "--out", out]) == 0
+                "--frame", frame, "--out", out]) == 0
     data = out.read_bytes()
     assert data.startswith(b"P6\n1280 720\n255\n")
     assert len(data) == len(b"P6\n1280 720\n255\n") + 1280 * 720 * 3
+    assert hashlib.sha256(data).hexdigest() == RENDER_SHA256[frame]
+
+
+def test_stl_reflector_runs_end_to_end(tmp_path):
+    """A reflector read from an STL file of its own box gives the dataset
+    rows and renders of the box reflector."""
+    wall = sc.parse_scenario(MINIMAL_SCENARIO).reflectors[0]
+    stl_dir, box_dir = tmp_path / "stl", tmp_path / "box"
+    stl_dir.mkdir()
+    (stl_dir / "wall.stl").write_bytes(stl.write_stl(geo.box_mesh(
+        wall.center, wall.size, wall.yaw_deg, wall.material)))
+    text = MINIMAL_SCENARIO.replace(
+        "material = concrete", "material = concrete\nmesh_path = wall.stl")
+    assert sc.parse_scenario(text).reflectors[0].mesh_path == "wall.stl"
+    outputs = []
+    for work, scenario_text in ((stl_dir, text), (box_dir, MINIMAL_SCENARIO)):
+        box_dir.mkdir(exist_ok=True)
+        (work / "scene.txt").write_text(scenario_text)
+        assert run(["generate", "--scenario", work / "scene.txt",
+                    "--out", work / "ds.jsonl", "--render-every", 5]) == 0
+        renders = sorted(work.glob("*.ppm"))
+        assert [p.name for p in renders] == ["frame_000000.ppm",
+                                             "frame_000005.ppm"]
+        outputs.append(((work / "ds.jsonl").read_text().splitlines()[1:],
+                        [p.read_bytes() for p in renders]))
+    assert outputs[0] == outputs[1]
+    sim = pl.Simulator(sc.parse_scenario(text), base_dir=stl_dir)
+    for frame in range(sim.scenario.system.frames):
+        assert_frame_pass_is_one_receiver_calls(sim, frame)
 
 
 def test_evaluate_json_writes_an_infinite_snr_loss_as_null(

@@ -54,13 +54,22 @@ def test_same_point_is_allclose(a, offsets):
     assert geo.same_point(b, a) == np.allclose(b, a)
 
 
+def nearest_ts(tset, origins, directions, t_max):
+    """Nearest hit distance in (RAY_EPS, t_max) of each ray, from
+    ``_hit_ts``; None for a ray that hits nothing there."""
+    ts = tset._hit_ts(np.asarray(origins, float),
+                      np.asarray(directions, float))
+    ts = np.where((ts > geo.RAY_EPS) & (ts < t_max), ts, np.inf).min(axis=1)
+    return [None if t == np.inf else t for t in ts.tolist()]
+
+
 def test_ray_hits_box_front_face():
     mesh = geo.box_mesh((0.0, 10.0, 0.0), (2.0, 2.0, 2.0))
-    hit = geo.ray_intersect((0.0, 0.0, 0.0), (0.0, 1.0, 0.0), [mesh], 100.0)
-    assert hit is not None
-    assert hit.t == pytest.approx(9.0)
-    assert geo.ray_intersect((0.0, 0.0, 5.0), (0.0, 1.0, 0.0),
-                             [mesh], 100.0) is None
+    tset = geo.TriangleSet([("box", mesh)])
+    hit, miss = nearest_ts(tset, [(0.0, 0.0, 0.0), (0.0, 0.0, 5.0)],
+                           [(0.0, 1.0, 0.0)] * 2, 100.0)
+    assert hit == pytest.approx(9.0)
+    assert miss is None
 
 
 def test_segment_occlusion_and_exclusion():
@@ -81,14 +90,20 @@ def test_nearest_hit_matches_bruteforce_scan():
         for _ in range(6)
     ]
     tset = geo.TriangleSet([(f"m{i}", m) for i, m in enumerate(meshes)])
-    for _ in range(200):
-        origin = rng.uniform(-15, 15, 3)
-        direction = geo.normalize(rng.standard_normal(3))
-        hit = tset.nearest_hit(origin, direction, 100.0)
+    rays = [(rng.uniform(-15, 15, 3), geo.normalize(rng.standard_normal(3)))
+            for _ in range(200)]
+    # Rays aimed near a box center, so most of them hit something.
+    for origin in rng.uniform(-15, 15, (100, 3)):
+        target = meshes[rng.integers(6)].vertices().mean(axis=0)
+        rays.append((origin, geo.normalize(target + rng.uniform(-1, 1, 3)
+                                           - origin)))
+    origins, directions = zip(*rays)
+    got = nearest_ts(tset, origins, directions, 100.0)
+    for origin, direction, hit in zip(origins, directions, got):
         # Brute force: Moller-Trumbore per triangle in pure python.
         best = None
-        for name, mesh in [(f"m{i}", m) for i, m in enumerate(meshes)]:
-            for v0, v1, v2 in mesh.triangles:
+        for mesh in meshes:
+            for v0, v1, v2 in mesh.tris:
                 e1, e2 = v1 - v0, v2 - v0
                 p = np.cross(direction, e2)
                 det = e1 @ p
@@ -105,8 +120,8 @@ def test_nearest_hit_matches_bruteforce_scan():
         if best is None:
             assert hit is None
         else:
-            assert hit is not None
-            assert hit.t == pytest.approx(best, abs=1e-9)
+            assert hit == pytest.approx(best, abs=1e-9)
+    assert sum(hit is not None for hit in got) > 50
 
 
 def reference_occluded(meshes, a, b):

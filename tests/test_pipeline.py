@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import io
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -239,18 +240,26 @@ def test_outage_iff_empty_paths(shipped_truth):
     assert outages >= 1
 
 
-def test_frame_truth_translates_each_ue_mesh_once(shipped_scenario,
-                                                  monkeypatch):
-    calls = []
-    translated = Mesh.translated
+def test_frame_truth_builds_no_mesh_after_the_first_frame(shipped_scenario,
+                                                          monkeypatch):
+    sim = pl.Simulator(shipped_scenario, base_dir=REPO_ROOT)
+    sim.frame_truth(0)
+    calls = Counter()
 
-    def counting(mesh, offset):
-        calls.append(offset)
-        return translated(mesh, offset)
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(Mesh, "translated", counting)
-    pl.Simulator(shipped_scenario, base_dir=REPO_ROOT).frame_truth(150)
-    assert len(calls) == len(shipped_scenario.ues) == 3
+    monkeypatch.setattr(Mesh, "__init__", counting("Mesh", Mesh.__init__))
+    monkeypatch.setattr(np, "unique", counting("unique", np.unique))
+    monkeypatch.setattr(pl.Simulator, "frame_scene",
+                        counting("frame_scene", pl.Simulator.frame_scene))
+    for frame in (150, 299):
+        sim.frame_truth(frame)
+    # One snapshot per frame, made by moving the UE rows of one table.
+    assert calls == {"frame_scene": 2}
 
 
 def test_occlusion_is_one_kernel_pass_per_trace_and_bbox(shipped_scenario,
@@ -273,7 +282,7 @@ def test_occlusion_is_one_kernel_pass_per_trace_and_bbox(shipped_scenario,
     traces = traced = bbox_passes = 0
     for frame in range(0, sysp.frames, 20):
         scene, positions = sim.frame_scene(frame)
-        meshes = dict(zip(scene.tset.names, scene.tset.meshes))
+        tset = scene.tset
         one_receiver = 0
         for ue in shipped_scenario.ues:
             rays.clear()
@@ -284,8 +293,8 @@ def test_occlusion_is_one_kernel_pass_per_trace_and_bbox(shipped_scenario,
             traced += rays[0]
             one_receiver += rays[0]
             rays.clear()
-            project_bbox(sim.camera, meshes[ue.name], ue.name, scene,
-                         exclude=(ue.name,))
+            mesh = Mesh(tset.tris[tset.owners == tset.names.index(ue.name)])
+            project_bbox(sim.camera, mesh, ue.name, scene, exclude=(ue.name,))
             assert len(rays) <= 1
             bbox_passes += len(rays)
             one_receiver += sum(rays)
@@ -403,9 +412,12 @@ keyframe = 0 : 0, 0, 6
 keyframe = 100 : 0, 10, 6
 """)
     sim = pl.Simulator(sc.parse_scenario(text), base_dir=REPO_ROOT)
-    at_bs = assert_frame_pass_is_one_receiver_calls(sim, 0).ues[0]
+    at_bs, *others = assert_frame_pass_is_one_receiver_calls(sim, 0).ues
     assert at_bs.ue_name == "a_at_bs"
     assert at_bs.outage and at_bs.paths == ()
+    # Its body, around the BS and the camera, hides and blocks nothing.
+    alone = pl.Simulator(shipped_scenario, base_dir=REPO_ROOT).frame_truth(0)
+    assert tuple(others) == alone.ues
     # Away from the BS it is traced like the others.
     assert not assert_frame_pass_is_one_receiver_calls(sim, 100).ues[0].outage
     assert sim.stats["receivers_traced"] == 3 + 4

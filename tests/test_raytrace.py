@@ -24,18 +24,6 @@ def wall_scene(material="metal", amp_table=None):
                             amp_table or {"metal": 0.95})
 
 
-def test_mirror_point_involution():
-    rng = np.random.default_rng(1)
-    for _ in range(50):
-        p = rng.standard_normal(3)
-        plane_pt = rng.standard_normal(3)
-        n = geo.normalize(rng.standard_normal(3))
-        m = rt.mirror_point(p, plane_pt, n)
-        assert np.allclose(rt.mirror_point(m, plane_pt, n), p, atol=1e-12)
-        # Midpoint lies on the plane.
-        assert abs((0.5 * (p + m) - plane_pt) @ n) < 1e-12
-
-
 def test_wall_scene_paths():
     scene = wall_scene()
     tx = geo.vec3(-5.0, 0.0, 2.0)
