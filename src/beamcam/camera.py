@@ -152,10 +152,11 @@ class VertexRays:
         """
         width, height = self._size
         seen = ~np.asarray(blocked, bool)
-        mesh, uv = self.mesh[seen].tolist(), self._uv[seen].tolist()
+        per_mesh: list[list[list[float]]] = [[] for _ in names]
+        for m, px in zip(self.mesh[seen].tolist(), self._uv[seen].tolist()):
+            per_mesh[m].append(px)
         boxes: list[BoundingBox | None] = []
-        for i, (name, count) in enumerate(zip(names, self._counts)):
-            pixels = [px for m, px in zip(mesh, uv) if m == i]
+        for name, count, pixels in zip(names, self._counts, per_mesh):
             if not pixels:
                 boxes.append(None)
                 continue

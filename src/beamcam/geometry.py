@@ -28,14 +28,12 @@ def normalize(v: np.ndarray) -> np.ndarray:
     return v / n
 
 
-def same_point(a, b) -> bool:
-    """``np.allclose(a, b)`` for two points, without its per-call cost.
-
-    Same rule per component: ``|a - b| <= 1e-8 + 1e-5 * |b|``.
-    """
-    return all(abs(x - y) <= 1e-8 + 1e-5 * abs(y)
-               for x, y in zip(np.asarray(a, float).tolist(),
-                               np.asarray(b, float).tolist()))
+def same_point(a, b):
+    """``np.allclose`` per point of a and b (shape (..., 3)): the same rule,
+    ``|a - b| <= 1e-8 + 1e-5 * |b|``, in every component."""
+    a = np.asarray(a, float)
+    b = np.asarray(b, float)
+    return (np.abs(a - b) <= 1e-8 + 1e-5 * np.abs(b)).all(axis=-1)
 
 
 def rot_z_deg(yaw_deg: float) -> np.ndarray:
@@ -154,18 +152,50 @@ class Trajectory:
             raise ValueError("keyframe frames must be strictly increasing")
 
 
+class Tracks:
+    """The keyframes of several trajectories as padded arrays, so that their
+    positions at many frames come from one array pass."""
+
+    def __init__(self, trajs: list[Trajectory]):
+        width = max([2] + [len(t.keyframes) for t in trajs])
+        #: Keyframe frames, padded with inf, and points, shape (U, K[, 3]).
+        self.frames = np.full((len(trajs), width), np.inf)
+        self.points = np.zeros((len(trajs), width, 3))
+        for i, traj in enumerate(trajs):
+            for j, (frame, point) in enumerate(traj.keyframes):
+                self.frames[i, j] = frame
+                self.points[i, j] = point
+        ue = np.arange(len(trajs))
+        last = np.array([len(t.keyframes) - 1 for t in trajs], dtype=int)
+        self._ue = ue
+        self._last_end = np.maximum(last, 1)
+        self._first = self.frames[:, 0], self.points[:, 0]
+        self._last = self.frames[ue, last], self.points[ue, last]
+
+    def at(self, frames) -> np.ndarray:
+        """Every trajectory's position at each frame, shape (F, U, 3).
+
+        Linear interpolation in the first keyframe interval with
+        ``f0 <= frame <= f1``, clamped to the end keyframes outside them:
+        ``(1 - a) * p0 + a * p1`` with ``a = (frame - f0) / (f1 - f0)``, and
+        a clamped frame takes its keyframe as given.
+        """
+        f = np.asarray(frames, float).reshape(-1, 1)
+        # The interval's end is the first keyframe >= frame.
+        end = (self.frames < f[..., None]).sum(axis=2)
+        end = np.minimum(np.maximum(end, 1), self._last_end)
+        f0, f1 = self.frames[self._ue, end - 1], self.frames[self._ue, end]
+        a = ((f - f0) / (f1 - f0))[..., None]
+        pos = (1.0 - a) * self.points[self._ue, end - 1] \
+            + a * self.points[self._ue, end]
+        (first_f, first_p), (last_f, last_p) = self._first, self._last
+        pos = np.where((f >= last_f)[..., None], last_p, pos)
+        return np.where((f <= first_f)[..., None], first_p, pos)
+
+
 def interpolate_position(traj: Trajectory, frame: float) -> np.ndarray:
     """Linear interpolation between bracketing keyframes, clamped outside."""
-    keys = traj.keyframes
-    if frame <= keys[0][0]:
-        return vec3(*keys[0][1])
-    if frame >= keys[-1][0]:
-        return vec3(*keys[-1][1])
-    for (f0, p0), (f1, p1) in zip(keys, keys[1:]):
-        if f0 <= frame <= f1:
-            a = (frame - f0) / (f1 - f0)
-            return (1.0 - a) * vec3(*p0) + a * vec3(*p1)
-    raise AssertionError("unreachable")
+    return Tracks([traj]).at([frame])[0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +206,8 @@ class TriangleSet:
     index per triangle, and each owner's name and material.
 
     ``tris`` has shape (T, 3, 3); ``v0``, ``e1`` and ``e2`` are the
-    Moller-Trumbore arrays derived from it.
+    Moller-Trumbore arrays derived from it. A stack of tables (see
+    ``moved``) has a leading axis of one table per frame.
     """
 
     def __init__(self, meshes: list[tuple[str, Mesh]]):
@@ -192,21 +223,25 @@ class TriangleSet:
         arrays from them."""
         tris.setflags(write=False)
         self.tris = tris
-        self.v0 = tris[:, 0]
-        self.e1 = tris[:, 1] - tris[:, 0]
-        self.e2 = tris[:, 2] - tris[:, 0]
+        self.v0 = tris[..., 0, :]
+        self.e1 = tris[..., 1, :] - tris[..., 0, :]
+        self.e2 = tris[..., 2, :] - tris[..., 0, :]
 
     def moved(self, first: int, offsets) -> "TriangleSet":
         """This table with mesh ``first + i`` translated by ``offsets[i]``.
 
         A moved triangle is ``tri + offset``, and its edges are taken from
         the moved triangle, since ``(a + o) - (b + o)`` need not equal
-        ``a - b`` in the last bit.
+        ``a - b`` in the last bit. Offsets of shape (F, M, 3) give a stack
+        of F tables, table f moved by ``offsets[f]``, made in one pass.
         """
-        offsets = np.asarray(offsets, float).reshape(-1, 3)
-        lo, hi = np.searchsorted(self.owners, [first, first + len(offsets)])
-        tris = self.tris.copy()
-        tris[lo:hi] += offsets[self.owners[lo:hi] - first, None]
+        offsets = np.asarray(offsets, float)
+        lo, hi = np.searchsorted(self.owners,
+                                 [first, first + offsets.shape[-2]])
+        tris = np.empty(offsets.shape[:-2] + self.tris.shape)
+        tris[:] = self.tris
+        tris[..., lo:hi, :, :] += offsets[..., self.owners[lo:hi] - first,
+                                          None, :]
         table = copy.copy(self)
         table._place(tris)
         return table
@@ -217,11 +252,13 @@ class TriangleSet:
                                      if name in names])
 
     def _hit_ts(self, origins, directions):
-        """Hit distances of S rays against every triangle.
+        """Hit distances of rays against every triangle of their table.
 
-        ``origins`` and unit ``directions`` have shape (S, 3). Returns the
-        (S, T) distances along each ray, -inf where it misses. Each value
-        depends only on its own ray and triangle.
+        ``origins`` and unit ``directions`` have shape (S, 3) for one
+        table, or (F, R, 3) for a stack of F tables, ray row f against
+        table f. Returns the (S, T) or (F, R, T) distances along each ray,
+        -inf where it misses. Each value depends only on its own ray and
+        triangle.
 
         Every value is bit-identical to the one-ray form of the test
         (``np.cross``, then ``np.einsum("ij,ij->i")`` and ``np.dot`` over
@@ -229,49 +266,101 @@ class TriangleSet:
         einsum dot products add their terms in the order einsum uses for
         three terms, (0 + 2) + 1 (numpy 2.4, x86-64), and ``np.matmul``
         makes the same BLAS call per ray that ``np.dot`` makes, fused
-        multiply-adds included.
+        multiply-adds included. Sums and differences are built in place,
+        which keeps few ray-by-triangle arrays alive and rounds as the
+        plain expressions do.
         """
-        v0, e1, e2 = self.v0, self.e1, self.e2
-        d0, d1, d2 = (directions[:, k, None] for k in range(3))
-        a0, a1, a2 = e1.T
-        b0, b1, b2 = e2.T
-        p0 = d1 * b2 - d2 * b1
-        p1 = d2 * b0 - d0 * b2
-        p2 = d0 * b1 - d1 * b0
-        det = a0 * p0 + a2 * p2 + a1 * p1
+        # Each table broadcasts over its own rays: (1, T) or (F, 1, T).
+        v0, e1, e2 = (x[..., None, :, :] for x in (self.v0, self.e1, self.e2))
+        d0, d1, d2 = (directions[..., k, None] for k in range(3))
+        a0, a1, a2 = (e1[..., k] for k in range(3))
+        b0, b1, b2 = (e2[..., k] for k in range(3))
+        p0 = d1 * b2
+        p0 -= d2 * b1
+        p1 = d2 * b0
+        p1 -= d0 * b2
+        p2 = d0 * b1
+        p2 -= d1 * b0
+        det = a0 * p0
+        det += a2 * p2
+        det += a1 * p1
         ok = np.abs(det) > 1e-14
-        inv = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
-        s0, s1, s2 = (origins[:, k, None] - v0[:, k] for k in range(3))
-        u = (s0 * p0 + s2 * p2 + s1 * p1) * inv
-        q = np.stack([s1 * a2 - s2 * a1, s2 * a0 - s0 * a2,
-                      s0 * a1 - s1 * a0], axis=-1)
-        v = np.matmul(q, directions[:, :, None])[..., 0] * inv
-        t = (b0 * q[..., 0] + b2 * q[..., 2] + b1 * q[..., 1]) * inv
-        ok &= (u >= 0.0) & (v >= 0.0) & (u + v <= 1.0)
-        return np.where(ok, t, -np.inf)
+        inv = np.divide(1.0, det, out=np.zeros_like(det), where=ok)
+        del det
+        s0, s1, s2 = (origins[..., k, None] - v0[..., k] for k in range(3))
+        u = s0 * p0
+        u += s2 * p2
+        u += s1 * p1
+        u *= inv
+        del p0, p1, p2
+        q = np.empty(u.shape + (3,))
+        np.multiply(s1, a2, out=q[..., 0])
+        q[..., 0] -= s2 * a1
+        np.multiply(s2, a0, out=q[..., 1])
+        q[..., 1] -= s0 * a2
+        np.multiply(s0, a1, out=q[..., 2])
+        q[..., 2] -= s1 * a0
+        del s0, s1, s2
+        v = np.matmul(q, directions[..., :, None])[..., 0]
+        v *= inv
+        t = b0 * q[..., 0]
+        t += b2 * q[..., 2]
+        t += b1 * q[..., 1]
+        t *= inv
+        del q
+        ok &= u >= 0.0
+        ok &= v >= 0.0
+        u += v
+        ok &= u <= 1.0
+        t[~ok] = -np.inf
+        return t
 
-    def segments_occluded(self, a, b, ignore) -> np.ndarray:
+    def segments_occluded(self, a, b, ignore, table=None) -> np.ndarray:
         """Whether each segment a[i] -> b[i] is blocked, shape (S,).
 
         ``ignore``, a bool mask that broadcasts to (S, T), is True where
         triangle t never blocks segment s (the bodies of the segment's own
-        UE; see ``owned_by``). A segment no longer than 2 * RAY_EPS is never
-        blocked; otherwise only hits with RAY_EPS < t < length - RAY_EPS
-        count, so segments ending on a surface are not blocked by it. All
-        segments are tested in one kernel pass.
+        UE; see ``owned_by``). In a stack of tables, segment s is tested
+        against table ``table[s]``. A segment no longer than 2 * RAY_EPS is
+        never blocked; otherwise only hits with RAY_EPS < t < length -
+        RAY_EPS count, so segments ending on a surface are not blocked by
+        it. All segments are tested in one kernel pass.
         """
         a = np.asarray(a, float).reshape(-1, 3)
         d = np.asarray(b, float).reshape(-1, 3) - a
         length = norms(d)
         blocked = np.zeros(len(a), dtype=bool)
         live = length > 2 * RAY_EPS
-        if len(self.v0) and np.any(live):
+        if self.owners.size and np.any(live):
             length = length[live]
-            ts = self._hit_ts(a[live], d[live] / length[:, None])
-            hit = (ts > RAY_EPS) & (ts < (length - RAY_EPS)[:, None])
-            hit &= ~np.broadcast_to(ignore, (len(a), len(self.v0)))[live]
+            rays = [a[live], d[live] / length[:, None], length]
+            cell = ...
+            if self.tris.ndim == 4:
+                # Row f of a grid holds table f's segments in order, padded
+                # with zero rays, which hit nothing.
+                cell, shape = _grid_cells(np.asarray(table)[live],
+                                          len(self.tris))
+                for i, x in enumerate(rays):
+                    rays[i] = np.zeros(shape + x.shape[1:])
+                    rays[i][cell] = x
+            origins, directions, length = rays
+            ts = self._hit_ts(origins, directions)
+            hit = ((ts > RAY_EPS) & (ts < (length - RAY_EPS)[..., None]))[cell]
+            hit &= ~np.broadcast_to(ignore, (len(a), self.owners.size))[live]
             blocked[live] = hit.any(axis=1)
         return blocked
 
     def segment_occluded(self, a, b, exclude=()) -> bool:
         return bool(self.segments_occluded(a, b, self.owned_by(exclude))[0])
+
+
+def _grid_cells(group: np.ndarray, groups: int):
+    """Cells of a grid with one row per group, each row holding its group's
+    items in order: the (row, column) index arrays of the items, and the
+    grid's (rows, columns)."""
+    counts = np.bincount(group, minlength=groups)
+    order = np.argsort(group, kind="stable")
+    column = np.empty_like(group)
+    column[order] = np.arange(len(group)) \
+        - np.repeat(np.cumsum(counts) - counts, counts)
+    return (group, column), (groups, int(counts.max()))

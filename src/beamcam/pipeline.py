@@ -1,10 +1,11 @@
 """Camera-to-beam prediction loop and frame-synchronized truth assembly.
 
-Each frame is built from a single immutable snapshot: UE positions are
-interpolated once, the same meshes feed both the camera (bounding boxes)
-and the ray tracer (paths, per-beam SNR, optimal index), so visual and
-wireless truth are synchronized by construction; every UE's boxes and
-paths come from one occlusion pass per frame. The prediction side
+Truth is made in blocks of frames. Each frame's UE positions are
+interpolated once, and the same moved UE boxes feed both the camera
+(bounding boxes) and the ray tracer (paths, per-beam SNR, optimal
+index), so visual and wireless truth are synchronized by construction;
+every box and path of every frame of a block comes from one occlusion
+pass, each row against its own frame's occluder table. The prediction side
 gates on activity, detects with a pluggable noise-parameterized oracle
 detector, maps the bbox center pixel to an azimuth and quantizes it to a
 codebook bin.
@@ -24,8 +25,7 @@ import numpy as np
 from .camera import BoundingBox, CameraModel, VertexRays, pixel_to_azimuth
 from .channel import (Codebook, build_channel, generate_codebook, optimal_beam,
                       world_to_array_deg)
-from .geometry import (Mesh, Trajectory, box_mesh, interpolate_position,
-                       same_point)
+from .geometry import Mesh, Tracks, Trajectory, box_mesh, same_point
 from .raytrace import Candidates, Face, PathComponent, SceneGeometry, box_faces
 from .scenario import Scenario, UeConfig
 from . import stl
@@ -152,6 +152,12 @@ def select_beam(u_min: float, u_max: float, cam: CameraModel,
             az_world)
 
 
+#: Frames per block of ``run_truth``: larger blocks pay less per-call
+#: overhead but hold more occlusion rows (frames x rows x triangles) at
+#: once; chosen from measured time and peak memory.
+TRUTH_BLOCK = 8
+
+
 class Simulator:
     """Per-BS simulation state: static geometry, codebook, camera."""
 
@@ -190,76 +196,96 @@ class Simulator:
             (ue.name, box_mesh((0.0, 0.0, 0.0), ue.size, material=ue.material))
             for ue in scenario.ues
         ]
-        self._trajectories = {
-            ue.name: Trajectory(ue.keyframes) for ue in scenario.ues
-        }
-        #: Counts of the truth passes so far (``frame_truth``): boxes
-        #: projected and visible, receivers traced, geometrically valid
-        #: chains per reflection order, paths kept per bounce count,
-        #: occlusion segments tested and outage rows.
+        #: Counts of the truth passes so far: boxes projected and visible,
+        #: receivers traced, geometrically valid chains per reflection
+        #: order, paths kept per bounce count, occlusion segments tested
+        #: and outage rows.
         self.stats: Counter[str] = Counter()
 
     @cached_property
     def _scene(self) -> SceneGeometry:
         """The one scene every frame moves its UEs in: the occluder table,
         and the reflector faces whose arrays and image-source table every
-        snapshot shares; built on first use, not at set-up."""
+        frame shares; built on first use, not at set-up."""
         return SceneGeometry(self._meshes, self._faces,
                              self.scenario.material_table)
 
-    def ue_position(self, ue_name: str, frame: int) -> np.ndarray:
-        return interpolate_position(self._trajectories[ue_name], frame)
+    @cached_property
+    def _tracks(self) -> Tracks:
+        """Every UE's keyframes as arrays; built on first use."""
+        return Tracks([Trajectory(ue.keyframes) for ue in self.scenario.ues])
 
     def frame_scene(self, frame: int
                     ) -> tuple[SceneGeometry, dict[str, np.ndarray]]:
         """Immutable snapshot of all geometry at one frame: the scene with
         each UE's box moved to its position."""
-        positions = {
-            ue.name: self.ue_position(ue.name, frame)
-            for ue in self.scenario.ues
-        }
-        scene = self._scene.moved(self._first, list(positions.values()))
-        return scene, positions
+        pos = self._tracks.at([frame])[0]
+        scene = self._scene.moved(self._first, pos)
+        return scene, {ue.name: p for ue, p in zip(self.scenario.ues, pos)}
 
     def frame_truth(self, frame: int) -> FrameRecord:
-        """Truth-only record (no detection / prediction fields).
+        """Truth-only record (no detection / prediction fields) of one
+        frame: a block of one frame (see ``_truth_block``)."""
+        return self._truth_block([frame])[0]
 
-        One pass over every UE of the frame: the candidate chains of every
-        traced UE and the vertex rays of every UE box share one occlusion
-        pass, in which each row ignores its own UE's body (occluder
-        ``first + i`` for UE i) and the body of any UE at the BS.
+    def run_truth(self) -> list[FrameRecord]:
+        """Truth records of every frame, made TRUTH_BLOCK frames at a time;
+        equal to ``frame_truth`` of each frame in turn, ``stats`` too."""
+        frames = range(self.scenario.system.frames)
+        return [rec for lo in range(0, len(frames), TRUTH_BLOCK)
+                for rec in self._truth_block(frames[lo:lo + TRUTH_BLOCK])]
+
+    def _truth_block(self, frames) -> list[FrameRecord]:
+        """Truth records of several frames from one pass over all of them.
+
+        One array pass gives every (frame, UE) position. The candidate
+        chains of every traced receiver and the vertex rays of every UE box
+        of every frame share one occlusion pass, in which each row is
+        tested against its own frame's occluder table and ignores its own
+        UE's body (occluder ``first + i`` for UE i) and the body of any UE
+        at the BS in that frame. Channel and beam table stay one per
+        record.
         """
         sysp = self.scenario.system
-        scene, positions = self.frame_scene(frame)
-        tset = scene.tset
-        bs_pos = np.asarray(self.bs.position, float)
         ues = self.scenario.ues
-        pos = [positions[ue.name] for ue in ues]
+        n = len(ues)
+        pos = self._tracks.at(frames)  # (frame, UE, 3)
+        bs_pos = np.asarray(self.bs.position, float)
         # A UE at the BS itself has no path to trace: an outage row. Its
         # body blocks no row, as the BS sits inside it.
-        at_bs = [same_point(bs_pos, p) for p in pos]
-        traced = [i for i, a in enumerate(at_bs) if not a]
-        cand = Candidates(scene.reflectors, bs_pos, [pos[i] for i in traced],
-                          sysp.max_reflections)
-        rays = VertexRays(self.camera, [
-            mesh.vertices() + p
-            for (_, mesh), p in zip(self._meshes[self._first:], pos)])
+        at_bs = same_point(bs_pos, pos)
+        # Record k of the block is frame k // n, UE k % n.
+        traced = np.flatnonzero(~at_bs.ravel())
+        cand = Candidates(self._scene.reflectors, bs_pos,
+                          pos.reshape(-1, 3)[traced], sysp.max_reflections)
+        verts = [mesh.vertices() for _, mesh in self._meshes[self._first:]]
+        rays = VertexRays(self.camera, [v + p for row in pos
+                                        for v, p in zip(verts, row)])
         starts, ends, rec = cand.segments()
-        row_ue = np.concatenate([np.array(traced, dtype=int)[rec], rays.mesh])
-        body_at_bs = np.zeros(len(tset.names), dtype=bool)
-        body_at_bs[self._first:] = at_bs
-        ignore = ((tset.owners == self._first + row_ue[:, None])
-                  | body_at_bs[tset.owners])
-        blocked = tset.segments_occluded(
+        row = np.concatenate([traced[rec], rays.mesh])
+        row_frame = row // n
+        # One occluder table per frame of the block; a lone frame gets a
+        # plain table, so its rays reach the kernel as one flat batch.
+        tables = self._scene.tset.moved(self._first,
+                                        pos if len(pos) > 1 else pos[0])
+        owners = tables.owners
+        body_at_bs = np.zeros((len(pos), len(tables.names)), dtype=bool)
+        body_at_bs[:, self._first:] = at_bs
+        ignore = ((owners == self._first + row[:, None] % n)
+                  | body_at_bs[:, owners][row_frame])
+        blocked = tables.segments_occluded(
             np.concatenate([starts, rays.starts]),
-            np.concatenate([ends, rays.ends]), ignore)
-        traced_paths = dict(zip(traced, cand.paths(blocked[:len(starts)],
-                                                   sysp.carrier_ghz)))
-        bboxes = rays.boxes(blocked[len(starts):], [ue.name for ue in ues])
+            np.concatenate([ends, rays.ends]), ignore, row_frame)
+        paths: list[list[PathComponent]] = [[] for _ in range(at_bs.size)]
+        for k, p in zip(traced.tolist(),
+                        cand.paths(blocked[:len(starts)], sysp.carrier_ghz)):
+            paths[k] = p
+        bboxes = rays.boxes(blocked[len(starts):],
+                            [ue.name for ue in ues] * len(pos))
+        positions = pos.reshape(-1, 3).tolist()
         records = []
-        for i, (ue, bbox) in enumerate(zip(ues, bboxes)):
-            paths = traced_paths.get(i, [])
-            h = build_channel(paths, self.array.elements_n,
+        for k, (ue, bbox) in enumerate(zip(ues * len(pos), bboxes)):
+            h = build_channel(paths[k], self.array.elements_n,
                               self.array.spacing_wavelengths,
                               self.bs.boresight_deg)
             index, snr, snrs = optimal_beam(h, self.codebook,
@@ -268,22 +294,23 @@ class Simulator:
             outage = index is None
             records.append(UeFrameRecord(
                 ue_name=ue.name,
-                position=tuple(pos[i].tolist()),
-                active=activity_state(ue, frame),
+                position=tuple(positions[k]),
+                active=activity_state(ue, frames[k // n]),
                 bbox=bbox,
-                paths=tuple(paths),
+                paths=tuple(paths[k]),
                 beam_snrs_db=None if outage else tuple(snrs),
                 optimal_index=index,
                 optimal_snr_db=snr,
                 outage=outage,
             ))
-        self._count(cand, bboxes, len(row_ue), records)
-        return FrameRecord(frame=frame, bs_name=self.bs.name,
-                           ues=tuple(records))
+        self._count(cand, bboxes, len(row), records)
+        return [FrameRecord(frame=frame, bs_name=self.bs.name,
+                            ues=tuple(records[i * n:(i + 1) * n]))
+                for i, frame in enumerate(frames)]
 
     def _count(self, cand: Candidates, bboxes: list[BoundingBox | None],
                segments: int, records: list[UeFrameRecord]) -> None:
-        """Add one frame's counts to ``stats``."""
+        """Add one block's counts to ``stats``."""
         kept = Counter(p.bounces for r in records for p in r.paths)
         self.stats.update({
             "boxes_projected": len(bboxes),
@@ -295,9 +322,6 @@ class Simulator:
             "segments_tested": segments,
             "outage_rows": sum(r.outage for r in records),
         })
-
-    def run_truth(self) -> list[FrameRecord]:
-        return [self.frame_truth(f) for f in range(self.scenario.system.frames)]
 
     def apply_detector(self, truth: list[FrameRecord],
                        model: DetectorNoiseModel) -> list[FrameRecord]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .camera import BoundingBox, CameraModel, project_point
+from .camera import BoundingBox, CameraModel, project_points
 from .geometry import TriangleSet
 
 BACKGROUND_RGB = (38, 50, 66)
@@ -39,10 +39,15 @@ def render_debug_frame(cam: CameraModel, tset: TriangleSet,
     bases = [np.array(MATERIAL_RGB.get(m, _FALLBACK_RGB), float)
              for m in tset.materials]
 
+    # Every vertex projected at once; a triangle is drawn only if all three
+    # of its vertices are in front of the camera.
+    u, v, front = project_points(cam, tset.tris)
+    pixels = np.stack([u, v], axis=-1).reshape(-1, 3, 2)
+    drawn = front.reshape(-1, 3).all(axis=1).tolist()
     tris = []
-    for tri, owner in zip(tset.tris, tset.owners.tolist()):
-        pts = [project_point(cam, v) for v in tri]
-        if any(p is None for p in pts):
+    for tri, owner, pts, seen in zip(tset.tris, tset.owners.tolist(), pixels,
+                                     drawn):
+        if not seen:
             continue
         depth = float(np.mean((tri - cam_pos) @ forward))
         normal = np.cross(tri[1] - tri[0], tri[2] - tri[0])
@@ -51,7 +56,7 @@ def render_debug_frame(cam: CameraModel, tset: TriangleSet,
             continue
         shade = 0.55 + 0.45 * abs(float(normal @ _LIGHT_DIR)) / nlen
         color = np.clip(bases[owner] * shade, 0, 255).astype(np.uint8)
-        tris.append((depth, np.array(pts), color))
+        tris.append((depth, pts, color))
 
     # Far to near so closer triangles overwrite farther ones.
     tris.sort(key=lambda item: -item[0])

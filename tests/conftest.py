@@ -84,3 +84,14 @@ def assert_frame_pass_is_one_receiver_calls(sim, frame):
             scene, bs, positions[ue.name], system.max_reflections,
             system.carrier_ghz, exclude=exclude))
     return rec
+
+
+def assert_blocks_are_frames(scenario, truth, stats):
+    """``truth`` and ``stats`` from ``run_truth``, which works in blocks of
+    frames, equal ``frame_truth`` of each frame in turn on a new
+    ``Simulator``, record for record and count for count."""
+    sim = Simulator(scenario, base_dir=REPO_ROOT)
+    assert len(truth) == scenario.system.frames
+    for frame, rec in enumerate(truth):
+        assert rec == sim.frame_truth(frame), f"frame {frame}"
+    assert dict(stats) == dict(sim.stats)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from beamcam import scenario as sc
 from beamcam import stl
 
 from conftest import (MINIMAL_SCENARIO, SHIPPED_SCENARIO,
+                      assert_blocks_are_frames,
                       assert_frame_pass_is_one_receiver_calls)
 
 
@@ -174,6 +176,15 @@ def test_small_scenarios_run_end_to_end(tmp_path_factory, scenario):
     for frame in range(scenario.system.frames):
         rec = assert_frame_pass_is_one_receiver_calls(sim, frame)
         assert all(u.outage == (u.optimal_index is None) for u in rec.ues)
+
+
+@given(small_scenarios(), st.sampled_from([2, 3, pl.TRUTH_BLOCK]))
+def test_small_scenarios_run_truth_in_blocks_equals_frames(scenario, block):
+    # Blocks of 2-6 frames, in which a UE may be at the BS on some frames.
+    with mock.patch.object(pl, "TRUTH_BLOCK", block):
+        sim = pl.Simulator(scenario)
+        truth = sim.run_truth()
+    assert_blocks_are_frames(scenario, truth, sim.stats)
 
 
 # sha256 of ``beamcam render --frame N`` on the shipped scenario, as pinned

@@ -16,6 +16,7 @@ from beamcam.geometry import Mesh, TriangleSet
 from beamcam.raytrace import trace_paths
 
 from conftest import (MINIMAL_SCENARIO, REPO_ROOT,
+                      assert_blocks_are_frames,
                       assert_frame_pass_is_one_receiver_calls)
 
 
@@ -242,7 +243,10 @@ def test_outage_iff_empty_paths(shipped_truth):
 
 def test_frame_truth_builds_no_mesh_after_the_first_frame(shipped_scenario,
                                                           monkeypatch):
-    sim = pl.Simulator(shipped_scenario, base_dir=REPO_ROOT)
+    system = dataclasses.replace(shipped_scenario.system,
+                                 frames=pl.TRUTH_BLOCK)
+    sim = pl.Simulator(dataclasses.replace(shipped_scenario, system=system),
+                       base_dir=REPO_ROOT)
     sim.frame_truth(0)
     calls = Counter()
 
@@ -256,10 +260,13 @@ def test_frame_truth_builds_no_mesh_after_the_first_frame(shipped_scenario,
     monkeypatch.setattr(np, "unique", counting("unique", np.unique))
     monkeypatch.setattr(pl.Simulator, "frame_scene",
                         counting("frame_scene", pl.Simulator.frame_scene))
-    for frame in (150, 299):
+    for frame in (1, pl.TRUTH_BLOCK - 1):
         sim.frame_truth(frame)
-    # One snapshot per frame, made by moving the UE rows of one table.
-    assert calls == {"frame_scene": 2}
+    # One block of the run.
+    assert len(sim.run_truth()) == pl.TRUTH_BLOCK
+    # Frames and blocks move the UE rows of one table: they build no mesh,
+    # no vertex set and no per-frame snapshot.
+    assert calls == {}
 
 
 def test_occlusion_is_one_kernel_pass_per_trace_and_bbox(shipped_scenario,
@@ -421,3 +428,62 @@ keyframe = 100 : 0, 10, 6
     # Away from the BS it is traced like the others.
     assert not assert_frame_pass_is_one_receiver_calls(sim, 100).ues[0].outage
     assert sim.stats["receivers_traced"] == 3 + 4
+
+
+# ---------------------------------------------------------------------------
+# Truth over blocks of frames
+
+def test_run_truth_equals_frame_truth_on_the_shipped_scenario(shipped_truth):
+    sim, truth = shipped_truth
+    assert_blocks_are_frames(sim.scenario, truth, sim.stats)
+
+
+@pytest.mark.parametrize("block", [3, pl.TRUTH_BLOCK])
+def test_run_truth_equals_frame_truth_when_blocks_do_not_divide_the_frames(
+        monkeypatch, block):
+    scenario = sc.parse_scenario(OVERLAPPING)
+    assert scenario.system.frames % block
+    monkeypatch.setattr(pl, "TRUTH_BLOCK", block)
+    sim = pl.Simulator(scenario)
+    assert_blocks_are_frames(scenario, sim.run_truth(), sim.stats)
+
+
+def test_run_truth_equals_frame_truth_with_a_ue_at_the_bs_in_part_of_a_block(
+        shipped_scenario):
+    # At the BS on frames 0-2 only, then driving away from it.
+    text = with_sections(sc.serialize_scenario(shipped_scenario), """\
+[ue a_at_bs]
+size = 0.5, 0.5, 0.5
+keyframe = 0 : 0, 0, 6
+keyframe = 2 : 0, 0, 6
+keyframe = 12 : 0, 10, 6
+""")
+    scenario = sc.parse_scenario(text)
+    system = dataclasses.replace(scenario.system,
+                                 frames=2 * pl.TRUTH_BLOCK + 1)
+    scenario = dataclasses.replace(scenario, system=system)
+    sim = pl.Simulator(scenario, base_dir=REPO_ROOT)
+    truth = sim.run_truth()
+    assert [r.ues[0].outage for r in truth[:pl.TRUTH_BLOCK]] \
+        == [True] * 3 + [False] * (pl.TRUTH_BLOCK - 3)
+    assert_blocks_are_frames(scenario, truth, sim.stats)
+
+
+def test_run_truth_is_one_kernel_pass_per_block(shipped_scenario,
+                                                monkeypatch):
+    calls = []
+    hit_ts = TriangleSet._hit_ts
+
+    def counting(tset, origins, directions):
+        calls.append(origins.shape)
+        return hit_ts(tset, origins, directions)
+
+    monkeypatch.setattr(TriangleSet, "_hit_ts", counting)
+    sim = pl.Simulator(shipped_scenario, base_dir=REPO_ROOT)
+    frames = range(shipped_scenario.system.frames)
+    sim.run_truth()
+    # One call per block, with one row of rays per frame of the block.
+    assert [shape[0] for shape in calls] \
+        == [len(frames[lo:lo + pl.TRUTH_BLOCK])
+            for lo in range(0, len(frames), pl.TRUTH_BLOCK)]
+    assert len(calls) < len(frames)
