@@ -15,8 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import RAY_EPS, Mesh, rowdot
-from .raytrace import SceneGeometry
+from .geometry import RAY_EPS, rowdot
 from .scenario import BsConfig
 
 
@@ -80,14 +79,6 @@ class BoundingBox:
     ue_name: str
     visibility: float
 
-    @property
-    def center_u(self) -> float:
-        return (self.u_min + self.u_max) / 2.0
-
-    @property
-    def center_v(self) -> float:
-        return (self.v_min + self.v_max) / 2.0
-
 
 def project_points(cam: CameraModel, points
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -106,12 +97,6 @@ def project_points(cam: CameraModel, points
     u = cam.cx + cam.fx * rowdot(rel, u_axis) / z
     v = cam.cy + cam.fy * rowdot(rel, v_axis) / z
     return u, v, front
-
-
-def project_point(cam: CameraModel, p_world) -> tuple[float, float] | None:
-    """Pixel of one point; None for a point behind the camera plane."""
-    u, v, front = project_points(cam, p_world)
-    return (float(u[0]), float(v[0])) if front[0] else None
 
 
 def pixel_to_azimuth(cam: CameraModel, u: float) -> float:
@@ -171,23 +156,3 @@ class VertexRays:
                 visibility=len(pixels) / count,
             ))
         return boxes
-
-
-def project_bbox(cam: CameraModel, mesh: Mesh, ue_name: str,
-                 scene: SceneGeometry | None = None,
-                 exclude=()) -> BoundingBox | None:
-    """Occlusion-aware bounding box of a UE mesh.
-
-    The box spans the projected vertices that are in front of the camera,
-    inside the image and pass an occlusion ray test against the meshes of
-    ``scene`` not named in ``exclude``; visibility is the fraction of mesh
-    vertices passing all three tests. Returns None when nothing is visible.
-    The one-mesh case of ``VertexRays``.
-    """
-    rays = VertexRays(cam, [mesh.vertices()])
-    blocked = np.zeros(len(rays.ends), dtype=bool)
-    if scene is not None and len(rays.ends):
-        tset = scene.tset
-        blocked = tset.segments_occluded(rays.starts, rays.ends,
-                                         tset.owned_by(exclude))
-    return rays.boxes(blocked, [ue_name])[0]

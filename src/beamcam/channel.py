@@ -38,10 +38,6 @@ def world_to_array_deg(az_world_deg: float, boresight_deg: float) -> float:
     return (az_world_deg - boresight_deg + 90.0) % 360.0
 
 
-def array_to_world_deg(az_array_deg: float, boresight_deg: float) -> float:
-    return (az_array_deg + boresight_deg - 90.0) % 360.0
-
-
 @dataclass(frozen=True, eq=False)
 class BeamVector:
     """One codebook beam; its unit-norm weights are a row of Codebook.matrix."""
@@ -90,17 +86,6 @@ def build_channel(paths: list[PathComponent], n_elements: int,
         az = world_to_array_deg(path.aod_az_deg, boresight_deg)
         h += path.gain * array_response(n_elements, spacing_wavelengths, az)
     return h
-
-
-def beam_snr(h: np.ndarray, w: np.ndarray, tx_power_dbm: float,
-             noise_power_dbm: float) -> float:
-    """SNR in dB of beam w over channel h; -inf for a zero channel."""
-    if h.shape != w.shape:
-        raise ValueError(f"dimension mismatch: {h.shape} vs {w.shape}")
-    g = abs(np.vdot(w, h))
-    if g == 0.0:
-        return OUTAGE_SNR_DB
-    return tx_power_dbm + 20.0 * math.log10(g) - noise_power_dbm
 
 
 def sweep_snrs(h: np.ndarray, codebook: Codebook, tx_power_dbm: float,

@@ -30,6 +30,19 @@ def _render_frame_bytes(sim: Simulator, record: FrameRecord) -> bytes:
     return write_ppm(img)
 
 
+def _check_writable(*paths: str | None) -> None:
+    """Fail before the truth pass, not after it, when an output path given
+    cannot be written: its parent must be a directory and it must not be
+    one."""
+    for path in filter(None, paths):
+        out = Path(path)
+        if not out.parent.is_dir():
+            raise ValueError(f"cannot write {path}: {out.parent} is not a "
+                             f"directory")
+        if out.is_dir():
+            raise ValueError(f"cannot write {path}: it is a directory")
+
+
 def _write_stats(sim: Simulator, path: str | None) -> None:
     """Write the counts of the truth pass as JSON, when asked to."""
     if path:
@@ -46,7 +59,11 @@ def _cmd_generate(args) -> int:
     base_dir = Path(args.scenario).parent
     model = DetectorNoiseModel(pixel_sigma=args.pixel_sigma,
                                miss_prob=args.miss_prob, seed=args.seed)
+    _check_writable(args.out, args.stats)
     sim = Simulator(scenario, args.bs, base_dir)
+    if args.render_every:
+        render_dir = Path(args.render_dir or Path(args.out).parent)
+        render_dir.mkdir(parents=True, exist_ok=True)
     records = sim.apply_detector(sim.run_truth(), model)
     metadata = {
         "seed": args.seed,
@@ -59,8 +76,6 @@ def _cmd_generate(args) -> int:
     _write_stats(sim, args.stats)
     rendered = 0
     if args.render_every:
-        render_dir = Path(args.render_dir or Path(args.out).parent)
-        render_dir.mkdir(parents=True, exist_ok=True)
         for frame in range(0, scenario.system.frames, args.render_every):
             out = render_dir / f"frame_{frame:06d}.ppm"
             out.write_bytes(_render_frame_bytes(sim, records[frame]))
@@ -130,6 +145,7 @@ def _cmd_sweep(args) -> int:
                                  miss_prob=args.miss_prob).pixel_sigma
               for sigma in args.sigmas.split(",")]
     scenario = _load_scenario(args.scenario)
+    _check_writable(args.out, args.stats)
     sim = Simulator(scenario, args.bs, Path(args.scenario).parent)
     truth = sim.run_truth()
     _write_stats(sim, args.stats)

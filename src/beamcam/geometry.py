@@ -17,17 +17,6 @@ RAY_EPS = 1e-6
 _MIN_TRIANGLE_AREA = 1e-12
 
 
-def vec3(x: float, y: float, z: float) -> np.ndarray:
-    return np.array([x, y, z], dtype=float)
-
-
-def normalize(v: np.ndarray) -> np.ndarray:
-    n = float(np.linalg.norm(v))
-    if n == 0.0:
-        raise ValueError("cannot normalize zero vector")
-    return v / n
-
-
 def same_point(a, b):
     """``np.allclose`` per point of a and b (shape (..., 3)): the same rule,
     ``|a - b| <= 1e-8 + 1e-5 * |b|``, in every component."""
@@ -99,9 +88,6 @@ class Mesh:
             self._vertices = np.unique(self.tris.reshape(-1, 3), axis=0)
             self._vertices.setflags(write=False)
         return self._vertices
-
-    def areas(self) -> np.ndarray:
-        return _tri_areas(self.tris)
 
 
 def _tri_areas(tris: np.ndarray) -> np.ndarray:
@@ -193,11 +179,6 @@ class Tracks:
         return np.where((f <= first_f)[..., None], first_p, pos)
 
 
-def interpolate_position(traj: Trajectory, frame: float) -> np.ndarray:
-    """Linear interpolation between bracketing keyframes, clamped outside."""
-    return Tracks([traj]).at([frame])[0, 0]
-
-
 # ---------------------------------------------------------------------------
 # Ray casting (Moller-Trumbore, vectorized over rays and triangles)
 
@@ -245,11 +226,6 @@ class TriangleSet:
         table = copy.copy(self)
         table._place(tris)
         return table
-
-    def owned_by(self, names) -> np.ndarray:
-        """Bool (T,): which triangles belong to a mesh named in ``names``."""
-        return np.isin(self.owners, [i for i, name in enumerate(self.names)
-                                     if name in names])
 
     def _hit_ts(self, origins, directions):
         """Hit distances of rays against every triangle of their table.
@@ -319,8 +295,8 @@ class TriangleSet:
         """Whether each segment a[i] -> b[i] is blocked, shape (S,).
 
         ``ignore``, a bool mask that broadcasts to (S, T), is True where
-        triangle t never blocks segment s (the bodies of the segment's own
-        UE; see ``owned_by``). In a stack of tables, segment s is tested
+        triangle t never blocks segment s (such as the body of the
+        segment's own UE, found by ``owners``). In a stack of tables, segment s is tested
         against table ``table[s]``. A segment no longer than 2 * RAY_EPS is
         never blocked; otherwise only hits with RAY_EPS < t < length -
         RAY_EPS count, so segments ending on a surface are not blocked by
@@ -349,9 +325,6 @@ class TriangleSet:
             hit &= ~np.broadcast_to(ignore, (len(a), self.owners.size))[live]
             blocked[live] = hit.any(axis=1)
         return blocked
-
-    def segment_occluded(self, a, b, exclude=()) -> bool:
-        return bool(self.segments_occluded(a, b, self.owned_by(exclude))[0])
 
 
 def _grid_cells(group: np.ndarray, groups: int):

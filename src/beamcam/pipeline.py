@@ -26,8 +26,9 @@ from .camera import BoundingBox, CameraModel, VertexRays, pixel_to_azimuth
 from .channel import (Codebook, build_channel, generate_codebook, optimal_beam,
                       world_to_array_deg)
 from .geometry import Mesh, Tracks, Trajectory, box_mesh, same_point
-from .raytrace import Candidates, Face, PathComponent, SceneGeometry, box_faces
-from .scenario import Scenario, UeConfig
+from .raytrace import (Candidates, Face, PathComponent, SceneGeometry,
+                       box_faces, prefix_table)
+from .scenario import Scenario, ScenarioError, UeConfig
 from . import stl
 
 
@@ -180,9 +181,14 @@ class Simulator:
         self._faces: list[Face] = []
         for refl in scenario.reflectors:
             if refl.mesh_path is not None:
-                mesh = stl.parse_stl(
-                    (base_dir / refl.mesh_path).read_bytes(), refl.material
-                )
+                try:
+                    mesh = stl.parse_stl(
+                        (base_dir / refl.mesh_path).read_bytes(),
+                        refl.material)
+                except (OSError, ValueError) as exc:
+                    raise ScenarioError(
+                        f"reflector {refl.name!r}: cannot load mesh "
+                        f"{refl.mesh_path!r}: {exc}") from exc
             else:
                 mesh = box_mesh(refl.center, refl.size, refl.yaw_deg,
                                 refl.material)
@@ -205,10 +211,18 @@ class Simulator:
     @cached_property
     def _scene(self) -> SceneGeometry:
         """The one scene every frame moves its UEs in: the occluder table,
-        and the reflector faces whose arrays and image-source table every
-        frame shares; built on first use, not at set-up."""
+        and the reflector faces whose arrays every frame shares; built on
+        first use, not at set-up."""
         return SceneGeometry(self._meshes, self._faces,
                              self.scenario.material_table)
+
+    @cached_property
+    def _prefixes(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The image-source table of the BS (``prefix_table``), which every
+        frame's candidate chains extend; built on first use."""
+        return prefix_table(self._scene.reflectors,
+                            np.asarray(self.bs.position, float),
+                            self.scenario.system.max_reflections)
 
     @cached_property
     def _tracks(self) -> Tracks:
@@ -257,7 +271,7 @@ class Simulator:
         # Record k of the block is frame k // n, UE k % n.
         traced = np.flatnonzero(~at_bs.ravel())
         cand = Candidates(self._scene.reflectors, bs_pos,
-                          pos.reshape(-1, 3)[traced], sysp.max_reflections)
+                          pos.reshape(-1, 3)[traced], self._prefixes)
         verts = [mesh.vertices() for _, mesh in self._meshes[self._first:]]
         rays = VertexRays(self.camera, [v + p for row in pos
                                         for v, p in zip(verts, row)])
@@ -392,12 +406,3 @@ class Simulator:
             for acc, h in zip(accs, hits):
                 acc.append(h / eligible if eligible else 0.0)
         return accs
-
-
-def run_simulation(scenario: Scenario,
-                   model: DetectorNoiseModel | None = None,
-                   bs_name: str | None = None,
-                   base_dir: str | Path | None = None) -> list[FrameRecord]:
-    """Full co-simulation: one FrameRecord per frame, ordered by frame."""
-    sim = Simulator(scenario, bs_name, base_dir)
-    return sim.apply_detector(sim.run_truth(), model or DetectorNoiseModel())

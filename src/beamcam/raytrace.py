@@ -9,10 +9,9 @@ check it fails. Then the segments of the LOS paths and of every valid
 chain, of all orders, are tested for occlusion by scene geometry in one
 batched pass. A path with any blocked segment is dropped outright (no
 diffraction, scattering or penetration); an empty result means outage.
-``trace_paths`` is the one-receiver case.
 
-Candidate face sequences come from a prefix table built once per set of
-faces and transmitter (beam-tracing visibility pruning). Order-k+1 rows
+Candidate face sequences come from a prefix table of the transmitter,
+built once by its caller (beam-tracing visibility pruning). Order-k+1 rows
 only extend order-k rows that survived, and an extension by face f is
 dropped when f is coplanar with the previous face or the current image of
 tx is not strictly in front of f (``dot(image - c_f, n_f) > 0``). This
@@ -32,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (RAY_EPS, Mesh, TriangleSet, azimuth_deg, elevation_deg,
-                       norms, rot_z_deg, same_point)
+                       norms, rot_z_deg)
 
 #: Speed of light, m/s.
 C_LIGHT = 299_792_458.0
@@ -150,25 +149,9 @@ def path_components(points: np.ndarray, amps: np.ndarray,
            pts) in columns]
 
 
-def compute_path_component(points, reflection_amps, carrier_ghz: float
-                           ) -> PathComponent:
-    """Gain, delay and angles of one polyline path tx -> bounces -> rx:
-    the one-path case of ``path_components``."""
-    pts = np.asarray(points, float).reshape(-1, 3)
-    if len(pts) < 2:
-        raise ValueError("path needs at least two points")
-    if len(reflection_amps) != len(pts) - 2:
-        raise ValueError("need one reflection amplitude per interior vertex")
-    amps = np.asarray(reflection_amps, float).reshape(1, len(pts) - 2)
-    return path_components(pts[:, None], amps, carrier_ghz)[0]
-
-
 class _Reflectors:
-    """Static reflector faces as arrays, plus the image-source table of one tx.
-
-    Shared by every snapshot made with ``SceneGeometry.moved``, so the table
-    is built once per set of faces and transmitter, on first use.
-    """
+    """Static reflector faces as arrays, shared by every snapshot made with
+    ``SceneGeometry.moved``."""
 
     def __init__(self, faces: list[Face], materials: dict[str, float]):
         f = len(faces)
@@ -186,21 +169,10 @@ class _Reflectors:
         self.coplanar = (np.abs(np.abs(nd) - 1.0) < 1e-12) & (
             np.abs(off[:, None] * nd - off[None, :]) < 1e-9
         )
-        self._tx: np.ndarray | None = None
-        self._table: list[tuple[np.ndarray, np.ndarray]] = []
 
-    def prefixes(self, tx: np.ndarray, max_order: int
+
+def prefix_table(refl: _Reflectors, tx: np.ndarray, max_order: int
                  ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """``_prefix_table`` of orders 1..max_order, memoized for one tx."""
-        if (self._tx is None or len(self._table) < max_order
-                or not np.array_equal(self._tx, tx)):
-            self._table = _prefix_table(self, tx, max_order)
-            self._tx = tx.copy()
-        return self._table[:max_order]
-
-
-def _prefix_table(refl: _Reflectors, tx: np.ndarray, max_order: int
-                  ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Face sequences that can start a valid chain from tx, per order.
 
     Entry k-1 holds the order-k sequences, shape (S, k), in lexicographic
@@ -298,13 +270,15 @@ def _candidate_chains(refl: _Reflectors, seqs: np.ndarray,
 
 class Candidates:
     """Every receiver's LOS segment and geometrically valid chains from one
-    tx, over reflection orders 1..max_reflections, before occlusion.
+    tx, over the reflection orders of ``prefixes`` (the ``prefix_table`` of
+    tx), before occlusion.
 
     ``segments`` lists the rows an occlusion pass must test; ``paths``
     keeps the paths whose rows are all unblocked.
     """
 
-    def __init__(self, refl: _Reflectors, tx, rxs, max_reflections: int):
+    def __init__(self, refl: _Reflectors, tx, rxs,
+                 prefixes: list[tuple[np.ndarray, np.ndarray]]):
         self.refl = refl
         tx = np.asarray(tx, float)
         rxs = np.asarray(rxs, float).reshape(-1, 3)
@@ -317,7 +291,7 @@ class Candidates:
         self.chains = [(np.arange(len(rxs)), los,
                         np.zeros((len(rxs), 0), dtype=int))]
         self.chains += [_candidate_chains(refl, seqs, images, tx, rxs)
-                        for seqs, images in refl.prefixes(tx, max_reflections)]
+                        for seqs, images in prefixes]
 
     def segments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(starts, ends, receiver) of every row: every hop of every chain,
@@ -351,22 +325,3 @@ class Candidates:
         for p in paths:
             p.sort(key=lambda c: (c.length_m, c.bounces))
         return paths
-
-
-def trace_paths(scene: SceneGeometry, tx, rx, max_reflections: int,
-                carrier_ghz: float, exclude=()) -> list[PathComponent]:
-    """All unoccluded LOS and specular paths, sorted by (length, bounces).
-
-    ``exclude`` names meshes (the endpoint UEs' own bodies) that never
-    occlude. An empty list means outage. The one-receiver case of
-    ``Candidates``, with its rows tested in one occlusion pass.
-    """
-    tx = np.asarray(tx, float)
-    rx = np.asarray(rx, float)
-    if same_point(tx, rx):
-        raise ValueError("tx and rx must differ")
-    cand = Candidates(scene.reflectors, tx, rx, max_reflections)
-    starts, ends, _ = cand.segments()
-    tset = scene.tset
-    blocked = tset.segments_occluded(starts, ends, tset.owned_by(exclude))
-    return cand.paths(blocked, carrier_ghz)[0]

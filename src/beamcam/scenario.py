@@ -207,9 +207,6 @@ class Scenario:
     def bs(self, name: str) -> BsConfig:
         return _by_name(self.bss, name, "bs")
 
-    def ue(self, name: str) -> UeConfig:
-        return _by_name(self.ues, name, "ue")
-
 
 def _by_name(items, name, kind):
     for item in items:

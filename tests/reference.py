@@ -1,0 +1,169 @@
+"""Reference forms that the tests compare the program's batched passes to.
+
+Each is the one-receiver, one-mesh, one-vector or one-path case of code in
+``beamcam``, written the plain way: ``trace_paths`` is one receiver of
+``Candidates`` with its rows in one occlusion pass, ``project_bbox`` one
+mesh of ``VertexRays``, ``compute_path_component`` one path of
+``path_components``, and so on. The program itself never calls them.
+"""
+
+from __future__ import annotations
+
+import math
+from pathlib import Path
+
+import numpy as np
+
+from beamcam.camera import BoundingBox, CameraModel, VertexRays, project_points
+from beamcam.channel import OUTAGE_SNR_DB
+from beamcam.geometry import (Mesh, Tracks, Trajectory, TriangleSet,
+                              _tri_areas, same_point)
+from beamcam.pipeline import DetectorNoiseModel, FrameRecord, Simulator
+from beamcam.raytrace import (Candidates, PathComponent, SceneGeometry,
+                              path_components, prefix_table)
+from beamcam.scenario import Scenario, UeConfig, _by_name
+
+
+# ---------------------------------------------------------------------------
+# geometry
+
+def vec3(x: float, y: float, z: float) -> np.ndarray:
+    return np.array([x, y, z], dtype=float)
+
+
+def normalize(v: np.ndarray) -> np.ndarray:
+    n = float(np.linalg.norm(v))
+    if n == 0.0:
+        raise ValueError("cannot normalize zero vector")
+    return v / n
+
+
+def areas(mesh: Mesh) -> np.ndarray:
+    return _tri_areas(mesh.tris)
+
+
+def interpolate_position(traj: Trajectory, frame: float) -> np.ndarray:
+    """Linear interpolation between bracketing keyframes, clamped outside."""
+    return Tracks([traj]).at([frame])[0, 0]
+
+
+def owned_by(tset: TriangleSet, names) -> np.ndarray:
+    """Bool (T,): which triangles belong to a mesh named in ``names``."""
+    return np.isin(tset.owners, [i for i, name in enumerate(tset.names)
+                                 if name in names])
+
+
+def segment_occluded(tset: TriangleSet, a, b, exclude=()) -> bool:
+    return bool(tset.segments_occluded(a, b, owned_by(tset, exclude))[0])
+
+
+# ---------------------------------------------------------------------------
+# raytrace
+
+def compute_path_component(points, reflection_amps, carrier_ghz: float
+                           ) -> PathComponent:
+    """Gain, delay and angles of one polyline path tx -> bounces -> rx:
+    the one-path case of ``path_components``."""
+    pts = np.asarray(points, float).reshape(-1, 3)
+    if len(pts) < 2:
+        raise ValueError("path needs at least two points")
+    if len(reflection_amps) != len(pts) - 2:
+        raise ValueError("need one reflection amplitude per interior vertex")
+    amps = np.asarray(reflection_amps, float).reshape(1, len(pts) - 2)
+    return path_components(pts[:, None], amps, carrier_ghz)[0]
+
+
+def trace_paths(scene: SceneGeometry, tx, rx, max_reflections: int,
+                carrier_ghz: float, exclude=(), prefixes=None
+                ) -> list[PathComponent]:
+    """All unoccluded LOS and specular paths, sorted by (length, bounces).
+
+    ``exclude`` names meshes (the endpoint UEs' own bodies) that never
+    occlude. An empty list means outage. The one-receiver case of
+    ``Candidates``, with its rows tested in one occlusion pass. The chains
+    extend ``prefixes``, by default the ``prefix_table`` of tx, built anew
+    on each call.
+    """
+    tx = np.asarray(tx, float)
+    rx = np.asarray(rx, float)
+    if same_point(tx, rx):
+        raise ValueError("tx and rx must differ")
+    refl = scene.reflectors
+    if prefixes is None:
+        prefixes = prefix_table(refl, tx, max_reflections)
+    cand = Candidates(refl, tx, rx, prefixes)
+    starts, ends, _ = cand.segments()
+    tset = scene.tset
+    blocked = tset.segments_occluded(starts, ends, owned_by(tset, exclude))
+    return cand.paths(blocked, carrier_ghz)[0]
+
+
+# ---------------------------------------------------------------------------
+# camera
+
+def center_u(bbox: BoundingBox) -> float:
+    return (bbox.u_min + bbox.u_max) / 2.0
+
+
+def center_v(bbox: BoundingBox) -> float:
+    return (bbox.v_min + bbox.v_max) / 2.0
+
+
+def project_point(cam: CameraModel, p_world) -> tuple[float, float] | None:
+    """Pixel of one point; None for a point behind the camera plane."""
+    u, v, front = project_points(cam, p_world)
+    return (float(u[0]), float(v[0])) if front[0] else None
+
+
+def project_bbox(cam: CameraModel, mesh: Mesh, ue_name: str,
+                 scene: SceneGeometry | None = None,
+                 exclude=()) -> BoundingBox | None:
+    """Occlusion-aware bounding box of a UE mesh.
+
+    The box spans the projected vertices that are in front of the camera,
+    inside the image and pass an occlusion ray test against the meshes of
+    ``scene`` not named in ``exclude``; visibility is the fraction of mesh
+    vertices passing all three tests. Returns None when nothing is visible.
+    The one-mesh case of ``VertexRays``.
+    """
+    rays = VertexRays(cam, [mesh.vertices()])
+    blocked = np.zeros(len(rays.ends), dtype=bool)
+    if scene is not None and len(rays.ends):
+        tset = scene.tset
+        blocked = tset.segments_occluded(rays.starts, rays.ends,
+                                         owned_by(tset, exclude))
+    return rays.boxes(blocked, [ue_name])[0]
+
+
+# ---------------------------------------------------------------------------
+# channel
+
+def array_to_world_deg(az_array_deg: float, boresight_deg: float) -> float:
+    return (az_array_deg + boresight_deg - 90.0) % 360.0
+
+
+def beam_snr(h: np.ndarray, w: np.ndarray, tx_power_dbm: float,
+             noise_power_dbm: float) -> float:
+    """SNR in dB of beam w over channel h; -inf for a zero channel."""
+    if h.shape != w.shape:
+        raise ValueError(f"dimension mismatch: {h.shape} vs {w.shape}")
+    g = abs(np.vdot(w, h))
+    if g == 0.0:
+        return OUTAGE_SNR_DB
+    return tx_power_dbm + 20.0 * math.log10(g) - noise_power_dbm
+
+
+# ---------------------------------------------------------------------------
+# pipeline and scenario
+
+def run_simulation(scenario: Scenario,
+                   model: DetectorNoiseModel | None = None,
+                   bs_name: str | None = None,
+                   base_dir: str | Path | None = None) -> list[FrameRecord]:
+    """Full co-simulation: one FrameRecord per frame, ordered by frame."""
+    sim = Simulator(scenario, bs_name, base_dir)
+    return sim.apply_detector(sim.run_truth(), model or DetectorNoiseModel())
+
+
+def ue(scenario: Scenario, name: str) -> UeConfig:
+    return _by_name(scenario.ues, name, "ue")

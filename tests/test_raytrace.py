@@ -9,8 +9,10 @@ from hypothesis import assume, example, given, strategies as st
 
 from beamcam import geometry as geo
 from beamcam import raytrace as rt
+from beamcam import pipeline as pl
 from beamcam.pipeline import Simulator
 
+import reference as ref
 from conftest import REPO_ROOT
 
 
@@ -26,9 +28,9 @@ def wall_scene(material="metal", amp_table=None):
 
 def test_wall_scene_paths():
     scene = wall_scene()
-    tx = geo.vec3(-5.0, 0.0, 2.0)
-    rx = geo.vec3(5.0, 0.0, 2.0)
-    paths = rt.trace_paths(scene, tx, rx, max_reflections=1, carrier_ghz=28.0)
+    tx = ref.vec3(-5.0, 0.0, 2.0)
+    rx = ref.vec3(5.0, 0.0, 2.0)
+    paths = ref.trace_paths(scene, tx, rx, max_reflections=1, carrier_ghz=28.0)
     assert [p.bounces for p in paths] == [0, 1]
     los, bounce = paths
     assert los.length_m == pytest.approx(10.0, abs=1e-12)
@@ -39,14 +41,14 @@ def test_wall_scene_paths():
 
 def test_reflection_law_on_wall():
     scene = wall_scene()
-    tx = geo.vec3(-3.0, 1.0, 2.0)
-    rx = geo.vec3(7.0, 2.0, 4.0)
-    paths = rt.trace_paths(scene, tx, rx, max_reflections=1, carrier_ghz=28.0)
+    tx = ref.vec3(-3.0, 1.0, 2.0)
+    rx = ref.vec3(7.0, 2.0, 4.0)
+    paths = ref.trace_paths(scene, tx, rx, max_reflections=1, carrier_ghz=28.0)
     bounce = [p for p in paths if p.bounces == 1][0]
     a, m, b = (np.asarray(p) for p in bounce.points)
     n = np.array([0.0, -1.0, 0.0])  # wall front face normal
-    d_in = geo.normalize(m - a)
-    d_out = geo.normalize(b - m)
+    d_in = ref.normalize(m - a)
+    d_out = ref.normalize(b - m)
     # Angle of incidence equals angle of reflection.
     assert abs((-d_in) @ n - d_out @ n) < 1e-12
     # Incident, reflected and normal are coplanar.
@@ -56,8 +58,8 @@ def test_reflection_law_on_wall():
 def test_path_gain_and_delay_formulas():
     carrier = 28.0
     lam = rt.C_LIGHT / (carrier * 1e9)
-    p = rt.compute_path_component(
-        [geo.vec3(0, 0, 0), geo.vec3(10, 0, 0)], [], carrier
+    p = ref.compute_path_component(
+        [ref.vec3(0, 0, 0), ref.vec3(10, 0, 0)], [], carrier
     )
     assert abs(p.gain) == pytest.approx(lam / (4 * math.pi * 10.0),
                                         rel=1e-12)
@@ -69,9 +71,9 @@ def test_path_gain_and_delay_formulas():
 
 def test_reflection_multiplies_amplitude():
     carrier = 28.0
-    pts = [geo.vec3(0, 0, 0), geo.vec3(0, 5, 0), geo.vec3(0, 10, 0)]
-    direct = rt.compute_path_component(pts, [1.0], carrier)
-    bounced = rt.compute_path_component(pts, [0.6], carrier)
+    pts = [ref.vec3(0, 0, 0), ref.vec3(0, 5, 0), ref.vec3(0, 10, 0)]
+    direct = ref.compute_path_component(pts, [1.0], carrier)
+    bounced = ref.compute_path_component(pts, [0.6], carrier)
     assert abs(bounced.gain) == pytest.approx(0.6 * abs(direct.gain),
                                               rel=1e-12)
     assert bounced.delay_s == direct.delay_s
@@ -80,8 +82,8 @@ def test_reflection_multiplies_amplitude():
 def test_gain_decreases_with_distance():
     carrier = 28.0
     gains = [
-        abs(rt.compute_path_component(
-            [geo.vec3(0, 0, 0), geo.vec3(d, 0, 0)], [], carrier).gain)
+        abs(ref.compute_path_component(
+            [ref.vec3(0, 0, 0), ref.vec3(d, 0, 0)], [], carrier).gain)
         for d in (5.0, 10.0, 20.0, 40.0)
     ]
     assert all(a > b for a, b in zip(gains, gains[1:]))
@@ -91,10 +93,10 @@ def test_gain_decreases_with_distance():
 
 def test_reciprocity():
     scene = wall_scene()
-    tx = geo.vec3(-4.0, 1.0, 3.0)
-    rx = geo.vec3(6.0, 2.0, 1.0)
-    fwd = rt.trace_paths(scene, tx, rx, max_reflections=2, carrier_ghz=28.0)
-    rev = rt.trace_paths(scene, rx, tx, max_reflections=2, carrier_ghz=28.0)
+    tx = ref.vec3(-4.0, 1.0, 3.0)
+    rx = ref.vec3(6.0, 2.0, 1.0)
+    fwd = ref.trace_paths(scene, tx, rx, max_reflections=2, carrier_ghz=28.0)
+    rev = ref.trace_paths(scene, rx, tx, max_reflections=2, carrier_ghz=28.0)
     assert len(fwd) == len(rev)
     for a, b in zip(fwd, rev):
         assert a.length_m == pytest.approx(b.length_m, abs=1e-9)
@@ -112,7 +114,7 @@ def test_blocked_scene_is_outage():
         rt.box_faces((0.0, 5.0, 5.0), (40.0, 0.5, 10.0), material="metal"),
         {"metal": 0.95, "concrete": 0.6},
     )
-    paths = rt.trace_paths(scene, geo.vec3(-5, 0, 2), geo.vec3(5, 0, 2),
+    paths = ref.trace_paths(scene, ref.vec3(-5, 0, 2), ref.vec3(5, 0, 2),
                            max_reflections=2, carrier_ghz=28.0)
     assert paths == []
 
@@ -125,19 +127,19 @@ def test_exclude_prevents_self_occlusion():
         rt.box_faces((0.0, 5.0, 5.0), (40.0, 0.5, 10.0), material="metal"),
         {"metal": 0.95},
     )
-    rx = geo.vec3(5.0, 0.0, 2.0)  # center of the car body
-    tx = geo.vec3(-5.0, 0.0, 2.0)
-    blocked = rt.trace_paths(scene, tx, rx, 1, 28.0)
+    rx = ref.vec3(5.0, 0.0, 2.0)  # center of the car body
+    tx = ref.vec3(-5.0, 0.0, 2.0)
+    blocked = ref.trace_paths(scene, tx, rx, 1, 28.0)
     assert blocked == []  # rx is inside its own mesh
-    open_paths = rt.trace_paths(scene, tx, rx, 1, 28.0, exclude=("car",))
+    open_paths = ref.trace_paths(scene, tx, rx, 1, 28.0, exclude=("car",))
     assert [p.bounces for p in open_paths] == [0, 1]
 
 
 def test_aod_aoa_angles_on_bounce():
     scene = wall_scene()
-    tx = geo.vec3(-5.0, 0.0, 2.0)
-    rx = geo.vec3(5.0, 0.0, 2.0)
-    bounce = rt.trace_paths(scene, tx, rx, 1, 28.0)[1]
+    tx = ref.vec3(-5.0, 0.0, 2.0)
+    rx = ref.vec3(5.0, 0.0, 2.0)
+    bounce = ref.trace_paths(scene, tx, rx, 1, 28.0)[1]
     # Departure heads toward +x/+y at 45 degrees (reflection point at x=0).
     mx = bounce.points[1]
     assert mx[0] == pytest.approx(0.0, abs=1e-9)
@@ -157,7 +159,7 @@ def test_second_order_paths_exist_in_corner():
         + rt.box_faces(w2c, w2s, material="metal"),
         {"metal": 0.95},
     )
-    paths = rt.trace_paths(scene, geo.vec3(-5, -5, 2), geo.vec3(-5, 5, 2),
+    paths = ref.trace_paths(scene, ref.vec3(-5, -5, 2), ref.vec3(-5, 5, 2),
                            max_reflections=2, carrier_ghz=28.0)
     orders = sorted(p.bounces for p in paths)
     assert 0 in orders and 1 in orders and 2 in orders
@@ -192,9 +194,10 @@ def reference_prefixes(refl, tx, max_order):
     return [reference_order(refl, tx, k) for k in range(1, max_order + 1)]
 
 
-def reference_trace(*args, **kwargs):
-    with mock.patch.object(rt._Reflectors, "prefixes", reference_prefixes):
-        return rt.trace_paths(*args, **kwargs)
+def reference_trace(scene, tx, rx, order, carrier_ghz, exclude=()):
+    return ref.trace_paths(
+        scene, tx, rx, order, carrier_ghz, exclude,
+        prefixes=reference_prefixes(scene.reflectors, tx, order))
 
 
 def shipped_simulator(scenario, order):
@@ -217,7 +220,7 @@ def test_pruned_paths_equal_full_enumeration(shipped_scenario, order, frames):
         scene, positions = sim.frame_scene(frame)
         for name, pos in positions.items():
             args = (scene, bs, pos, order, carrier)
-            got = rt.trace_paths(*args, exclude=(name,))
+            got = ref.trace_paths(*args, exclude=(name,))
             assert got == reference_trace(*args, exclude=(name,))
 
 
@@ -258,20 +261,20 @@ def test_pruned_paths_equal_full_enumeration_random_boxes(
     meshes = [(f"b{i}", geo.box_mesh(c, size, yaw))
               for i, (c, size, yaw) in enumerate(boxes)] if occluders else []
     scene = rt.SceneGeometry(meshes, faces, {"metal": 0.9})
-    # Both directions on one scene: the memoized table must follow tx.
+    # Both directions on one scene.
     for a, b in ((tx, rx), (rx, tx)):
-        assert rt.trace_paths(scene, a, b, order, 28.0) \
+        assert ref.trace_paths(scene, a, b, order, 28.0) \
             == reference_trace(scene, a, b, order, 28.0)
 
 
 def test_prefix_table_built_once_per_simulator_and_lazily(shipped_scenario):
-    with mock.patch.object(rt, "_prefix_table",
-                           wraps=rt._prefix_table) as build:
+    with mock.patch.object(pl, "prefix_table",
+                           wraps=pl.prefix_table) as build:
         sim = shipped_simulator(shipped_scenario, 3)
         assert build.call_count == 0
         for frame in (0, 100, 200):
             sim.frame_truth(frame)
         assert build.call_count == 1
     # Rows that survive from the BS, of 18, 294, 4812 coplanar-free ones.
-    table = sim._scene.reflectors.prefixes(np.asarray(sim.bs.position), 3)
+    table = sim._prefixes
     assert [seqs.shape[0] for seqs, _ in table] == [7, 44, 254]

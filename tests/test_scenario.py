@@ -2,6 +2,8 @@ import pytest
 
 from beamcam import scenario as sc
 
+import reference as ref
+
 from conftest import MINIMAL_SCENARIO, SHIPPED_SCENARIO
 
 # Every key set to a value other than its parse default, so a serializer
@@ -68,7 +70,7 @@ def test_minimal_parse_defaults(minimal_scenario):
     refl = s.reflectors[0]
     assert refl.shape == "box"
     assert refl.yaw_deg == 0.0
-    ue = s.ue("car")
+    ue = ref.ue(s, "car")
     assert ue.material == "metal"
     assert ue.active_ranges == ()
     assert ue.keyframes[0] == (0, (-10.0, 25.0, 0.7))
@@ -113,7 +115,7 @@ def test_active_ranges():
     text = MINIMAL_SCENARIO.replace(
         "keyframe = 0", "active = 0-3, 7-9\nkeyframe = 0"
     )
-    ue = sc.parse_scenario(text).ue("car")
+    ue = ref.ue(sc.parse_scenario(text), "car")
     assert ue.active_ranges == ((0, 3), (7, 9))
 
 

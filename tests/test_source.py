@@ -1,0 +1,44 @@
+import ast
+from collections import Counter
+
+from conftest import REPO_ROOT
+
+SRC = REPO_ROOT / "src" / "beamcam"
+
+# Writers that exist for the round-trip acceptance checks, not for the CLI.
+NO_SRC_CALLER = {"serialize_scenario", "write_stl"}
+
+
+def test_every_src_definition_has_a_src_caller():
+    """Every top-level function and class in ``src/beamcam``, and every
+    method other than a dunder, is used by name somewhere in ``src/``
+    besides its own definition: as a name, as an attribute (a method only
+    as an attribute), or as a string (a ``getattr`` key). Forms that only
+    the tests call belong in ``tests/reference.py``."""
+    definitions = []
+    names, attributes = Counter(), Counter()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                definitions.append((path.name, node.name, False))
+            if isinstance(node, ast.ClassDef):
+                definitions += [(path.name, f"{node.name}.{m.name}", True)
+                                for m in node.body
+                                if isinstance(m, ast.FunctionDef)
+                                and not m.name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names[node.id] += 1
+            elif isinstance(node, ast.Attribute):
+                attributes[node.attr] += 1
+            elif isinstance(node, ast.Constant) \
+                    and isinstance(node.value, str):
+                attributes[node.value] += 1
+    uncalled = []
+    for module, name, method in definitions:
+        leaf = name.rsplit(".", 1)[-1]
+        used = attributes[leaf] or (not method and names[leaf])
+        if not used and leaf not in NO_SRC_CALLER:
+            uncalled.append(f"{module}: {name}")
+    assert uncalled == []
