@@ -140,6 +140,8 @@ def _cmd_inspect(args) -> int:
 def _cmd_sweep(args) -> int:
     if args.seeds < 1:
         raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     # Every model is made before the truth pass, so a bad sigma fails fast.
     sigmas = [DetectorNoiseModel(pixel_sigma=float(sigma),
                                  miss_prob=args.miss_prob).pixel_sigma

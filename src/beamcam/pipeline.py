@@ -7,8 +7,8 @@ index), so visual and wireless truth are synchronized by construction;
 every box and path of every frame of a block comes from one occlusion
 pass, each row against its own frame's occluder table. The prediction side
 gates on activity, detects with a pluggable noise-parameterized oracle
-detector, maps the bbox center pixel to an azimuth and quantizes it to a
-codebook bin.
+detector, and reads the codebook bin of the bbox centre column from the
+edge table of ``beamcam.selection``.
 """
 
 from __future__ import annotations
@@ -18,17 +18,18 @@ from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from .camera import BoundingBox, CameraModel, VertexRays, pixel_to_azimuth
-from .channel import (Codebook, build_channel, generate_codebook, optimal_beam,
-                      world_to_array_deg)
+from .channel import build_channel, generate_codebook, optimal_beam
 from .geometry import Mesh, Tracks, Trajectory, box_mesh, same_point
 from .raytrace import (Candidates, Face, PathComponent, SceneGeometry,
                        box_faces, prefix_table)
 from .scenario import Scenario, ScenarioError, UeConfig
+from .selection import BeamEdges, center_column, center_columns, clip
 from . import stl
 
 
@@ -46,6 +47,8 @@ class DetectorNoiseModel:
                              f"got {self.pixel_sigma}")
         if not 0.0 <= self.miss_prob <= 1.0:
             raise ValueError("miss_prob must be in [0, 1]")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -87,9 +90,17 @@ def activity_state(ue: UeConfig, frame: int) -> int:
     return int(any(lo <= frame <= hi for lo, hi in ue.active_ranges))
 
 
-def _clip(x, limit) -> float:
-    """x clamped to [0, limit]; scalar np.clip costs microseconds a call."""
-    return min(max(float(x), 0.0), float(limit))
+_WORD = 0xFFFFFFFF
+
+
+def _words(n: int) -> list[int]:
+    """A non-negative int as ``SeedSequence`` reads one: its little-endian
+    32-bit words, and [0] for 0."""
+    words = [n & _WORD]
+    while n > _WORD:
+        n >>= 32
+        words.append(n & _WORD)
+    return words
 
 
 def noise_draws(seed: int, frame: int, ue_index: int
@@ -98,9 +109,16 @@ def noise_draws(seed: int, frame: int, ue_index: int
 
     The one place a detector RNG stream is made: one stream per (seed,
     frame, UE index), so the draws do not depend on evaluation order, and
-    they do not depend on sigma, whose jitter is ``z * sigma``.
+    they do not depend on sigma, whose jitter is ``z * sigma``. The stream
+    is ``default_rng([seed, frame, ue_index])``, seeded with the uint32
+    words that ``SeedSequence`` makes of that list, which skips its
+    per-call coercion of the list.
     """
-    rng = np.random.default_rng([seed, frame, ue_index])
+    if seed < 0 or frame < 0 or ue_index < 0:
+        raise ValueError(f"noise stream ({seed}, {frame}, {ue_index}) needs "
+                         f"non-negative integers")
+    rng = np.random.default_rng(np.array(
+        [*_words(seed), *_words(frame), *_words(ue_index)], np.uint32))
     miss = rng.random()
     z_u, z_v = rng.standard_normal(2).tolist()
     return miss, z_u, z_v
@@ -124,10 +142,10 @@ def detect(truth: list[tuple[int, BoundingBox]], model: DetectorNoiseModel,
             continue
         du, dv = z_u * sigma, z_v * sigma
         jittered = BoundingBox(
-            u_min=_clip(bbox.u_min + du, width_px),
-            v_min=_clip(bbox.v_min + dv, height_px),
-            u_max=_clip(bbox.u_max + du, width_px),
-            v_max=_clip(bbox.v_max + dv, height_px),
+            u_min=clip(bbox.u_min + du, width_px),
+            v_min=clip(bbox.v_min + dv, height_px),
+            u_max=clip(bbox.u_max + du, width_px),
+            v_max=clip(bbox.v_max + dv, height_px),
             ue_name=bbox.ue_name,
             visibility=bbox.visibility,
         )
@@ -135,28 +153,16 @@ def detect(truth: list[tuple[int, BoundingBox]], model: DetectorNoiseModel,
     return detections
 
 
-def select_beam(u_min: float, u_max: float, cam: CameraModel,
-                codebook: Codebook, boresight_deg: float
-                ) -> tuple[int | None, float]:
-    """Map a box's horizontal edges to (codebook index, world azimuth).
-
-    The edges are clipped to the image, as ``detect`` clips them, and the
-    centre column is mapped to an azimuth. Scalar ``math`` on purpose:
-    ``np.arctan`` may differ from ``math.atan`` in the last bit, which can
-    move a prediction across a bin edge, and a few-row round would pay
-    numpy's per-call overhead. Index is None when the azimuth falls
-    outside the array half-space.
-    """
-    center_u = (_clip(u_min, cam.width_px) + _clip(u_max, cam.width_px)) / 2.0
-    az_world = pixel_to_azimuth(cam, center_u)
-    return (codebook.bin_index(world_to_array_deg(az_world, boresight_deg)),
-            az_world)
-
-
 #: Frames per block of ``run_truth``: larger blocks pay less per-call
 #: overhead but hold more occlusion rows (frames x rows x triangles) at
 #: once; chosen from measured time and peak memory.
 TRUTH_BLOCK = 8
+
+#: Most (sigma, seed, row) centre columns ``Simulator.sweep`` forms at once,
+#: 128 KB an array whatever the number of seeds. The shipped scenario's
+#: default sweep takes 5 blocks of 4 seeds; as one block of 65,700 it raised
+#: peak memory by about 0.2 MB.
+SWEEP_CELLS = 1 << 14
 
 
 class Simulator:
@@ -223,6 +229,13 @@ class Simulator:
         return prefix_table(self._scene.reflectors,
                             np.asarray(self.bs.position, float),
                             self.scenario.system.max_reflections)
+
+    @cached_property
+    def _beam_edges(self) -> BeamEdges:
+        """The BS's predicted index as a step function of the centre
+        column, which ``apply_detector`` and ``sweep`` both read; built on
+        first prediction."""
+        return BeamEdges(self.camera, self.codebook, self.bs.boresight_deg)
 
     @cached_property
     def _tracks(self) -> Tracks:
@@ -342,7 +355,8 @@ class Simulator:
         """Attach detections and beam predictions to truth records.
 
         Cheap relative to run_truth, so one truth pass serves any number
-        of detector models.
+        of detector models. The predicted index is read from the edge
+        table that ``sweep`` reads.
         """
         ue_index = {ue.name: i for i, ue in enumerate(self.scenario.ues)}
         cam = self.camera
@@ -355,9 +369,10 @@ class Simulator:
                     # One box in, at most one detection out.
                     for det in detect([(ue_index[u.ue_name], u.bbox)], model,
                                       rec.frame, cam.width_px, cam.height_px):
-                        pred_index, pred_az = select_beam(
-                            det.bbox.u_min, det.bbox.u_max, cam,
-                            self.codebook, self.bs.boresight_deg)
+                        center = center_column(det.bbox.u_min,
+                                               det.bbox.u_max, cam.width_px)
+                        pred_index = self._beam_edges.index(center)
+                        pred_az = pixel_to_azimuth(cam, center)
                 ues.append(replace(u, detection=det,
                                    predicted_index=pred_index,
                                    predicted_azimuth_deg=pred_az))
@@ -375,34 +390,40 @@ class Simulator:
         but no record is built. The noise is drawn once per (seed, frame,
         UE) by ``noise_draws`` and shared by every sigma. Only rows the
         detector sees (active, with a bbox) that are not outages can count,
-        so only those are drawn. A hit is a predicted index equal to the
-        optimal one: that is ``evaluate``'s rank 0, since ``optimal_beam``
-        picks the first argmax of the SNR table and rank 0 is the first
-        argmax.
+        so only those are drawn. Every (sigma, seed, row) centre column is
+        formed in one array pass, with the float operations of ``detect``
+        and ``select_beam``, and read from ``BeamEdges`` at once, up to
+        ``SWEEP_CELLS`` of them at a time. A hit is a predicted index equal
+        to the optimal one: that is ``evaluate``'s rank 0, since
+        ``optimal_beam`` picks the first argmax of the SNR table and rank 0
+        is the first argmax.
         """
-        sigmas = [DetectorNoiseModel(float(s), miss_prob).pixel_sigma
-                  for s in sigmas]
+        sigmas = np.array([DetectorNoiseModel(float(s), miss_prob).pixel_sigma
+                           for s in sigmas])
+        seeds = [DetectorNoiseModel(seed=seed).seed for seed in seeds]
         ue_index = {ue.name: i for i, ue in enumerate(self.scenario.ues)}
-        rows = [(rec.frame, ue_index[u.ue_name], u.bbox.u_min, u.bbox.u_max,
-                 u.optimal_index)
+        rows = [(rec.frame, ue_index[u.ue_name], u)
                 for rec in truth for u in rec.ues
                 if u.active and u.bbox is not None and not u.outage]
-        cam, codebook, boresight = (self.camera, self.codebook,
-                                    self.bs.boresight_deg)
-        accs = [[] for _ in sigmas]
-        for seed in seeds:
-            hits = [0] * len(sigmas)
-            eligible = 0
-            for frame, ue, u_min, u_max, optimal in rows:
-                miss, z_u, _ = noise_draws(seed, frame, ue)
-                if miss < miss_prob:
-                    continue
-                eligible += 1
-                for i, sigma in enumerate(sigmas):
-                    du = z_u * sigma
-                    index, _ = select_beam(u_min + du, u_max + du, cam,
-                                           codebook, boresight)
-                    hits[i] += index == optimal
-            for acc, h in zip(accs, hits):
-                acc.append(h / eligible if eligible else 0.0)
-        return accs
+        u_min = np.array([u.bbox.u_min for _, _, u in rows])
+        u_max = np.array([u.bbox.u_max for _, _, u in rows])
+        optimal = np.array([u.optimal_index for _, _, u in rows], dtype=int)
+        width = float(self.camera.width_px)
+        block = max(1, SWEEP_CELLS // max(len(sigmas) * len(rows), 1))
+        accs = np.empty((len(sigmas), len(seeds)))
+        for lo in range(0, len(seeds), block):
+            part = seeds[lo:lo + block]
+            draws = np.fromiter(
+                chain.from_iterable(noise_draws(seed, frame, ue)[:2]
+                                    for seed in part for frame, ue, _ in rows),
+                float, 2 * len(part) * len(rows)
+            ).reshape(len(part), len(rows), 2)
+            seen = draws[..., 0] >= miss_prob  # (seed, row)
+            center = center_columns(
+                u_min, u_max, np.multiply.outer(sigmas, draws[..., 1]), width)
+            hits = ((self._beam_edges.lookup(center) == optimal) & seen
+                    ).sum(axis=2)
+            eligible = seen.sum(axis=1)
+            accs[:, lo:lo + block] = np.where(
+                eligible > 0, hits / np.maximum(eligible, 1), 0.0)
+        return accs.tolist()

@@ -4,7 +4,9 @@ Each is the one-receiver, one-mesh, one-vector or one-path case of code in
 ``beamcam``, written the plain way: ``trace_paths`` is one receiver of
 ``Candidates`` with its rows in one occlusion pass, ``project_bbox`` one
 mesh of ``VertexRays``, ``compute_path_component`` one path of
-``path_components``, and so on. The program itself never calls them.
+``path_components``, and so on; ``noise_draws`` seeds its stream with the
+list that the program's form turns into uint32 words itself. The program
+itself never calls them.
 """
 
 from __future__ import annotations
@@ -163,6 +165,16 @@ def run_simulation(scenario: Scenario,
     """Full co-simulation: one FrameRecord per frame, ordered by frame."""
     sim = Simulator(scenario, bs_name, base_dir)
     return sim.apply_detector(sim.run_truth(), model or DetectorNoiseModel())
+
+
+def noise_draws(seed: int, frame: int, ue_index: int
+                ) -> tuple[float, float, float]:
+    """The detector's draws for one (seed, frame, UE index), from the
+    stream seeded with the list ``[seed, frame, ue_index]`` itself."""
+    rng = np.random.default_rng([seed, frame, ue_index])
+    miss = rng.random()
+    z_u, z_v = rng.standard_normal(2).tolist()
+    return miss, z_u, z_v
 
 
 def ue(scenario: Scenario, name: str) -> UeConfig:

@@ -7,7 +7,6 @@ library code under test.
 """
 
 import math
-import shutil
 import subprocess
 import sys
 import time

@@ -11,6 +11,7 @@ from beamcam import dataset as ds
 from beamcam import geometry as geo
 from beamcam import pipeline as pl
 from beamcam import scenario as sc
+from beamcam import selection as sel
 from beamcam import stl
 
 import reference as ref
@@ -176,6 +177,26 @@ def test_small_scenarios_run_end_to_end(tmp_path_factory, scenario):
     for frame in range(scenario.system.frames):
         rec = assert_frame_pass_is_one_receiver_calls(sim, frame)
         assert all(u.outage == (u.optimal_index is None) for u in rec.ues)
+    # Both prediction paths read one edge table, and it predicts what
+    # select_beam predicts.
+    truth = sim.run_truth()
+    sigmas, seeds = [0.0, 3.0, 40.0, 300.0], range(3)
+    for miss_prob in (0.0, 0.2):
+        accs = []
+        for sigma in sigmas:
+            accs.append([])
+            for seed in seeds:
+                records = sim.apply_detector(
+                    truth, pl.DetectorNoiseModel(sigma, miss_prob, seed))
+                accs[-1].append(ds.evaluate(records).top1_accuracy)
+                for u in (u for rec in records for u in rec.ues):
+                    if u.detection is not None:
+                        assert (u.predicted_index, u.predicted_azimuth_deg) \
+                            == sel.select_beam(
+                                u.detection.bbox.u_min,
+                                u.detection.bbox.u_max, sim.camera,
+                                sim.codebook, sim.bs.boresight_deg)
+        assert sim.sweep(truth, sigmas, seeds, miss_prob) == accs
 
 
 @given(small_scenarios(), st.sampled_from([2, 3, pl.TRUTH_BLOCK]))
@@ -318,15 +339,25 @@ def test_error_exit_codes(tmp_path, capsys):
     ["sweep", "--sigmas", "0,nan", "--seeds", 2],
     ["sweep", "--seeds", 0],
     ["generate", "--render-every", "-1"],
+    ["generate", "--seed", "-1", "--render-every", 5, "--render-dir", "r"],
+    ["sweep", "--seed", "-1", "--out", "acc.csv"],
 ])
-def test_bad_detector_settings_exit_1(argv, scenario_file, tmp_path, capsys):
-    out = tmp_path / "x.jsonl"
+def test_bad_detector_settings_exit_1(argv, scenario_file, tmp_path,
+                                      monkeypatch, capsys):
+    """A bad detector setting fails the run before the truth pass, and the
+    run creates no file or directory."""
+    before = sorted(tmp_path.rglob("*"))
+    truth_passes = []
+    monkeypatch.setattr(pl.Simulator, "run_truth",
+                        lambda sim: truth_passes.append(sim))
+    monkeypatch.chdir(tmp_path)
     command, *options = argv
     if command == "generate":
-        options += ["--out", out]
+        options += ["--out", "x.jsonl"]
     assert run([command, "--scenario", scenario_file, *options]) == 1
     assert "error:" in capsys.readouterr().err
-    assert not out.exists()
+    assert truth_passes == []
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize("argv", [

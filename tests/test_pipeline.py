@@ -1,15 +1,18 @@
 import dataclasses
 import hashlib
 import io
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from beamcam import channel as ch
 from beamcam import dataset as ds
 from beamcam import pipeline as pl
 from beamcam import scenario as sc
+from beamcam import selection as sel
 from beamcam.camera import BoundingBox, CameraModel, pixel_to_azimuth
 from beamcam.geometry import Mesh, TriangleSet
 
@@ -30,6 +33,8 @@ def test_noise_model_validation():
         pl.DetectorNoiseModel(pixel_sigma=-1.0)
     with pytest.raises(ValueError):
         pl.DetectorNoiseModel(miss_prob=1.5)
+    with pytest.raises(ValueError):
+        pl.DetectorNoiseModel(seed=-1)
 
 
 def test_activity_state():
@@ -101,7 +106,8 @@ def test_select_beam_bin_arithmetic():
     # azimuth, so world 120 falls in bin [90, 135) = 2, and so on.
     for az_world, expected in ((120.0, 2), (135.0, 3), (60.0, 1), (30.0, 0)):
         u = cam.cx + cam.fx * np.tan(np.radians(az_world - 90.0))
-        idx, az = pl.select_beam(u - 0.5, u + 0.5, cam, cb, boresight_deg=90.0)
+        idx, az = sel.select_beam(u - 0.5, u + 0.5, cam, cb,
+                                  boresight_deg=90.0)
         assert idx == expected
         assert az % 360.0 == pytest.approx(az_world, abs=1e-9)
 
@@ -112,18 +118,71 @@ def test_select_beam_boundary_is_half_open():
     # Array-relative exactly 45 degrees falls in bin 1 UNLESS jitter; the
     # bins are half-open [45, 90).
     u = cam.cx + cam.fx * np.tan(np.radians(45.0))  # world az 135 = rel 135
-    idx, _ = pl.select_beam(u - 0.5, u + 0.5, cam, cb, boresight_deg=90.0)
+    idx, _ = sel.select_beam(u - 0.5, u + 0.5, cam, cb, boresight_deg=90.0)
     assert idx == 3  # rel azimuth 135 -> bin [135, 180)
 
 
 def test_select_beam_clips_edges_to_the_image():
     cam = camera_90()
     cb = ch.generate_codebook(8, 0.5, 4)
-    assert pl.select_beam(-80.0, 40.0, cam, cb, 90.0) \
-        == pl.select_beam(0.0, 40.0, cam, cb, 90.0)
+    assert sel.select_beam(-80.0, 40.0, cam, cb, 90.0) \
+        == sel.select_beam(0.0, 40.0, cam, cb, 90.0)
     w = cam.width_px
-    assert pl.select_beam(w - 10.0, w + 90.0, cam, cb, 90.0) \
-        == pl.select_beam(w - 10.0, float(w), cam, cb, 90.0)
+    assert sel.select_beam(w - 10.0, w + 90.0, cam, cb, 90.0) \
+        == sel.select_beam(w - 10.0, float(w), cam, cb, 90.0)
+
+
+@given(hfov=st.floats(0.5, 179.5), width=st.integers(1, 4000),
+       q=st.integers(1, 64), boresight=st.floats(0.0, 359.99),
+       yaw=st.floats(-720.0, 720.0),
+       fractions=st.lists(st.floats(0.0, 1.0), max_size=20))
+def test_beam_edges_equal_select_beam(hfov, width, q, boresight, yaw,
+                                      fractions):
+    """The edge table predicts what ``select_beam`` predicts at random
+    columns, at both ends of the image (and -0.0) and at both float
+    neighbours of every edge, for a camera aimed anywhere."""
+    cam = CameraModel.from_bs(sc.BsConfig(
+        name="b", position=(0.0, 0.0, 6.0), boresight_deg=boresight,
+        array_ref="a", camera=sc.CameraConfig(yaw_deg=yaw, hfov_deg=hfov,
+                                              width_px=width)))
+    cb = ch.generate_codebook(4, 0.5, q)
+    table = sel.BeamEdges(cam, cb, boresight)
+    w = float(width)
+    columns = [f * w for f in fractions] + [0.0, -0.0, w]
+    for edge in table.edges:
+        columns += [math.nextafter(edge, -math.inf),
+                    math.nextafter(edge, math.inf)]
+    want = [sel.select_beam(c, c, cam, cb, boresight)[0] for c in columns]
+    assert [table.index(c) for c in columns] == want
+    assert table.lookup(np.array(columns)).tolist() \
+        == [-1 if i is None else i for i in want]
+
+
+def test_beam_edges_of_the_shipped_camera(shipped_truth):
+    sim, _ = shipped_truth
+    table = sel.BeamEdges(sim.camera, sim.codebook, sim.bs.boresight_deg)
+    # Q = 16 bins over [0, 180), of which the 90-degree camera sees 4-12.
+    assert table.indices == list(range(4, 13))
+    assert table.edges[3] == sim.camera.cx
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3])
+def test_noise_draws_are_the_list_seeded_stream(seed):
+    rng = np.random.default_rng(7)
+    frames = [0, *rng.integers(0, 2**40, 6).tolist()]
+    ues = [0, *rng.integers(0, 64, 6).tolist()]
+    for frame, ue in zip(frames, ues):
+        assert pl.noise_draws(seed, frame, ue) \
+            == ref.noise_draws(seed, frame, ue)
+
+
+def test_a_negative_seed_is_rejected(minimal_scenario):
+    with pytest.raises(ValueError):
+        pl.noise_draws(-1, 0, 0)
+    # Even when no row is drawn.
+    sim = pl.Simulator(minimal_scenario)
+    with pytest.raises(ValueError):
+        sim.sweep([], [0.0], [0, -1])
 
 
 def test_detect_jitter_is_linear_in_sigma():

@@ -4,6 +4,7 @@ from collections import Counter
 from conftest import REPO_ROOT
 
 SRC = REPO_ROOT / "src" / "beamcam"
+TESTS = REPO_ROOT / "tests"
 
 # Writers that exist for the round-trip acceptance checks, not for the CLI.
 NO_SRC_CALLER = {"serialize_scenario", "write_stl"}
@@ -42,3 +43,31 @@ def test_every_src_definition_has_a_src_caller():
         if not used and leaf not in NO_SRC_CALLER:
             uncalled.append(f"{module}: {name}")
     assert uncalled == []
+
+
+def test_every_import_is_used():
+    """Every name that a module of ``src/beamcam`` or ``tests/`` imports is
+    used in that module as a name, or listed in its ``__all__``."""
+    unused = []
+    for path in sorted([*SRC.glob("*.py"), *TESTS.glob("*.py")]):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name.split(".")[0],
+                                 node.lineno) for a in node.names)
+            elif isinstance(node, ast.ImportFrom) \
+                    and node.module != "__future__":
+                imported.update((a.asname or a.name, node.lineno)
+                                for a in node.names)
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets):
+                used.update(c.value for c in ast.walk(node.value)
+                            if isinstance(c, ast.Constant))
+        unused += [f"{path.relative_to(REPO_ROOT)}:{line}: {name}"
+                   for name, line in imported.items() if name not in used]
+    assert unused == []
