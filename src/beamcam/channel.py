@@ -39,20 +39,15 @@ def world_to_array_deg(az_world_deg: float, boresight_deg: float) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class BeamVector:
-    """One codebook beam; its unit-norm weights are a row of Codebook.matrix."""
-
-    center_az_deg: float
-
-
-@dataclass(frozen=True, eq=False)
 class Codebook:
-    beams: tuple[BeamVector, ...]
-    matrix: np.ndarray = field(repr=False)  # (Q, N), rows are beam vectors
+    """Q beams as the unit-norm rows of ``matrix`` (Q, N); beam i is
+    steered at the centre (i + 0.5) * 180 / Q of its bin."""
+
+    matrix: np.ndarray = field(repr=False)
 
     @property
     def q(self) -> int:
-        return len(self.beams)
+        return len(self.matrix)
 
     def bin_index(self, az_array_deg: float) -> int | None:
         """Codebook bin containing an array-relative azimuth, else None."""
@@ -67,14 +62,12 @@ def generate_codebook(n_elements: int, spacing_wavelengths: float,
     if q < 1:
         raise ValueError("codebook size must be >= 1")
     width = 180.0 / q
-    beams = []
     rows = np.empty((q, n_elements), dtype=complex)
     for i in range(q):
-        center = (i + 0.5) * width
-        rows[i] = (array_response(n_elements, spacing_wavelengths, center)
+        rows[i] = (array_response(n_elements, spacing_wavelengths,
+                                  (i + 0.5) * width)
                    / math.sqrt(n_elements))
-        beams.append(BeamVector(center_az_deg=center))
-    return Codebook(beams=tuple(beams), matrix=rows)
+    return Codebook(matrix=rows)
 
 
 def build_channel(paths: list[PathComponent], n_elements: int,
@@ -90,7 +83,7 @@ def build_channel(paths: list[PathComponent], n_elements: int,
 
 def sweep_snrs(h: np.ndarray, codebook: Codebook, tx_power_dbm: float,
                noise_power_dbm: float) -> list[float]:
-    """Per-beam SNR table, order matching codebook.beams."""
+    """Per-beam SNR table, one entry per row of ``codebook.matrix``."""
     g = np.abs(codebook.matrix.conj() @ h)
     out = np.full(codebook.q, OUTAGE_SNR_DB)
     nz = g > 0.0

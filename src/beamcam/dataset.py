@@ -182,7 +182,6 @@ def _ue_record(row) -> tuple[int, str, UeFrameRecord]:
         bbox=_bbox_from_json(bbox, ue),
         paths=tuple(map(_path_from_json, paths)), beam_snrs_db=snrs,
         optimal_index=None if outage else optimal,
-        optimal_snr_db=None if outage else snrs[optimal], outage=outage,
         detection=det, predicted_index=predicted,
         predicted_azimuth_deg=predicted_az)
 

@@ -26,8 +26,7 @@ import numpy as np
 from .camera import BoundingBox, CameraModel, VertexRays, pixel_to_azimuth
 from .channel import build_channel, generate_codebook, optimal_beam
 from .geometry import Mesh, Tracks, Trajectory, box_mesh, same_point
-from .raytrace import (Candidates, Face, PathComponent, SceneGeometry,
-                       box_faces, prefix_table)
+from .raytrace import Candidates, PathComponent, SceneGeometry, prefix_table
 from .scenario import Scenario, ScenarioError, UeConfig
 from .selection import BeamEdges, center_column, center_columns, clip
 from . import stl
@@ -69,11 +68,14 @@ class UeFrameRecord:
     paths: tuple[PathComponent, ...]
     beam_snrs_db: tuple[float, ...] | None
     optimal_index: int | None
-    optimal_snr_db: float | None
-    outage: bool
     detection: Detection | None = None
     predicted_index: int | None = None
     predicted_azimuth_deg: float | None = None
+
+    @property
+    def outage(self) -> bool:
+        """No beam has a usable SNR (see ``optimal_beam``)."""
+        return self.optimal_index is None
 
 
 @dataclass(frozen=True)
@@ -184,7 +186,6 @@ class Simulator:
         #: Reflector meshes, then each UE's box at the origin: UE i is
         #: occluder ``first + i`` of every frame's table.
         self._meshes: list[tuple[str, Mesh]] = []
-        self._faces: list[Face] = []
         for refl in scenario.reflectors:
             if refl.mesh_path is not None:
                 try:
@@ -199,10 +200,6 @@ class Simulator:
                 mesh = box_mesh(refl.center, refl.size, refl.yaw_deg,
                                 refl.material)
             self._meshes.append((refl.name, mesh))
-            # Specular bounces always come from the box parameters.
-            self._faces.extend(
-                box_faces(refl.center, refl.size, refl.yaw_deg, refl.material)
-            )
         self._first = len(self._meshes)
         self._meshes += [
             (ue.name, box_mesh((0.0, 0.0, 0.0), ue.size, material=ue.material))
@@ -218,9 +215,12 @@ class Simulator:
     def _scene(self) -> SceneGeometry:
         """The one scene every frame moves its UEs in: the occluder table,
         and the reflector faces whose arrays every frame shares; built on
-        first use, not at set-up."""
-        return SceneGeometry(self._meshes, self._faces,
-                             self.scenario.material_table)
+        first use, not at set-up. Specular bounces always come from the
+        box parameters, even for a reflector whose occluder is a mesh."""
+        return SceneGeometry(
+            self._meshes, [(r.center, r.size, r.yaw_deg, r.material)
+                           for r in self.scenario.reflectors],
+            self.scenario.material_table)
 
     @cached_property
     def _prefixes(self) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -291,10 +291,8 @@ class Simulator:
         starts, ends, rec = cand.segments()
         row = np.concatenate([traced[rec], rays.mesh])
         row_frame = row // n
-        # One occluder table per frame of the block; a lone frame gets a
-        # plain table, so its rays reach the kernel as one flat batch.
-        tables = self._scene.tset.moved(self._first,
-                                        pos if len(pos) > 1 else pos[0])
+        # One occluder table per frame of the block.
+        tables = self._scene.tset.moved(self._first, pos)
         owners = tables.owners
         body_at_bs = np.zeros((len(pos), len(tables.names)), dtype=bool)
         body_at_bs[:, self._first:] = at_bs
@@ -315,20 +313,17 @@ class Simulator:
             h = build_channel(paths[k], self.array.elements_n,
                               self.array.spacing_wavelengths,
                               self.bs.boresight_deg)
-            index, snr, snrs = optimal_beam(h, self.codebook,
-                                            sysp.tx_power_dbm,
-                                            sysp.noise_power_dbm)
-            outage = index is None
+            index, _, snrs = optimal_beam(h, self.codebook,
+                                          sysp.tx_power_dbm,
+                                          sysp.noise_power_dbm)
             records.append(UeFrameRecord(
                 ue_name=ue.name,
                 position=tuple(positions[k]),
                 active=activity_state(ue, frames[k // n]),
                 bbox=bbox,
                 paths=tuple(paths[k]),
-                beam_snrs_db=None if outage else tuple(snrs),
+                beam_snrs_db=None if index is None else tuple(snrs),
                 optimal_index=index,
-                optimal_snr_db=snr,
-                outage=outage,
             ))
         self._count(cand, bboxes, len(row), records)
         return [FrameRecord(frame=frame, bs_name=self.bs.name,

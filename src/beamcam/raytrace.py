@@ -40,44 +40,6 @@ _CONTAIN_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class Face:
-    """Planar rectangle: center, outward unit normal, in-plane half axes."""
-
-    center: tuple[float, float, float]
-    normal: tuple[float, float, float]
-    axis_u: tuple[float, float, float]
-    axis_v: tuple[float, float, float]
-    half_u: float
-    half_v: float
-    material: str
-
-
-def box_faces(center, size, yaw_deg: float = 0.0,
-              material: str = "concrete") -> list[Face]:
-    """Six outward-facing rectangular faces of a yaw-rotated box."""
-    center = np.asarray(center, float)
-    size = np.asarray(size, float)
-    rot = rot_z_deg(yaw_deg)
-    faces = []
-    for axis in range(3):
-        for sign in (-1.0, 1.0):
-            normal = rot @ np.eye(3)[axis] * sign
-            fc = center + normal * (size[axis] / 2.0)
-            u_axis, v_axis = [(rot @ np.eye(3)[a], size[a] / 2.0)
-                              for a in range(3) if a != axis]
-            faces.append(Face(
-                center=tuple(fc),
-                normal=tuple(normal),
-                axis_u=tuple(u_axis[0]),
-                axis_v=tuple(v_axis[0]),
-                half_u=u_axis[1],
-                half_v=v_axis[1],
-                material=material,
-            ))
-    return faces
-
-
-@dataclass(frozen=True)
 class PathComponent:
     """One propagation path between transmitter and receiver."""
 
@@ -126,9 +88,12 @@ def path_components(points: np.ndarray, amps: np.ndarray,
     for r in amps.T:
         amp = amp * r
     phase = -2.0 * math.pi * length / lam
-    # Departure directions (first segments), then arrival directions.
+    # Departure directions (first segments), then arrival directions (rx
+    # towards the point before it). The last segment negated would turn an
+    # exact 0 into -0 and give a vertical arrival the opposite azimuth of
+    # the reverse path's departure.
     n = len(length)
-    ends = np.concatenate([segments[0], -segments[-1]])
+    ends = np.concatenate([segments[0], points[-2] - points[-1]])
     az = azimuth_deg(ends).tolist()
     el = elevation_deg(ends).tolist()
     columns = zip(amp.tolist(), phase.tolist(), (length / C_LIGHT).tolist(),
@@ -150,19 +115,38 @@ def path_components(points: np.ndarray, amps: np.ndarray,
 
 
 class _Reflectors:
-    """Static reflector faces as arrays, shared by every snapshot made with
-    ``SceneGeometry.moved``."""
+    """The faces of box reflectors as arrays, shared by every snapshot made
+    with ``SceneGeometry.moved``.
 
-    def __init__(self, faces: list[Face], materials: dict[str, float]):
-        f = len(faces)
-        self.center = np.array([fc.center for fc in faces]).reshape(f, 3)
-        self.normal = np.array([fc.normal for fc in faces]).reshape(f, 3)
-        self.u = np.array([fc.axis_u for fc in faces]).reshape(f, 3)
-        self.v = np.array([fc.axis_v for fc in faces]).reshape(f, 3)
-        self.hu = np.array([fc.half_u for fc in faces])
-        self.hv = np.array([fc.half_v for fc in faces])
-        self.amp = np.array([materials[fc.material] for fc in faces],
-                            dtype=float)
+    ``boxes`` lists each box as (center, size, yaw_deg, material). A box
+    gives six outward-facing rectangles, its -a then +a face for each axis
+    a of the yaw-rotated box; face f has a center, a unit outward normal,
+    in-plane unit axes ``u`` and ``v`` with half sizes ``hu`` and ``hv``,
+    and the reflection amplitude of its material.
+    """
+
+    def __init__(self, boxes, materials: dict[str, float]):
+        center, normal, u, v, hu, hv, amp = ([] for _ in range(7))
+        for box_center, size, yaw_deg, material in boxes:
+            box_center = np.asarray(box_center, float)
+            half = np.asarray(size, float) / 2.0
+            rot = rot_z_deg(yaw_deg)
+            axes = [rot @ e for e in np.eye(3)]
+            for axis in range(3):
+                a, b = (k for k in range(3) if k != axis)
+                for sign in (-1.0, 1.0):
+                    n = axes[axis] * sign
+                    center.append(box_center + n * half[axis])
+                    normal.append(n)
+                    u.append(axes[a])
+                    v.append(axes[b])
+                    hu.append(half[a])
+                    hv.append(half[b])
+                    amp.append(materials[material])
+        self.center, self.normal, self.u, self.v = (
+            np.array(x, float).reshape(-1, 3) for x in (center, normal, u, v))
+        self.hu, self.hv, self.amp = (np.array(x, float)
+                                      for x in (hu, hv, amp))
         # Coplanar face pairs can never form consecutive bounces.
         nd = self.normal @ self.normal.T
         off = np.einsum("ij,ij->i", self.center, self.normal)
@@ -201,12 +185,13 @@ def prefix_table(refl: _Reflectors, tx: np.ndarray, max_order: int
 
 
 class SceneGeometry:
-    """Occluder table plus reflector faces."""
+    """Occluder table plus the faces of box reflectors, each box given as
+    (center, size, yaw_deg, material)."""
 
-    def __init__(self, meshes: list[tuple[str, Mesh]], faces: list[Face],
+    def __init__(self, meshes: list[tuple[str, Mesh]], boxes,
                  materials: dict[str, float]):
         self.tset = TriangleSet(meshes)
-        self.reflectors = _Reflectors(faces, materials)
+        self.reflectors = _Reflectors(boxes, materials)
 
     def moved(self, first: int, offsets) -> "SceneGeometry":
         """This scene with occluder mesh ``first + i`` moved by

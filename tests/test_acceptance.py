@@ -70,7 +70,7 @@ def test_criterion_2_image_method_vs_fermat(capsys):
     center, size = (0.0, 5.0, 5.0), (40.0, 0.5, 10.0)
     scene = rt.SceneGeometry(
         [("wall", geo.box_mesh(center, size, material="metal"))],
-        rt.box_faces(center, size, material="metal"), {"metal": 0.95})
+        [(center, size, 0.0, "metal")], {"metal": 0.95})
     tx = ref.vec3(-6.0, 0.5, 2.0)
     rx = ref.vec3(7.0, 1.5, 4.0)
     paths = ref.trace_paths(scene, tx, rx, 1, 28.0)
@@ -282,7 +282,7 @@ def test_criterion_6_noiseless_end_to_end(capsys):
             eligible += 1
             if u.predicted_index == u.optimal_index:
                 matches += 1
-            losses.append(u.optimal_snr_db
+            losses.append(u.beam_snrs_db[u.optimal_index]
                           - u.beam_snrs_db[u.predicted_index])
     elapsed = time.perf_counter() - t0
 

@@ -43,7 +43,10 @@ def test_world_array_angle_conversion():
 def test_codebook_centers_and_bins():
     cb = ch.generate_codebook(8, 0.5, 4)
     assert cb.q == 4
-    assert [b.center_az_deg for b in cb.beams] == [22.5, 67.5, 112.5, 157.5]
+    # Row i is steered at its bin centre (i + 0.5) * 180 / Q.
+    assert np.array_equal(cb.matrix, [
+        ch.array_response(8, 0.5, az) / math.sqrt(8)
+        for az in (22.5, 67.5, 112.5, 157.5)])
     # Unit-norm beamforming vectors.
     assert np.allclose(np.linalg.norm(cb.matrix, axis=1), 1.0)
     # Half-open bins tile [0, 180).
@@ -123,8 +126,8 @@ def test_optimal_beam_scaling_invariance():
 
 def test_single_path_at_bin_center_wins_own_beam():
     cb = ch.generate_codebook(16, 0.5, 16)
-    for i, beam in enumerate(cb.beams):
-        az_world = ref.array_to_world_deg(beam.center_az_deg, 90.0)
+    for i in range(cb.q):
+        az_world = ref.array_to_world_deg((i + 0.5) * (180.0 / cb.q), 90.0)
         p = single_path(az_world)
         h = ch.build_channel([p], 16, 0.5, 90.0)
         idx, _, _ = ch.optimal_beam(h, cb, 30.0, -90.0)

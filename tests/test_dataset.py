@@ -36,8 +36,6 @@ def make_row(ue="car", active=1, outage=False, snrs=None, optimal=0,
         paths=(),
         beam_snrs_db=None if outage else snrs,
         optimal_index=None if outage else optimal,
-        optimal_snr_db=None if outage else snrs[optimal],
-        outage=outage,
         detection=detection,
         predicted_index=None if (outage or not detected) else predicted,
         predicted_azimuth_deg=None if outage else 90.0,

@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import itertools
 import math
@@ -10,10 +11,11 @@ from hypothesis import assume, example, given, strategies as st
 from beamcam import geometry as geo
 from beamcam import raytrace as rt
 from beamcam import pipeline as pl
+from beamcam import scenario as sc
 from beamcam.pipeline import Simulator
 
 import reference as ref
-from conftest import REPO_ROOT
+from conftest import REPO_ROOT, small_scenarios
 
 
 def wall_scene(material="metal", amp_table=None):
@@ -21,8 +23,7 @@ def wall_scene(material="metal", amp_table=None):
     center = (0.0, 5.0, 5.0)
     size = (40.0, 0.5, 10.0)
     mesh = geo.box_mesh(center, size, material=material)
-    faces = rt.box_faces(center, size, material=material)
-    return rt.SceneGeometry([("wall", mesh)], faces,
+    return rt.SceneGeometry([("wall", mesh)], [(center, size, 0.0, material)],
                             amp_table or {"metal": 0.95})
 
 
@@ -111,7 +112,7 @@ def test_blocked_scene_is_outage():
                            material="concrete")
     scene = rt.SceneGeometry(
         [("wall", wall), ("blocker", blocker)],
-        rt.box_faces((0.0, 5.0, 5.0), (40.0, 0.5, 10.0), material="metal"),
+        [((0.0, 5.0, 5.0), (40.0, 0.5, 10.0), 0.0, "metal")],
         {"metal": 0.95, "concrete": 0.6},
     )
     paths = ref.trace_paths(scene, ref.vec3(-5, 0, 2), ref.vec3(5, 0, 2),
@@ -124,7 +125,7 @@ def test_exclude_prevents_self_occlusion():
     body = geo.box_mesh((5.0, 0.0, 2.0), (4.0, 2.0, 1.5), material="metal")
     scene = rt.SceneGeometry(
         [("wall", wall), ("car", body)],
-        rt.box_faces((0.0, 5.0, 5.0), (40.0, 0.5, 10.0), material="metal"),
+        [((0.0, 5.0, 5.0), (40.0, 0.5, 10.0), 0.0, "metal")],
         {"metal": 0.95},
     )
     rx = ref.vec3(5.0, 0.0, 2.0)  # center of the car body
@@ -155,8 +156,7 @@ def test_second_order_paths_exist_in_corner():
     w2c, w2s = (10.0, 0.0, 5.0), (0.5, 40.0, 10.0)
     scene = rt.SceneGeometry(
         [("w1", geo.box_mesh(w1c, w1s)), ("w2", geo.box_mesh(w2c, w2s))],
-        rt.box_faces(w1c, w1s, material="metal")
-        + rt.box_faces(w2c, w2s, material="metal"),
+        [(w1c, w1s, 0.0, "metal"), (w2c, w2s, 0.0, "metal")],
         {"metal": 0.95},
     )
     paths = ref.trace_paths(scene, ref.vec3(-5, -5, 2), ref.vec3(-5, 5, 2),
@@ -200,10 +200,13 @@ def reference_trace(scene, tx, rx, order, carrier_ghz, exclude=()):
         prefixes=reference_prefixes(scene.reflectors, tx, order))
 
 
+def at_order(scenario, order):
+    return dataclasses.replace(scenario, system=dataclasses.replace(
+        scenario.system, max_reflections=order))
+
+
 def shipped_simulator(scenario, order):
-    system = dataclasses.replace(scenario.system, max_reflections=order)
-    return Simulator(dataclasses.replace(scenario, system=system),
-                     base_dir=REPO_ROOT)
+    return Simulator(at_order(scenario, order), base_dir=REPO_ROOT)
 
 
 @pytest.mark.parametrize("order,frames", [
@@ -248,19 +251,19 @@ _near_face = st.tuples(st.integers(0, 5), _unit, _unit,
        occluders=st.booleans())
 def test_pruned_paths_equal_full_enumeration_random_boxes(
         boxes, tx, rx, near, order, occluders):
-    faces = [f for c, size, yaw in boxes
-             for f in rt.box_faces(c, size, yaw, material="metal")]
+    meshes = [(f"b{i}", geo.box_mesh(c, size, yaw))
+              for i, (c, size, yaw) in enumerate(boxes)] if occluders else []
+    scene = rt.SceneGeometry(
+        meshes, [(c, size, yaw, "metal") for c, size, yaw in boxes],
+        {"metal": 0.9})
     if near is not None:
         # tx just in front of a face, where the pruning bound is tightest.
         k, s, t, height = near
-        f = faces[k]
-        tx = (np.array(f.center) + s * f.half_u * np.array(f.axis_u)
-              + t * f.half_v * np.array(f.axis_v) + height * np.array(f.normal))
+        refl = scene.reflectors
+        tx = (refl.center[k] + s * refl.hu[k] * refl.u[k]
+              + t * refl.hv[k] * refl.v[k] + height * refl.normal[k])
     tx, rx = np.array(tx), np.array(rx)
     assume(not np.allclose(tx, rx))
-    meshes = [(f"b{i}", geo.box_mesh(c, size, yaw))
-              for i, (c, size, yaw) in enumerate(boxes)] if occluders else []
-    scene = rt.SceneGeometry(meshes, faces, {"metal": 0.9})
     # Both directions on one scene.
     for a, b in ((tx, rx), (rx, tx)):
         assert ref.trace_paths(scene, a, b, order, 28.0) \
@@ -278,3 +281,106 @@ def test_prefix_table_built_once_per_simulator_and_lazily(shipped_scenario):
     # Rows that survive from the BS, of 18, 294, 4812 coplanar-free ones.
     table = sim._prefixes
     assert [seqs.shape[0] for seqs, _ in table] == [7, 44, 254]
+
+
+# ---------------------------------------------------------------------------
+# Properties of every traced (frame, UE) of small scenarios
+
+# Drawn scenarios can be thin on reflected paths, so each property also
+# runs on a corner of two walls, with 2-bounce paths, and a UE straight
+# below the BS, whose LOS path is vertical.
+CORNER = sc.parse_scenario("""\
+[system]
+frames = 4
+fps = 30
+carrier_ghz = 28
+max_reflections = 2
+
+[array a0]
+elements_n = 8
+
+[bs pole]
+position = 0, 0, 6
+boresight_deg = 90
+array = a0
+
+[reflector north]
+center = 0, 40, 5
+size = 60, 1, 10
+material = concrete
+
+[reflector east]
+center = 25, 20, 5
+size = 1, 60, 10
+material = metal
+
+[ue car]
+size = 4.4, 1.8, 1.4
+keyframe = 0 : -10, 25, 0.7
+keyframe = 3 : 10, 25, 0.7
+
+[ue below]
+size = 1, 1, 1
+keyframe = 0 : 0, 0, 1
+""")
+
+
+def _angle_gap(a, b):
+    """Degrees between two azimuths in [0, 360), across the wrap."""
+    return abs((a - b + 180.0) % 360.0 - 180.0)
+
+
+def _is_reversed(fwd, rev):
+    """Whether ``rev`` is ``fwd`` traced from its receiver back to its
+    transmitter: the same bounces, length within 1e-9 m, the points in
+    reverse order, departure and arrival angles swapped and the same
+    complex gain."""
+    return (rev.bounces == fwd.bounces
+            and abs(rev.length_m - fwd.length_m) <= 1e-9
+            and np.allclose(rev.points[::-1], fwd.points, rtol=0.0,
+                            atol=1e-9)
+            and _angle_gap(rev.aoa_az_deg, fwd.aod_az_deg) <= 1e-9
+            and _angle_gap(rev.aod_az_deg, fwd.aoa_az_deg) <= 1e-9
+            and abs(rev.aoa_el_deg - fwd.aod_el_deg) <= 1e-9
+            and abs(rev.aod_el_deg - fwd.aoa_el_deg) <= 1e-9
+            and cmath.isclose(rev.gain, fwd.gain, rel_tol=1e-9))
+
+
+@example(CORNER)
+@given(small_scenarios())
+def test_paths_are_reciprocal(scenario):
+    """Tracing each traced (frame, UE) from the UE back to the BS gives the
+    truth pass's BS-to-UE paths, each one reversed, and no other path."""
+    sim = Simulator(scenario)
+    bs = np.asarray(sim.bs.position, float)
+    system = scenario.system
+    for rec in sim.run_truth():
+        scene, positions = sim.frame_scene(rec.frame)
+        at_bs = tuple(name for name, pos in positions.items()
+                      if geo.same_point(bs, pos))
+        for u in rec.ues:
+            if u.ue_name in at_bs:
+                continue
+            unmatched = ref.trace_paths(
+                scene, positions[u.ue_name], bs, system.max_reflections,
+                system.carrier_ghz, exclude=(u.ue_name,) + at_bs)
+            for fwd in u.paths:
+                match = [rev for rev in unmatched if _is_reversed(fwd, rev)]
+                assert match, (rec.frame, u.ue_name, fwd)
+                unmatched.remove(match[0])
+            assert unmatched == []
+
+
+@example(at_order(CORNER, 1))
+@example(CORNER)
+@given(small_scenarios())
+def test_a_higher_reflection_order_keeps_every_path(scenario):
+    """Raising the reflection order from k to k + 1 only adds (k + 1)-bounce
+    paths: each (frame, UE)'s paths of at most k bounces are exactly its
+    order-k paths, every field equal to the last bit."""
+    k = scenario.system.max_reflections
+    low, high = (Simulator(at_order(scenario, order)).run_truth()
+                 for order in (k, k + 1))
+    for lo, hi in zip(low, high, strict=True):
+        for a, b in zip(lo.ues, hi.ues, strict=True):
+            assert [p for p in b.paths if p.bounces <= k] == list(a.paths)

@@ -71,3 +71,44 @@ def test_every_import_is_used():
         unused += [f"{path.relative_to(REPO_ROOT)}:{line}: {name}"
                    for name, line in imported.items() if name not in used]
     assert unused == []
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+               and d.func.id == "dataclass" for d in node.decorator_list)
+
+
+def _is_spec_field(node: ast.AnnAssign) -> bool:
+    return isinstance(node.value, ast.Call) \
+        and isinstance(node.value.func, ast.Name) \
+        and node.value.func.id == "_spec"
+
+
+def test_every_dataclass_field_is_read():
+    """Every field of a dataclass in ``src/beamcam`` is read somewhere in
+    ``src/``: as an attribute, or as a string (a ``getattr`` or dict key).
+    A field nothing reads is data the program stores and never uses. The
+    config classes of ``scenario.py`` are exempt: ``_specs`` reads their
+    file-backed (``_spec``) fields by name through ``dataclasses.fields``."""
+    fields, read = [], Counter()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                body = [f for f in node.body if isinstance(f, ast.AnnAssign)
+                        and isinstance(f.target, ast.Name)]
+                if path.name == "scenario.py" and any(map(_is_spec_field,
+                                                          body)):
+                    continue
+                fields += [(path.name, node.name, f.target.id) for f in body]
+            elif isinstance(node, ast.Attribute) \
+                    and isinstance(node.ctx, ast.Load):
+                read[node.attr] += 1
+            elif isinstance(node, ast.Constant) \
+                    and isinstance(node.value, str):
+                read[node.value] += 1
+    assert fields
+    unread = [f"{module}: {cls}.{name}" for module, cls, name in fields
+              if not read[name]]
+    assert unread == []
