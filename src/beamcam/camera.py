@@ -76,7 +76,6 @@ class BoundingBox:
     v_min: float
     u_max: float
     v_max: float
-    ue_name: str
     visibility: float
 
 
@@ -112,7 +111,7 @@ class VertexRays:
     ``verts`` holds each mesh's unique vertices, shape (V, 3). ``starts``,
     ``ends`` and ``mesh`` give each ray's camera end, vertex and mesh index.
     ``boxes`` turns the rays' occlusion verdicts into one bounding box per
-    mesh.
+    mesh, in the order of ``verts``, which is all that says whose box it is.
     """
 
     def __init__(self, cam: CameraModel, verts: list[np.ndarray]):
@@ -128,8 +127,7 @@ class VertexRays:
         self._uv = np.column_stack([u[inside], v[inside]])
         self._size = (float(cam.width_px), float(cam.height_px))
 
-    def boxes(self, blocked: np.ndarray, names: list[str]
-              ) -> list[BoundingBox | None]:
+    def boxes(self, blocked: np.ndarray) -> list[BoundingBox | None]:
         """One box per mesh over its unblocked rays, or None if it has none.
 
         Visibility is the fraction of the mesh's vertices that are in front
@@ -137,11 +135,11 @@ class VertexRays:
         """
         width, height = self._size
         seen = ~np.asarray(blocked, bool)
-        per_mesh: list[list[list[float]]] = [[] for _ in names]
+        per_mesh: list[list[list[float]]] = [[] for _ in self._counts]
         for m, px in zip(self.mesh[seen].tolist(), self._uv[seen].tolist()):
             per_mesh[m].append(px)
         boxes: list[BoundingBox | None] = []
-        for name, count, pixels in zip(names, self._counts, per_mesh):
+        for count, pixels in zip(self._counts, per_mesh):
             if not pixels:
                 boxes.append(None)
                 continue
@@ -152,7 +150,6 @@ class VertexRays:
                 v_min=max(0.0, min(vs)),
                 u_max=min(width, max(us)),
                 v_max=min(height, max(vs)),
-                ue_name=name,
                 visibility=len(pixels) / count,
             ))
         return boxes

@@ -58,8 +58,8 @@ def _bbox_to_json(bbox: BoundingBox | None):
     return None if bbox is None else {k: getattr(bbox, k) for k in _BBOX}
 
 
-def _bbox_from_json(obj, ue_name: str) -> BoundingBox | None:
-    return None if obj is None else BoundingBox(**obj, ue_name=ue_name)
+def _bbox_from_json(obj) -> BoundingBox | None:
+    return None if obj is None else BoundingBox(**obj)
 
 
 def _path_to_json(p: PathComponent):
@@ -176,10 +176,10 @@ def _ue_record(row) -> tuple[int, str, UeFrameRecord]:
         snrs = tuple(OUTAGE_SNR_DB if s is None else s for s in snrs)
     if det is not None:
         det_bbox, confidence = map(det.__getitem__, _DETECTION)
-        det = Detection(ue, _bbox_from_json(det_bbox, ue), confidence)
+        det = Detection(_bbox_from_json(det_bbox), confidence)
     return frame, bs, UeFrameRecord(
         ue_name=ue, position=tuple(position), active=active,
-        bbox=_bbox_from_json(bbox, ue),
+        bbox=_bbox_from_json(bbox),
         paths=tuple(map(_path_from_json, paths)), beam_snrs_db=snrs,
         optimal_index=None if outage else optimal,
         detection=det, predicted_index=predicted,

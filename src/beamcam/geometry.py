@@ -230,11 +230,10 @@ class TriangleSet:
     def _hit_ts(self, origins, directions):
         """Hit distances of rays against every triangle of their table.
 
-        ``origins`` and unit ``directions`` have shape (S, 3) for one
-        table, or (F, R, 3) for a stack of F tables, ray row f against
-        table f. Returns the (S, T) or (F, R, T) distances along each ray,
-        -inf where it misses. Each value depends only on its own ray and
-        triangle.
+        ``origins`` and unit ``directions`` have shape (F, R, 3) for a
+        stack of F tables, ray row f against table f. Returns the (F, R, T)
+        distances along each ray, -inf where it misses. Each value depends
+        only on its own ray and triangle.
 
         Every value is bit-identical to the one-ray form of the test
         (``np.cross``, then ``np.einsum("ij,ij->i")`` and ``np.dot`` over
@@ -246,7 +245,7 @@ class TriangleSet:
         which keeps few ray-by-triangle arrays alive and rounds as the
         plain expressions do.
         """
-        # Each table broadcasts over its own rays: (1, T) or (F, 1, T).
+        # Each table broadcasts over its own rays: (F, 1, T).
         v0, e1, e2 = (x[..., None, :, :] for x in (self.v0, self.e1, self.e2))
         d0, d1, d2 = (directions[..., k, None] for k in range(3))
         a0, a1, a2 = (e1[..., k] for k in range(3))
@@ -291,16 +290,17 @@ class TriangleSet:
         t[~ok] = -np.inf
         return t
 
-    def segments_occluded(self, a, b, ignore, table=None) -> np.ndarray:
+    def segments_occluded(self, a, b, ignore, table) -> np.ndarray:
         """Whether each segment a[i] -> b[i] is blocked, shape (S,).
 
-        ``ignore``, a bool mask that broadcasts to (S, T), is True where
-        triangle t never blocks segment s (such as the body of the
-        segment's own UE, found by ``owners``). In a stack of tables, segment s is tested
-        against table ``table[s]``. A segment no longer than 2 * RAY_EPS is
-        never blocked; otherwise only hits with RAY_EPS < t < length -
-        RAY_EPS count, so segments ending on a surface are not blocked by
-        it. All segments are tested in one kernel pass.
+        This is a stack of tables (see ``moved``); segment s is tested
+        against table ``table[s]``. ``ignore``, a bool mask that broadcasts
+        to (S, T), is True where triangle t never blocks segment s (such as
+        the body of the segment's own UE, found by ``owners``). A segment
+        no longer than 2 * RAY_EPS is never blocked; otherwise only hits
+        with RAY_EPS < t < length - RAY_EPS count, so segments ending on a
+        surface are not blocked by it. All segments are tested in one
+        kernel pass.
         """
         a = np.asarray(a, float).reshape(-1, 3)
         d = np.asarray(b, float).reshape(-1, 3) - a
@@ -310,15 +310,12 @@ class TriangleSet:
         if self.owners.size and np.any(live):
             length = length[live]
             rays = [a[live], d[live] / length[:, None], length]
-            cell = ...
-            if self.tris.ndim == 4:
-                # Row f of a grid holds table f's segments in order, padded
-                # with zero rays, which hit nothing.
-                cell, shape = _grid_cells(np.asarray(table)[live],
-                                          len(self.tris))
-                for i, x in enumerate(rays):
-                    rays[i] = np.zeros(shape + x.shape[1:])
-                    rays[i][cell] = x
+            # Row f of a grid holds table f's segments in order, padded
+            # with zero rays, which hit nothing.
+            cell, shape = _grid_cells(np.asarray(table)[live], len(self.tris))
+            for i, x in enumerate(rays):
+                rays[i] = np.zeros(shape + x.shape[1:])
+                rays[i][cell] = x
             origins, directions, length = rays
             ts = self._hit_ts(origins, directions)
             hit = ((ts > RAY_EPS) & (ts < (length - RAY_EPS)[..., None]))[cell]

@@ -28,7 +28,7 @@ from .channel import build_channel, generate_codebook, optimal_beam
 from .geometry import Mesh, Tracks, Trajectory, box_mesh, same_point
 from .raytrace import Candidates, PathComponent, SceneGeometry, prefix_table
 from .scenario import Scenario, ScenarioError, UeConfig
-from .selection import BeamEdges, center_column, center_columns, clip
+from .selection import BeamEdges, center_columns, clip
 from . import stl
 
 
@@ -52,7 +52,6 @@ class DetectorNoiseModel:
 
 @dataclass(frozen=True)
 class Detection:
-    ue_name: str
     bbox: BoundingBox
     confidence: float = 1.0
 
@@ -126,33 +125,28 @@ def noise_draws(seed: int, frame: int, ue_index: int
     return miss, z_u, z_v
 
 
-def detect(truth: list[tuple[int, BoundingBox]], model: DetectorNoiseModel,
-           frame: int, width_px: int, height_px: int) -> list[Detection]:
-    """Noise-parameterized oracle detector over truth bounding boxes.
+def detect(ue_index: int, bbox: BoundingBox, model: DetectorNoiseModel,
+           frame: int, width_px: int, height_px: int) -> Detection | None:
+    """Noise-parameterized oracle detector: the detection of the truth box
+    of the scenario's UE ``ue_index``, or None for a miss.
 
-    ``truth`` pairs each box with its UE index in the scenario. The noise
-    is drawn once per (seed, frame, UE index) by ``noise_draws`` and scaled
-    by sigma, so outputs are deterministic and independent of evaluation
-    order, and every sigma shares the same draws for a fixed seed: the
-    jitter at 2 sigma is exactly twice the jitter at sigma.
+    The noise is drawn once per (seed, frame, UE index) by ``noise_draws``
+    and scaled by sigma, so outputs are deterministic and independent of
+    evaluation order, and every sigma shares the same draws for a fixed
+    seed: the jitter at 2 sigma is exactly twice the jitter at sigma. Each
+    edge of the jittered box is clipped to the image.
     """
-    detections = []
-    sigma = model.pixel_sigma
-    for ue_index, bbox in truth:
-        miss, z_u, z_v = noise_draws(model.seed, frame, ue_index)
-        if miss < model.miss_prob:
-            continue
-        du, dv = z_u * sigma, z_v * sigma
-        jittered = BoundingBox(
-            u_min=clip(bbox.u_min + du, width_px),
-            v_min=clip(bbox.v_min + dv, height_px),
-            u_max=clip(bbox.u_max + du, width_px),
-            v_max=clip(bbox.v_max + dv, height_px),
-            ue_name=bbox.ue_name,
-            visibility=bbox.visibility,
-        )
-        detections.append(Detection(ue_name=bbox.ue_name, bbox=jittered))
-    return detections
+    miss, z_u, z_v = noise_draws(model.seed, frame, ue_index)
+    if miss < model.miss_prob:
+        return None
+    du, dv = z_u * model.pixel_sigma, z_v * model.pixel_sigma
+    return Detection(BoundingBox(
+        u_min=clip(bbox.u_min + du, width_px),
+        v_min=clip(bbox.v_min + dv, height_px),
+        u_max=clip(bbox.u_max + du, width_px),
+        v_max=clip(bbox.v_max + dv, height_px),
+        visibility=bbox.visibility,
+    ))
 
 
 #: Frames per block of ``run_truth``: larger blocks pay less per-call
@@ -305,8 +299,7 @@ class Simulator:
         for k, p in zip(traced.tolist(),
                         cand.paths(blocked[:len(starts)], sysp.carrier_ghz)):
             paths[k] = p
-        bboxes = rays.boxes(blocked[len(starts):],
-                            [ue.name for ue in ues] * len(pos))
+        bboxes = rays.boxes(blocked[len(starts):])
         positions = pos.reshape(-1, 3).tolist()
         records = []
         for k, (ue, bbox) in enumerate(zip(ues * len(pos), bboxes)):
@@ -350,8 +343,10 @@ class Simulator:
         """Attach detections and beam predictions to truth records.
 
         Cheap relative to run_truth, so one truth pass serves any number
-        of detector models. The predicted index is read from the edge
-        table that ``sweep`` reads.
+        of detector models. Each active row with a box gets ``detect``'s
+        one detection or miss; a detection's centre column is the midpoint
+        of its edges, which ``detect`` has clipped, and its predicted index
+        is read from the edge table that ``sweep`` reads.
         """
         ue_index = {ue.name: i for i, ue in enumerate(self.scenario.ues)}
         cam = self.camera
@@ -361,13 +356,12 @@ class Simulator:
             for u in rec.ues:
                 det = pred_index = pred_az = None
                 if u.active and u.bbox is not None:
-                    # One box in, at most one detection out.
-                    for det in detect([(ue_index[u.ue_name], u.bbox)], model,
-                                      rec.frame, cam.width_px, cam.height_px):
-                        center = center_column(det.bbox.u_min,
-                                               det.bbox.u_max, cam.width_px)
-                        pred_index = self._beam_edges.index(center)
-                        pred_az = pixel_to_azimuth(cam, center)
+                    det = detect(ue_index[u.ue_name], u.bbox, model,
+                                 rec.frame, cam.width_px, cam.height_px)
+                if det is not None:
+                    center = (det.bbox.u_min + det.bbox.u_max) / 2.0
+                    pred_index = self._beam_edges.index(center)
+                    pred_az = pixel_to_azimuth(cam, center)
                 ues.append(replace(u, detection=det,
                                    predicted_index=pred_index,
                                    predicted_azimuth_deg=pred_az))

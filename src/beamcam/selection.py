@@ -76,7 +76,9 @@ class BeamEdges:
     ...)[0]`` for every float c there.
 
     ``edges`` is sorted; c at or right of ``edges[j - 1]`` and left of
-    ``edges[j]`` predicts ``indices[j]``. Each edge is the first float at
+    ``edges[j]`` predicts ``indices[j]``, the one index table: ``index``
+    reads it by ``bisect``, cheaper than numpy for one column, and
+    ``lookup`` for an array of columns. Each edge is the first float at
     which ``select_beam`` changes its index, found by bisection over the
     float bit patterns of [0, W]. The search starts from the analytic bin
     boundaries, the columns c = cx + fx tan(k 180/Q + boresight - 90 - yaw)
@@ -140,8 +142,6 @@ class BeamEdges:
             raise ValueError("an index step lies off every bin boundary")
         self.edges = edges
         self.indices = indices
-        #: ``indices`` as an array, with -1 for None.
-        self._lookup = np.array([-1 if i is None else i for i in indices])
         for edge in edges:
             for c in (math.nextafter(edge, -math.inf),
                       math.nextafter(edge, math.inf)):
@@ -156,4 +156,5 @@ class BeamEdges:
     def lookup(self, c: np.ndarray) -> np.ndarray:
         """The predicted index at every centre column of an array, with -1
         for None."""
-        return self._lookup[np.searchsorted(self.edges, c, side="right")]
+        table = np.array([-1 if i is None else i for i in self.indices])
+        return table[np.searchsorted(self.edges, c, side="right")]

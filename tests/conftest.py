@@ -129,8 +129,7 @@ def assert_frame_pass_is_one_receiver_calls(sim, frame):
     for ue, u in zip(sim.scenario.ues, rec.ues):
         mesh = Mesh(tset.tris[tset.owners == tset.names.index(ue.name)])
         exclude = (ue.name,) + at_bs
-        assert u.bbox == project_bbox(sim.camera, mesh, ue.name, scene,
-                                      exclude=exclude)
+        assert u.bbox == project_bbox(sim.camera, mesh, scene, exclude=exclude)
         assert list(u.paths) == ([] if ue.name in at_bs else trace_paths(
             scene, bs, positions[ue.name], system.max_reflections,
             system.carrier_ghz, exclude=exclude))

@@ -55,8 +55,16 @@ def owned_by(tset: TriangleSet, names) -> np.ndarray:
                                  if name in names])
 
 
+def occluded(tset: TriangleSet, a, b, ignore) -> np.ndarray:
+    """``segments_occluded`` of segments against the one table ``tset``,
+    given to it as a stack of one table."""
+    a = np.asarray(a, float).reshape(-1, 3)
+    stack = tset.moved(len(tset.names), np.zeros((1, 0, 3)))
+    return stack.segments_occluded(a, b, ignore, np.zeros(len(a), int))
+
+
 def segment_occluded(tset: TriangleSet, a, b, exclude=()) -> bool:
-    return bool(tset.segments_occluded(a, b, owned_by(tset, exclude))[0])
+    return bool(occluded(tset, a, b, owned_by(tset, exclude))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +104,7 @@ def trace_paths(scene: SceneGeometry, tx, rx, max_reflections: int,
     cand = Candidates(refl, tx, rx, prefixes)
     starts, ends, _ = cand.segments()
     tset = scene.tset
-    blocked = tset.segments_occluded(starts, ends, owned_by(tset, exclude))
+    blocked = occluded(tset, starts, ends, owned_by(tset, exclude))
     return cand.paths(blocked, carrier_ghz)[0]
 
 
@@ -117,7 +125,7 @@ def project_point(cam: CameraModel, p_world) -> tuple[float, float] | None:
     return (float(u[0]), float(v[0])) if front[0] else None
 
 
-def project_bbox(cam: CameraModel, mesh: Mesh, ue_name: str,
+def project_bbox(cam: CameraModel, mesh: Mesh,
                  scene: SceneGeometry | None = None,
                  exclude=()) -> BoundingBox | None:
     """Occlusion-aware bounding box of a UE mesh.
@@ -132,9 +140,9 @@ def project_bbox(cam: CameraModel, mesh: Mesh, ue_name: str,
     blocked = np.zeros(len(rays.ends), dtype=bool)
     if scene is not None and len(rays.ends):
         tset = scene.tset
-        blocked = tset.segments_occluded(rays.starts, rays.ends,
-                                         owned_by(tset, exclude))
-    return rays.boxes(blocked, [ue_name])[0]
+        blocked = occluded(tset, rays.starts, rays.ends,
+                           owned_by(tset, exclude))
+    return rays.boxes(blocked)[0]
 
 
 # ---------------------------------------------------------------------------

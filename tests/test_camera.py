@@ -77,7 +77,7 @@ def test_project_bbox_contains_projected_vertices():
     c = make_camera()
     mesh = geo.box_mesh((0.0, 25.0, 1.0), (4.0, 2.0, 1.5))
     scene = scene_of([("car", mesh)])
-    box = ref.project_bbox(c, mesh, "car", scene, exclude=("car",))
+    box = ref.project_bbox(c, mesh, scene, exclude=("car",))
     assert box is not None
     assert box.visibility == pytest.approx(1.0)
     for v in mesh.vertices():
@@ -91,7 +91,7 @@ def test_project_bbox_occluded_is_none():
     mesh = geo.box_mesh((0.0, 25.0, 1.0), (4.0, 2.0, 1.5))
     wall = geo.box_mesh((0.0, 15.0, 10.0), (40.0, 0.5, 20.0))
     scene = scene_of([("car", mesh), ("wall", wall)])
-    assert ref.project_bbox(c, mesh, "car", scene, exclude=("car",)) is None
+    assert ref.project_bbox(c, mesh, scene, exclude=("car",)) is None
 
 
 def test_project_bbox_partial_visibility():
@@ -100,7 +100,7 @@ def test_project_bbox_partial_visibility():
     # Wall hides the left half of the car.
     wall = geo.box_mesh((-10.0, 15.0, 10.0), (20.0, 0.5, 20.0))
     scene = scene_of([("car", mesh), ("wall", wall)])
-    box = ref.project_bbox(c, mesh, "car", scene, exclude=("car",))
+    box = ref.project_bbox(c, mesh, scene, exclude=("car",))
     assert box is not None
     assert 0.0 < box.visibility < 1.0
 
@@ -111,7 +111,7 @@ def test_bbox_center_azimuth_tracks_los_aod():
     for x in np.linspace(-20.0, 20.0, 21):
         center = (x, 30.0, 0.7)
         mesh = geo.box_mesh(center, (4.4, 1.8, 1.4))
-        box = ref.project_bbox(c, mesh, "car")
+        box = ref.project_bbox(c, mesh)
         az_pix = cam.pixel_to_azimuth(c, ref.center_u(box)) % 360.0
         az_los = geo.azimuth_deg(np.array(center) - np.array([0.0, 0.0, 6.0]))
         assert az_pix == pytest.approx(az_los, abs=0.5)
@@ -120,7 +120,7 @@ def test_bbox_center_azimuth_tracks_los_aod():
 def test_behind_and_out_of_fov_returns_none():
     c = make_camera()
     behind = geo.box_mesh((0.0, -25.0, 1.0), (4.0, 2.0, 1.5))
-    assert ref.project_bbox(c, behind, "car") is None
+    assert ref.project_bbox(c, behind) is None
 
 
 def test_render_deterministic_and_well_formed():
@@ -130,7 +130,7 @@ def test_render_deterministic_and_well_formed():
               geo.box_mesh((-8.0, 30.0, 5.0), (6.0, 6.0, 10.0),
                            material="brick")]
     scene = scene_of([("a", meshes[0]), ("b", meshes[1])])
-    box = ref.project_bbox(c, meshes[0], "a", scene, exclude=("a",))
+    box = ref.project_bbox(c, meshes[0], scene, exclude=("a",))
     img1 = render.render_debug_frame(c, scene.tset, [box])
     img2 = render.render_debug_frame(c, scene.tset, [box])
     assert img1.shape == (90, 160, 3)

@@ -21,11 +21,10 @@ def make_row(ue="car", active=1, outage=False, snrs=None, optimal=0,
              predicted=0, detected=True, visible=True):
     bbox = None
     if visible:
-        bbox = BoundingBox(100.0, 100.0, 200.0, 200.0, ue_name=ue,
-                           visibility=1.0)
+        bbox = BoundingBox(100.0, 100.0, 200.0, 200.0, visibility=1.0)
     detection = None
     if detected and visible:
-        detection = pl.Detection(ue_name=ue, bbox=bbox)
+        detection = pl.Detection(bbox=bbox)
     if snrs is None and not outage:
         snrs = tuple(float(-i) for i in range(16))
     return pl.UeFrameRecord(

@@ -203,7 +203,7 @@ def test_segments_occluded_matches_one_segment_reference(case):
     b = np.array([seg[1] for seg in segments], dtype=float)
     # Zero-length segments are answered without dividing by zero.
     with np.errstate(divide="raise", invalid="raise"):
-        got = tset.segments_occluded(a, b, ref.owned_by(tset, exclude))
+        got = ref.occluded(tset, a, b, ref.owned_by(tset, exclude))
     kept = [m for name, m in meshes if name not in exclude]
     want = [reference_occluded(kept, p, q) for p, q in zip(a, b)]
     assert got.tolist() == want

@@ -22,10 +22,9 @@ from conftest import (MINIMAL_SCENARIO, REPO_ROOT,
                       assert_frame_pass_is_one_receiver_calls)
 
 
-def make_bbox(cu, cv, half=20.0, name="car"):
+def make_bbox(cu, cv, half=20.0):
     return BoundingBox(u_min=cu - half, v_min=cv - half,
-                       u_max=cu + half, v_max=cv + half,
-                       ue_name=name, visibility=1.0)
+                       u_max=cu + half, v_max=cv + half, visibility=1.0)
 
 
 def test_noise_model_validation():
@@ -46,36 +45,41 @@ def test_activity_state():
         == [1, 1, 0, 0, 1, 1, 0]
 
 
+def detect_all(truth, model, frame):
+    """``detect`` of each (UE index, box) pair in 1280 x 720, misses
+    dropped."""
+    dets = [pl.detect(i, b, model, frame, 1280, 720) for i, b in truth]
+    return [d for d in dets if d is not None]
+
+
 def test_detect_noiseless_is_identity():
-    truth = [(0, make_bbox(300, 200)), (1, make_bbox(700, 400, name="bus"))]
-    dets = pl.detect(truth, pl.DetectorNoiseModel(), 5, 1280, 720)
-    assert [d.ue_name for d in dets] == ["car", "bus"]
+    truth = [(0, make_bbox(300, 200)), (1, make_bbox(700, 400))]
+    dets = detect_all(truth, pl.DetectorNoiseModel(), 5)
+    assert len(dets) == len(truth)
     for (_, b), d in zip(truth, dets):
         assert (d.bbox.u_min, d.bbox.v_min, d.bbox.u_max, d.bbox.v_max) \
             == (b.u_min, b.v_min, b.u_max, b.v_max)
 
 
 def test_detect_miss_prob_one_drops_everything():
-    truth = [(0, make_bbox(300, 200))]
     model = pl.DetectorNoiseModel(miss_prob=1.0, seed=3)
-    assert pl.detect(truth, model, 0, 1280, 720) == []
+    assert pl.detect(0, make_bbox(300, 200), model, 0, 1280, 720) is None
 
 
 def test_detect_deterministic_given_seed():
-    truth = [(0, make_bbox(300, 200)), (1, make_bbox(700, 400, name="bus"))]
+    truth = [(0, make_bbox(300, 200)), (1, make_bbox(700, 400))]
     model = pl.DetectorNoiseModel(pixel_sigma=4.0, miss_prob=0.3, seed=9)
-    a = pl.detect(truth, model, 17, 1280, 720)
-    b = pl.detect(truth, model, 17, 1280, 720)
+    a = detect_all(truth, model, 17)
+    b = detect_all(truth, model, 17)
     assert a == b
     # A different frame index gives a different stream.
-    c = pl.detect(truth, model, 18, 1280, 720)
+    c = detect_all(truth, model, 18)
     assert a != c
 
 
 def test_detect_jitter_preserves_box_size():
-    truth = [(0, make_bbox(600, 300, half=25.0))]
     model = pl.DetectorNoiseModel(pixel_sigma=6.0, seed=1)
-    det = pl.detect(truth, model, 0, 1280, 720)[0]
+    det = pl.detect(0, make_bbox(600, 300, half=25.0), model, 0, 1280, 720)
     assert det.bbox.u_max - det.bbox.u_min == pytest.approx(50.0)
     assert det.bbox.v_max - det.bbox.v_min == pytest.approx(50.0)
     assert (ref.center_u(det.bbox), ref.center_v(det.bbox)) != (600.0, 300.0)
@@ -85,7 +89,7 @@ def test_detect_clips_to_image():
     truth = [(0, make_bbox(2.0, 2.0, half=5.0))]
     model = pl.DetectorNoiseModel(pixel_sigma=50.0, seed=12)
     for frame in range(20):
-        for det in pl.detect(truth, model, frame, 1280, 720):
+        for det in detect_all(truth, model, frame):
             assert 0.0 <= det.bbox.u_min <= det.bbox.u_max <= 1280.0
             assert 0.0 <= det.bbox.v_min <= det.bbox.v_max <= 720.0
 
@@ -195,7 +199,7 @@ def test_detect_jitter_is_linear_in_sigma():
         assert (du, dv) != (0.0, 0.0)
         for sigma, scale in ((1.5, 1.0), (3.0, 2.0)):
             model = pl.DetectorNoiseModel(pixel_sigma=sigma, seed=seed)
-            det = pl.detect([(2, box)], model, 11, 1280, 720)[0].bbox
+            det = pl.detect(2, box, model, 11, 1280, 720).bbox
             assert (det.u_min, det.v_min, det.u_max, det.v_max) == (
                 box.u_min + scale * du, box.v_min + scale * dv,
                 box.u_max + scale * du, box.v_max + scale * dv)
@@ -360,8 +364,7 @@ def test_occlusion_is_one_kernel_pass_per_trace_and_bbox(shipped_scenario,
             one_receiver += rays[0]
             rays.clear()
             mesh = Mesh(tset.tris[tset.owners == tset.names.index(ue.name)])
-            ref.project_bbox(sim.camera, mesh, ue.name, scene,
-                             exclude=(ue.name,))
+            ref.project_bbox(sim.camera, mesh, scene, exclude=(ue.name,))
             assert len(rays) <= 1
             bbox_passes += len(rays)
             one_receiver += sum(rays)

@@ -384,3 +384,141 @@ def test_a_higher_reflection_order_keeps_every_path(scenario):
     for lo, hi in zip(low, high, strict=True):
         for a, b in zip(lo.ues, hi.ues, strict=True):
             assert [p for p in b.paths if p.bounces <= k] == list(a.paths)
+
+
+def _rigidly_moved(scenario, shift=(0.0, 0.0, 0.0), turns=0):
+    """The scenario turned ``turns`` quarter turns counterclockwise about the
+    z axis, then shifted by ``shift``: positions, reflector yaws, BS
+    boresight, camera yaw and camera offset. A quarter turn is exact in
+    floats; UE boxes have no yaw, so an odd turn swaps their x and y
+    sizes."""
+    def turn(p):
+        x, y, z = p
+        for _ in range(turns):
+            x, y = -y, x
+        return x, y, z
+
+    def move(p):
+        return tuple(a + b for a, b in zip(turn(p), shift))
+
+    def yaw(deg):
+        return (deg + 90.0 * turns) % 360.0
+
+    def size(s):
+        return (s[1], s[0], s[2]) if turns % 2 else s
+
+    r = dataclasses.replace
+    return r(
+        scenario,
+        bss=tuple(r(bs, position=move(bs.position),
+                    boresight_deg=yaw(bs.boresight_deg),
+                    camera=r(bs.camera, yaw_deg=yaw(bs.camera.yaw_deg),
+                             position_offset=turn(bs.camera.position_offset)))
+                  for bs in scenario.bss),
+        reflectors=tuple(r(refl, center=move(refl.center),
+                           yaw_deg=yaw(refl.yaw_deg))
+                         for refl in scenario.reflectors),
+        ues=tuple(r(ue, size=size(ue.size),
+                    keyframes=tuple((f, move(p)) for f, p in ue.keyframes))
+                  for ue in scenario.ues))
+
+
+def _verdicts(records):
+    """Each (frame, UE) row's discrete verdicts: whether it has a box, its
+    visibility, the bounce counts of its paths and its optimal index."""
+    return {(rec.frame, u.ue_name): (
+        u.bbox and u.bbox.visibility, sorted(p.bounces for p in u.paths),
+        u.optimal_index) for rec in records for u in rec.ues}
+
+
+def _rows_near_a_bound(scenario):
+    """The (frame, UE) rows with a verdict within rounding of its bound:
+    those whose best beam has a rival within 1e-7 dB (a gain that moves by
+    rel 1e-9 moves an SNR by under 1e-8 dB), and those of which some
+    verdict changes when the BS, with its camera, moves by RAY_EPS along
+    any axis. Drawn examples have shown:
+    - two beams of equal SNR (a path at endfire has the same gain in
+      mirror-image beams), where the first argmax may change;
+    - a box vertex projecting onto an image edge (a UE at the BS whose
+      square box puts its corners at +-45 degrees);
+    - a path leaving the BS within rounding of vertical, whose azimuth,
+      the only angle the channel steers by, comes from a horizontal offset
+      that a shift of the coordinates rounds away.
+    """
+    truth = Simulator(scenario).run_truth()
+    near = {(rec.frame, u.ue_name) for rec in truth for u in rec.ues
+            if not u.outage and sum(
+                s >= u.beam_snrs_db[u.optimal_index] - 1e-7
+                for s in u.beam_snrs_db) > 1}
+    base = _verdicts(truth)
+    bs, *others = scenario.bss
+    for step in np.vstack([np.eye(3), -np.eye(3)]) * geo.RAY_EPS:
+        nudged = dataclasses.replace(bs, position=tuple(bs.position + step))
+        rows = _verdicts(Simulator(dataclasses.replace(
+            scenario, bss=(nudged, *others))).run_truth())
+        near |= {row for row, verdict in rows.items() if verdict != base[row]}
+    return near
+
+
+def _same_paths(a, b):
+    """Whether two lists of paths match one to one, with equal bounces and
+    gains and delays within rel 1e-9."""
+    unmatched = list(b)
+    for p in a:
+        match = [q for q in unmatched if q.bounces == p.bounces
+                 and math.isclose(q.delay_s, p.delay_s, rel_tol=1e-9)
+                 and cmath.isclose(q.gain, p.gain, rel_tol=1e-9)]
+        if not match:
+            return False
+        unmatched.remove(match[0])
+    return not unmatched
+
+
+def _same_box(a, b):
+    """Whether two boxes (or None) have pixels within 1e-6 and the same
+    visibility."""
+    if a is None or b is None:
+        return a is b
+    return a.visibility == b.visibility and np.allclose(
+        [a.u_min, a.v_min, a.u_max, a.v_max],
+        [b.u_min, b.v_min, b.u_max, b.v_max], rtol=0.0, atol=1e-6)
+
+
+def assert_rigid_motion_keeps_truth(scenario, moved):
+    """Every (frame, UE) row of ``moved``'s truth pass equals that of
+    ``scenario``: the same paths (``_same_paths``), the same box
+    (``_same_box``) and the same optimal index. A row that differs must be
+    one of ``_rows_near_a_bound``, which the failure message lists."""
+    differ = {}
+    for ra, rb in zip(Simulator(scenario).run_truth(),
+                      Simulator(moved).run_truth(), strict=True):
+        for a, b in zip(ra.ues, rb.ues, strict=True):
+            if not (_same_paths(a.paths, b.paths) and _same_box(a.bbox, b.bbox)
+                    and a.optimal_index == b.optimal_index):
+                differ[ra.frame, a.ue_name] = (a, b)
+    if differ:
+        near = _rows_near_a_bound(scenario)
+        assert differ.keys() <= near, (
+            {row: differ[row] for row in differ.keys() - near}, near)
+
+
+@example(CORNER, (-731.25, 412.0, 3.5))
+@given(small_scenarios(), st.tuples(*[st.floats(-1e3, 1e3)] * 3))
+def test_translation_keeps_truth(scenario, shift):
+    """Shifting the BS, every reflector and every UE keyframe by one vector
+    changes no path, box or optimal beam (see
+    ``assert_rigid_motion_keeps_truth``)."""
+    assert_rigid_motion_keeps_truth(
+        scenario, _rigidly_moved(scenario, shift=shift))
+
+
+@example(CORNER, 1)
+@example(CORNER, 2)
+@example(CORNER, 3)
+@given(small_scenarios(), st.integers(1, 3))
+def test_quarter_turns_keep_truth(scenario, turns):
+    """Turning the whole scenario by quarter turns about z, with the BS
+    boresight and camera yaw, changes no path, box or optimal beam (see
+    ``assert_rigid_motion_keeps_truth``)."""
+    assert_rigid_motion_keeps_truth(
+        scenario, _rigidly_moved(scenario, turns=turns))

@@ -1,6 +1,8 @@
 import ast
+import re
 from collections import Counter
 
+from beamcam import scenario as sc
 from conftest import REPO_ROOT
 
 SRC = REPO_ROOT / "src" / "beamcam"
@@ -112,3 +114,26 @@ def test_every_dataclass_field_is_read():
     unread = [f"{module}: {cls}.{name}" for module, cls, name in fields
               if not read[name]]
     assert unread == []
+
+
+def test_scenario_doc_lists_every_key():
+    """The key table of each section of ``docs/scenario_format.md`` lists
+    exactly the keys its config class reads from the file: its ``_spec``
+    keys, with ``CameraConfig``'s in ``[bs]`` and the repeatable
+    ``keyframe`` in ``[ue]``."""
+    doc = (REPO_ROOT / "docs" / "scenario_format.md").read_text(
+        encoding="utf-8")
+    tables = {}
+    for section in re.split(r"^### ", doc, flags=re.M)[1:]:
+        keys = re.findall(r"^\| `(\w+)` \|", section, flags=re.M)
+        if keys:
+            tables[re.match(r"`\[(\w+)", section).group(1)] = set(keys)
+
+    def keys(cls):
+        return {spec.key for spec in sc._specs(cls) if spec.kind is not None}
+
+    want = {kind: keys(cls) for kind, (_, cls) in sc._NAMED_SECTIONS.items()}
+    want["system"] = keys(sc.SystemParams)
+    want["bs"] |= keys(sc.CameraConfig)
+    want["ue"].add(sc._KEYFRAME)
+    assert tables == want
