@@ -18,10 +18,10 @@ from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .camera import BoundingBox, CameraModel, VertexRays, pixel_to_azimuth
 from .channel import build_channel, generate_codebook, optimal_beam
@@ -108,12 +108,12 @@ def noise_draws(seed: int, frame: int, ue_index: int
                 ) -> tuple[float, float, float]:
     """The detector's draws for one (seed, frame, UE index): (miss, z_u, z_v).
 
-    The one place a detector RNG stream is made: one stream per (seed,
-    frame, UE index), so the draws do not depend on evaluation order, and
-    they do not depend on sigma, whose jitter is ``z * sigma``. The stream
-    is ``default_rng([seed, frame, ue_index])``, seeded with the uint32
-    words that ``SeedSequence`` makes of that list, which skips its
-    per-call coercion of the list.
+    The definition of a detector RNG stream: one stream per (seed, frame,
+    UE index), so the draws do not depend on evaluation order, and they do
+    not depend on sigma, whose jitter is ``z * sigma``. The stream is
+    ``default_rng([seed, frame, ue_index])``, seeded with the uint32 words
+    that ``SeedSequence`` makes of that list, which skips its per-call
+    coercion of the list. ``sweep_draws`` is its batched form.
     """
     if seed < 0 or frame < 0 or ue_index < 0:
         raise ValueError(f"noise stream ({seed}, {frame}, {ue_index}) needs "
@@ -123,6 +123,121 @@ def noise_draws(seed: int, frame: int, ue_index: int
     miss = rng.random()
     z_u, z_v = rng.standard_normal(2).tolist()
     return miss, z_u, z_v
+
+
+def _hash_consts(init: int, mult: int, calls: int) -> list[int]:
+    """The hash constant of ``SeedSequence`` before each of ``calls``
+    hash calls, and after the last: ``init * mult**k`` mod 2**32."""
+    consts = [init]
+    for _ in range(calls):
+        consts.append(consts[-1] * mult & _WORD)
+    return consts
+
+
+# ``SeedSequence``'s constants (``numpy.random.bit_generator``). The hash
+# constants do not depend on the data: the 16 hash calls of a pool of up to
+# 4 entropy words, and the 8 of ``generate_state(4, np.uint64)``, are the
+# same for every stream.
+_POOL = 4
+_INIT_A, _MULT_A, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_HASH_A = _hash_consts(_INIT_A, _MULT_A, _POOL * _POOL)
+_HASH_B = _hash_consts(0x8B51F9DD, _MULT_B, 2 * _POOL)
+
+
+def _hashmix(value: np.ndarray, consts: list[int], k: int) -> np.ndarray:
+    value = (value ^ consts[k]) * consts[k + 1] & _WORD
+    return value ^ value >> 16
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    value = (x * _MIX_L - y * _MIX_R) & _WORD
+    return value ^ value >> 16
+
+
+def _seed_states(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(row).generate_state(4, np.uint64)`` of each row of a
+    (rows, words) uint64 array of uint32 entropy words, in one pass.
+
+    Every product is of two values below 2**32, so it is exact in uint64
+    and is masked back to 32 bits. Rows of fewer than 4 words are padded
+    with 0, which is what ``SeedSequence`` hashes in their place; words
+    past the 4th run its extra mixing loop.
+    """
+    width = entropy.shape[1]
+    entropy = np.pad(entropy, ((0, 0), (0, max(_POOL - width, 0))))
+    # Each word past the 4th adds 4 hash calls.
+    consts = _HASH_A if width <= _POOL else _hash_consts(
+        _INIT_A, _MULT_A, _POOL * width)
+    pool = [_hashmix(entropy[:, i], consts, i) for i in range(_POOL)]
+    k = _POOL
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts, k))
+                k += 1
+    for src in range(_POOL, width):
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], _hashmix(entropy[:, src], consts, k))
+            k += 1
+    state = [_hashmix(pool[i % _POOL], _HASH_B, i) for i in range(2 * _POOL)]
+    return np.stack([state[2 * i] | state[2 * i + 1] << 32
+                     for i in range(_POOL)], axis=1)
+
+
+class _SeedState(ISeedSequence):
+    """The state words of a ``SeedSequence``, already made: what a
+    ``PCG64`` asks its seed sequence for, ``generate_state(4, np.uint64)``."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _word_groups(word_lists: list[list[int]]
+                 ) -> list[tuple[list[int], np.ndarray]]:
+    """The indices of the word lists of each length, and their words."""
+    groups = {}
+    for i, words in enumerate(word_lists):
+        groups.setdefault(len(words), []).append(i)
+    return [(index, np.array([word_lists[i] for i in index], np.uint64))
+            for index in groups.values()]
+
+
+def sweep_draws(seeds: list[int], keys: list[tuple[int, int]]
+                ) -> np.ndarray:
+    """(miss, z_u) of ``noise_draws(seed, frame, ue_index)`` for every seed
+    and every (frame, UE index) key: a (seeds, keys, 2) array.
+
+    The batched form of ``noise_draws``, with the same streams. The
+    ``SeedSequence`` state of every stream is hashed in one array pass
+    (``_seed_states``), one pass per length of the entropy word list; each
+    stream's ``PCG64`` is then seeded with its words, and numpy's own
+    ``Generator`` draws from it. A scalar ``standard_normal()`` is the first
+    value of ``standard_normal(2)``.
+    """
+    if any(n < 0 for n in seeds) or any(n < 0 for key in keys for n in key):
+        raise ValueError("noise streams need non-negative integers")
+    key_groups = _word_groups([_words(frame) + _words(ue)
+                               for frame, ue in keys])
+    draws = np.empty((len(seeds), len(keys), 2))
+    for seed_index, seed_words in _word_groups([_words(s) for s in seeds]):
+        for key_index, key_words in key_groups:
+            entropy = np.concatenate(
+                [np.repeat(seed_words, len(key_index), axis=0),
+                 np.tile(key_words, (len(seed_index), 1))], axis=1)
+            out = []
+            for words in _seed_states(entropy):
+                rng = np.random.Generator(np.random.PCG64(_SeedState(words)))
+                out.append(rng.random())
+                out.append(rng.standard_normal())
+            draws[np.ix_(seed_index, key_index)] = np.reshape(
+                out, (len(seed_index), len(key_index), 2))
+    return draws
 
 
 def detect(ue_index: int, bbox: BoundingBox, model: DetectorNoiseModel,
@@ -156,8 +271,8 @@ TRUTH_BLOCK = 8
 
 #: Most (sigma, seed, row) centre columns ``Simulator.sweep`` forms at once,
 #: 128 KB an array whatever the number of seeds. The shipped scenario's
-#: default sweep takes 5 blocks of 4 seeds; as one block of 65,700 it raised
-#: peak memory by about 0.2 MB.
+#: default sweep takes 5 blocks of 4 seeds, with a peak of 0.86 MB traced
+#: by ``tracemalloc``; as one block of 65,700 it peaked at 3.0 MB.
 SWEEP_CELLS = 1 << 14
 
 
@@ -377,13 +492,14 @@ class Simulator:
         Each value equals ``evaluate(apply_detector(truth, model))
         .top1_accuracy`` for ``DetectorNoiseModel(sigma, miss_prob, seed)``,
         but no record is built. The noise is drawn once per (seed, frame,
-        UE) by ``noise_draws`` and shared by every sigma. Only rows the
-        detector sees (active, with a bbox) that are not outages can count,
-        so only those are drawn. Every (sigma, seed, row) centre column is
-        formed in one array pass, with the float operations of ``detect``
-        and ``select_beam``, and read from ``BeamEdges`` at once, up to
-        ``SWEEP_CELLS`` of them at a time. A hit is a predicted index equal
-        to the optimal one: that is ``evaluate``'s rank 0, since
+        UE), from the stream of ``noise_draws``, and shared by every sigma:
+        ``sweep_draws`` seeds the streams of a block of seeds in one array
+        pass. Only rows the detector sees (active, with a bbox) that are not
+        outages can count, so only those are drawn. Every (sigma, seed, row)
+        centre column is formed in one array pass, with the float operations
+        of ``detect`` and ``select_beam``, and read from ``BeamEdges`` at
+        once, up to ``SWEEP_CELLS`` of them at a time. A hit is a predicted
+        index equal to the optimal one: that is ``evaluate``'s rank 0, since
         ``optimal_beam`` picks the first argmax of the SNR table and rank 0
         is the first argmax.
         """
@@ -397,16 +513,13 @@ class Simulator:
         u_min = np.array([u.bbox.u_min for _, _, u in rows])
         u_max = np.array([u.bbox.u_max for _, _, u in rows])
         optimal = np.array([u.optimal_index for _, _, u in rows], dtype=int)
+        keys = [(frame, ue) for frame, ue, _ in rows]
         width = float(self.camera.width_px)
         block = max(1, SWEEP_CELLS // max(len(sigmas) * len(rows), 1))
         accs = np.empty((len(sigmas), len(seeds)))
         for lo in range(0, len(seeds), block):
             part = seeds[lo:lo + block]
-            draws = np.fromiter(
-                chain.from_iterable(noise_draws(seed, frame, ue)[:2]
-                                    for seed in part for frame, ue, _ in rows),
-                float, 2 * len(part) * len(rows)
-            ).reshape(len(part), len(rows), 2)
+            draws = sweep_draws(part, keys)
             seen = draws[..., 0] >= miss_prob  # (seed, row)
             center = center_columns(
                 u_min, u_max, np.multiply.outer(sigmas, draws[..., 1]), width)

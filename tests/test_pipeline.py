@@ -180,9 +180,43 @@ def test_noise_draws_are_the_list_seeded_stream(seed):
             == ref.noise_draws(seed, frame, ue)
 
 
+# Stream keys across the word boundaries of ``SeedSequence``'s entropy.
+EDGE_KEYS = [0, 1, 2**32 - 1, 2**32, 2**40, 2**64 + 3]
+
+
+@given(seeds=st.lists(st.sampled_from(EDGE_KEYS) | st.integers(0, 2**70),
+                      max_size=4),
+       keys=st.lists(st.tuples(st.sampled_from(EDGE_KEYS)
+                               | st.integers(0, 2**40),
+                               st.sampled_from(EDGE_KEYS)
+                               | st.integers(0, 64)), max_size=6))
+def test_sweep_draws_are_the_noise_draws(seeds, keys):
+    """The batched streams are ``noise_draws``' streams, cell for cell,
+    whatever mix of entropy word counts (3 to 9) one call holds."""
+    draws = pl.sweep_draws(seeds, keys)
+    assert draws.shape == (len(seeds), len(keys), 2)
+    assert [[tuple(cell) for cell in row] for row in draws.tolist()] \
+        == [[pl.noise_draws(seed, frame, ue)[:2] for frame, ue in keys]
+            for seed in seeds]
+
+
+def test_sweep_draws_of_the_edge_keys():
+    """One call over every edge seed and key mixes entropy lists of 3 to 8
+    words; a call with no rows draws nothing."""
+    keys = [(frame, ue) for frame in EDGE_KEYS for ue in EDGE_KEYS[:4]]
+    draws = pl.sweep_draws(EDGE_KEYS, keys)
+    assert draws.tolist() == [
+        [list(pl.noise_draws(seed, frame, ue)[:2]) for frame, ue in keys]
+        for seed in EDGE_KEYS]
+    assert pl.sweep_draws(EDGE_KEYS, []).shape == (len(EDGE_KEYS), 0, 2)
+    assert pl.sweep_draws([], keys).shape == (0, len(keys), 2)
+
+
 def test_a_negative_seed_is_rejected(minimal_scenario):
     with pytest.raises(ValueError):
         pl.noise_draws(-1, 0, 0)
+    with pytest.raises(ValueError):
+        pl.sweep_draws([-1], [(0, 0)])
     # Even when no row is drawn.
     sim = pl.Simulator(minimal_scenario)
     with pytest.raises(ValueError):
@@ -205,15 +239,29 @@ def test_detect_jitter_is_linear_in_sigma():
                 box.u_max + scale * du, box.v_max + scale * dv)
 
 
-@pytest.mark.parametrize("miss_prob", [0.0, 0.3])
-def test_sweep_matches_apply_detector_and_evaluate(shipped_truth, miss_prob):
+def assert_sweep_is_apply_detector_and_evaluate(shipped_truth, seeds,
+                                                miss_prob):
     sim, truth = shipped_truth
-    sigmas, seeds = [0.0, 2.0, 7.5], range(4)
+    sigmas = [0.0, 2.0, 7.5]
     accs = sim.sweep(truth, sigmas, seeds, miss_prob)
     assert accs == [[ds.evaluate(sim.apply_detector(
         truth, pl.DetectorNoiseModel(sigma, miss_prob, seed))).top1_accuracy
         for seed in seeds] for sigma in sigmas]
     assert len({acc for row in accs for acc in row}) > 1
+
+
+@pytest.mark.parametrize("miss_prob", [0.0, 0.3])
+def test_sweep_matches_apply_detector_and_evaluate(shipped_truth, miss_prob):
+    assert_sweep_is_apply_detector_and_evaluate(shipped_truth, range(4),
+                                                miss_prob)
+
+
+@pytest.mark.parametrize("miss_prob", [0.0, 0.3])
+def test_sweep_matches_apply_detector_at_multiword_seeds(shipped_truth,
+                                                         miss_prob):
+    """Seeds of one, two and three entropy words in one sweep."""
+    assert_sweep_is_apply_detector_and_evaluate(
+        shipped_truth, [2**32 - 1, 2**32, 2**64 + 3], miss_prob)
 
 
 def test_sweep_without_eligible_rows_scores_zero(minimal_scenario):

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import re
 from collections import Counter
 
@@ -11,13 +12,34 @@ TESTS = REPO_ROOT / "tests"
 # Writers that exist for the round-trip acceptance checks, not for the CLI.
 NO_SRC_CALLER = {"serialize_scenario", "write_stl"}
 
+# numpy's random number constructors. A detector stream is made only in the
+# pipeline's two noise functions: ``noise_draws`` and its batched form.
+RNG_CONSTRUCTORS = {"default_rng", "Generator", "PCG64", "SeedSequence"}
+NOISE_FUNCTIONS = {("pipeline.py", "noise_draws"),
+                   ("pipeline.py", "sweep_draws")}
+
+
+def _implements_foreign_abstract(module: str, name: str) -> bool:
+    """Whether the method ``Class.method`` of ``src/beamcam/<module>``
+    implements an abstract method of a base class from outside beamcam,
+    whose own code calls it (``numpy``'s ``PCG64`` calls an
+    ``ISeedSequence``'s ``generate_state``)."""
+    cls_name, method = name.split(".")
+    cls = getattr(importlib.import_module(f"beamcam.{module[:-3]}"),
+                  cls_name)
+    return any(method in getattr(base, "__abstractmethods__", ())
+               for base in cls.__mro__[1:]
+               if not base.__module__.startswith("beamcam"))
+
 
 def test_every_src_definition_has_a_src_caller():
     """Every top-level function and class in ``src/beamcam``, and every
     method other than a dunder, is used by name somewhere in ``src/``
     besides its own definition: as a name, as an attribute (a method only
-    as an attribute), or as a string (a ``getattr`` key). Forms that only
-    the tests call belong in ``tests/reference.py``."""
+    as an attribute), or as a string (a ``getattr`` key). A method that
+    implements an abstract method of a base class from outside beamcam is
+    called by that base's code. Forms that only the tests call belong in
+    ``tests/reference.py``."""
     definitions = []
     names, attributes = Counter(), Counter()
     for path in sorted(SRC.glob("*.py")):
@@ -42,9 +64,39 @@ def test_every_src_definition_has_a_src_caller():
     for module, name, method in definitions:
         leaf = name.rsplit(".", 1)[-1]
         used = attributes[leaf] or (not method and names[leaf])
-        if not used and leaf not in NO_SRC_CALLER:
+        if not used and leaf not in NO_SRC_CALLER and not (
+                method and _implements_foreign_abstract(module, name)):
             uncalled.append(f"{module}: {name}")
     assert uncalled == []
+
+
+def test_rng_streams_are_made_only_in_the_noise_functions():
+    """In ``src/beamcam``, numpy's RNG constructors are named (called,
+    referenced or imported) only inside ``pipeline.noise_draws`` and
+    ``pipeline.sweep_draws``, so those two are the one place a detector
+    stream is made, and both do make one."""
+    owners = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            owner = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    names = [node.id]
+                elif isinstance(node, ast.Attribute):
+                    names = [node.attr]
+                elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                    names = [a.name.rsplit(".", 1)[-1] for a in node.names]
+                else:
+                    continue
+                owners += [(path.name, owner, node.lineno, name)
+                           for name in names if name in RNG_CONSTRUCTORS]
+    outside = [f"{module}:{line}: {name} in {owner}"
+               for module, owner, line, name in owners
+               if (module, owner) not in NOISE_FUNCTIONS]
+    assert outside == []
+    assert {(module, owner) for module, owner, _, _ in owners} \
+        == NOISE_FUNCTIONS
 
 
 def test_every_import_is_used():
