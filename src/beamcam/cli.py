@@ -99,10 +99,11 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_render(args) -> int:
     scenario = _load_scenario(args.scenario)
-    sim = Simulator(scenario, args.bs, Path(args.scenario).parent)
     if not 0 <= args.frame < scenario.system.frames:
         raise ValueError(f"frame {args.frame} outside "
                          f"[0, {scenario.system.frames})")
+    _check_writable(args.out)
+    sim = Simulator(scenario, args.bs, Path(args.scenario).parent)
     Path(args.out).write_bytes(
         _render_frame_bytes(sim, sim.frame_truth(args.frame)))
     print(f"wrote {args.out}")

@@ -7,8 +7,8 @@ index), so visual and wireless truth are synchronized by construction;
 every box and path of every frame of a block comes from one occlusion
 pass, each row against its own frame's occluder table. The prediction side
 gates on activity, detects with a pluggable noise-parameterized oracle
-detector, and reads the codebook bin of the bbox centre column from the
-edge table of ``beamcam.selection``.
+detector, and reads the codebook bin of the bbox centre column
+(``selection.column_index``) from its edge table, ``BeamEdges``.
 """
 
 from __future__ import annotations
@@ -497,7 +497,7 @@ class Simulator:
         pass. Only rows the detector sees (active, with a bbox) that are not
         outages can count, so only those are drawn. Every (sigma, seed, row)
         centre column is formed in one array pass, with the float operations
-        of ``detect`` and ``select_beam``, and read from ``BeamEdges`` at
+        of ``detect`` and ``apply_detector``, and read from ``BeamEdges`` at
         once, up to ``SWEEP_CELLS`` of them at a time. A hit is a predicted
         index equal to the optimal one: that is ``evaluate``'s rank 0, since
         ``optimal_beam`` picks the first argmax of the SNR table and rank 0

@@ -15,6 +15,7 @@ from .geometry import TriangleSet
 
 BACKGROUND_RGB = (38, 50, 66)
 BBOX_RGB = (255, 220, 40)
+BBOX_THICKNESS_PX = 2
 
 #: Flat base color per propagation material (documented in the README).
 MATERIAL_RGB = {
@@ -91,14 +92,14 @@ def _fill_triangle(img: np.ndarray, pts: np.ndarray, color) -> None:
     region[inside] = color
 
 
-def _draw_bbox(img: np.ndarray, bbox: BoundingBox, thickness: int = 2) -> None:
+def _draw_bbox(img: np.ndarray, bbox: BoundingBox) -> None:
     h, w = img.shape[:2]
     u0 = int(np.clip(np.floor(bbox.u_min), 0, w - 1))
     u1 = int(np.clip(np.ceil(bbox.u_max), 0, w - 1))
     v0 = int(np.clip(np.floor(bbox.v_min), 0, h - 1))
     v1 = int(np.clip(np.ceil(bbox.v_max), 0, h - 1))
     color = np.array(BBOX_RGB, dtype=np.uint8)
-    t = thickness
+    t = BBOX_THICKNESS_PX
     img[v0:min(v0 + t, h), u0:u1 + 1] = color
     img[max(v1 - t + 1, 0):v1 + 1, u0:u1 + 1] = color
     img[v0:v1 + 1, u0:min(u0 + t, w)] = color

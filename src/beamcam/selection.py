@@ -1,10 +1,10 @@
-"""Beam selection: a detected box's centre column to a codebook index.
+"""Beam selection: a detection's centre column to a codebook index.
 
-``select_beam`` is the definition of a prediction: the box's horizontal
-edges clipped to the image, their centre column mapped through
-``pixel_to_azimuth`` into a codebook bin. ``BeamEdges`` is its index as a
-step function of the centre column, built from it and checked against it;
-the prediction paths of ``beamcam.pipeline`` read that table.
+``column_index`` is the definition of a prediction: the codebook bin of the
+world azimuth that ``pixel_to_azimuth`` gives the centre column, taken
+relative to the array. ``BeamEdges`` is that index as a step table over the
+columns of the image, which the prediction paths of ``beamcam.pipeline``
+read.
 """
 
 from __future__ import annotations
@@ -24,16 +24,12 @@ def clip(x, limit) -> float:
     return min(max(float(x), 0.0), float(limit))
 
 
-def center_column(u_min, u_max, width_px) -> float:
-    """The centre column of a box's horizontal edges clipped to the image."""
-    return (clip(u_min, width_px) + clip(u_max, width_px)) / 2.0
-
-
 def center_columns(u_min: np.ndarray, u_max: np.ndarray, du: np.ndarray,
                    width: float) -> np.ndarray:
-    """``center_column`` of every box (u_min, u_max) moved by every jitter in
-    ``du``, with the same float operations (add, clip, add, halve); ``du``
-    is overwritten."""
+    """The centre column of every box (u_min, u_max) moved by every jitter
+    in ``du``, with the float operations of ``detect`` and
+    ``apply_detector`` (add, clip each edge to [0, width], add, halve);
+    ``du`` is overwritten."""
     center = u_min + du
     np.minimum(np.maximum(center, 0.0, out=center), width, out=center)
     du += u_max
@@ -43,22 +39,14 @@ def center_columns(u_min: np.ndarray, u_max: np.ndarray, du: np.ndarray,
     return center
 
 
-def select_beam(u_min: float, u_max: float, cam: CameraModel,
-                codebook: Codebook, boresight_deg: float
-                ) -> tuple[int | None, float]:
-    """Map a box's horizontal edges to (codebook index, world azimuth).
-
-    The edges are clipped to the image, as the detector clips them, and the
-    centre column is mapped to an azimuth. Index is None when the azimuth
-    falls outside the array half-space. This scalar ``math`` form is the
-    definition of a prediction: ``BeamEdges`` is built from it and checked
-    against it, and ``np.arctan`` may differ from ``math.atan`` in the last
-    bit, which can move a prediction across a bin edge.
-    """
-    center_u = center_column(u_min, u_max, cam.width_px)
-    az_world = pixel_to_azimuth(cam, center_u)
-    return (codebook.bin_index(world_to_array_deg(az_world, boresight_deg)),
-            az_world)
+def column_index(c: float, cam: CameraModel, codebook: Codebook,
+                 boresight_deg: float) -> int | None:
+    """The codebook bin of column c's world azimuth relative to the array,
+    None off the array half-space. This scalar ``math`` form is the
+    definition of a prediction: ``np.arctan`` may differ from ``math.atan``
+    in the last bit, which can move a prediction across a bin edge."""
+    return codebook.bin_index(
+        world_to_array_deg(pixel_to_azimuth(cam, c), boresight_deg))
 
 
 def _bits(x: float) -> int:
@@ -71,83 +59,60 @@ def _from_bits(b: int) -> float:
 
 
 class BeamEdges:
-    """The predicted codebook index as a step function of the clipped
-    centre column c in [0, W]: ``index(c)`` equals ``select_beam(c, c,
-    ...)[0]`` for every float c there.
+    """``column_index`` as a step function of the centre column c in
+    [0, W]: ``index(c)`` equals ``column_index(c, ...)`` for every float c
+    there.
 
     ``edges`` is sorted; c at or right of ``edges[j - 1]`` and left of
     ``edges[j]`` predicts ``indices[j]``, the one index table: ``index``
     reads it by ``bisect``, cheaper than numpy for one column, and
-    ``lookup`` for an array of columns. Each edge is the first float at
-    which ``select_beam`` changes its index, found by bisection over the
-    float bit patterns of [0, W]. The search starts from the analytic bin
-    boundaries, the columns c = cx + fx tan(k 180/Q + boresight - 90 - yaw)
-    for k = 0..Q (modulo 360 degrees), whose midpoints split [0, W] into one
-    bracket per boundary. Raises ValueError when a bracket holds no step
-    (unless its boundary lies within rounding of an image end) or more
-    than one, or when either float neighbour of an edge disagrees with
-    ``select_beam``.
+    ``lookup`` for an array of columns. Each edge is the first float of its
+    new index, found by bisection over the float bit patterns of [0, W]:
+    every bit interval whose ends read different indices is split until its
+    ends are neighbours. That finds every step because, as c grows, the
+    column's array-relative angle sweeps an arc shorter than the hfov
+    (< 180 degrees), so the index rises by one bin per step and reads None
+    at one end at most: an interval whose ends agree holds no step. Raises
+    ValueError when the table breaks this (bins not consecutive, or None
+    other than at one end) or when either float neighbour of an edge
+    disagrees with ``column_index``.
     """
 
     def __init__(self, cam: CameraModel, codebook: Codebook,
                  boresight_deg: float):
         def index_at(c: float) -> int | None:
-            return select_beam(c, c, cam, codebook, boresight_deg)[0]
+            return column_index(c, cam, codebook, boresight_deg)
+
+        def split(lo: int, left, hi: int, right) -> None:
+            """Append the steps in the bit interval (lo, hi], whose ends
+            read ``left`` and ``right``."""
+            if left == right:
+                return
+            if hi - lo == 1:
+                self.edges.append(_from_bits(hi))
+                self.indices.append(right)
+                return
+            mid = (lo + hi) // 2
+            at_mid = index_at(_from_bits(mid))
+            split(lo, left, mid, at_mid)
+            split(mid, at_mid, hi, right)
 
         width = float(cam.width_px)
-        # Far wider than the rounding of select_beam's degree arithmetic,
-        # far narrower than the 180/Q degrees between boundaries.
-        slack_rad = math.radians(
-            1e-9 * (450.0 + abs(cam.yaw_deg) + abs(boresight_deg)))
-        bounds = []
-        for k in range(codebook.q + 1):
-            theta = (k * 180.0 / codebook.q + boresight_deg - 90.0
-                     - cam.yaw_deg + 180.0) % 360.0 - 180.0
-            if abs(theta) < 90.0:
-                t = math.tan(math.radians(theta))
-                c = cam.cx + cam.fx * t
-                slack = cam.fx * (1.0 + t * t) * slack_rad
-                if -slack < c < width + slack:
-                    bounds.append((c, slack))
-        bounds.sort()
-        cuts = [0.0, *(min(max((a + b) / 2.0, 0.0), width)
-                       for (a, _), (b, _) in zip(bounds, bounds[1:])), width]
-        edges: list[float] = []
-        indices = [index_at(0.0)]
-        for (c, slack), lo, hi in zip(bounds, cuts, cuts[1:]):
-            left, right = indices[-1], index_at(hi)
-            if left == right:
-                if slack < c < width - slack:
-                    raise ValueError(f"no index step near column {c!r}")
-                continue
-            lo_bits, hi_bits = _bits(lo), _bits(hi)
-            # Cut first just either side of the boundary, where the step
-            # lies, then halve.
-            near = [_bits(c + slack), _bits(c - slack)]
-            while hi_bits - lo_bits > 1:
-                mid = near.pop(0) if near else (lo_bits + hi_bits) // 2
-                if not lo_bits < mid < hi_bits:
-                    continue
-                if index_at(_from_bits(mid)) == left:
-                    lo_bits = mid
-                else:
-                    hi_bits = mid
-            edge = _from_bits(hi_bits)
-            if index_at(edge) != right:
-                raise ValueError(f"more than one index step in columns "
-                                 f"[{lo!r}, {hi!r}]")
-            edges.append(edge)
-            indices.append(right)
-        if index_at(width) != indices[-1]:
-            raise ValueError("an index step lies off every bin boundary")
-        self.edges = edges
-        self.indices = indices
-        for edge in edges:
+        self.edges: list[float] = []
+        self.indices = [index_at(0.0)]
+        split(_bits(0.0), self.indices[0], _bits(width), index_at(width))
+        bins = [i for i in self.indices if i is not None]
+        if any(b != a + 1 for a, b in zip(bins, bins[1:])) \
+                or self.indices.count(None) > 1 \
+                or None in self.indices[1:-1]:
+            raise ValueError(f"column indices {self.indices} are not "
+                             f"consecutive bins with None at one end")
+        for edge in self.edges:
             for c in (math.nextafter(edge, -math.inf),
                       math.nextafter(edge, math.inf)):
                 if self.index(c) != index_at(c):
-                    raise ValueError(f"table disagrees with select_beam at "
-                                     f"column {c!r}")
+                    raise ValueError(f"table disagrees with column_index "
+                                     f"at column {c!r}")
 
     def index(self, c: float) -> int | None:
         """The predicted index at one centre column."""

@@ -4,7 +4,8 @@ Each is the one-receiver, one-mesh, one-vector or one-path case of code in
 ``beamcam``, written the plain way: ``trace_paths`` is one receiver of
 ``Candidates`` with its rows in one occlusion pass, ``project_bbox`` one
 mesh of ``VertexRays``, ``compute_path_component`` one path of
-``path_components``, and so on; ``noise_draws`` seeds its stream with the
+``path_components``, ``select_beam`` one box's prediction of
+``apply_detector``, and so on; ``noise_draws`` seeds its stream with the
 list that the program's form turns into uint32 words itself. The program
 itself never calls them.
 """
@@ -16,14 +17,16 @@ from pathlib import Path
 
 import numpy as np
 
-from beamcam.camera import BoundingBox, CameraModel, VertexRays, project_points
-from beamcam.channel import OUTAGE_SNR_DB
+from beamcam.camera import (BoundingBox, CameraModel, VertexRays,
+                            pixel_to_azimuth, project_points)
+from beamcam.channel import OUTAGE_SNR_DB, Codebook, world_to_array_deg
 from beamcam.geometry import (Mesh, Tracks, Trajectory, TriangleSet,
                               _tri_areas, same_point)
 from beamcam.pipeline import DetectorNoiseModel, FrameRecord, Simulator
 from beamcam.raytrace import (Candidates, PathComponent, SceneGeometry,
                               path_components, prefix_table)
 from beamcam.scenario import Scenario, UeConfig, _by_name
+from beamcam.selection import clip
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +164,24 @@ def beam_snr(h: np.ndarray, w: np.ndarray, tx_power_dbm: float,
     if g == 0.0:
         return OUTAGE_SNR_DB
     return tx_power_dbm + 20.0 * math.log10(g) - noise_power_dbm
+
+
+# ---------------------------------------------------------------------------
+# selection
+
+def select_beam(u_min: float, u_max: float, cam: CameraModel,
+                codebook: Codebook, boresight_deg: float
+                ) -> tuple[int | None, float]:
+    """Map a box's horizontal edges to (codebook index, world azimuth).
+
+    The edges are clipped to the image, as the detector clips them, and the
+    centre column is mapped to an azimuth. Index is None when the azimuth
+    falls outside the array half-space.
+    """
+    center_u = (clip(u_min, cam.width_px) + clip(u_max, cam.width_px)) / 2.0
+    az_world = pixel_to_azimuth(cam, center_u)
+    return (codebook.bin_index(world_to_array_deg(az_world, boresight_deg)),
+            az_world)
 
 
 # ---------------------------------------------------------------------------

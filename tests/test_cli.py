@@ -11,7 +11,6 @@ from beamcam import dataset as ds
 from beamcam import geometry as geo
 from beamcam import pipeline as pl
 from beamcam import scenario as sc
-from beamcam import selection as sel
 from beamcam import stl
 
 import reference as ref
@@ -131,8 +130,8 @@ def test_small_scenarios_run_end_to_end(tmp_path_factory, scenario):
     for frame in range(scenario.system.frames):
         rec = assert_frame_pass_is_one_receiver_calls(sim, frame)
         assert all(u.outage == (u.optimal_index is None) for u in rec.ues)
-    # Both prediction paths read one edge table, and it predicts what
-    # select_beam predicts.
+    # Both prediction paths read one edge table, and it predicts what the
+    # reference select_beam predicts.
     truth = sim.run_truth()
     sigmas, seeds = [0.0, 3.0, 40.0, 300.0], range(3)
     for miss_prob in (0.0, 0.2):
@@ -146,7 +145,7 @@ def test_small_scenarios_run_end_to_end(tmp_path_factory, scenario):
                 for u in (u for rec in records for u in rec.ues):
                     if u.detection is not None:
                         assert (u.predicted_index, u.predicted_azimuth_deg) \
-                            == sel.select_beam(
+                            == ref.select_beam(
                                 u.detection.bbox.u_min,
                                 u.detection.bbox.u_max, sim.camera,
                                 sim.codebook, sim.bs.boresight_deg)
@@ -340,6 +339,32 @@ def test_unwritable_outputs_fail_before_the_truth_pass(
     assert run([command, "--scenario", scenario_file, *options]) == 1
     assert "error:" in capsys.readouterr().err
     assert truth_passes == []
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("options, message", [
+    (["--frame", 0, "--out", "nodir/f.ppm"], "cannot write"),
+    (["--frame", 0, "--out", "afile/f.ppm"], "cannot write"),
+    (["--frame", 0, "--out", "adir"], "cannot write"),
+    (["--frame", -1, "--out", "f.ppm"], "outside"),
+], ids=["missing-dir", "file-parent", "directory", "bad-frame"])
+def test_render_fails_before_the_truth_block(options, message, scenario_file,
+                                             tmp_path, monkeypatch, capsys):
+    """A bad ``--out`` or ``--frame`` fails ``render`` before it builds
+    the simulator or traces the frame, and the run writes no file."""
+    (tmp_path / "afile").write_text("")
+    (tmp_path / "adir").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    calls = []
+    init, block = pl.Simulator.__init__, pl.Simulator._truth_block
+    monkeypatch.setattr(pl.Simulator, "__init__", lambda sim, *args: (
+        calls.append("init"), init(sim, *args))[1])
+    monkeypatch.setattr(pl.Simulator, "_truth_block", lambda sim, frames: (
+        calls.append("truth"), block(sim, frames))[1])
+    monkeypatch.chdir(tmp_path)
+    assert run(["render", "--scenario", scenario_file, *options]) == 1
+    assert message in capsys.readouterr().err
+    assert calls == []
     assert sorted(tmp_path.rglob("*")) == before
 
 

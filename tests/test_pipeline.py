@@ -110,7 +110,7 @@ def test_select_beam_bin_arithmetic():
     # azimuth, so world 120 falls in bin [90, 135) = 2, and so on.
     for az_world, expected in ((120.0, 2), (135.0, 3), (60.0, 1), (30.0, 0)):
         u = cam.cx + cam.fx * np.tan(np.radians(az_world - 90.0))
-        idx, az = sel.select_beam(u - 0.5, u + 0.5, cam, cb,
+        idx, az = ref.select_beam(u - 0.5, u + 0.5, cam, cb,
                                   boresight_deg=90.0)
         assert idx == expected
         assert az % 360.0 == pytest.approx(az_world, abs=1e-9)
@@ -122,44 +122,117 @@ def test_select_beam_boundary_is_half_open():
     # Array-relative exactly 45 degrees falls in bin 1 UNLESS jitter; the
     # bins are half-open [45, 90).
     u = cam.cx + cam.fx * np.tan(np.radians(45.0))  # world az 135 = rel 135
-    idx, _ = sel.select_beam(u - 0.5, u + 0.5, cam, cb, boresight_deg=90.0)
+    idx, _ = ref.select_beam(u - 0.5, u + 0.5, cam, cb, boresight_deg=90.0)
     assert idx == 3  # rel azimuth 135 -> bin [135, 180)
 
 
 def test_select_beam_clips_edges_to_the_image():
     cam = camera_90()
     cb = ch.generate_codebook(8, 0.5, 4)
-    assert sel.select_beam(-80.0, 40.0, cam, cb, 90.0) \
-        == sel.select_beam(0.0, 40.0, cam, cb, 90.0)
+    assert ref.select_beam(-80.0, 40.0, cam, cb, 90.0) \
+        == ref.select_beam(0.0, 40.0, cam, cb, 90.0)
     w = cam.width_px
-    assert sel.select_beam(w - 10.0, w + 90.0, cam, cb, 90.0) \
-        == sel.select_beam(w - 10.0, float(w), cam, cb, 90.0)
+    assert ref.select_beam(w - 10.0, w + 90.0, cam, cb, 90.0) \
+        == ref.select_beam(w - 10.0, float(w), cam, cb, 90.0)
+
+
+def camera(hfov, width, boresight, yaw):
+    return CameraModel.from_bs(sc.BsConfig(
+        name="b", position=(0.0, 0.0, 6.0), boresight_deg=boresight,
+        array_ref="a", camera=sc.CameraConfig(yaw_deg=yaw, hfov_deg=hfov,
+                                              width_px=width)))
+
+
+def checked_beam_edges(cam, cb, boresight, columns=()):
+    """``BeamEdges`` of a camera, once it is seen to predict what
+    ``column_index`` predicts at ``columns``, at both ends of the image (and
+    -0.0), at ``cx`` and at both float neighbours of every edge, and to hold
+    consecutive bins with None at one end at most. In the image,
+    ``column_index`` is the reference ``select_beam`` of a zero-width box."""
+    table = sel.BeamEdges(cam, cb, boresight)
+    w = float(cam.width_px)
+    columns = [*columns, 0.0, -0.0, w, cam.cx]
+    for edge in table.edges:
+        columns += [math.nextafter(edge, -math.inf),
+                    math.nextafter(edge, math.inf)]
+    want = [sel.column_index(c, cam, cb, boresight) for c in columns]
+    assert [table.index(c) for c in columns] == want
+    assert table.lookup(np.array(columns)).tolist() \
+        == [-1 if i is None else i for i in want]
+    assert [i for c, i in zip(columns, want) if 0.0 <= c <= w] \
+        == [ref.select_beam(c, c, cam, cb, boresight)[0]
+            for c in columns if 0.0 <= c <= w]
+    bins = [i for i in table.indices if i is not None]
+    assert all(b == a + 1 for a, b in zip(bins, bins[1:]))
+    assert table.indices.count(None) <= 1
+    assert None not in table.indices[1:-1]
+    return table
 
 
 @given(hfov=st.floats(0.5, 179.5), width=st.integers(1, 4000),
        q=st.integers(1, 64), boresight=st.floats(0.0, 359.99),
        yaw=st.floats(-720.0, 720.0),
        fractions=st.lists(st.floats(0.0, 1.0), max_size=20))
-def test_beam_edges_equal_select_beam(hfov, width, q, boresight, yaw,
-                                      fractions):
-    """The edge table predicts what ``select_beam`` predicts at random
-    columns, at both ends of the image (and -0.0) and at both float
+def test_beam_edges_equal_column_index(hfov, width, q, boresight, yaw,
+                                       fractions):
+    """The edge table predicts what ``column_index`` predicts at random
+    columns, at both ends of the image, at ``cx`` and at both float
     neighbours of every edge, for a camera aimed anywhere."""
-    cam = CameraModel.from_bs(sc.BsConfig(
-        name="b", position=(0.0, 0.0, 6.0), boresight_deg=boresight,
-        array_ref="a", camera=sc.CameraConfig(yaw_deg=yaw, hfov_deg=hfov,
-                                              width_px=width)))
-    cb = ch.generate_codebook(4, 0.5, q)
-    table = sel.BeamEdges(cam, cb, boresight)
-    w = float(width)
-    columns = [f * w for f in fractions] + [0.0, -0.0, w]
-    for edge in table.edges:
-        columns += [math.nextafter(edge, -math.inf),
-                    math.nextafter(edge, math.inf)]
-    want = [sel.select_beam(c, c, cam, cb, boresight)[0] for c in columns]
-    assert [table.index(c) for c in columns] == want
-    assert table.lookup(np.array(columns)).tolist() \
-        == [-1 if i is None else i for i in want]
+    checked_beam_edges(camera(hfov, width, boresight, yaw),
+                       ch.generate_codebook(4, 0.5, q), boresight,
+                       [f * width for f in fractions])
+
+
+def turned(cam, column, az_world):
+    """``cam`` turned so that ``column`` reads world azimuth ``az_world``
+    exactly."""
+    yaw = az_world - math.degrees(math.atan((column - cam.cx) / cam.fx))
+    for _ in range(16):
+        cam = dataclasses.replace(cam, yaw_deg=yaw)
+        ahead = (pixel_to_azimuth(cam, column) - az_world + 180.0) % 360.0
+        if ahead == 180.0:
+            return cam
+        yaw = math.nextafter(yaw, math.inf if ahead < 180.0 else -math.inf)
+    raise AssertionError(f"no yaw reads {az_world} at column {column}")
+
+
+@pytest.mark.parametrize("nudge", [-1, 0, 1])
+@pytest.mark.parametrize("hfov, width, q, at, az_world", [
+    (60.0, 640, 4, 0.0, 45.0),
+    (60.0, 640, 4, 1.0, 135.0),
+    (60.0, 640, 4, 0.5, 90.0),
+    (179.5, 1, 64, 0.0, 5.625),
+    (0.5, 4000, 64, 1.0, 112.5),
+    (179.5, 3999, 16, 0.5, 157.5),
+    # World azimuth wraps through 0 in the image (yaw within hfov/2 of 0).
+    (60.0, 640, 4, 0.5, 0.0),
+    (60.0, 640, 8, 0.3, 0.0),
+    (179.5, 1280, 8, 0.9, 0.0),
+    (0.5, 1280, 4, 1.0, 0.0),
+    (60.0, 640, 4, 0.0, 0.0),
+])
+def test_beam_edges_with_a_bin_boundary_on_a_column(hfov, width, q, at,
+                                                     az_world, nudge):
+    """Boresight 90, so world and array-relative azimuth agree: the camera
+    is turned so that column ``at * W`` (0, cx or W, or where world
+    azimuth wraps) reads a bin boundary exactly, or one float of yaw
+    either side of it."""
+    column = at * width
+    cam = turned(camera(hfov, width, 90.0, 0.0), column, az_world)
+    if nudge:
+        cam = dataclasses.replace(
+            cam, yaw_deg=math.nextafter(cam.yaw_deg, nudge * math.inf))
+    table = checked_beam_edges(cam, ch.generate_codebook(4, 0.5, q), 90.0)
+    if nudge == 0:
+        # Columns left of one that reads the boundary may read it too, so
+        # the step into its bin lies at or left of the column.
+        k = round(az_world * q / 180.0)
+        assert table.index(column) == k
+        if column == 0.0:
+            assert table.indices[0] == k
+        else:
+            assert table.indices[table.indices.index(k) - 1] \
+                == (None if k == 0 else k - 1)
 
 
 def test_beam_edges_of_the_shipped_camera(shipped_truth):
