@@ -102,10 +102,11 @@ def _cmd_render(args) -> int:
     if not 0 <= args.frame < scenario.system.frames:
         raise ValueError(f"frame {args.frame} outside "
                          f"[0, {scenario.system.frames})")
-    _check_writable(args.out)
+    _check_writable(args.out, args.stats)
     sim = Simulator(scenario, args.bs, Path(args.scenario).parent)
     Path(args.out).write_bytes(
         _render_frame_bytes(sim, sim.frame_truth(args.frame)))
+    _write_stats(sim, args.stats)
     print(f"wrote {args.out}")
     return 0
 
@@ -210,6 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     ren.add_argument("--frame", type=int, required=True)
     ren.add_argument("--out", required=True)
     ren.add_argument("--bs", default=None)
+    ren.add_argument("--stats", default=None, metavar="FILE.json",
+                     help="write the rendered frame's truth counts as JSON")
     ren.set_defaults(func=_cmd_render)
 
     ins = sub.add_parser("inspect", help="per-frame dataset summary")

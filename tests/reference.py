@@ -5,9 +5,10 @@ Each is the one-receiver, one-mesh, one-vector or one-path case of code in
 ``Candidates`` with its rows in one occlusion pass, ``project_bbox`` one
 mesh of ``VertexRays``, ``compute_path_component`` one path of
 ``path_components``, ``select_beam`` one box's prediction of
-``apply_detector``, and so on; ``noise_draws`` seeds its stream with the
-list that the program's form turns into uint32 words itself. The program
-itself never calls them.
+``apply_detector``, ``render_debug_frame`` the renderer one triangle at a
+time, and so on; ``noise_draws`` seeds its stream with the list that the
+program's form turns into uint32 words itself. The program itself never
+calls them.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from beamcam.geometry import (Mesh, Tracks, Trajectory, TriangleSet,
 from beamcam.pipeline import DetectorNoiseModel, FrameRecord, Simulator
 from beamcam.raytrace import (Candidates, PathComponent, SceneGeometry,
                               path_components, prefix_table)
+from beamcam.render import (_FALLBACK_RGB, _LIGHT_DIR, BACKGROUND_RGB,
+                            MATERIAL_RGB, _draw_bbox)
 from beamcam.scenario import Scenario, UeConfig, _by_name
 from beamcam.selection import clip
 
@@ -182,6 +185,73 @@ def select_beam(u_min: float, u_max: float, cam: CameraModel,
     az_world = pixel_to_azimuth(cam, center_u)
     return (codebook.bin_index(world_to_array_deg(az_world, boresight_deg)),
             az_world)
+
+
+# ---------------------------------------------------------------------------
+# render
+
+def render_debug_frame(cam: CameraModel, tset: TriangleSet,
+                       bboxes: list[BoundingBox] = ()) -> np.ndarray:
+    """Rasterize the triangles of an occluder table, each in its owner's
+    material color; returns an (H, W, 3) uint8 image."""
+    h, w = cam.height_px, cam.width_px
+    img = np.empty((h, w, 3), dtype=np.uint8)
+    img[:] = BACKGROUND_RGB
+    forward, _, _ = cam.axes
+    cam_pos = np.asarray(cam.position)
+    bases = [np.array(MATERIAL_RGB.get(m, _FALLBACK_RGB), float)
+             for m in tset.materials]
+
+    # Every vertex projected at once; a triangle is drawn only if all three
+    # of its vertices are in front of the camera.
+    u, v, front = project_points(cam, tset.tris)
+    pixels = np.stack([u, v], axis=-1).reshape(-1, 3, 2)
+    drawn = front.reshape(-1, 3).all(axis=1).tolist()
+    tris = []
+    for tri, owner, pts, seen in zip(tset.tris, tset.owners.tolist(), pixels,
+                                     drawn):
+        if not seen:
+            continue
+        depth = float(np.mean((tri - cam_pos) @ forward))
+        normal = np.cross(tri[1] - tri[0], tri[2] - tri[0])
+        nlen = np.linalg.norm(normal)
+        if nlen == 0.0:
+            continue
+        shade = 0.55 + 0.45 * abs(float(normal @ _LIGHT_DIR)) / nlen
+        color = np.clip(bases[owner] * shade, 0, 255).astype(np.uint8)
+        tris.append((depth, pts, color))
+
+    # Far to near so closer triangles overwrite farther ones.
+    tris.sort(key=lambda item: -item[0])
+    for _, pts, color in tris:
+        _fill_triangle(img, pts, color)
+
+    for bbox in bboxes:
+        _draw_bbox(img, bbox)
+    return img
+
+
+def _fill_triangle(img: np.ndarray, pts: np.ndarray, color) -> None:
+    h, w = img.shape[:2]
+    u_lo = max(int(np.floor(pts[:, 0].min())), 0)
+    u_hi = min(int(np.ceil(pts[:, 0].max())), w - 1)
+    v_lo = max(int(np.floor(pts[:, 1].min())), 0)
+    v_hi = min(int(np.ceil(pts[:, 1].max())), h - 1)
+    if u_lo > u_hi or v_lo > v_hi:
+        return
+    (x0, y0), (x1, y1), (x2, y2) = pts
+    det = (y1 - y2) * (x0 - x2) + (x2 - x1) * (y0 - y2)
+    if abs(det) < 1e-12:
+        return
+    us = np.arange(u_lo, u_hi + 1) + 0.5
+    vs = np.arange(v_lo, v_hi + 1) + 0.5
+    uu, vv = np.meshgrid(us, vs)
+    w0 = ((y1 - y2) * (uu - x2) + (x2 - x1) * (vv - y2)) / det
+    w1 = ((y2 - y0) * (uu - x2) + (x0 - x2) * (vv - y2)) / det
+    w2 = 1.0 - w0 - w1
+    inside = (w0 >= 0) & (w1 >= 0) & (w2 >= 0)
+    region = img[v_lo:v_hi + 1, u_lo:u_hi + 1]
+    region[inside] = color
 
 
 # ---------------------------------------------------------------------------

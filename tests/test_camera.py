@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from beamcam import camera as cam
 from beamcam import geometry as geo
@@ -141,3 +142,135 @@ def test_render_deterministic_and_well_formed():
     assert len(ppm1) == len(b"P6\n160 90\n255\n") + 160 * 90 * 3
     # Something other than background was drawn.
     assert (img1 != np.array(render.BACKGROUND_RGB, np.uint8)).any()
+
+
+# ---------------------------------------------------------------------------
+# The array-pass renderer against the per-triangle reference
+
+# "wood" has no entry in MATERIAL_RGB, so it is drawn in the fallback color.
+_RENDER_MATERIAL = st.sampled_from(["metal", "concrete", "brick", "wood"])
+_CAM_POS = np.array([0.0, 0.0, 6.0])
+
+
+def camera_point(c, z, a, b):
+    """The world point at depth z along the camera's forward axis and
+    offsets a and b along its u and v axes."""
+    forward, u_axis, v_axis = c.axes
+    return _CAM_POS + z * forward + a * u_axis + b * v_axis
+
+
+@st.composite
+def loose_triangles(draw, c):
+    """One triangle of a kind that the rasterizer treats apart: anywhere
+    around the camera (across the image edges, off the image, or with a
+    vertex behind the camera plane), with a repeated vertex (zero normal),
+    or flat at the camera's height (all three vertices on one image row
+    when pitch is 0, so det is 0 while the normal is not)."""
+    kind = draw(st.sampled_from(["any", "repeated", "flat"]))
+    coord = st.floats(-30.0, 30.0)
+    if kind == "flat":
+        return np.array([[draw(coord), draw(coord), 6.0] for _ in range(3)])
+    tri = np.array([camera_point(c, draw(st.floats(-3.0, 30.0)),
+                                 draw(coord), draw(coord))
+                    for _ in range(3)])
+    if kind == "repeated":
+        tri[2] = tri[0]
+    return tri
+
+
+@st.composite
+def render_inputs(draw):
+    """A small camera, and an occluder table of 0-3 boxes and 0-4 meshes of
+    loose triangles, the last of them perhaps repeated in another material
+    (equal depths, bit for bit), plus a bounding box or none."""
+    c = make_camera(yaw=draw(st.sampled_from([0.0, 90.0])
+                             | st.floats(-180.0, 180.0)),
+                    pitch=draw(st.just(0.0) | st.floats(-30.0, 30.0)),
+                    hfov=draw(st.floats(20.0, 150.0)),
+                    width=draw(st.integers(1, 40)),
+                    height=draw(st.integers(1, 30)))
+    meshes = [geo.box_mesh(camera_point(c, draw(st.floats(-5.0, 40.0)),
+                                        draw(st.floats(-20.0, 20.0)),
+                                        draw(st.floats(-5.0, 5.0))),
+                           draw(st.tuples(*[st.floats(0.5, 10.0)] * 3)),
+                           draw(st.floats(0.0, 90.0)),
+                           draw(_RENDER_MATERIAL))
+              for _ in range(draw(st.integers(0, 3)))]
+    meshes += [geo.Mesh(draw(st.lists(loose_triangles(c), min_size=1,
+                                      max_size=3)),
+                        draw(_RENDER_MATERIAL), check=False)
+               for _ in range(draw(st.integers(0, 4)))]
+    if meshes and draw(st.booleans()):
+        meshes.append(geo.Mesh(meshes[-1].tris, draw(_RENDER_MATERIAL),
+                               check=False))
+    tset = geo.TriangleSet([(f"m{i}", m) for i, m in enumerate(meshes)])
+    edge = st.floats(-5.0, 45.0)
+    bboxes = []
+    if draw(st.booleans()):
+        (u0, u1), (v0, v1) = (sorted([draw(edge), draw(edge)])
+                              for _ in range(2))
+        bboxes.append(cam.BoundingBox(u0, v0, u1, v1, 1.0))
+    return c, tset, bboxes
+
+
+@given(render_inputs())
+def test_render_equals_the_per_triangle_reference(inputs):
+    assert render.write_ppm(render.render_debug_frame(*inputs)) \
+        == render.write_ppm(ref.render_debug_frame(*inputs))
+
+
+def test_render_of_an_empty_table_is_background_only():
+    c = make_camera(width=24, height=16)
+    tset = geo.TriangleSet([])
+    img = render.render_debug_frame(c, tset)
+    assert (img == np.array(render.BACKGROUND_RGB, np.uint8)).all()
+    assert np.array_equal(img, ref.render_debug_frame(c, tset))
+
+
+@pytest.mark.parametrize("rise", [0.0, 1e-13])
+def test_render_skips_an_edge_on_triangle(rise):
+    """A triangle flat at the camera's height, seen at pitch 0, projects
+    onto the image row v = cy = 7.5, a row of pixel centres: its det is 0
+    though its normal is not. Raising one vertex by 1e-13 m makes |det|
+    about 7e-13, still below 1e-12. Either way it draws nothing."""
+    c = make_camera(yaw=0.0, width=21, height=15)
+    tri = np.array([[10.0, -3.0, 6.0], [10.0, 3.0, 6.0],
+                    [10.0, 0.0, 6.0 + rise]])
+    tset = geo.TriangleSet([("flat", geo.Mesh(tri, "metal", check=False))])
+    img = render.render_debug_frame(c, tset)
+    assert (img == np.array(render.BACKGROUND_RGB, np.uint8)).all()
+    assert np.array_equal(img, ref.render_debug_frame(c, tset))
+
+
+@pytest.mark.parametrize("order", [[2, 0, 1], [0, 2, 1], [0, 1, 2]])
+def test_render_fills_pixel_centres_on_an_edge(order):
+    """An edge in the camera's vertical plane through its axis projects
+    onto the column u = cx = 10.5 exactly, where the barycentric coordinate
+    of the opposite vertex (w0, w1 or w2, by vertex order) is exactly 0 on
+    the pixel centres of rows 4-9 at least: the inside test is closed, so
+    they are filled."""
+    c = make_camera(yaw=0.0, width=21, height=15)
+    tri = np.array([[10.0, 0.0, 3.0], [12.0, 0.0, 10.0],
+                    [10.0, 5.0, 6.0]])[order]
+    tset = geo.TriangleSet([("t", geo.Mesh(tri, "metal"))])
+    img = render.render_debug_frame(c, tset)
+    assert np.array_equal(img, ref.render_debug_frame(c, tset))
+    filled = (img[:, 10] != render.BACKGROUND_RGB).any(axis=1)
+    assert filled.tolist() == [False] * 4 + [True] * 7 + [False] * 4
+
+
+@pytest.mark.parametrize("first, second", [("metal", "brick"),
+                                           ("brick", "metal")])
+def test_render_paints_equal_depth_triangles_in_table_order(first, second):
+    """Two overlapping triangles in one plane facing a yaw-0 camera have
+    the same mean depth bit for bit; the later one in table order is
+    painted over the earlier."""
+    c = make_camera(yaw=0.0, width=32, height=24)
+    tri = np.array([[10.0, -6.0, 0.0], [10.0, 6.0, 0.0], [10.0, 0.0, 12.0]])
+    later = ("b", geo.Mesh(tri + [0.0, 1.0, 0.0], second))
+    tset = geo.TriangleSet([("a", geo.Mesh(tri, first)), later])
+    img = render.render_debug_frame(c, tset)
+    assert np.array_equal(img, ref.render_debug_frame(c, tset))
+    alone = render.render_debug_frame(c, geo.TriangleSet([later]))
+    assert (alone[12, 16] != render.BACKGROUND_RGB).any()
+    assert (img[12, 16] == alone[12, 16]).all()

@@ -181,6 +181,35 @@ def test_render_command(tmp_path, frame):
     assert hashlib.sha256(data).hexdigest() == RENDER_SHA256[frame]
 
 
+def test_renders_of_every_tenth_shipped_frame_are_pinned():
+    """The PPMs of frames 0, 10, ..., 290 of the shipped scenario, each with
+    its truth boxes, concatenated in frame order."""
+    sim = pl.Simulator(sc.parse_scenario(SHIPPED_SCENARIO.read_text()),
+                       base_dir=SHIPPED_SCENARIO.parent)
+    digest = hashlib.sha256()
+    for record in sim.run_truth()[::10]:
+        digest.update(cli._render_frame_bytes(sim, record))
+    assert digest.hexdigest() == ("772212855ec1488befb60b3a90b94303"
+                                  "f67847f4767259f114ca350226afab4e")
+
+
+@pytest.mark.parametrize("frame", [0, 150])
+def test_render_stats_count_the_rendered_frame(tmp_path, frame):
+    """``render --stats`` writes the counts of the rendered frame's truth
+    block, and the PPM is the same with and without it."""
+    plain, out, stats = (tmp_path / n for n in ("a.ppm", "b.ppm", "s.json"))
+    assert run(["render", "--scenario", SHIPPED_SCENARIO, "--frame", frame,
+                "--out", plain]) == 0
+    assert run(["render", "--scenario", SHIPPED_SCENARIO, "--frame", frame,
+                "--out", out, "--stats", stats]) == 0
+    assert out.read_bytes() == plain.read_bytes()
+    sim = pl.Simulator(sc.parse_scenario(SHIPPED_SCENARIO.read_text()),
+                       base_dir=SHIPPED_SCENARIO.parent)
+    sim.frame_truth(frame)
+    assert json.loads(stats.read_text()) == sim.stats
+    assert sim.stats["receivers_traced"] == 3
+
+
 def test_stl_reflector_runs_end_to_end(tmp_path):
     """A reflector read from an STL file of its own box gives the dataset
     rows and renders of the box reflector."""
@@ -346,12 +375,16 @@ def test_unwritable_outputs_fail_before_the_truth_pass(
     (["--frame", 0, "--out", "nodir/f.ppm"], "cannot write"),
     (["--frame", 0, "--out", "afile/f.ppm"], "cannot write"),
     (["--frame", 0, "--out", "adir"], "cannot write"),
+    (["--frame", 0, "--out", "f.ppm", "--stats", "nodir/s.json"],
+     "cannot write"),
     (["--frame", -1, "--out", "f.ppm"], "outside"),
-], ids=["missing-dir", "file-parent", "directory", "bad-frame"])
+], ids=["missing-dir", "file-parent", "directory", "stats-missing-dir",
+        "bad-frame"])
 def test_render_fails_before_the_truth_block(options, message, scenario_file,
                                              tmp_path, monkeypatch, capsys):
-    """A bad ``--out`` or ``--frame`` fails ``render`` before it builds
-    the simulator or traces the frame, and the run writes no file."""
+    """A bad ``--out``, ``--stats`` or ``--frame`` fails ``render`` before
+    it builds the simulator or traces the frame, and the run writes no
+    file."""
     (tmp_path / "afile").write_text("")
     (tmp_path / "adir").mkdir()
     before = sorted(tmp_path.rglob("*"))
