@@ -194,8 +194,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="directory for renders (default: alongside --out)")
     gen.add_argument("--bs", default=None, help="BS name (default: first)")
     gen.add_argument("--stats", default=None, metavar="FILE.json",
-                     help="write the truth pass's counts (boxes, chains, "
-                          "paths, segments, outages) as JSON")
+                     help="write the truth pass's counts (boxes, pairs "
+                          "backtracked, chains, paths, segments, outages) "
+                          "as JSON")
     gen.set_defaults(func=_cmd_generate)
 
     ev = sub.add_parser("evaluate", help="compute metrics from a dataset")

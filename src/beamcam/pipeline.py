@@ -315,9 +315,9 @@ class Simulator:
             for ue in scenario.ues
         ]
         #: Counts of the truth passes so far: boxes projected and visible,
-        #: receivers traced, geometrically valid chains per reflection
-        #: order, paths kept per bounce count, occlusion segments tested
-        #: and outage rows.
+        #: receivers traced, (receiver, prefix row) pairs backtracked and
+        #: geometrically valid chains per reflection order, paths kept per
+        #: bounce count, occlusion segments tested and outage rows.
         self.stats: Counter[str] = Counter()
 
     @cached_property
@@ -374,13 +374,14 @@ class Simulator:
     def _truth_block(self, frames) -> list[FrameRecord]:
         """Truth records of several frames from one pass over all of them.
 
-        One array pass gives every (frame, UE) position. The candidate
-        chains of every traced receiver and the vertex rays of every UE box
-        of every frame share one occlusion pass, in which each row is
-        tested against its own frame's occluder table and ignores its own
-        UE's body (occluder ``first + i`` for UE i) and the body of any UE
-        at the BS in that frame. Channel and beam table stay one per
-        record.
+        One array pass gives every (frame, UE) position, and one candidate
+        pass (``Candidates``) backtracks every traced receiver of every
+        frame at every reflection order in one loop. Its chains and the
+        vertex rays of every UE box of every frame share one occlusion
+        pass, in which each row is tested against its own frame's occluder
+        table and ignores its own UE's body (occluder ``first + i`` for UE
+        i) and the body of any UE at the BS in that frame. Channel and beam
+        table stay one per record.
         """
         sysp = self.scenario.system
         ues = self.scenario.ues
@@ -446,6 +447,8 @@ class Simulator:
             "boxes_projected": len(bboxes),
             "boxes_visible": sum(b is not None for b in bboxes),
             "receivers_traced": len(cand.rxs),
+            **{f"pairs_tested.o{k}": n
+               for k, n in enumerate(cand.tested, 1)},
             **{f"chains_valid.o{k}": len(rec)
                for k, (rec, _, _) in enumerate(cand.chains) if k},
             **{f"paths_kept.b{k}": kept[k] for k in range(len(cand.chains))},

@@ -4,11 +4,12 @@ Line-of-sight plus image-method reflections of order 1..max_reflections
 over the planar rectangular faces of box reflectors. Every candidate path
 is validated geometrically (reflection points must fall inside their
 faces, both neighbors of a bounce must lie on the outward side), every
-receiver of a frame at once, and a candidate is dropped at the first
-check it fails. Then the segments of the LOS paths and of every valid
-chain, of all orders, are tested for occlusion by scene geometry in one
-batched pass. A path with any blocked segment is dropped outright (no
-diffraction, scattering or penetration); an empty result means outage.
+receiver of a frame and every reflection order at once, and a candidate is
+dropped at the first check it fails. Then the segments of the LOS paths
+and of every valid chain, of all orders, are tested for occlusion by scene
+geometry in one batched pass. A path with any blocked segment is dropped
+outright (no diffraction, scattering or penetration); an empty result
+means outage.
 
 Candidate face sequences come from a prefix table of the transmitter,
 built once by its caller (beam-tracing visibility pruning). Order-k+1 rows
@@ -20,6 +21,18 @@ the ray from p_k back through p_{k-1}, at least |p_k - p_{k-1}| away, so
 its distance in front of face k is at least that of p_{k-1}, which the
 front-side check already requires to exceed ``RAY_EPS``. Rows stay in
 lexicographic order, so ties in the (length, bounces) sort are unchanged.
+
+The same rule prunes from the receiver's end. A valid chain reversed is a
+valid chain from the receiver (reciprocity), so the argument above, read
+from the receiver, says that the receiver is strictly in front of the
+chain's last face and, from order 2 on, that its image through the last
+face is strictly in front of the face before it. A (receiver, prefix row)
+pair that fails either test is dropped before backtracking. Backtracking
+then runs from the receiver's end in one loop over bounce levels for all
+orders together: level j finds the j-th-last bounce of every pair of order
+j or more, and the pairs of order j finish at level j with the check on
+tx. Each surviving pair meets the same operations on the same operands as
+when each order was backtracked alone, so every point keeps its bits.
 """
 
 from __future__ import annotations
@@ -147,12 +160,54 @@ class _Reflectors:
             np.array(x, float).reshape(-1, 3) for x in (center, normal, u, v))
         self.hu, self.hv, self.amp = (np.array(x, float)
                                       for x in (hu, hv, amp))
-        # Coplanar face pairs can never form consecutive bounces.
+        # Each face's plane is dot(x, normal) = offset. Coplanar face pairs
+        # can never form consecutive bounces.
         nd = self.normal @ self.normal.T
-        off = np.einsum("ij,ij->i", self.center, self.normal)
+        off = self.offset = np.einsum("ij,ij->i", self.center, self.normal)
         self.coplanar = (np.abs(np.abs(nd) - 1.0) < 1e-12) & (
             np.abs(off[:, None] * nd - off[None, :]) < 1e-9
         )
+
+
+def _ahead(refl: _Reflectors, images: np.ndarray, last: np.ndarray | None
+           ) -> np.ndarray:
+    """(N, F) bool: which faces may take the bounce after each of N images
+    (shape (N, 3)): the image is strictly in front of the face, and the
+    face is not coplanar with the image's last face (``last``, shape (N,);
+    None for images that are their own source)."""
+    ok = images @ refl.normal.T - refl.offset > 0.0
+    if last is not None:
+        ok &= ~refl.coplanar[last]
+    return ok
+
+
+def _image_rows(refl: _Reflectors, sources: np.ndarray, max_order: int
+                ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Face sequences that can start a valid chain from each of the N
+    ``sources`` (shape (N, 3)), per order.
+
+    Entry k-1 holds the order-k rows' source index (S,), face sequences
+    (S, k) and images of their source (k+1, S, 3), image 0 being the
+    source, in lexicographic (source, faces) order. Each order extends only
+    the rows of the order below (see the module docstring for why the
+    pruning keeps every valid chain).
+    """
+    src = np.arange(len(sources))
+    seqs = np.zeros((len(sources), 0), dtype=int)
+    images = sources[None]
+    table = []
+    for k in range(max_order):
+        rows, f = np.nonzero(_ahead(refl, images[-1],
+                                    seqs[:, -1] if k else None))
+        n = refl.normal[f]
+        last = images[-1, rows]
+        d = np.einsum("ij,ij->i", last - refl.center[f], n)
+        src = src[rows]
+        seqs = np.concatenate([seqs[rows], f[:, None]], axis=1)
+        images = np.concatenate(
+            [images[:, rows], (last - 2.0 * d[:, None] * n)[None]])
+        table.append((src, seqs, images))
+    return table
 
 
 def prefix_table(refl: _Reflectors, tx: np.ndarray, max_order: int
@@ -160,28 +215,11 @@ def prefix_table(refl: _Reflectors, tx: np.ndarray, max_order: int
     """Face sequences that can start a valid chain from tx, per order.
 
     Entry k-1 holds the order-k sequences, shape (S, k), in lexicographic
-    order, and their images of tx, shape (k+1, S, 3), image 0 being tx.
-    Each order extends only the rows of the order below (see the module
-    docstring for why the pruning keeps every valid chain).
+    order, and their images of tx, shape (k+1, S, 3), image 0 being tx:
+    the rows of ``_image_rows`` of the one source tx.
     """
-    offset = np.einsum("ij,ij->i", refl.center, refl.normal)
-    seqs = np.zeros((1, 0), dtype=int)
-    images = np.broadcast_to(tx, (1, 1, 3))
-    table = []
-    for _ in range(max_order):
-        # Image before the next bounce strictly in front of the next face.
-        ok = images[-1] @ refl.normal.T - offset > 0.0
-        if seqs.shape[1]:
-            ok &= ~refl.coplanar[seqs[:, -1]]
-        rows, f = np.nonzero(ok)
-        n = refl.normal[f]
-        last = images[-1, rows]
-        d = np.einsum("ij,ij->i", last - refl.center[f], n)
-        seqs = np.concatenate([seqs[rows], f[:, None]], axis=1)
-        images = np.concatenate(
-            [images[:, rows], (last - 2.0 * d[:, None] * n)[None]])
-        table.append((seqs, images))
-    return table
+    return [(seqs, images) for _, seqs, images
+            in _image_rows(refl, np.reshape(tx, (1, 3)), max_order)]
 
 
 class SceneGeometry:
@@ -201,62 +239,48 @@ class SceneGeometry:
         return scene
 
 
-def _candidate_chains(refl: _Reflectors, seqs: np.ndarray,
-                      images: np.ndarray, tx: np.ndarray, rxs: np.ndarray
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized image-method backtracking for one reflection order.
+def _pairs(refl: _Reflectors, rxs: np.ndarray,
+           prefixes: list[tuple[np.ndarray, np.ndarray]]) -> list[np.ndarray]:
+    """The (receiver, prefix row) pairs of each order that the receiver-side
+    screen keeps, shape (n, 2), receiver by receiver and in prefix-row
+    order.
 
-    ``seqs`` and ``images`` are one order of the prefix table of tx; every
-    receiver in ``rxs`` (shape (R, 3)) is paired with every prefix row.
-    A pair is dropped as soon as one of its checks fails: each bounce's
-    point must fall inside its face, and both neighbors of a bounce must
-    lie on the face's outward side. Returns the receiver index (n,),
-    points (order + 2, n, 3) and face sequences (n, order) of the n
-    geometrically valid chains, receiver by receiver, each receiver's in
-    prefix-row order; occlusion is not tested here.
+    A pair is kept only if the receiver is strictly in front of the row's
+    last face and, from order 2 on, the receiver's image through that face
+    (from ``_image_rows`` of the receivers) may take a bounce off the face
+    before it (``_ahead``); see the module docstring. Screening by deeper
+    receiver tables cost more each frame than it saved.
     """
-    s, order = seqs.shape
-    pair = np.arange(len(rxs) * s)  # receiver pair // s, prefix row pair % s
-    back = [rxs[pair // s]]  # points from rx back to the current bounce
-    n_after = None  # normals of the bounce after the current one
-    for j in range(order, 0, -1):
-        row = pair % s
-        f = seqs[row, j - 1]
-        n = refl.normal[f]
-        c = refl.center[f]
-        img = images[j, row]
-        after = back[-1]
-        dvec = after - img
-        denom = np.einsum("ij,ij->i", dvec, n)
-        ok = np.abs(denom) > 1e-14
-        tpar = np.einsum("ij,ij->i", c - img, n) / np.where(ok, denom, 1.0)
-        ok &= (tpar > 0.0) & (tpar < 1.0)
-        q = img + tpar[:, None] * dvec
-        rel = q - c
-        ok &= np.abs(np.einsum("ij,ij->i", rel, refl.u[f])) \
-            <= refl.hu[f] + _CONTAIN_TOL
-        ok &= np.abs(np.einsum("ij,ij->i", rel, refl.v[f])) \
-            <= refl.hv[f] + _CONTAIN_TOL
-        # The point after this bounce in front of it, and this bounce's
-        # point in front of the bounce after it.
-        ok &= np.einsum("ij,ij->i", after - q, n) > RAY_EPS
-        if n_after is not None:
-            ok &= np.einsum("ij,ij->i", q - after, n_after) > RAY_EPS
-        pair, n_after = pair[ok], n[ok]
-        back = [p[ok] for p in back] + [q[ok]]
-    ok = np.einsum("ij,ij->i", tx - back[-1], n_after) > RAY_EPS
-    pair = pair[ok]
-    pts = np.empty((order + 2, len(pair), 3))
-    pts[0] = tx
-    for j, p in enumerate(reversed(back), 1):
-        pts[j] = p[ok]
-    return pair // s, pts, seqs[pair % s]
+    nfaces = len(refl.center)
+    (src, faces, images), = _image_rows(refl, rxs, 1)
+    f = faces[:, 0]
+    # ahead1[r, f]: receiver r is strictly in front of face f.
+    # ahead2[r, f, g]: so is r's image through f in front of face g, and g
+    # is not coplanar with f.
+    ahead1 = np.zeros((len(rxs), nfaces), dtype=bool)
+    ahead1[src, f] = True
+    ahead2 = np.zeros((len(rxs), nfaces, nfaces), dtype=bool)
+    ahead2[src, f] = _ahead(refl, images[-1], f)
+    return [np.argwhere(ahead2[:, seqs[:, -1], seqs[:, -2]] if k > 1
+                        else ahead1[:, seqs[:, -1]])
+            for k, (seqs, _) in enumerate(prefixes, 1)]
 
 
 class Candidates:
     """Every receiver's LOS segment and geometrically valid chains from one
     tx, over the reflection orders of ``prefixes`` (the ``prefix_table`` of
     tx), before occlusion.
+
+    Every receiver is paired with every prefix row of every order, and the
+    receiver-side screen (``_pairs``) drops the pairs whose last bounces
+    cannot end at the receiver; ``tested`` counts the pairs left, per
+    order. Vectorized image-method backtracking then runs every order in
+    one loop from the receiver's end: level j finds the j-th-last bounce of
+    every pair of order >= j, and the pairs of order j end there with the
+    check on tx. A pair is dropped as soon as one of its checks fails: each
+    bounce's point must fall inside its face, and both neighbors of a
+    bounce must lie on the face's outward side. Occlusion is not tested
+    here.
 
     ``segments`` lists the rows an occlusion pass must test; ``paths``
     keeps the paths whose rows are all unblocked.
@@ -275,8 +299,67 @@ class Candidates:
         # the LOS segments are the chains of order 0.
         self.chains = [(np.arange(len(rxs)), los,
                         np.zeros((len(rxs), 0), dtype=int))]
-        self.chains += [_candidate_chains(refl, seqs, images, tx, rxs)
-                        for seqs, images in prefixes]
+        pairs = _pairs(refl, rxs, prefixes)
+        self.tested = [len(p) for p in pairs]
+        top = len(prefixes)
+        # Every order's rows in one table, each row's faces and tx images
+        # from the receiver's end: column j-1 of ``faces`` and image j-1 of
+        # ``images`` belong to the j-th-last bounce.
+        starts = np.cumsum([0] + [len(seqs) for seqs, _ in prefixes])
+        faces = np.zeros((starts[-1], top), dtype=int)
+        images = np.zeros((top, starts[-1], 3))
+        for k, (seqs, imgs) in enumerate(prefixes, 1):
+            faces[starts[k - 1]:starts[k], :k] = seqs[:, ::-1]
+            images[:k, starts[k - 1]:starts[k]] = imgs[k:0:-1]
+        # Every pair of every order, in order of (order, receiver, prefix
+        # row), so that the pairs of order j lead the live pairs at level j.
+        order = np.repeat(np.arange(1, top + 1), self.tested)
+        rec, row = np.concatenate([np.zeros((0, 2), dtype=int), *pairs]).T
+        table_row = starts[order - 1] + row
+        # points[j-1, i]: the j-th-last bounce point of pair i.
+        points = np.empty((top, len(rec), 3))
+        live = np.arange(len(rec))
+        after = rxs[rec]  # the point after the current bounce
+        n_after = None  # normals of the bounce after the current one
+        ends = []
+        for j in range(1, top + 1):
+            f = faces[table_row, j - 1]
+            n = refl.normal[f]
+            c = refl.center[f]
+            img = images[j - 1, table_row]
+            dvec = after - img
+            denom = np.einsum("ij,ij->i", dvec, n)
+            ok = np.abs(denom) > 1e-14
+            tpar = np.einsum("ij,ij->i", c - img, n) \
+                / np.where(ok, denom, 1.0)
+            ok &= (tpar > 0.0) & (tpar < 1.0)
+            q = img + tpar[:, None] * dvec
+            rel = q - c
+            ok &= np.abs(np.einsum("ij,ij->i", rel, refl.u[f])) \
+                <= refl.hu[f] + _CONTAIN_TOL
+            ok &= np.abs(np.einsum("ij,ij->i", rel, refl.v[f])) \
+                <= refl.hv[f] + _CONTAIN_TOL
+            # The point after this bounce in front of it, and this bounce's
+            # point in front of the bounce after it.
+            ok &= np.einsum("ij,ij->i", after - q, n) > RAY_EPS
+            if n_after is not None:
+                ok &= np.einsum("ij,ij->i", q - after, n_after) > RAY_EPS
+            points[j - 1, live] = q
+            # The pairs of order j, which lead, end here: tx in front of
+            # their first bounce.
+            head = np.searchsorted(order, j, side="right")
+            ends.append(live[:head][ok[:head] & (np.einsum(
+                "ij,ij->i", tx - q[:head], n[:head]) > RAY_EPS)])
+            ok[:head] = False
+            live, table_row, order = live[ok], table_row[ok], order[ok]
+            after, n_after = q[ok], n[ok]
+        for k, (seqs, _) in enumerate(prefixes, 1):
+            done = ends[k - 1]
+            pts = np.empty((k + 2, len(done), 3))
+            pts[0] = tx
+            pts[1:k + 1] = points[k - 1::-1, done]
+            pts[k + 1] = rxs[rec[done]]
+            self.chains.append((rec[done], pts, seqs[row[done]]))
 
     def segments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(starts, ends, receiver) of every row: every hop of every chain,

@@ -2,7 +2,9 @@
 
 Each is the one-receiver, one-mesh, one-vector or one-path case of code in
 ``beamcam``, written the plain way: ``trace_paths`` is one receiver of
-``Candidates`` with its rows in one occlusion pass, ``project_bbox`` one
+``Candidates`` with its rows in one occlusion pass, ``candidate_chains``
+backtracks one reflection order with every (receiver, prefix row) pair
+and no receiver-side screen, ``project_bbox`` one
 mesh of ``VertexRays``, ``compute_path_component`` one path of
 ``path_components``, ``select_beam`` one box's prediction of
 ``apply_detector``, ``render_debug_frame`` the renderer one triangle at a
@@ -21,11 +23,12 @@ import numpy as np
 from beamcam.camera import (BoundingBox, CameraModel, VertexRays,
                             pixel_to_azimuth, project_points)
 from beamcam.channel import OUTAGE_SNR_DB, Codebook, world_to_array_deg
-from beamcam.geometry import (Mesh, Tracks, Trajectory, TriangleSet,
-                              _tri_areas, same_point)
+from beamcam.geometry import (RAY_EPS, Mesh, Tracks, Trajectory,
+                              TriangleSet, _tri_areas, same_point)
 from beamcam.pipeline import DetectorNoiseModel, FrameRecord, Simulator
-from beamcam.raytrace import (Candidates, PathComponent, SceneGeometry,
-                              path_components, prefix_table)
+from beamcam.raytrace import (_CONTAIN_TOL, Candidates, PathComponent,
+                              SceneGeometry, _Reflectors, path_components,
+                              prefix_table)
 from beamcam.render import (_FALLBACK_RGB, _LIGHT_DIR, BACKGROUND_RGB,
                             MATERIAL_RGB, _draw_bbox)
 from beamcam.scenario import Scenario, UeConfig, _by_name
@@ -89,16 +92,80 @@ def compute_path_component(points, reflection_amps, carrier_ghz: float
     return path_components(pts[:, None], amps, carrier_ghz)[0]
 
 
+def candidate_chains(refl: _Reflectors, seqs: np.ndarray,
+                     images: np.ndarray, tx: np.ndarray, rxs: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vectorized image-method backtracking for one reflection order.
+
+    ``seqs`` and ``images`` are one order of the prefix table of tx; every
+    receiver in ``rxs`` (shape (R, 3)) is paired with every prefix row.
+    A pair is dropped as soon as one of its checks fails: each bounce's
+    point must fall inside its face, and both neighbors of a bounce must
+    lie on the face's outward side. Returns the receiver index (n,),
+    points (order + 2, n, 3) and face sequences (n, order) of the n
+    geometrically valid chains, receiver by receiver, each receiver's in
+    prefix-row order; occlusion is not tested here.
+    """
+    s, order = seqs.shape
+    pair = np.arange(len(rxs) * s)  # receiver pair // s, prefix row pair % s
+    back = [rxs[pair // s]]  # points from rx back to the current bounce
+    n_after = None  # normals of the bounce after the current one
+    for j in range(order, 0, -1):
+        row = pair % s
+        f = seqs[row, j - 1]
+        n = refl.normal[f]
+        c = refl.center[f]
+        img = images[j, row]
+        after = back[-1]
+        dvec = after - img
+        denom = np.einsum("ij,ij->i", dvec, n)
+        ok = np.abs(denom) > 1e-14
+        tpar = np.einsum("ij,ij->i", c - img, n) / np.where(ok, denom, 1.0)
+        ok &= (tpar > 0.0) & (tpar < 1.0)
+        q = img + tpar[:, None] * dvec
+        rel = q - c
+        ok &= np.abs(np.einsum("ij,ij->i", rel, refl.u[f])) \
+            <= refl.hu[f] + _CONTAIN_TOL
+        ok &= np.abs(np.einsum("ij,ij->i", rel, refl.v[f])) \
+            <= refl.hv[f] + _CONTAIN_TOL
+        # The point after this bounce in front of it, and this bounce's
+        # point in front of the bounce after it.
+        ok &= np.einsum("ij,ij->i", after - q, n) > RAY_EPS
+        if n_after is not None:
+            ok &= np.einsum("ij,ij->i", q - after, n_after) > RAY_EPS
+        pair, n_after = pair[ok], n[ok]
+        back = [p[ok] for p in back] + [q[ok]]
+    ok = np.einsum("ij,ij->i", tx - back[-1], n_after) > RAY_EPS
+    pair = pair[ok]
+    pts = np.empty((order + 2, len(pair), 3))
+    pts[0] = tx
+    for j, p in enumerate(reversed(back), 1):
+        pts[j] = p[ok]
+    return pair // s, pts, seqs[pair % s]
+
+
+def oracle_candidates(refl: _Reflectors, tx, rxs, prefixes) -> Candidates:
+    """``Candidates`` whose chains of each order come from
+    ``candidate_chains``, one order at a time: every (receiver, prefix row)
+    pair backtracked, with no receiver-side screen."""
+    tx = np.asarray(tx, float)
+    cand = Candidates(refl, tx, rxs, [])
+    cand.chains += [candidate_chains(refl, seqs, images, tx, cand.rxs)
+                    for seqs, images in prefixes]
+    return cand
+
+
 def trace_paths(scene: SceneGeometry, tx, rx, max_reflections: int,
-                carrier_ghz: float, exclude=(), prefixes=None
-                ) -> list[PathComponent]:
+                carrier_ghz: float, exclude=(), prefixes=None,
+                candidates=Candidates) -> list[PathComponent]:
     """All unoccluded LOS and specular paths, sorted by (length, bounces).
 
     ``exclude`` names meshes (the endpoint UEs' own bodies) that never
     occlude. An empty list means outage. The one-receiver case of
-    ``Candidates``, with its rows tested in one occlusion pass. The chains
-    extend ``prefixes``, by default the ``prefix_table`` of tx, built anew
-    on each call.
+    ``Candidates`` (or of ``candidates``, a function with its arguments),
+    with its rows tested in one occlusion pass. The chains extend
+    ``prefixes``, by default the ``prefix_table`` of tx, built anew on each
+    call.
     """
     tx = np.asarray(tx, float)
     rx = np.asarray(rx, float)
@@ -107,7 +174,7 @@ def trace_paths(scene: SceneGeometry, tx, rx, max_reflections: int,
     refl = scene.reflectors
     if prefixes is None:
         prefixes = prefix_table(refl, tx, max_reflections)
-    cand = Candidates(refl, tx, rx, prefixes)
+    cand = candidates(refl, tx, rx, prefixes)
     starts, ends, _ = cand.segments()
     tset = scene.tset
     blocked = occluded(tset, starts, ends, owned_by(tset, exclude))

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 from unittest import mock
@@ -86,15 +87,45 @@ def test_generate_stats_count_the_truth_pass(tmp_path):
                 "--pixel-sigma", 2, "--out", out, "--stats", stats]) == 0
     # The dataset is the same with and without --stats.
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SEED0_SHA256
-    # 900 LOS segments plus 755 valid chains before occlusion; 1,271 paths
-    # kept after it.
-    assert json.loads(stats.read_text()) == {
+    # Of the 900 x 7 and 900 x 44 (receiver, prefix row) pairs, the
+    # receiver-side screen leaves 3,321 and 10,827 to backtrack. 900 LOS
+    # segments plus 755 valid chains before occlusion; 1,271 paths kept
+    # after it.
+    counts = json.loads(stats.read_text())
+    assert counts == {
         "boxes_projected": 900, "boxes_visible": 754,
         "receivers_traced": 900,
+        "pairs_tested.o1": 3321, "pairs_tested.o2": 10827,
         "chains_valid.o1": 680, "chains_valid.o2": 75,
         "paths_kept.b0": 636, "paths_kept.b1": 604, "paths_kept.b2": 31,
         "segments_tested": 9681, "outage_rows": 139,
     }
+    for k in (1, 2):
+        assert counts[f"pairs_tested.o{k}"] >= counts[f"chains_valid.o{k}"]
+
+
+def test_order_0_runs_end_to_end(shipped_scenario, tmp_path):
+    """At max_reflections 0 the shipped scenario keeps only its LOS paths,
+    the same 636 as at order 2, counts no pair or chain, and its dataset
+    goes through evaluate and inspect."""
+    system = dataclasses.replace(shipped_scenario.system, max_reflections=0)
+    scenario = dataclasses.replace(shipped_scenario, system=system)
+    path, out, stats = (tmp_path / "scene.txt", tmp_path / "ds.jsonl",
+                        tmp_path / "stats.json")
+    path.write_text(sc.serialize_scenario(scenario))
+    assert run(["generate", "--scenario", path, "--out", out,
+                "--stats", stats]) == 0
+    counts = json.loads(stats.read_text())
+    assert not [k for k in counts
+                if k.startswith(("chains_valid.", "pairs_tested."))]
+    assert [k for k in counts if k.startswith("paths_kept.")] \
+        == ["paths_kept.b0"]
+    assert counts["paths_kept.b0"] == 636
+    _, records = ds.import_records(out)
+    assert {p.bounces for rec in records for u in rec.ues for p in u.paths} \
+        == {0}
+    assert run(["evaluate", out, "--json"]) == 0
+    assert run(["inspect", out]) == 0
 
 
 def test_sweep_stats_equal_generate_stats(scenario_file, tmp_path):

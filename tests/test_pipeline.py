@@ -590,8 +590,9 @@ def test_frame_pass_matches_one_receiver_calls_at_order(shipped_scenario,
                        base_dir=REPO_ROOT)
     for frame in (0, 30, 150, 299):
         assert_frame_pass_is_one_receiver_calls(sim, frame)
-    assert sorted(k for k in sim.stats if k.startswith("chains_valid")) \
-        == [f"chains_valid.o{k}" for k in range(1, order + 1)]
+    for key in ("pairs_tested", "chains_valid"):
+        assert sorted(k for k in sim.stats if k.startswith(key)) \
+            == [f"{key}.o{k}" for k in range(1, order + 1)]
 
 
 def test_ue_at_the_bs_is_an_outage_row_next_to_traced_ues(shipped_scenario):

@@ -195,9 +195,13 @@ def reference_prefixes(refl, tx, max_order):
 
 
 def reference_trace(scene, tx, rx, order, carrier_ghz, exclude=()):
+    """``trace_paths`` with neither the tx-side nor the receiver-side
+    pruning: every coplanar-free face sequence, each order backtracked on
+    its own by ``reference.candidate_chains``."""
     return ref.trace_paths(
         scene, tx, rx, order, carrier_ghz, exclude,
-        prefixes=reference_prefixes(scene.reflectors, tx, order))
+        prefixes=reference_prefixes(scene.reflectors, tx, order),
+        candidates=ref.oracle_candidates)
 
 
 def at_order(scenario, order):
@@ -241,33 +245,97 @@ _near_face = st.tuples(st.integers(0, 5), _unit, _unit,
                        st.floats(-5.9, 0.0).map(lambda e: 10.0 ** e))
 
 
+def _near(refl, near):
+    """The point at ``near`` = (face, in-plane coordinates, height) of the
+    first box."""
+    k, s, t, height = near
+    return (refl.center[k] + s * refl.hu[k] * refl.u[k]
+            + t * refl.hv[k] * refl.v[k] + height * refl.normal[k])
+
+
 # tx 3 um in front of the +x face: its one-bounce path off that face is
 # valid, so a pruning bound above RAY_EPS would lose it.
 @example(boxes=[((0.0, 0.0, 2.0), (4.0, 4.0, 4.0), 0.0)], tx=(0.0, 0.0, 0.0),
-         rx=(10.0, 3.0, 2.0), near=(1, 0.0, 0.0, 3e-6), order=2,
-         occluders=False)
+         rx=(10.0, 3.0, 2.0), near=(1, 0.0, 0.0, 3e-6), near_rx=None,
+         order=2, occluders=False)
+# The same for rx, where the receiver-side bound is tightest.
+@example(boxes=[((0.0, 0.0, 2.0), (4.0, 4.0, 4.0), 0.0)], tx=(10.0, 3.0, 2.0),
+         rx=(0.0, 0.0, 0.0), near=None, near_rx=(1, 0.0, 0.0, 3e-6),
+         order=2, occluders=False)
 @given(boxes=st.lists(_box, min_size=1, max_size=3), tx=_point, rx=_point,
-       near=st.none() | _near_face, order=st.integers(1, 3),
-       occluders=st.booleans())
+       near=st.none() | _near_face, near_rx=st.none() | _near_face,
+       order=st.integers(1, 3), occluders=st.booleans())
 def test_pruned_paths_equal_full_enumeration_random_boxes(
-        boxes, tx, rx, near, order, occluders):
+        boxes, tx, rx, near, near_rx, order, occluders):
     meshes = [(f"b{i}", geo.box_mesh(c, size, yaw))
               for i, (c, size, yaw) in enumerate(boxes)] if occluders else []
     scene = rt.SceneGeometry(
         meshes, [(c, size, yaw, "metal") for c, size, yaw in boxes],
         {"metal": 0.9})
+    # tx or rx just in front of a face, where the pruning bounds of that
+    # end are tightest.
     if near is not None:
-        # tx just in front of a face, where the pruning bound is tightest.
-        k, s, t, height = near
-        refl = scene.reflectors
-        tx = (refl.center[k] + s * refl.hu[k] * refl.u[k]
-              + t * refl.hv[k] * refl.v[k] + height * refl.normal[k])
+        tx = _near(scene.reflectors, near)
+    if near_rx is not None:
+        rx = _near(scene.reflectors, near_rx)
     tx, rx = np.array(tx), np.array(rx)
     assume(not np.allclose(tx, rx))
     # Both directions on one scene.
     for a, b in ((tx, rx), (rx, tx)):
         assert ref.trace_paths(scene, a, b, order, 28.0) \
             == reference_trace(scene, a, b, order, 28.0)
+
+
+def assert_chains_equal_oracle(refl, tx, rxs, prefixes):
+    """``Candidates(...).chains`` equal those of
+    ``reference.oracle_candidates`` order by order: the same receivers,
+    face sequences and points, in the same order, of the same dtypes, and
+    bit for bit, the sign of zero included."""
+    got = rt.Candidates(refl, tx, rxs, prefixes).chains
+    want = ref.oracle_candidates(refl, tx, rxs, prefixes).chains
+    assert len(got) == len(want) == len(prefixes) + 1
+    for order, (a, b) in enumerate(zip(got, want)):
+        for x, y in zip(a, b):
+            assert (x.dtype, x.shape) == (y.dtype, y.shape), order
+            assert x.tobytes() == y.tobytes(), order
+
+
+# Two boxes meeting in a corner, and a 2-bounce chain off the +y face at
+# y = 0, then the -x face at x = 0, 2 um above y = 0, to an rx 3 um in
+# front of it. The rx image through the -x face is only about 2 um in front
+# of the +y face: a receiver-side bound above RAY_EPS would lose the chain.
+@example(boxes=[((0.0, -1.0, 2.0), (20.0, 2.0, 4.0), 0.0),
+                ((1.0, 5.0, 2.0), (2.0, 10.0, 4.0), 0.0)],
+         tx=(-15.0, 4e-6, 2.0), rxs=[(-3e-6, 2e-6, 2.0)], near=None,
+         near_rx=None, order=2)
+@given(boxes=st.lists(_box, min_size=1, max_size=3), tx=_point,
+       rxs=st.lists(_point, min_size=1, max_size=4),
+       near=st.none() | _near_face, near_rx=st.none() | _near_face,
+       order=st.integers(1, 4))
+def test_chains_equal_the_per_order_oracle_random_boxes(
+        boxes, tx, rxs, near, near_rx, order):
+    refl = rt.SceneGeometry(
+        [], [(c, size, yaw, "metal") for c, size, yaw in boxes],
+        {"metal": 0.9}).reflectors
+    if near is not None:
+        tx = _near(refl, near)
+    rxs = np.array(rxs)
+    if near_rx is not None:
+        rxs[0] = _near(refl, near_rx)
+    tx = np.array(tx)
+    assert_chains_equal_oracle(refl, tx, rxs,
+                               rt.prefix_table(refl, tx, order))
+
+
+@pytest.mark.parametrize("order", [4, 5])
+def test_chains_equal_the_per_order_oracle_shipped(shipped_scenario, order):
+    """Every UE of four frames as the receivers of one candidate pass."""
+    sim = shipped_simulator(shipped_scenario, order)
+    rxs = np.concatenate([list(sim.frame_scene(frame)[1].values())
+                          for frame in (0, 30, 150, 299)])
+    assert_chains_equal_oracle(sim._scene.reflectors,
+                               np.asarray(sim.bs.position, float), rxs,
+                               sim._prefixes)
 
 
 def test_prefix_table_built_once_per_simulator_and_lazily(shipped_scenario):
