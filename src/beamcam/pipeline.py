@@ -14,6 +14,7 @@ detector, and reads the codebook bin of the bbox centre column
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
@@ -46,8 +47,7 @@ class DetectorNoiseModel:
                              f"got {self.pixel_sigma}")
         if not 0.0 <= self.miss_prob <= 1.0:
             raise ValueError("miss_prob must be in [0, 1]")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        _key(self.seed, "seed")
 
 
 @dataclass(frozen=True)
@@ -94,6 +94,18 @@ def activity_state(ue: UeConfig, frame: int) -> int:
 _WORD = 0xFFFFFFFF
 
 
+def _key(n, name: str = "each noise stream key") -> int:
+    """``n`` as a noise stream key: an int >= 0, else ``ValueError``. A
+    float is refused, not truncated."""
+    try:
+        key = operator.index(n)
+    except TypeError:
+        key = -1
+    if key < 0:
+        raise ValueError(f"{name} must be an integer >= 0, got {n!r}")
+    return key
+
+
 def _words(n: int) -> list[int]:
     """A non-negative int as ``SeedSequence`` reads one: its little-endian
     32-bit words, and [0] for 0."""
@@ -115,34 +127,21 @@ def noise_draws(seed: int, frame: int, ue_index: int
     that ``SeedSequence`` makes of that list, which skips its per-call
     coercion of the list. ``sweep_draws`` is its batched form.
     """
-    if seed < 0 or frame < 0 or ue_index < 0:
-        raise ValueError(f"noise stream ({seed}, {frame}, {ue_index}) needs "
-                         f"non-negative integers")
     rng = np.random.default_rng(np.array(
-        [*_words(seed), *_words(frame), *_words(ue_index)], np.uint32))
+        [*_words(_key(seed)), *_words(_key(frame)), *_words(_key(ue_index))],
+        np.uint32))
     miss = rng.random()
     z_u, z_v = rng.standard_normal(2).tolist()
     return miss, z_u, z_v
 
 
-def _hash_consts(init: int, mult: int, calls: int) -> list[int]:
-    """The hash constant of ``SeedSequence`` before each of ``calls``
-    hash calls, and after the last: ``init * mult**k`` mod 2**32."""
-    consts = [init]
-    for _ in range(calls):
-        consts.append(consts[-1] * mult & _WORD)
-    return consts
-
-
 # ``SeedSequence``'s constants (``numpy.random.bit_generator``). The hash
-# constants do not depend on the data: the 16 hash calls of a pool of up to
-# 4 entropy words, and the 8 of ``generate_state(4, np.uint64)``, are the
-# same for every stream.
-_POOL = 4
-_INIT_A, _MULT_A, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x58F38DED
+# constant before each hash call and after the last is ``init * mult**k``
+# mod 2**32, whatever the data: 16 calls mix a pool of 4 entropy words, 8
+# make ``generate_state(4, np.uint64)``.
+_HASH_A = [0x43B0D7E5 * 0x931E8875**k & _WORD for k in range(17)]
+_HASH_B = [0x8B51F9DD * 0x58F38DED**k & _WORD for k in range(9)]
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_HASH_A = _hash_consts(_INIT_A, _MULT_A, _POOL * _POOL)
-_HASH_B = _hash_consts(0x8B51F9DD, _MULT_B, 2 * _POOL)
 
 
 def _hashmix(value: np.ndarray, consts: list[int], k: int) -> np.ndarray:
@@ -155,34 +154,24 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return value ^ value >> 16
 
 
-def _seed_states(entropy: np.ndarray) -> np.ndarray:
-    """``SeedSequence(row).generate_state(4, np.uint64)`` of each row of a
-    (rows, words) uint64 array of uint32 entropy words, in one pass.
-
+def _seed_states(*lanes: np.ndarray) -> np.ndarray:
+    """``SeedSequence(words).generate_state(4, np.uint64)`` of entropy lists
+    of at most 4 uint32 words, in one pass: 4 uint64 word lanes that
+    broadcast against each other give states of shape (..., 4). A word past
+    the end of a list is 0, which is what ``SeedSequence`` hashes there.
     Every product is of two values below 2**32, so it is exact in uint64
-    and is masked back to 32 bits. Rows of fewer than 4 words are padded
-    with 0, which is what ``SeedSequence`` hashes in their place; words
-    past the 4th run its extra mixing loop.
+    and is masked back to 32 bits.
     """
-    width = entropy.shape[1]
-    entropy = np.pad(entropy, ((0, 0), (0, max(_POOL - width, 0))))
-    # Each word past the 4th adds 4 hash calls.
-    consts = _HASH_A if width <= _POOL else _hash_consts(
-        _INIT_A, _MULT_A, _POOL * width)
-    pool = [_hashmix(entropy[:, i], consts, i) for i in range(_POOL)]
-    k = _POOL
-    for src in range(_POOL):
-        for dst in range(_POOL):
+    pool = [_hashmix(lane, _HASH_A, i) for i, lane in enumerate(lanes)]
+    k = 4
+    for src in range(4):
+        for dst in range(4):
             if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts, k))
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], _HASH_A, k))
                 k += 1
-    for src in range(_POOL, width):
-        for dst in range(_POOL):
-            pool[dst] = _mix(pool[dst], _hashmix(entropy[:, src], consts, k))
-            k += 1
-    state = [_hashmix(pool[i % _POOL], _HASH_B, i) for i in range(2 * _POOL)]
+    state = [_hashmix(pool[i % 4], _HASH_B, i) for i in range(8)]
     return np.stack([state[2 * i] | state[2 * i + 1] << 32
-                     for i in range(_POOL)], axis=1)
+                     for i in range(4)], axis=-1)
 
 
 class _SeedState(ISeedSequence):
@@ -198,45 +187,40 @@ class _SeedState(ISeedSequence):
         return self.words
 
 
-def _word_groups(word_lists: list[list[int]]
-                 ) -> list[tuple[list[int], np.ndarray]]:
-    """The indices of the word lists of each length, and their words."""
-    groups = {}
-    for i, words in enumerate(word_lists):
-        groups.setdefault(len(words), []).append(i)
-    return [(index, np.array([word_lists[i] for i in index], np.uint64))
-            for index in groups.values()]
-
-
 def sweep_draws(seeds: list[int], keys: list[tuple[int, int]]
                 ) -> np.ndarray:
     """(miss, z_u) of ``noise_draws(seed, frame, ue_index)`` for every seed
     and every (frame, UE index) key: a (seeds, keys, 2) array.
 
-    The batched form of ``noise_draws``, with the same streams. The
-    ``SeedSequence`` state of every stream is hashed in one array pass
-    (``_seed_states``), one pass per length of the entropy word list; each
-    stream's ``PCG64`` is then seeded with its words, and numpy's own
-    ``Generator`` draws from it. A scalar ``standard_normal()`` is the first
-    value of ``standard_normal(2)``.
+    The batched form of ``noise_draws``, with the same streams. A seed
+    below 2**64 with a frame and UE index below 2**32 makes an entropy
+    list of at most 4 words: ``[seed, frame, ue, 0]`` for a one-word seed,
+    ``[seed & 0xFFFFFFFF, seed >> 32, frame, ue]`` for a two-word one. The
+    ``SeedSequence`` state of every such stream is hashed in one array pass
+    over the (seeds, keys) grid (``_seed_states``); each stream's ``PCG64``
+    is then seeded with its words, and numpy's own ``Generator`` draws from
+    it. A scalar ``standard_normal()`` is the first value of
+    ``standard_normal(2)``. Any other cell is drawn by ``noise_draws``.
     """
-    if any(n < 0 for n in seeds) or any(n < 0 for key in keys for n in key):
-        raise ValueError("noise streams need non-negative integers")
-    key_groups = _word_groups([_words(frame) + _words(ue)
-                               for frame, ue in keys])
-    draws = np.empty((len(seeds), len(keys), 2))
-    for seed_index, seed_words in _word_groups([_words(s) for s in seeds]):
-        for key_index, key_words in key_groups:
-            entropy = np.concatenate(
-                [np.repeat(seed_words, len(key_index), axis=0),
-                 np.tile(key_words, (len(seed_index), 1))], axis=1)
-            out = []
-            for words in _seed_states(entropy):
-                rng = np.random.Generator(np.random.PCG64(_SeedState(words)))
-                out.append(rng.random())
-                out.append(rng.standard_normal())
-            draws[np.ix_(seed_index, key_index)] = np.reshape(
-                out, (len(seed_index), len(key_index), 2))
+    seeds = [_key(n) for n in seeds]
+    keys = [(_key(frame), _key(ue)) for frame, ue in keys]
+    # Cells of longer entropy lists hash garbage words here; they are
+    # drawn again below.
+    seed = np.array([n & (1 << 64) - 1 for n in seeds], np.uint64)[:, None]
+    frame = np.array([frame & _WORD for frame, _ in keys], np.uint64)
+    ue = np.array([ue & _WORD for _, ue in keys], np.uint64)
+    one = seed >> 32 == 0
+    out = []
+    for words in _seed_states(
+            seed & _WORD, np.where(one, frame, seed >> 32),
+            np.where(one, ue, frame), np.where(one, 0, ue)).reshape(-1, 4):
+        rng = np.random.Generator(np.random.PCG64(_SeedState(words)))
+        out += rng.random(), rng.standard_normal()
+    draws = np.reshape(out, (len(seeds), len(keys), 2))
+    wide = (np.array([n >> 64 > 0 for n in seeds], bool)[:, None]
+            | np.array([max(key) > _WORD for key in keys], bool))
+    for i, j in np.argwhere(wide).tolist():
+        draws[i, j] = noise_draws(seeds[i], *keys[j])[:2]
     return draws
 
 
@@ -506,7 +490,8 @@ class Simulator:
         ``optimal_beam`` picks the first argmax of the SNR table and rank 0
         is the first argmax.
         """
-        sigmas = np.array([DetectorNoiseModel(float(s), miss_prob).pixel_sigma
+        miss_prob = DetectorNoiseModel(miss_prob=miss_prob).miss_prob
+        sigmas = np.array([DetectorNoiseModel(float(s)).pixel_sigma
                            for s in sigmas])
         seeds = [DetectorNoiseModel(seed=seed).seed for seed in seeds]
         ue_index = {ue.name: i for i, ue in enumerate(self.scenario.ues)}

@@ -212,7 +212,7 @@ def _by_name(items, name, kind):
     for item in items:
         if item.name == name:
             return item
-    raise KeyError(f"unknown {kind} '{name}'")
+    raise ScenarioError(f"unknown {kind} '{name}'")
 
 
 # Named section kind -> (Scenario attribute, config class).

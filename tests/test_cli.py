@@ -402,6 +402,24 @@ def test_unwritable_outputs_fail_before_the_truth_pass(
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize("argv", [
+    ["generate", "--out", "x.jsonl"],
+    ["sweep"],
+    ["render", "--frame", 0, "--out", "f.ppm"],
+])
+def test_an_unknown_bs_exits_1(argv, scenario_file, tmp_path, monkeypatch,
+                               capsys):
+    """``--bs`` with no such BS names it in an error, not a traceback, and
+    the run writes no file."""
+    before = sorted(tmp_path.rglob("*"))
+    monkeypatch.chdir(tmp_path)
+    command, *options = argv
+    assert run([command, "--scenario", scenario_file, "--bs", "nosuch",
+                *options]) == 1
+    assert capsys.readouterr().err == "error: unknown bs 'nosuch'\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 @pytest.mark.parametrize("options, message", [
     (["--frame", 0, "--out", "nodir/f.ppm"], "cannot write"),
     (["--frame", 0, "--out", "afile/f.ppm"], "cannot write"),

@@ -34,6 +34,8 @@ def test_noise_model_validation():
         pl.DetectorNoiseModel(miss_prob=1.5)
     with pytest.raises(ValueError):
         pl.DetectorNoiseModel(seed=-1)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        pl.DetectorNoiseModel(seed=1.5)
 
 
 def test_activity_state():
@@ -294,6 +296,39 @@ def test_a_negative_seed_is_rejected(minimal_scenario):
     sim = pl.Simulator(minimal_scenario)
     with pytest.raises(ValueError):
         sim.sweep([], [0.0], [0, -1])
+
+
+@pytest.mark.parametrize("key", [(1.5, 0, 0), (0, 1.5, 0), (0, 0, 1.5)],
+                         ids=["seed", "frame", "ue"])
+def test_a_float_stream_key_is_rejected(key):
+    """A float is refused, not truncated to an int word."""
+    seed, frame, ue = key
+    with pytest.raises(ValueError, match="integer"):
+        pl.noise_draws(seed, frame, ue)
+    with pytest.raises(ValueError, match="integer"):
+        pl.sweep_draws([seed], [(frame, ue)])
+
+
+def test_sweep_checks_miss_prob_without_sigmas(minimal_scenario):
+    sim = pl.Simulator(minimal_scenario)
+    with pytest.raises(ValueError, match="miss_prob"):
+        sim.sweep([], [], range(2), miss_prob=7.0)
+
+
+def test_sweep_hashes_its_streams_in_the_array_pass(shipped_truth,
+                                                    monkeypatch):
+    """Seeds below 2**64 on the shipped truth draw no stream through
+    ``noise_draws``; a seed of 3 entropy words draws every key through it."""
+    sim, truth = shipped_truth
+    calls = []
+    draws = pl.noise_draws
+    monkeypatch.setattr(pl, "noise_draws", lambda *key: (
+        calls.append(key), draws(*key))[1])
+    sim.sweep(truth, [0.0, 2.0], [*range(20), *range(2**32, 2**32 + 4)])
+    assert calls == []
+    keys = [(0, 0), (7, 2), (2**32 - 1, 1)]
+    pl.sweep_draws([2**64 + 3], keys)
+    assert calls == [(2**64 + 3, *key) for key in keys]
 
 
 def test_detect_jitter_is_linear_in_sigma():
