@@ -24,7 +24,6 @@ class CameraModel:
     width_px: int
     height_px: int
     fx: float
-    fy: float
     cx: float
     cy: float
     position: tuple[float, float, float]
@@ -40,7 +39,6 @@ class CameraModel:
             width_px=cam.width_px,
             height_px=cam.height_px,
             fx=fx,
-            fy=fx,
             cx=cam.width_px / 2.0,
             cy=cam.height_px / 2.0,
             position=position,
@@ -93,8 +91,9 @@ def project_points(cam: CameraModel, points
     z = rowdot(rel, forward)
     front = z > RAY_EPS
     z = np.where(front, z, 1.0)
+    # Square pixels: the one focal length scales both axes.
     u = cam.cx + cam.fx * rowdot(rel, u_axis) / z
-    v = cam.cy + cam.fy * rowdot(rel, v_axis) / z
+    v = cam.cy + cam.fx * rowdot(rel, v_axis) / z
     return u, v, front
 
 

@@ -14,12 +14,13 @@ from pathlib import Path
 from . import dataset as ds
 from .pipeline import DetectorNoiseModel, FrameRecord, Simulator
 from .render import render_debug_frame, write_ppm
-from .scenario import ScenarioError, parse_scenario
+from .scenario import (ScenarioError, ScenarioSyntaxError, decode_utf8,
+                       parse_scenario)
 
 
 def _load_scenario(path: str):
-    text = Path(path).read_text(encoding="utf-8")
-    return parse_scenario(text)
+    return parse_scenario(decode_utf8(Path(path).read_bytes(),
+                                      ScenarioSyntaxError))
 
 
 def _render_frame_bytes(sim: Simulator, record: FrameRecord) -> bytes:

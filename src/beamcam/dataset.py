@@ -23,6 +23,7 @@ from .camera import BoundingBox
 from .channel import OUTAGE_SNR_DB
 from .pipeline import Detection, FrameRecord, UeFrameRecord
 from .raytrace import PathComponent
+from .scenario import decode_utf8
 
 SCHEMA_NAME = "beamcam-records"
 SCHEMA_VERSION = 1
@@ -71,7 +72,7 @@ def _path_from_json(obj) -> PathComponent:
     phase = math.radians(phase_deg)
     return PathComponent(
         10.0 ** (gain_db / 20.0) * complex(math.cos(phase), math.sin(phase)),
-        delay_ns * 1e-9, *fields, points=())
+        delay_ns * 1e-9, *fields)
 
 
 def record_rows(records: list[FrameRecord]):
@@ -196,18 +197,16 @@ def _header(obj) -> dict:
 
 
 def import_records(source) -> tuple[dict, list[FrameRecord]]:
-    """Read a JSON-lines dataset back into (header, FrameRecords).
-
-    A malformed line raises DatasetError naming its line number.
-    """
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        try:
-            text = Path(source).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise DatasetError(f"cannot read dataset from "
-                               f"'{source}': {exc}") from exc
+    """Read the JSON-lines dataset file ``source`` back into (header,
+    FrameRecords). A malformed or non-UTF-8 line raises DatasetError naming
+    its line number."""
+    try:
+        data = Path(source).read_bytes()
+    except OSError as exc:
+        raise DatasetError(f"cannot read dataset from "
+                           f"'{source}': {exc}") from exc
+    text = decode_utf8(data, lambda message, line, _: DatasetError(
+        f"line {line}: {message}"))
     lines = [(n, ln) for n, ln in enumerate(text.splitlines(), 1)
              if ln.strip()]
     if not lines:

@@ -64,7 +64,6 @@ class PathComponent:
     aoa_el_deg: float
     bounces: int
     length_m: float
-    points: tuple[tuple[float, float, float], ...]
 
     @property
     def gain_db(self) -> float:
@@ -109,22 +108,12 @@ def path_components(points: np.ndarray, amps: np.ndarray,
     ends = np.concatenate([segments[0], points[-2] - points[-1]])
     az = azimuth_deg(ends).tolist()
     el = elevation_deg(ends).tolist()
+    # After the phase, the columns are PathComponent's fields after gain.
     columns = zip(amp.tolist(), phase.tolist(), (length / C_LIGHT).tolist(),
-                  az[:n], el[:n], az[n:], el[n:], length.tolist(),
-                  points.swapaxes(0, 1).tolist())
-    bounces = points.shape[0] - 2
-    return [PathComponent(
-        gain=a * complex(math.cos(ph), math.sin(ph)),
-        delay_s=delay,
-        aod_az_deg=aod_az,
-        aod_el_deg=aod_el,
-        aoa_az_deg=aoa_az,
-        aoa_el_deg=aoa_el,
-        bounces=bounces,
-        length_m=length_m,
-        points=tuple(map(tuple, pts)),
-    ) for (a, ph, delay, aod_az, aod_el, aoa_az, aoa_el, length_m,
-           pts) in columns]
+                  az[:n], el[:n], az[n:], el[n:], [points.shape[0] - 2] * n,
+                  length.tolist())
+    return [PathComponent(a * complex(math.cos(ph), math.sin(ph)), *fields)
+            for a, ph, *fields in columns]
 
 
 class _Reflectors:

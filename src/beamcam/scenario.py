@@ -37,6 +37,18 @@ class ScenarioValidationError(ScenarioError):
         self.violations = violations
 
 
+def decode_utf8(data: bytes, error: Callable[..., Exception]) -> str:
+    """data as UTF-8 text, else ``error(message, line, column)`` at its
+    first bad byte, its lines counted as ``str.splitlines`` counts them."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # An "x" for the bad byte: a line break just before it starts a line.
+        lines = (data[:exc.start].decode("utf-8") + "x").splitlines()
+        raise error(f"byte 0x{data[exc.start]:02x} is not UTF-8 "
+                    f"({exc.reason})", len(lines), len(lines[-1])) from None
+
+
 # ---------------------------------------------------------------------------
 # Value kinds and bounds
 
@@ -98,7 +110,6 @@ _INT = _Kind(_parse_int, str)
 _FLOAT = _Kind(_parse_float, _fmt_float)
 _VEC3 = _Kind(_parse_vec3, _fmt_vec)
 _NAME = _Kind(lambda raw, line, col: raw, str)
-_KEYWORD = _Kind(lambda raw, line, col: raw.lower(), str)
 _RANGES = _Kind(_parse_ranges, lambda rs: ", ".join(f"{lo}-{hi}" for lo, hi in rs))
 
 
@@ -115,7 +126,6 @@ _POSITIVE = _Bound("> 0", lambda v: v > 0)
 _POSITIVE_EACH = _Bound("> 0 in each component", lambda v: all(c > 0 for c in v))
 _AZIMUTH = _Bound("in [0, 360)", lambda v: 0.0 <= v < 360.0)
 _FOV = _Bound("in (0, 180)", lambda v: 0.0 < v < 180.0)
-_BOX = _Bound("'box'", lambda v: v == "box")
 
 
 def _spec(kind: _Kind, default: Any = MISSING, *, key: str | None = None,
@@ -131,7 +141,6 @@ def _spec(kind: _Kind, default: Any = MISSING, *, key: str | None = None,
 @dataclass(frozen=True, kw_only=True)
 class SystemParams:
     frames: int = _spec(_INT, bound=_AT_LEAST_1)
-    fps: float = _spec(_FLOAT, bound=_POSITIVE)
     carrier_ghz: float = _spec(_FLOAT, bound=_POSITIVE)
     max_reflections: int = _spec(_INT, 2, bound=_AT_LEAST_0)
     codebook_size_q: int = _spec(_INT, 16, bound=_AT_LEAST_1)
@@ -170,7 +179,6 @@ class BsConfig:
 @dataclass(frozen=True, kw_only=True)
 class ReflectorConfig:
     name: str
-    shape: str = _spec(_KEYWORD, "box", bound=_BOX)
     center: Vec3 = _spec(_VEC3)
     size: Vec3 = _spec(_VEC3, bound=_POSITIVE_EACH)
     yaw_deg: float = _spec(_FLOAT, 0.0)

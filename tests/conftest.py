@@ -27,7 +27,6 @@ SHIPPED_SCENARIO = REPO_ROOT / "scenarios" / "urban_three_cars.txt"
 MINIMAL_SCENARIO = """\
 [system]
 frames = 10
-fps = 30
 carrier_ghz = 28
 
 [array a0]
@@ -86,7 +85,7 @@ def small_scenarios(draw):
                             for f in kf_frames)))
     return sc.Scenario(
         system=sc.SystemParams(
-            frames=frames, fps=30.0, carrier_ghz=draw(st.floats(1.0, 100.0)),
+            frames=frames, carrier_ghz=draw(st.floats(1.0, 100.0)),
             max_reflections=draw(st.integers(0, 2)),
             codebook_size_q=draw(st.integers(1, 32))),
         arrays=(sc.ArrayConfig(name="a0",

@@ -2,10 +2,11 @@
 
 Each is the one-receiver, one-mesh, one-vector or one-path case of code in
 ``beamcam``, written the plain way: ``trace_paths`` is one receiver of
-``Candidates`` with its rows in one occlusion pass, ``candidate_chains``
-backtracks one reflection order with every (receiver, prefix row) pair
-and no receiver-side screen, ``project_bbox`` one
-mesh of ``VertexRays``, ``compute_path_component`` one path of
+``Candidates`` with its rows in one occlusion pass (``trace_with_points``
+adds each path's polyline, which the program does not keep),
+``candidate_chains`` backtracks one reflection order with every
+(receiver, prefix row) pair and no receiver-side screen, ``project_bbox``
+one mesh of ``VertexRays``, ``compute_path_component`` one path of
 ``path_components``, ``select_beam`` one box's prediction of
 ``apply_detector``, ``render_debug_frame`` the renderer one triangle at a
 time, and so on; ``noise_draws`` seeds its stream with the list that the
@@ -167,6 +168,40 @@ def trace_paths(scene: SceneGeometry, tx, rx, max_reflections: int,
     ``prefixes``, by default the ``prefix_table`` of tx, built anew on each
     call.
     """
+    cand, blocked = _one_receiver(scene, tx, rx, max_reflections, exclude,
+                                  prefixes, candidates)
+    return cand.paths(blocked, carrier_ghz)[0]
+
+
+def trace_with_points(scene: SceneGeometry, tx, rx, max_reflections: int,
+                      carrier_ghz: float, exclude=()
+                      ) -> list[tuple[PathComponent, np.ndarray]]:
+    """``trace_paths`` with each path's polyline: (path, points) pairs, the
+    points of shape (bounces + 2, 3) from tx to rx, in the same (length,
+    bounces) order. The program keeps no polyline; this one comes from the
+    same chains and occlusion verdicts as ``trace_paths``."""
+    cand, blocked = _one_receiver(scene, tx, rx, max_reflections, exclude,
+                                  None, Candidates)
+    pairs = []
+    at = 0
+    for _, pts, seqs in cand.chains:
+        n, hops = seqs.shape[0], seqs.shape[1] + 1
+        keep = ~blocked[at:at + n * hops].reshape(n, hops).any(axis=1)
+        at += n * hops
+        if keep.any():
+            comps = path_components(pts[:, keep], cand.refl.amp[seqs[keep]],
+                                    carrier_ghz)
+            pairs += zip(comps, pts[:, keep].swapaxes(0, 1))
+    # A stable sort on the key of ``Candidates.paths``, over the paths in the
+    # same chain order, gives its order.
+    pairs.sort(key=lambda pair: (pair[0].length_m, pair[0].bounces))
+    return pairs
+
+
+def _one_receiver(scene, tx, rx, max_reflections, exclude, prefixes,
+                  candidates) -> tuple[Candidates, np.ndarray]:
+    """The candidates of one receiver and the occlusion verdict of each of
+    their rows, tested in one pass."""
     tx = np.asarray(tx, float)
     rx = np.asarray(rx, float)
     if same_point(tx, rx):
@@ -177,8 +212,7 @@ def trace_paths(scene: SceneGeometry, tx, rx, max_reflections: int,
     cand = candidates(refl, tx, rx, prefixes)
     starts, ends, _ = cand.segments()
     tset = scene.tset
-    blocked = occluded(tset, starts, ends, owned_by(tset, exclude))
-    return cand.paths(blocked, carrier_ghz)[0]
+    return cand, occluded(tset, starts, ends, owned_by(tset, exclude))
 
 
 # ---------------------------------------------------------------------------

@@ -73,8 +73,8 @@ def test_criterion_2_image_method_vs_fermat(capsys):
         [(center, size, 0.0, "metal")], {"metal": 0.95})
     tx = ref.vec3(-6.0, 0.5, 2.0)
     rx = ref.vec3(7.0, 1.5, 4.0)
-    paths = ref.trace_paths(scene, tx, rx, 1, 28.0)
-    bounce = [p for p in paths if p.bounces == 1][0]
+    paths = ref.trace_with_points(scene, tx, rx, 1, 28.0)
+    bounce, points = [pair for pair in paths if pair[0].bounces == 1][0]
 
     # Independent oracle: Fermat's principle by brute force. The bounce
     # point lies on the wall front plane y = 4.75; minimize the total
@@ -109,7 +109,7 @@ def test_criterion_2_image_method_vs_fermat(capsys):
 
     len_ok = abs(bounce.length_m - fermat) <= 1e-6
 
-    a, m, b = (np.asarray(p) for p in bounce.points)
+    a, m, b = points
     n = np.array([0.0, -1.0, 0.0])
     d_in, d_out = ref.normalize(m - a), ref.normalize(b - m)
     ang_in = math.acos(np.clip((-d_in) @ n, -1, 1))
@@ -167,7 +167,7 @@ def test_criterion_3_beam_sweep_equivalence(capsys):
                 gain=p.gain * scale, delay_s=p.delay_s,
                 aod_az_deg=p.aod_az_deg, aod_el_deg=p.aod_el_deg,
                 aoa_az_deg=p.aoa_az_deg, aoa_el_deg=p.aoa_el_deg,
-                bounces=0, length_m=p.length_m, points=p.points))
+                bounces=0, length_m=p.length_m))
         h = ch.build_channel(paths, n, 0.5, 90.0)
         idx, _, _ = ch.optimal_beam(h, cb, 30.0, -90.0)
         if idx != oracle_scan(h):

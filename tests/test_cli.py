@@ -420,6 +420,65 @@ def test_an_unknown_bs_exits_1(argv, scenario_file, tmp_path, monkeypatch,
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("frames = 10\n", "frames = 10\nfps = 30\n",
+     "line 3, column 6: unknown key 'fps' in section [system]"),
+    ("material = concrete\n", "material = concrete\nshape = box\n",
+     "line 17, column 8: unknown key 'shape' in section [reflector]"),
+], ids=["fps", "shape"])
+def test_a_dropped_scenario_key_exits_1(old, new, message, tmp_path,
+                                        capsys):
+    """``fps`` and ``[reflector] shape`` are no longer keys: a file that
+    still sets one fails at parse with its line and column, and the run
+    writes no dataset."""
+    scene = tmp_path / "scene.txt"
+    scene.write_text(MINIMAL_SCENARIO.replace(old, new))
+    out = tmp_path / "ds.jsonl"
+    assert run(["generate", "--scenario", scene, "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"\xff" + MINIMAL_SCENARIO.encode(),
+     "line 1, column 1: byte 0xff is not UTF-8 (invalid start byte)"),
+    (MINIMAL_SCENARIO.replace("\n", "\r\n").encode().replace(
+        b"carrier_ghz = 28", b"carrier_ghz = 2\xe98"),
+     "line 3, column 16: byte 0xe9 is not UTF-8 (invalid continuation "
+     "byte)"),
+], ids=["first-byte", "crlf-line-3"])
+def test_a_non_utf8_scenario_names_its_byte(data, message, tmp_path,
+                                            capsys):
+    """A scenario file that is not UTF-8 fails as a ``ScenarioSyntaxError``
+    at the line and column of its first bad byte."""
+    scene = tmp_path / "scene.txt"
+    scene.write_bytes(data)
+    with pytest.raises(sc.ScenarioSyntaxError):
+        cli._load_scenario(scene)
+    out = tmp_path / "ds.jsonl"
+    assert run(["generate", "--scenario", scene, "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "inspect"])
+def test_a_non_utf8_dataset_names_its_line(command, scenario_file, tmp_path,
+                                           capsys):
+    """A dataset line that is not UTF-8 fails as a ``DatasetError`` that
+    names the line."""
+    out = tmp_path / "ds.jsonl"
+    assert run(["generate", "--scenario", scenario_file, "--out", out]) == 0
+    lines = out.read_bytes().split(b"\n")
+    lines[2] = b"\xff" + lines[2][1:]
+    out.write_bytes(b"\n".join(lines))
+    with pytest.raises(ds.DatasetError, match="^line 3: "):
+        ds.import_records(out)
+    capsys.readouterr()
+    assert run([command, out]) == 1
+    assert capsys.readouterr().err == \
+        "error: line 3: byte 0xff is not UTF-8 (invalid start byte)\n"
+
+
 @pytest.mark.parametrize("options, message", [
     (["--frame", 0, "--out", "nodir/f.ppm"], "cannot write"),
     (["--frame", 0, "--out", "afile/f.ppm"], "cannot write"),

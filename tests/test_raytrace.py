@@ -44,9 +44,9 @@ def test_reflection_law_on_wall():
     scene = wall_scene()
     tx = ref.vec3(-3.0, 1.0, 2.0)
     rx = ref.vec3(7.0, 2.0, 4.0)
-    paths = ref.trace_paths(scene, tx, rx, max_reflections=1, carrier_ghz=28.0)
-    bounce = [p for p in paths if p.bounces == 1][0]
-    a, m, b = (np.asarray(p) for p in bounce.points)
+    paths = ref.trace_with_points(scene, tx, rx, max_reflections=1,
+                                  carrier_ghz=28.0)
+    a, m, b = [pts for p, pts in paths if p.bounces == 1][0]
     n = np.array([0.0, -1.0, 0.0])  # wall front face normal
     d_in = ref.normalize(m - a)
     d_out = ref.normalize(b - m)
@@ -140,9 +140,9 @@ def test_aod_aoa_angles_on_bounce():
     scene = wall_scene()
     tx = ref.vec3(-5.0, 0.0, 2.0)
     rx = ref.vec3(5.0, 0.0, 2.0)
-    bounce = ref.trace_paths(scene, tx, rx, 1, 28.0)[1]
+    bounce, points = ref.trace_with_points(scene, tx, rx, 1, 28.0)[1]
     # Departure heads toward +x/+y at 45 degrees (reflection point at x=0).
-    mx = bounce.points[1]
+    mx = points[1]
     assert mx[0] == pytest.approx(0.0, abs=1e-9)
     assert bounce.aod_az_deg == pytest.approx(
         geo.azimuth_deg(mx - tx), abs=1e-12)
@@ -159,13 +159,13 @@ def test_second_order_paths_exist_in_corner():
         [(w1c, w1s, 0.0, "metal"), (w2c, w2s, 0.0, "metal")],
         {"metal": 0.95},
     )
-    paths = ref.trace_paths(scene, ref.vec3(-5, -5, 2), ref.vec3(-5, 5, 2),
-                           max_reflections=2, carrier_ghz=28.0)
-    orders = sorted(p.bounces for p in paths)
+    paths = ref.trace_with_points(scene, ref.vec3(-5, -5, 2),
+                                  ref.vec3(-5, 5, 2), max_reflections=2,
+                                  carrier_ghz=28.0)
+    orders = sorted(p.bounces for p, _ in paths)
     assert 0 in orders and 1 in orders and 2 in orders
     # Every path's segments add up to its reported length.
-    for p in paths:
-        pts = np.asarray(p.points)
+    for p, pts in paths:
         seg = np.linalg.norm(np.diff(pts, axis=0), axis=1).sum()
         assert p.length_m == pytest.approx(seg, abs=1e-9)
 
@@ -360,7 +360,6 @@ def test_prefix_table_built_once_per_simulator_and_lazily(shipped_scenario):
 CORNER = sc.parse_scenario("""\
 [system]
 frames = 4
-fps = 30
 carrier_ghz = 28
 max_reflections = 2
 
@@ -398,14 +397,15 @@ def _angle_gap(a, b):
     return abs((a - b + 180.0) % 360.0 - 180.0)
 
 
-def _is_reversed(fwd, rev):
-    """Whether ``rev`` is ``fwd`` traced from its receiver back to its
-    transmitter: the same bounces, length within 1e-9 m, the points in
-    reverse order, departure and arrival angles swapped and the same
-    complex gain."""
+def _is_reversed(fwd_pair, rev_pair):
+    """Whether the (path, points) pair ``rev_pair`` is ``fwd_pair`` traced
+    from its receiver back to its transmitter: the same bounces, length
+    within 1e-9 m, the points in reverse order, departure and arrival
+    angles swapped and the same complex gain."""
+    (fwd, fwd_points), (rev, rev_points) = fwd_pair, rev_pair
     return (rev.bounces == fwd.bounces
             and abs(rev.length_m - fwd.length_m) <= 1e-9
-            and np.allclose(rev.points[::-1], fwd.points, rtol=0.0,
+            and np.allclose(rev_points[::-1], fwd_points, rtol=0.0,
                             atol=1e-9)
             and _angle_gap(rev.aoa_az_deg, fwd.aod_az_deg) <= 1e-9
             and _angle_gap(rev.aod_az_deg, fwd.aoa_az_deg) <= 1e-9
@@ -418,7 +418,9 @@ def _is_reversed(fwd, rev):
 @given(small_scenarios())
 def test_paths_are_reciprocal(scenario):
     """Tracing each traced (frame, UE) from the UE back to the BS gives the
-    truth pass's BS-to-UE paths, each one reversed, and no other path."""
+    truth pass's BS-to-UE paths, each one reversed, and no other path. The
+    polylines come from ``trace_with_points`` both ways, whose BS-to-UE
+    paths are the truth pass's."""
     sim = Simulator(scenario)
     bs = np.asarray(sim.bs.position, float)
     system = scenario.system
@@ -429,13 +431,19 @@ def test_paths_are_reciprocal(scenario):
         for u in rec.ues:
             if u.ue_name in at_bs:
                 continue
-            unmatched = ref.trace_paths(
+            exclude = (u.ue_name,) + at_bs
+            forward = ref.trace_with_points(
+                scene, bs, positions[u.ue_name], system.max_reflections,
+                system.carrier_ghz, exclude=exclude)
+            assert [p for p, _ in forward] == list(u.paths)
+            unmatched = ref.trace_with_points(
                 scene, positions[u.ue_name], bs, system.max_reflections,
-                system.carrier_ghz, exclude=(u.ue_name,) + at_bs)
-            for fwd in u.paths:
-                match = [rev for rev in unmatched if _is_reversed(fwd, rev)]
-                assert match, (rec.frame, u.ue_name, fwd)
-                unmatched.remove(match[0])
+                system.carrier_ghz, exclude=exclude)
+            for fwd in forward:
+                match = [i for i, rev in enumerate(unmatched)
+                         if _is_reversed(fwd, rev)]
+                assert match, (rec.frame, u.ue_name, fwd[0])
+                del unmatched[match[0]]
             assert unmatched == []
 
 

@@ -11,7 +11,6 @@ from conftest import MINIMAL_SCENARIO, SHIPPED_SCENARIO
 ALL_KEYS_SCENARIO = """\
 [system]
 frames = 12
-fps = 25
 carrier_ghz = 60
 max_reflections = 1
 codebook_size_q = 8
@@ -38,7 +37,6 @@ camera_yaw_deg = 85
 camera_pitch_deg = -5
 
 [reflector wall]
-shape = box
 center = 0, 40, 5
 size = 30, 1, 10
 yaw_deg = 15
@@ -68,7 +66,7 @@ def test_minimal_parse_defaults(minimal_scenario):
     assert bs.camera.yaw_deg == 90.0
     assert bs.camera.width_px == 1280
     refl = s.reflectors[0]
-    assert refl.shape == "box"
+    assert refl.mesh_path is None
     assert refl.yaw_deg == 0.0
     ue = ref.ue(s, "car")
     assert ue.material == "metal"
@@ -133,7 +131,7 @@ def test_syntax_error_has_location():
     ("[system]", "[systems]"),                  # unknown section kind
     ("elements_n = 8", "elements_n = 8\nbogus_key = 1"),
     ("carrier_ghz = 28", "carrier_ghz = nan"),  # non-finite scalar
-    ("fps = 30", "fps = inf"),
+    ("boresight_deg = 90", "boresight_deg = -inf"),
     ("keyframe = 9 : 10, 25", "keyframe = 9 : 10, nan"),  # non-finite vec3
     ("keyframe = 0", "array = a0\nkeyframe = 0"),  # [ue] has no array key
     ("[array a0]", "[materials]\nglass = 0.3\nglass = 0.5\n[array a0]"),

@@ -139,32 +139,52 @@ def _is_spec_field(node: ast.AnnAssign) -> bool:
         and node.value.func.id == "_spec"
 
 
+def _reads(node: ast.AST, owner: str | None = None):
+    """(name, owner) of each attribute load and string constant under
+    node. ``owner`` is the class whose body encloses a ``self.x`` load, and
+    None for every other read."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            yield from _reads(child, child.name)
+            continue
+        if isinstance(child, ast.Attribute) \
+                and isinstance(child.ctx, ast.Load):
+            is_self = isinstance(child.value, ast.Name) \
+                and child.value.id == "self"
+            yield child.attr, owner if is_self else None
+        elif isinstance(child, ast.Constant) \
+                and isinstance(child.value, str):
+            yield child.value, None
+        yield from _reads(child, owner)
+
+
 def test_every_dataclass_field_is_read():
     """Every field of a dataclass in ``src/beamcam`` is read somewhere in
     ``src/``: as an attribute, or as a string (a ``getattr`` or dict key).
-    A field nothing reads is data the program stores and never uses. The
-    config classes of ``scenario.py`` are exempt: ``_specs`` reads their
-    file-backed (``_spec``) fields by name through ``dataclasses.fields``."""
-    fields, read = [], Counter()
+    A field nothing reads is data the program stores and never uses.
+
+    A ``self.x`` read inside class C counts only toward C's own fields, so
+    a homonym in another class proves nothing. A file-backed (``_spec``)
+    field of a ``scenario.py`` config class must be read outside
+    ``scenario.py``: parsing, bounds checking and serializing there read
+    every such field by name through ``dataclasses.fields``."""
+    fields, reads = [], []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef) and _is_dataclass(node):
-                body = [f for f in node.body if isinstance(f, ast.AnnAssign)
-                        and isinstance(f.target, ast.Name)]
-                if path.name == "scenario.py" and any(map(_is_spec_field,
-                                                          body)):
-                    continue
-                fields += [(path.name, node.name, f.target.id) for f in body]
-            elif isinstance(node, ast.Attribute) \
-                    and isinstance(node.ctx, ast.Load):
-                read[node.attr] += 1
-            elif isinstance(node, ast.Constant) \
-                    and isinstance(node.value, str):
-                read[node.value] += 1
+                fields += [(path.name, node.name, f.target.id,
+                            path.name == "scenario.py" and _is_spec_field(f))
+                           for f in node.body
+                           if isinstance(f, ast.AnnAssign)
+                           and isinstance(f.target, ast.Name)]
+        reads += [(path.name, name, owner) for name, owner in _reads(tree)]
     assert fields
-    unread = [f"{module}: {cls}.{name}" for module, cls, name in fields
-              if not read[name]]
+    assert any(spec for *_, spec in fields)
+    unread = [f"{module}: {cls}.{name}" for module, cls, name, spec in fields
+              if not any(name == read and owner in (None, cls)
+                         and not (spec and where == module)
+                         for where, read, owner in reads)]
     assert unread == []
 
 
