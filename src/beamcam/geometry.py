@@ -7,7 +7,6 @@ azimuth measured in the xy-plane counterclockwise from +x, degrees.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,42 +123,29 @@ def box_mesh(center, size, yaw_deg: float = 0.0, material: str = "metal") -> Mes
 # ---------------------------------------------------------------------------
 # Trajectories
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Keyframed position track; frame indices strictly increasing."""
-
-    keyframes: tuple[tuple[int, tuple[float, float, float]], ...]
-
-    def __post_init__(self):
-        if not self.keyframes:
-            raise ValueError("trajectory requires at least one keyframe")
-        frames = [f for f, _ in self.keyframes]
-        if any(b <= a for a, b in zip(frames, frames[1:])):
-            raise ValueError("keyframe frames must be strictly increasing")
-
-
 class Tracks:
-    """The keyframes of several trajectories as padded arrays, so that their
-    positions at many frames come from one array pass."""
+    """Several keyframed position tracks as padded arrays, so that their
+    positions at many frames come from one array pass. Each track is a
+    ``(frame, (x, y, z))`` tuple per keyframe, frames strictly increasing."""
 
-    def __init__(self, trajs: list[Trajectory]):
-        width = max([2] + [len(t.keyframes) for t in trajs])
+    def __init__(self, tracks: list[tuple]):
+        width = max([2] + [len(t) for t in tracks])
         #: Keyframe frames, padded with inf, and points, shape (U, K[, 3]).
-        self.frames = np.full((len(trajs), width), np.inf)
-        self.points = np.zeros((len(trajs), width, 3))
-        for i, traj in enumerate(trajs):
-            for j, (frame, point) in enumerate(traj.keyframes):
+        self.frames = np.full((len(tracks), width), np.inf)
+        self.points = np.zeros((len(tracks), width, 3))
+        for i, track in enumerate(tracks):
+            for j, (frame, point) in enumerate(track):
                 self.frames[i, j] = frame
                 self.points[i, j] = point
-        ue = np.arange(len(trajs))
-        last = np.array([len(t.keyframes) - 1 for t in trajs], dtype=int)
+        ue = np.arange(len(tracks))
+        last = np.array([len(t) - 1 for t in tracks], dtype=int)
         self._ue = ue
         self._last_end = np.maximum(last, 1)
         self._first = self.frames[:, 0], self.points[:, 0]
         self._last = self.frames[ue, last], self.points[ue, last]
 
     def at(self, frames) -> np.ndarray:
-        """Every trajectory's position at each frame, shape (F, U, 3).
+        """Every track's position at each frame, shape (F, U, 3).
 
         Linear interpolation in the first keyframe interval with
         ``f0 <= frame <= f1``, clamped to the end keyframes outside them:

@@ -26,7 +26,7 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .camera import BoundingBox, CameraModel, VertexRays, pixel_to_azimuth
 from .channel import build_channel, generate_codebook, optimal_beam
-from .geometry import Mesh, Tracks, Trajectory, box_mesh, same_point
+from .geometry import Mesh, Tracks, box_mesh, same_point
 from .raytrace import Candidates, PathComponent, SceneGeometry, prefix_table
 from .scenario import Scenario, ScenarioError, UeConfig
 from .selection import BeamEdges, center_columns, clip
@@ -333,7 +333,7 @@ class Simulator:
     @cached_property
     def _tracks(self) -> Tracks:
         """Every UE's keyframes as arrays; built on first use."""
-        return Tracks([Trajectory(ue.keyframes) for ue in self.scenario.ues])
+        return Tracks([ue.keyframes for ue in self.scenario.ues])
 
     def frame_scene(self, frame: int
                     ) -> tuple[SceneGeometry, dict[str, np.ndarray]]:

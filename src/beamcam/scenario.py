@@ -1,11 +1,11 @@
 """Scenario file parsing, validation and serialization.
 
 The format is line oriented: ``[section]`` or ``[section name]`` headers,
-``key = value`` pairs, comma-separated numeric tuples, ``#`` comments and
-repeated ``keyframe = FRAME : X, Y, Z`` lines. See docs/scenario_format.md
-for the grammar and a fully commented example. Each file key is declared
-once, by a ``_spec`` on its config dataclass field; the field default is the
-parse default. Parse, validate and serialize walk those specs.
+``key = value`` pairs, comma-separated numeric tuples and ``#`` comments.
+See docs/scenario_format.md for the grammar and a fully commented example.
+Each file key is declared once, by a ``_spec`` on its config dataclass
+field, the repeatable ``keyframe = FRAME : X, Y, Z`` too; the field default
+is the parse default. Parse, validate and serialize walk those specs.
 """
 
 from __future__ import annotations
@@ -52,13 +52,16 @@ def decode_utf8(data: bytes, error: Callable[..., Exception]) -> str:
 # ---------------------------------------------------------------------------
 # Value kinds and bounds
 
+# float() and int() ignore the blanks around a number, as str.strip() does,
+# so only the messages strip them.
 def _parse_float(raw: str, line: int, col: int) -> float:
     try:
         value = float(raw)
     except ValueError:
-        raise ScenarioSyntaxError(f"expected a number, got '{raw}'", line, col)
+        raise ScenarioSyntaxError(f"expected a number, got '{raw.strip()}'", line, col)
     if not math.isfinite(value):
-        raise ScenarioSyntaxError(f"expected a finite number, got '{raw}'", line, col)
+        raise ScenarioSyntaxError(
+            f"expected a finite number, got '{raw.strip()}'", line, col)
     return value
 
 
@@ -66,15 +69,16 @@ def _parse_int(raw: str, line: int, col: int) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise ScenarioSyntaxError(f"expected an integer, got '{raw}'", line, col)
+        raise ScenarioSyntaxError(f"expected an integer, got '{raw.strip()}'",
+                                  line, col)
 
 
 def _parse_vec3(raw: str, line: int, col: int) -> Vec3:
-    parts = [p.strip() for p in raw.split(",")]
+    parts = raw.split(",")
     if len(parts) != 3:
         raise ScenarioSyntaxError(
             f"expected 3 comma-separated numbers, got '{raw}'", line, col)
-    x, y, z = (_parse_float(p, line, col) for p in parts)
+    x, y, z = [_parse_float(p, line, col) for p in parts]
     return (x, y, z)
 
 
@@ -86,9 +90,15 @@ def _parse_ranges(raw: str, line: int, col: int) -> tuple[tuple[int, int], ...]:
             raise ScenarioSyntaxError(
                 f"expected frame range 'A-B', got '{chunk}'", line, col)
         lo, hi = chunk.split("-", 1)
-        ranges.append((_parse_int(lo.strip(), line, col),
-                       _parse_int(hi.strip(), line, col)))
+        ranges.append((_parse_int(lo, line, col), _parse_int(hi, line, col)))
     return tuple(ranges)
+
+
+def _parse_keyframe(raw: str, line: int, col: int) -> tuple[int, Vec3]:
+    frame, colon, position = raw.partition(":")
+    if not colon:
+        raise ScenarioSyntaxError(f"expected 'F : X, Y, Z', got '{raw}'", line, col)
+    return _parse_int(frame, line, col), _parse_vec3(position.lstrip(), line, col)
 
 
 def _fmt_float(x: float) -> str:
@@ -100,10 +110,13 @@ def _fmt_vec(v: Vec3) -> str:
 
 
 class _Kind(NamedTuple):
-    """How one value is read from (raw, line, col) and written as text."""
+    """How one value is read from (raw, line, col) and written as text. The
+    key of a kind that ``repeats`` may appear on several lines; its field
+    holds one parsed value per line, in file order."""
 
     parse: Callable[[str, int, int], Any]
     format: Callable[[Any], str]
+    repeats: bool = False
 
 
 _INT = _Kind(_parse_int, str)
@@ -111,6 +124,8 @@ _FLOAT = _Kind(_parse_float, _fmt_float)
 _VEC3 = _Kind(_parse_vec3, _fmt_vec)
 _NAME = _Kind(lambda raw, line, col: raw, str)
 _RANGES = _Kind(_parse_ranges, lambda rs: ", ".join(f"{lo}-{hi}" for lo, hi in rs))
+_FRAME_VEC3 = _Kind(_parse_keyframe, lambda kf: f"{kf[0]} : {_fmt_vec(kf[1])}",
+                    repeats=True)
 
 
 class _Bound(NamedTuple):
@@ -193,7 +208,7 @@ class UeConfig:
     material: str = _spec(_NAME, "metal")
     # Empty tuple means "active for all frames".
     active_ranges: tuple[tuple[int, int], ...] = _spec(_RANGES, (), key="active")
-    keyframes: tuple[tuple[int, Vec3], ...] = ()
+    keyframes: tuple[tuple[int, Vec3], ...] = _spec(_FRAME_VEC3, (), key="keyframe")
 
 
 @dataclass(frozen=True)
@@ -231,8 +246,6 @@ _NAMED_SECTIONS = {
     "ue": ("ues", UeConfig),
 }
 _SECTION_KINDS = {"system", "materials", *_NAMED_SECTIONS}
-# The one repeatable key, valid only in [ue] sections.
-_KEYFRAME = "keyframe"
 
 
 class _Spec(NamedTuple):
@@ -257,27 +270,40 @@ def _specs(cls) -> tuple[_Spec, ...]:
 # Parsing
 
 class _Section:
+    """A section's header and its pair table: each key, as written, maps to
+    every (value, line, value column, key column) given for it."""
+
     def __init__(self, kind: str, name: str | None, line: int):
         self.kind = kind
         self.name = name
         self.line = line
-        self.pairs: list[tuple[str, str, int, int]] = []  # key, value, line, col
+        self.label = f"[{kind} {name}]" if name else f"[{kind}]"
+        self.pairs: dict[str, list[tuple[str, int, int, int]]] = {}
+
+    def once(self, key: str, items: list) -> tuple[str, int, int]:
+        """The value, line and value column of a key that may appear once."""
+        if len(items) > 1:
+            _, line, _, col = items[1]
+            raise ScenarioSyntaxError(
+                f"duplicate key '{key}' in section {self.label}", line, col)
+        value, line, col, _ = items[0]
+        return value, line, col
 
 
 def _split_sections(text: str) -> list[_Section]:
     sections: list[_Section] = []
     current: _Section | None = None
     for lineno, rawline in enumerate(text.splitlines(), start=1):
-        line = rawline.split("#", 1)[0].rstrip()
-        if not line.strip():
-            continue
+        line = rawline.split("#", 1)[0]
         stripped = line.strip()
-        col = len(line) - len(line.lstrip()) + 1
-        if stripped.startswith("["):
-            if not stripped.endswith("]"):
+        if not stripped:
+            continue
+        # Only blanks precede stripped[0], so its first occurrence is its column.
+        col = line.find(stripped[0]) + 1
+        if stripped[0] == "[":
+            if stripped[-1] != "]":
                 raise ScenarioSyntaxError("unterminated section header", lineno, col)
-            header = stripped[1:-1].strip()
-            parts = header.split(None, 1)
+            parts = stripped[1:-1].split(None, 1)
             if not parts:
                 raise ScenarioSyntaxError("empty section header", lineno, col)
             kind = parts[0].lower()
@@ -289,67 +315,53 @@ def _split_sections(text: str) -> list[_Section]:
                 raise ScenarioSyntaxError(f"section '{kind}' {need} a name",
                                           lineno, col)
             current = _Section(kind, name, lineno)
+            # The unnamed kinds, [system] and [materials], appear at most once.
+            if name is None and any(s.kind == kind for s in sections):
+                raise ScenarioSyntaxError(f"duplicate {current.label} section",
+                                          lineno, col)
             sections.append(current)
             continue
         if current is None:
             raise ScenarioSyntaxError("content outside any section", lineno, col)
-        if "=" not in stripped:
+        key, eq, value = stripped.partition("=")
+        if not eq:
             raise ScenarioSyntaxError(f"expected 'key = value', got '{stripped}'",
                                       lineno, col)
-        key, value = stripped.split("=", 1)
-        vcol = col + len(key) + 1
-        current.pairs.append((key.strip().lower(), value.strip(), lineno, vcol))
+        value = value.lstrip()
+        current.pairs.setdefault(key.rstrip(), []).append(
+            (value, lineno, col + len(stripped) - len(value), col))
     return sections
 
 
-def _read(cls, pairs: dict, section: _Section, **defaults) -> dict:
+def _read(cls, section: _Section, **defaults) -> dict:
     """Pop and parse cls's keys; ``defaults`` override field defaults."""
     kwargs = dict(defaults)
     for name, key, kind, _, required in _specs(cls):
         if kind is None:
             continue
-        item = pairs.pop(key, None)
-        if item is not None:
-            kwargs[name] = kind.parse(*item)
-        elif required:
-            header = " ".join(filter(None, (section.kind, section.name)))
-            raise ScenarioSyntaxError(
-                f"missing required key '{key}' in [{header}]", section.line)
+        items = section.pairs.pop(key, None)
+        if items is None:
+            if required:
+                raise ScenarioSyntaxError(
+                    f"missing required key '{key}' in section {section.label}",
+                    section.line)
+        elif kind.repeats:
+            kwargs[name] = tuple(kind.parse(value, line, col)
+                                 for value, line, col, _ in items)
+        else:
+            kwargs[name] = kind.parse(*section.once(key, items))
     return kwargs
-
-
-def _parse_keyframes(section: _Section) -> tuple:
-    keyframes = []
-    for key, value, line, col in section.pairs:
-        if key != _KEYFRAME:
-            continue
-        if ":" not in value:
-            raise ScenarioSyntaxError(
-                f"expected '{_KEYFRAME} = FRAME : X, Y, Z', got '{value}'", line, col)
-        frame_raw, pos_raw = value.split(":", 1)
-        keyframes.append((_parse_int(frame_raw.strip(), line, col),
-                          _parse_vec3(pos_raw.strip(), line, col)))
-    return tuple(keyframes)
 
 
 def _parse_config(cls, section: _Section):
     """One config object from the keys of its section."""
-    pairs: dict[str, tuple[str, int, int]] = {}
-    for key, value, line, col in section.pairs:
-        if key in pairs:
-            raise ScenarioSyntaxError(
-                f"duplicate key '{key}' in section [{section.kind}]", line, col)
-        if not (key == _KEYFRAME and cls is UeConfig):
-            pairs[key] = (value, line, col)
-    kwargs = _read(cls, pairs, section)
+    kwargs = _read(cls, section)
     if cls is BsConfig:
         kwargs["camera"] = CameraConfig(**_read(
-            CameraConfig, pairs, section, yaw_deg=kwargs["boresight_deg"]))
-    for key, (_, line, col) in pairs.items():
+            CameraConfig, section, yaw_deg=kwargs["boresight_deg"]))
+    for key, [(_, line, _, col), *_] in section.pairs.items():
         raise ScenarioSyntaxError(
-            f"unknown key '{key}' in section [{section.kind}]", line, col)
-    if cls is UeConfig:
-        kwargs["keyframes"] = _parse_keyframes(section)
+            f"unknown key '{key}' in section {section.label}", line, col)
     if section.name is not None:
         kwargs["name"] = section.name
     return cls(**kwargs)
@@ -359,25 +371,13 @@ def parse_scenario(text: str) -> Scenario:
     """Parse and validate a scenario file; raises ScenarioError on any problem."""
     system: SystemParams | None = None
     materials = dict(DEFAULT_MATERIALS)
-    overrides: dict[str, float] | None = None
     named: dict[str, list] = {attr: [] for attr, _ in _NAMED_SECTIONS.values()}
     for section in _split_sections(text):
         if section.kind == "system":
-            if system is not None:
-                raise ScenarioSyntaxError("duplicate [system] section", section.line)
             system = _parse_config(SystemParams, section)
         elif section.kind == "materials":
-            if overrides is not None:
-                raise ScenarioSyntaxError("duplicate [materials] section",
-                                          section.line)
-            overrides = {}
-            for key, value, line, col in section.pairs:
-                if key in overrides:
-                    raise ScenarioSyntaxError(
-                        f"duplicate key '{key}' in section [materials]",
-                        line, col)
-                overrides[key] = _parse_float(value, line, col)
-            materials.update(overrides)
+            materials.update((key, _parse_float(*section.once(key, items)))
+                             for key, items in section.pairs.items())
         else:
             attr, cls = _NAMED_SECTIONS[section.kind]
             named[attr].append(_parse_config(cls, section))
@@ -465,6 +465,8 @@ def _format(obj) -> list[str]:
         value = getattr(obj, name)
         if kind is None:
             lines += _format(value)
+        elif kind.repeats:
+            lines += [f"{key} = {kind.format(v)}" for v in value]
         elif value is not None and value != ():
             lines.append(f"{key} = {kind.format(value)}")
     return lines
@@ -477,7 +479,4 @@ def serialize_scenario(s: Scenario) -> str:
     for kind, (attr, _) in _NAMED_SECTIONS.items():
         for item in getattr(s, attr):
             lines += ["", f"[{kind} {item.name}]", *_format(item)]
-            if isinstance(item, UeConfig):
-                lines += [f"{_KEYFRAME} = {fidx} : {_fmt_vec(pos)}"
-                          for fidx, pos in item.keyframes]
     return "\n".join(lines) + "\n"

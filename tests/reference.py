@@ -24,8 +24,8 @@ import numpy as np
 from beamcam.camera import (BoundingBox, CameraModel, VertexRays,
                             pixel_to_azimuth, project_points)
 from beamcam.channel import OUTAGE_SNR_DB, Codebook, world_to_array_deg
-from beamcam.geometry import (RAY_EPS, Mesh, Tracks, Trajectory,
-                              TriangleSet, _tri_areas, same_point)
+from beamcam.geometry import (RAY_EPS, Mesh, Tracks, TriangleSet,
+                              _tri_areas, same_point)
 from beamcam.pipeline import DetectorNoiseModel, FrameRecord, Simulator
 from beamcam.raytrace import (_CONTAIN_TOL, Candidates, PathComponent,
                               SceneGeometry, _Reflectors, path_components,
@@ -54,9 +54,9 @@ def areas(mesh: Mesh) -> np.ndarray:
     return _tri_areas(mesh.tris)
 
 
-def interpolate_position(traj: Trajectory, frame: float) -> np.ndarray:
+def interpolate_position(keyframes, frame: float) -> np.ndarray:
     """Linear interpolation between bracketing keyframes, clamped outside."""
-    return Tracks([traj]).at([frame])[0, 0]
+    return Tracks([keyframes]).at([frame])[0, 0]
 
 
 def owned_by(tset: TriangleSet, names) -> np.ndarray:

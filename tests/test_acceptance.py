@@ -7,6 +7,7 @@ library code under test.
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
@@ -331,6 +332,9 @@ def test_criterion_7_noise_degradation(shipped_truth, capsys):
 def test_criterion_8_determinism(tmp_path, capsys):
     t0 = time.perf_counter()
     outputs = []
+    # The child imports beamcam from this checkout, installed or not.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))}
     for run in ("a", "b"):
         out = tmp_path / f"{run}.jsonl"
         rdir = tmp_path / f"renders_{run}"
@@ -339,7 +343,7 @@ def test_criterion_8_determinism(tmp_path, capsys):
              "--scenario", str(SHIPPED_SCENARIO), "--out", str(out),
              "--seed", "42", "--pixel-sigma", "2.5",
              "--render-every", "100", "--render-dir", str(rdir)],
-            capture_output=True, text=True, cwd=REPO_ROOT)
+            capture_output=True, text=True, cwd=REPO_ROOT, env=env)
         assert proc.returncode == 0, proc.stderr
         renders = {p.name: p.read_bytes() for p in sorted(rdir.glob("*.ppm"))}
         outputs.append((out.read_bytes(), renders))

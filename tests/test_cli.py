@@ -422,9 +422,9 @@ def test_an_unknown_bs_exits_1(argv, scenario_file, tmp_path, monkeypatch,
 
 @pytest.mark.parametrize("old, new, message", [
     ("frames = 10\n", "frames = 10\nfps = 30\n",
-     "line 3, column 6: unknown key 'fps' in section [system]"),
+     "line 3, column 1: unknown key 'fps' in section [system]"),
     ("material = concrete\n", "material = concrete\nshape = box\n",
-     "line 17, column 8: unknown key 'shape' in section [reflector]"),
+     "line 17, column 1: unknown key 'shape' in section [reflector wall]"),
 ], ids=["fps", "shape"])
 def test_a_dropped_scenario_key_exits_1(old, new, message, tmp_path,
                                         capsys):

@@ -25,15 +25,10 @@ def test_box_mesh_normals_point_outward():
 
 
 def test_interpolate_position_linear_and_clamped():
-    traj = geo.Trajectory(((0, (0.0, 0.0, 0.0)), (10, (10.0, 20.0, 0.0))))
+    traj = ((0, (0.0, 0.0, 0.0)), (10, (10.0, 20.0, 0.0)))
     assert np.allclose(ref.interpolate_position(traj, 5), [5.0, 10.0, 0.0])
     assert np.allclose(ref.interpolate_position(traj, -3), [0.0, 0.0, 0.0])
     assert np.allclose(ref.interpolate_position(traj, 42), [10.0, 20.0, 0.0])
-
-
-def test_trajectory_requires_increasing_frames():
-    with pytest.raises(ValueError):
-        geo.Trajectory(((5, (0.0, 0.0, 0.0)), (5, (1.0, 0.0, 0.0))))
 
 
 def test_azimuth_elevation_conventions():

@@ -169,6 +169,75 @@ def test_keyframe_out_of_range_rejected():
         sc.parse_scenario(bad)
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("frames = 10", "frames = 10\n  Frames = 10",
+     "line 3, column 3: unknown key 'Frames' in section [system]"),
+    ("carrier_ghz = 28\n", "",
+     "line 1, column 1: missing required key 'carrier_ghz' in section [system]"),
+    ("keyframe = 9 : 10, 25, 0.7\n",
+     "keyframe = 9 : 10, 25, 0.7\n\n[system]\nframes = 5\n",
+     "line 23, column 1: duplicate [system] section"),
+    ("array = a0", "array = a0\n array = a0",
+     "line 12, column 2: duplicate key 'array' in section [bs pole]"),
+    ("position = 0, 0, 6", "position = 0, x , 6",
+     "line 9, column 12: expected a number, got 'x'"),
+    ("material = concrete", "yaw_deg =   ten\nmaterial = concrete",
+     "line 16, column 13: expected a number, got 'ten'"),
+    ("material = concrete\n", "",
+     "line 13, column 1: missing required key 'material' in section "
+     "[reflector wall]"),
+    ("keyframe = 0", "\tmass = 1500\nkeyframe = 0",
+     "line 20, column 2: unknown key 'mass' in section [ue car]"),
+    ("keyframe = 9 : 10, 25, 0.7", "keyframe = 9, 10, 25, 0.7",
+     "line 21, column 12: expected 'F : X, Y, Z', got '9, 10, 25, 0.7'"),
+    ("keyframe = 9 :", "keyframe =  nine :",
+     "line 21, column 13: expected an integer, got 'nine'"),
+    ("[array a0]", "[materials]\nglass = 0.3\n  glass  = 0.5\n[array a0]",
+     "line 7, column 3: duplicate key 'glass' in section [materials]"),
+    ("[array a0]", "[materials]\nglass = 0.3x\n[array a0]",
+     "line 6, column 9: expected a number, got '0.3x'"),
+], ids=["unknown-key", "missing-system-key", "duplicate-system",
+        "duplicate-key", "bad-vec3", "bad-scalar", "missing-key",
+        "unknown-ue-key", "keyframe-without-colon", "bad-keyframe-frame",
+        "duplicate-material", "bad-material"])
+def test_error_locations(old, new, message):
+    """A key error points at the key's first character, a value error at
+    the value's, and a missing key at its section's header; messages name
+    the whole section."""
+    text = MINIMAL_SCENARIO.replace(old, new)
+    assert text != MINIMAL_SCENARIO
+    with pytest.raises(sc.ScenarioSyntaxError) as exc:
+        sc.parse_scenario(text)
+    assert str(exc.value) == message
+    assert f"line {exc.value.line}, column {exc.value.column}: " in message
+
+
+def test_material_names_keep_their_case():
+    text = (MINIMAL_SCENARIO.replace("material = concrete", "material = Glass")
+            + "\n[materials]\nGlass = 0.3\n")
+    s = sc.parse_scenario(text)
+    assert s.reflectors[0].material == "Glass"
+    assert s.material_table["Glass"] == 0.3
+    assert "glass" not in s.material_table
+    assert sc.parse_scenario(sc.serialize_scenario(s)) == s
+
+
+@pytest.mark.parametrize("keyframes, violation", [
+    ("", "at least one keyframe required"),
+    ("keyframe = 4 : 0, 5, 0\nkeyframe = 4 : 1, 5, 0\n",
+     "keyframe frames must strictly increase"),
+    ("keyframe = 6 : 0, 5, 0\nkeyframe = 2 : 1, 5, 0\n",
+     "keyframe frames must strictly increase"),
+], ids=["none", "equal", "decreasing"])
+def test_ue_keyframe_rules(keyframes, violation):
+    text = MINIMAL_SCENARIO.replace(
+        "keyframe = 0 : -10, 25, 0.7\nkeyframe = 9 : 10, 25, 0.7\n", keyframes)
+    assert text != MINIMAL_SCENARIO
+    with pytest.raises(sc.ScenarioValidationError) as exc:
+        sc.parse_scenario(text)
+    assert exc.value.violations == [f"ue 'car': {violation}"]
+
+
 def test_shipped_scenario_parses():
     s = sc.parse_scenario(SHIPPED_SCENARIO.read_text())
     assert s.system.frames == 300

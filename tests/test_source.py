@@ -191,8 +191,7 @@ def test_every_dataclass_field_is_read():
 def test_scenario_doc_lists_every_key():
     """The key table of each section of ``docs/scenario_format.md`` lists
     exactly the keys its config class reads from the file: its ``_spec``
-    keys, with ``CameraConfig``'s in ``[bs]`` and the repeatable
-    ``keyframe`` in ``[ue]``."""
+    keys, with ``CameraConfig``'s in ``[bs]``."""
     doc = (REPO_ROOT / "docs" / "scenario_format.md").read_text(
         encoding="utf-8")
     tables = {}
@@ -207,5 +206,4 @@ def test_scenario_doc_lists_every_key():
     want = {kind: keys(cls) for kind, (_, cls) in sc._NAMED_SECTIONS.items()}
     want["system"] = keys(sc.SystemParams)
     want["bs"] |= keys(sc.CameraConfig)
-    want["ue"].add(sc._KEYFRAME)
     assert tables == want
