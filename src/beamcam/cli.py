@@ -12,7 +12,8 @@ import sys
 from pathlib import Path
 
 from . import dataset as ds
-from .pipeline import DetectorNoiseModel, FrameRecord, Simulator
+from .pipeline import (TRUTH_STAGES, DetectorNoiseModel, FrameRecord,
+                       Simulator)
 from .render import render_debug_frame, write_ppm
 from .scenario import (ScenarioError, ScenarioSyntaxError, decode_utf8,
                        parse_scenario)
@@ -52,6 +53,15 @@ def _write_stats(sim: Simulator, path: str | None) -> None:
                               encoding="utf-8")
 
 
+def _write_timings(sim: Simulator, path: str | None, *stages: str) -> None:
+    """Write the seconds spent in each truth stage and in ``stages`` as
+    JSON, when asked to."""
+    if path:
+        Path(path).write_text(json.dumps(
+            {stage: sim.timings[stage] for stage in (*TRUTH_STAGES, *stages)},
+            indent=2, allow_nan=False) + "\n", encoding="utf-8")
+
+
 def _cmd_generate(args) -> int:
     if args.render_every < 0:
         raise ValueError(f"--render-every must be >= 0, got "
@@ -60,12 +70,14 @@ def _cmd_generate(args) -> int:
     base_dir = Path(args.scenario).parent
     model = DetectorNoiseModel(pixel_sigma=args.pixel_sigma,
                                miss_prob=args.miss_prob, seed=args.seed)
-    _check_writable(args.out, args.stats)
+    _check_writable(args.out, args.stats, args.timings)
     sim = Simulator(scenario, args.bs, base_dir)
     if args.render_every:
         render_dir = Path(args.render_dir or Path(args.out).parent)
         render_dir.mkdir(parents=True, exist_ok=True)
-    records = sim.apply_detector(sim.run_truth(), model)
+    truth = sim.run_truth()
+    with sim.timed("detector"):
+        records = sim.apply_detector(truth, model)
     metadata = {
         "seed": args.seed,
         "pixel_sigma": args.pixel_sigma,
@@ -73,14 +85,17 @@ def _cmd_generate(args) -> int:
         "scenario": Path(args.scenario).name,
         "bs": sim.bs.name,
     }
-    count = ds.export_records(records, args.out, metadata)
+    with sim.timed("export"):
+        count = ds.export_records(records, args.out, metadata)
     _write_stats(sim, args.stats)
     rendered = 0
-    if args.render_every:
-        for frame in range(0, scenario.system.frames, args.render_every):
-            out = render_dir / f"frame_{frame:06d}.ppm"
-            out.write_bytes(_render_frame_bytes(sim, records[frame]))
-            rendered += 1
+    with sim.timed("render"):
+        if args.render_every:
+            for frame in range(0, scenario.system.frames, args.render_every):
+                out = render_dir / f"frame_{frame:06d}.ppm"
+                out.write_bytes(_render_frame_bytes(sim, records[frame]))
+                rendered += 1
+    _write_timings(sim, args.timings, "detector", "export", "render")
     print(f"wrote {count} records to {args.out}"
           + (f", {rendered} renders" if rendered else ""))
     return 0
@@ -150,12 +165,15 @@ def _cmd_sweep(args) -> int:
                                  miss_prob=args.miss_prob).pixel_sigma
               for sigma in args.sigmas.split(",")]
     scenario = _load_scenario(args.scenario)
-    _check_writable(args.out, args.stats)
+    _check_writable(args.out, args.stats, args.timings)
     sim = Simulator(scenario, args.bs, Path(args.scenario).parent)
     truth = sim.run_truth()
     _write_stats(sim, args.stats)
-    accs = sim.sweep(truth, sigmas, range(args.seed, args.seed + args.seeds),
-                     args.miss_prob)
+    with sim.timed("sweep"):
+        accs = sim.sweep(truth, sigmas,
+                         range(args.seed, args.seed + args.seeds),
+                         args.miss_prob)
+    _write_timings(sim, args.timings, "sweep")
     rows = [(sigma, sum(a) / len(a)) for sigma, a in zip(sigmas, accs)]
     lines = ["pixel_sigma,mean_top1_accuracy"]
     lines += [f"{sigma:g},{acc:.6f}" for sigma, acc in rows]
@@ -198,6 +216,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="write the truth pass's counts (boxes, pairs "
                           "backtracked, chains, paths, segments, outages) "
                           "as JSON")
+    gen.add_argument("--timings", default=None, metavar="FILE.json",
+                     help="write the seconds spent in each stage (truth "
+                          "stages, detector, export, render) as JSON")
     gen.set_defaults(func=_cmd_generate)
 
     ev = sub.add_parser("evaluate", help="compute metrics from a dataset")
@@ -236,6 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--bs", default=None)
     sw.add_argument("--stats", default=None, metavar="FILE.json",
                     help="write the truth pass's counts as JSON")
+    sw.add_argument("--timings", default=None, metavar="FILE.json",
+                    help="write the seconds spent in each stage (truth "
+                         "stages, sweep) as JSON")
     sw.set_defaults(func=_cmd_sweep)
     return parser
 

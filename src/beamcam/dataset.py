@@ -4,12 +4,14 @@ A schema-version header line, then one JSON object per (frame, UE).
 ``ROW`` is the one declaration of that object: each key, in file order,
 with its JSON kind, down to the bbox, detection and path objects. The
 bbox/path codecs iterate its keys, and ``import_records`` checks every
-field of every row against it (and a few cross-field rules), so a file
-that imports is one ``evaluate`` and ``inspect`` can read. The output is
-standard JSON: outage is the marker string ``"outage"`` with a null SNR
-table, and a single zero-gain beam (``OUTAGE_SNR_DB``) is written as
-null. Evaluation works purely off the stored per-beam SNR tables so it
-never depends on physics code.
+field of every row against it (and a few cross-field rules): by one
+predicate compiled from it when the module loads (``_row_fits``), and by
+the walk ``_check``, which names the fault, for a row the predicate
+refuses. A file that imports is one ``evaluate`` and ``inspect`` can
+read. The output is standard JSON: outage is the marker string
+``"outage"`` with a null SNR table, and a single zero-gain beam
+(``OUTAGE_SNR_DB``) is written as null. Evaluation works purely off the
+stored per-beam SNR tables so it never depends on physics code.
 """
 
 from __future__ import annotations
@@ -98,7 +100,8 @@ def export_records(records: list[FrameRecord], destination,
     """Write records as JSON lines; returns the number of data rows."""
     header = {"schema": SCHEMA_NAME, "version": SCHEMA_VERSION,
               **(metadata or {})}
-    rows = [json.dumps(row, allow_nan=False) for row in record_rows(records)]
+    encode = json.JSONEncoder(allow_nan=False).encode
+    rows = [encode(row) for row in record_rows(records)]
     payload = "\n".join(
         [json.dumps(header, sort_keys=True, allow_nan=False), *rows]) + "\n"
     if hasattr(destination, "write"):
@@ -151,11 +154,43 @@ def _check(value, kind, where: str = "") -> None:
             _check(value[key], sub, prefix + key)
 
 
+def _fits(kind, value: str, depth: int = 0) -> str:
+    """Python source of a test that the value of the expression ``value``
+    is of kind: one boolean expression, with the items of a list at depth
+    d named ``x{d}``. It holds only if ``_check(value, kind)`` passes, and
+    asks more: an object's keys must come in kind's order, and a float
+    field must hold a float, not an integer. A value it refuses may still
+    be valid; ``_check`` decides, and names what is wrong."""
+    if type(kind) is tuple:
+        return "(" + " or ".join(_fits(k, value, depth) for k in kind) + ")"
+    if kind is None:
+        return f"{value} is None"
+    if kind is float:
+        return f"(type({value}) is float and isfinite({value}))"
+    if kind in (int, str):
+        return f"type({value}) is {kind.__name__}"
+    if type(kind) is list:
+        item = f"x{depth}"
+        return (f"(type({value}) is list and all("
+                f"{_fits(kind[0], item, depth + 1)} for {item} in {value}))")
+    return "(" + " and ".join(
+        [f"type({value}) is dict", f"tuple({value}) == {tuple(kind)!r}",
+         *(_fits(sub, f"{value}[{key!r}]", depth)
+           for key, sub in kind.items())]) + ")"
+
+
+#: ``ROW`` compiled once into one flat predicate (``_fits``): a row that
+#: passes it needs no ``_check`` walk.
+_row_fits = eval("lambda row: " + _fits(ROW, "row"),
+                 {"isfinite": math.isfinite})
+
+
 def _ue_record(row) -> tuple[int, str, UeFrameRecord]:
     """One data row as (frame, bs, UeFrameRecord); DatasetError if it does
     not fit ``ROW`` or its beam fields disagree (``evaluate`` indexes the
     SNR table with both indices)."""
-    _check(row, ROW)
+    if not _row_fits(row):
+        _check(row, ROW)
     (frame, bs, ue, position, active, bbox, det, paths, snrs, optimal,
      predicted, predicted_az) = map(row.__getitem__, ROW)
     if len(position) != 3:

@@ -15,17 +15,19 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import Counter
+from collections import Counter, defaultdict
 from collections.abc import Iterable
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
+from time import perf_counter
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .camera import BoundingBox, CameraModel, VertexRays, pixel_to_azimuth
-from .channel import build_channel, generate_codebook, optimal_beam
+from .channel import beam_tables, build_channels, generate_codebook
 from .geometry import Mesh, Tracks, box_mesh, same_point
 from .raytrace import Candidates, PathComponent, SceneGeometry, prefix_table
 from .scenario import Scenario, ScenarioError, UeConfig
@@ -253,6 +255,10 @@ def detect(ue_index: int, bbox: BoundingBox, model: DetectorNoiseModel,
 #: once; chosen from measured time and peak memory.
 TRUTH_BLOCK = 8
 
+#: The stages of ``_truth_block`` that add their time to
+#: ``Simulator.timings``.
+TRUTH_STAGES = ("candidates", "occlusion", "paths", "channel", "boxes")
+
 #: Most (sigma, seed, row) centre columns ``Simulator.sweep`` forms at once,
 #: 128 KB an array whatever the number of seeds. The shipped scenario's
 #: default sweep takes 5 blocks of 4 seeds, with a peak of 0.86 MB traced
@@ -303,6 +309,19 @@ class Simulator:
         #: geometrically valid chains per reflection order, paths kept per
         #: bounce count, occlusion segments tested and outage rows.
         self.stats: Counter[str] = Counter()
+        #: Seconds spent in each stage so far (``timed``). Unlike ``stats``
+        #: they differ from run to run, so they never enter a dataset.
+        self.timings: defaultdict[str, float] = defaultdict(float)
+
+    @contextmanager
+    def timed(self, stage: str):
+        """Add the ``perf_counter`` time of the block it wraps to
+        ``timings[stage]``."""
+        start = perf_counter()
+        try:
+            yield
+        finally:
+            self.timings[stage] += perf_counter() - start
 
     @cached_property
     def _scene(self) -> SceneGeometry:
@@ -364,8 +383,10 @@ class Simulator:
         vertex rays of every UE box of every frame share one occlusion
         pass, in which each row is tested against its own frame's occluder
         table and ignores its own UE's body (occluder ``first + i`` for UE
-        i) and the body of any UE at the BS in that frame. Channel and beam
-        table stay one per record.
+        i) and the body of any UE at the BS in that frame. One
+        ``build_channels`` call gives every record's channel, and one
+        ``beam_tables`` call every SNR table and optimal index. Each stage's
+        time is added to ``timings``.
         """
         sysp = self.scenario.system
         ues = self.scenario.ues
@@ -377,47 +398,52 @@ class Simulator:
         at_bs = same_point(bs_pos, pos)
         # Record k of the block is frame k // n, UE k % n.
         traced = np.flatnonzero(~at_bs.ravel())
-        cand = Candidates(self._scene.reflectors, bs_pos,
-                          pos.reshape(-1, 3)[traced], self._prefixes)
-        verts = [mesh.vertices() for _, mesh in self._meshes[self._first:]]
-        rays = VertexRays(self.camera, [v + p for row in pos
-                                        for v, p in zip(verts, row)])
-        starts, ends, rec = cand.segments()
-        row = np.concatenate([traced[rec], rays.mesh])
-        row_frame = row // n
-        # One occluder table per frame of the block.
-        tables = self._scene.tset.moved(self._first, pos)
-        owners = tables.owners
-        body_at_bs = np.zeros((len(pos), len(tables.names)), dtype=bool)
-        body_at_bs[:, self._first:] = at_bs
-        ignore = ((owners == self._first + row[:, None] % n)
-                  | body_at_bs[:, owners][row_frame])
-        blocked = tables.segments_occluded(
-            np.concatenate([starts, rays.starts]),
-            np.concatenate([ends, rays.ends]), ignore, row_frame)
-        paths: list[list[PathComponent]] = [[] for _ in range(at_bs.size)]
-        for k, p in zip(traced.tolist(),
-                        cand.paths(blocked[:len(starts)], sysp.carrier_ghz)):
-            paths[k] = p
-        bboxes = rays.boxes(blocked[len(starts):])
+        with self.timed("candidates"):
+            cand = Candidates(self._scene.reflectors, bs_pos,
+                              pos.reshape(-1, 3)[traced], self._prefixes)
+        with self.timed("boxes"):
+            verts = [mesh.vertices()
+                     for _, mesh in self._meshes[self._first:]]
+            rays = VertexRays(self.camera, [v + p for row in pos
+                                            for v, p in zip(verts, row)])
+        with self.timed("occlusion"):
+            starts, ends, rec = cand.segments()
+            row = np.concatenate([traced[rec], rays.mesh])
+            row_frame = row // n
+            # One occluder table per frame of the block.
+            tables = self._scene.tset.moved(self._first, pos)
+            owners = tables.owners
+            body_at_bs = np.zeros((len(pos), len(tables.names)), dtype=bool)
+            body_at_bs[:, self._first:] = at_bs
+            ignore = ((owners == self._first + row[:, None] % n)
+                      | body_at_bs[:, owners][row_frame])
+            blocked = tables.segments_occluded(
+                np.concatenate([starts, rays.starts]),
+                np.concatenate([ends, rays.ends]), ignore, row_frame)
+        with self.timed("paths"):
+            paths: list[list[PathComponent]] = [[] for _ in range(at_bs.size)]
+            for k, p in zip(traced.tolist(), cand.paths(
+                    blocked[:len(starts)], sysp.carrier_ghz)):
+                paths[k] = p
+        with self.timed("boxes"):
+            bboxes = rays.boxes(blocked[len(starts):])
         positions = pos.reshape(-1, 3).tolist()
-        records = []
-        for k, (ue, bbox) in enumerate(zip(ues * len(pos), bboxes)):
-            h = build_channel(paths[k], self.array.elements_n,
-                              self.array.spacing_wavelengths,
-                              self.bs.boresight_deg)
-            index, _, snrs = optimal_beam(h, self.codebook,
-                                          sysp.tx_power_dbm,
-                                          sysp.noise_power_dbm)
-            records.append(UeFrameRecord(
-                ue_name=ue.name,
-                position=tuple(positions[k]),
-                active=activity_state(ue, frames[k // n]),
-                bbox=bbox,
-                paths=tuple(paths[k]),
-                beam_snrs_db=None if index is None else tuple(snrs),
-                optimal_index=index,
-            ))
+        with self.timed("channel"):
+            snrs, best = beam_tables(
+                build_channels(paths, self.array.elements_n,
+                               self.array.spacing_wavelengths,
+                               self.bs.boresight_deg),
+                self.codebook, sysp.tx_power_dbm, sysp.noise_power_dbm)
+            snrs, best = snrs.tolist(), best.tolist()
+        records = [UeFrameRecord(
+            ue_name=ue.name,
+            position=tuple(positions[k]),
+            active=activity_state(ue, frames[k // n]),
+            bbox=bbox,
+            paths=tuple(paths[k]),
+            beam_snrs_db=None if best[k] < 0 else tuple(snrs[k]),
+            optimal_index=None if best[k] < 0 else best[k],
+        ) for k, (ue, bbox) in enumerate(zip(ues * len(pos), bboxes))]
         self._count(cand, bboxes, len(row), records)
         return [FrameRecord(frame=frame, bs_name=self.bs.name,
                             ues=tuple(records[i * n:(i + 1) * n]))

@@ -73,24 +73,37 @@ def _parse_int(raw: str, line: int, col: int) -> int:
                                   line, col)
 
 
+def _split(raw: str, sep: str, col: int, maxsplit: int = -1
+           ) -> list[tuple[str, int]]:
+    """raw split at sep, each part with the column of its first non-blank
+    character (or of its end, when it is all blank)."""
+    parts = []
+    for part in raw.split(sep, maxsplit):
+        parts.append((part, col + len(part) - len(part.lstrip())))
+        col += len(part) + len(sep)
+    return parts
+
+
 def _parse_vec3(raw: str, line: int, col: int) -> Vec3:
-    parts = raw.split(",")
+    parts = _split(raw, ",", col)
     if len(parts) != 3:
         raise ScenarioSyntaxError(
-            f"expected 3 comma-separated numbers, got '{raw}'", line, col)
-    x, y, z = [_parse_float(p, line, col) for p in parts]
+            f"expected 3 comma-separated numbers, got '{raw.strip()}'", line,
+            parts[0][1])
+    x, y, z = [_parse_float(p, line, c) for p, c in parts]
     return (x, y, z)
 
 
 def _parse_ranges(raw: str, line: int, col: int) -> tuple[tuple[int, int], ...]:
     ranges = []
-    for chunk in raw.split(","):
+    for chunk, c in _split(raw, ",", col):
         chunk = chunk.strip()
         if "-" not in chunk:
             raise ScenarioSyntaxError(
-                f"expected frame range 'A-B', got '{chunk}'", line, col)
-        lo, hi = chunk.split("-", 1)
-        ranges.append((_parse_int(lo, line, col), _parse_int(hi, line, col)))
+                f"expected frame range 'A-B', got '{chunk}'", line, c)
+        (lo, c_lo), (hi, c_hi) = _split(chunk, "-", c, 1)
+        ranges.append((_parse_int(lo, line, c_lo),
+                       _parse_int(hi, line, c_hi)))
     return tuple(ranges)
 
 
@@ -98,7 +111,8 @@ def _parse_keyframe(raw: str, line: int, col: int) -> tuple[int, Vec3]:
     frame, colon, position = raw.partition(":")
     if not colon:
         raise ScenarioSyntaxError(f"expected 'F : X, Y, Z', got '{raw}'", line, col)
-    return _parse_int(frame, line, col), _parse_vec3(position.lstrip(), line, col)
+    return (_parse_int(frame, line, col),
+            _parse_vec3(position, line, col + len(frame) + 1))
 
 
 def _fmt_float(x: float) -> str:

@@ -9,9 +9,10 @@ adds each path's polyline, which the program does not keep),
 one mesh of ``VertexRays``, ``compute_path_component`` one path of
 ``path_components``, ``select_beam`` one box's prediction of
 ``apply_detector``, ``render_debug_frame`` the renderer one triangle at a
-time, and so on; ``noise_draws`` seeds its stream with the list that the
-program's form turns into uint32 words itself. The program itself never
-calls them.
+time, ``record_channel`` and ``record_beam_table`` one record of
+``build_channels`` and ``beam_tables``, and so on; ``noise_draws`` seeds
+its stream with the list that the program's form turns into uint32 words
+itself. The program itself never calls them.
 """
 
 from __future__ import annotations
@@ -257,6 +258,34 @@ def project_bbox(cam: CameraModel, mesh: Mesh,
 
 def array_to_world_deg(az_array_deg: float, boresight_deg: float) -> float:
     return (az_array_deg + boresight_deg - 90.0) % 360.0
+
+
+def record_channel(paths, n_elements: int, spacing_wavelengths: float,
+                   boresight_deg: float) -> np.ndarray:
+    """One record's channel, one path at a time: its steering vector from
+    the path's scalar phase, times its gain, added to a sum from zero."""
+    h = np.zeros(n_elements, dtype=complex)
+    for path in paths:
+        az = world_to_array_deg(path.aod_az_deg, boresight_deg)
+        phase = (2.0 * math.pi * spacing_wavelengths
+                 * math.cos(math.radians(az)))
+        h += path.gain * np.exp(1j * phase * np.arange(n_elements))
+    return h
+
+
+def record_beam_table(h: np.ndarray, codebook: Codebook, tx_power_dbm: float,
+                      noise_power_dbm: float
+                      ) -> tuple[list[float], int | None]:
+    """One channel's per-beam SNR table, from one matrix-vector product,
+    and its optimal index: the first maximum, None if every beam is at
+    ``OUTAGE_SNR_DB``."""
+    g = np.abs(codebook.matrix.conj() @ h)
+    out = np.full(codebook.q, OUTAGE_SNR_DB)
+    nz = g > 0.0
+    out[nz] = tx_power_dbm + 20.0 * np.log10(g[nz]) - noise_power_dbm
+    snrs = [float(x) for x in out]
+    best = max(range(len(snrs)), key=snrs.__getitem__)
+    return snrs, None if snrs[best] == OUTAGE_SNR_DB else best
 
 
 def beam_snr(h: np.ndarray, w: np.ndarray, tx_power_dbm: float,

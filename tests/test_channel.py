@@ -1,7 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from beamcam import channel as ch
 from beamcam import raytrace as rt
@@ -19,12 +21,12 @@ def single_path(az_deg, gain=1e-4, carrier=28.0):
 
 
 def test_array_response_broadside_is_ones():
-    a = ch.array_response(8, 0.5, 90.0)
+    a = ch.array_response(8, 0.5, [90.0])[0]
     assert np.allclose(a, np.ones(8))
 
 
 def test_array_response_phase_progression():
-    a = ch.array_response(4, 0.5, 60.0)
+    a = ch.array_response(4, 0.5, [60.0])[0]
     step = np.exp(1j * 2 * math.pi * 0.5 * math.cos(math.radians(60.0)))
     assert np.allclose(a[1:] / a[:-1], step)
     assert np.allclose(np.abs(a), 1.0)
@@ -45,7 +47,7 @@ def test_codebook_centers_and_bins():
     assert cb.q == 4
     # Row i is steered at its bin centre (i + 0.5) * 180 / Q.
     assert np.array_equal(cb.matrix, [
-        ch.array_response(8, 0.5, az) / math.sqrt(8)
+        ch.array_response(8, 0.5, [az])[0] / math.sqrt(8)
         for az in (22.5, 67.5, 112.5, 157.5)])
     # Unit-norm beamforming vectors.
     assert np.allclose(np.linalg.norm(cb.matrix, axis=1), 1.0)
@@ -82,7 +84,7 @@ def test_beam_snr_matched_filter_value():
     p = single_path(90.0)
     n = 16
     h = ch.build_channel([p], n, 0.5, 90.0)
-    w = ch.array_response(n, 0.5, 90.0) / math.sqrt(n)
+    w = ch.array_response(n, 0.5, [90.0])[0] / math.sqrt(n)
     snr = ref.beam_snr(h, w, 30.0, -90.0)
     expected = 30.0 + 20 * math.log10(abs(p.gain) * math.sqrt(n)) + 90.0
     assert snr == pytest.approx(expected, abs=1e-9)
@@ -148,3 +150,57 @@ def test_destructive_two_path_lowers_snr():
     _, s2, _ = ch.optimal_beam(h2, cb, 30.0, -90.0)
     _, s1, _ = ch.optimal_beam(h1, cb, 30.0, -90.0)
     assert s2 < s1 - 20.0  # deep fade
+
+
+_GAIN = st.floats(-1e-3, 1e-3, allow_subnormal=False)
+_PATH = st.builds(
+    lambda az, re, im: rt.PathComponent(complex(re, im), 1e-7, az, 0.0,
+                                        0.0, 0.0, 0, 30.0),
+    st.floats(-360.0, 720.0), _GAIN, _GAIN)
+# No path (outage), one or many paths, or a path and its negation, whose
+# contributions cancel exactly: a zero channel.
+_RECORD = st.one_of(
+    st.lists(_PATH, max_size=12),
+    _PATH.map(lambda p: [p, dataclasses.replace(p, gain=-p.gain)]))
+
+
+@pytest.mark.parametrize("size", [1, 24])
+@given(data=st.data())
+def test_block_channels_and_beam_tables_equal_one_record_at_a_time(
+        size, data):
+    """``build_channels`` and ``beam_tables`` of a block give every
+    record's channel, SNR table and optimal index bit for bit as the
+    one-record reference forms do."""
+    n = data.draw(st.integers(1, 16))
+    q = data.draw(st.integers(1, 64))
+    spacing = data.draw(st.floats(0.1, 2.0))
+    boresight = data.draw(st.floats(0.0, 360.0))
+    block = data.draw(st.lists(_RECORD, min_size=size, max_size=size))
+    cb = ch.generate_codebook(n, spacing, q)
+    h = ch.build_channels(block, n, spacing, boresight)
+    snrs, best = ch.beam_tables(h, cb, 30.0, -90.0)
+    assert h.shape == (size, n) and snrs.shape == (size, q)
+    for r, paths in enumerate(block):
+        h_ref = ref.record_channel(paths, n, spacing, boresight)
+        snrs_ref, index_ref = ref.record_beam_table(h_ref, cb, 30.0, -90.0)
+        assert h[r].tolist() == h_ref.tolist()
+        assert snrs[r].tolist() == snrs_ref
+        assert best[r] == (-1 if index_ref is None else index_ref)
+
+
+def test_block_outage_and_exact_ties():
+    """A record with no path, or whose paths cancel exactly, is an outage
+    (index -1, every beam at ``OUTAGE_SNR_DB``); a channel symmetric about
+    broadside ties two beams exactly, and the first wins."""
+    p = single_path(60.0)
+    anti = dataclasses.replace(p, gain=-p.gain)
+    cb = ch.generate_codebook(16, 0.5, 64)
+    h = ch.build_channels([[], [p, anti], [p]], 16, 0.5, 90.0)
+    assert h[:2].tolist() == [[0.0] * 16] * 2
+    snrs, best = ch.beam_tables(np.vstack([h, np.ones(16)]), cb, 30.0, -90.0)
+    assert best[:2].tolist() == [-1, -1]
+    assert (snrs[:2] == ch.OUTAGE_SNR_DB).all()
+    assert best[2] >= 0
+    assert snrs[3, 31] == snrs[3, 32] == snrs[3].max()
+    assert best[3] == 31
+    assert ch.optimal_beam(np.ones(16), cb, 30.0, -90.0)[0] == 31

@@ -104,6 +104,33 @@ def test_generate_stats_count_the_truth_pass(tmp_path):
         assert counts[f"pairs_tested.o{k}"] >= counts[f"chains_valid.o{k}"]
 
 
+@pytest.mark.parametrize("command, options, stages", [
+    ("generate", ["--seed", 7, "--pixel-sigma", 3, "--render-every", 5],
+     ["detector", "export", "render"]),
+    ("sweep", ["--seeds", 2], ["sweep"]),
+])
+def test_timings_change_no_output(command, options, stages, scenario_file,
+                                  tmp_path):
+    """--timings writes the seconds of each stage, the truth stages first;
+    the dataset (or accuracy CSV), the renders and the --stats counts are
+    the same bytes with and without it."""
+    runs = []
+    for name in ("plain", "timed"):
+        out_dir = tmp_path / name
+        out_dir.mkdir()
+        out, stats = out_dir / "out", out_dir / "stats.json"
+        timings = ["--timings", out_dir / "timings.json"] * (name == "timed")
+        assert run([command, "--scenario", scenario_file, "--out", out,
+                    "--stats", stats, *options, *timings]) == 0
+        runs.append({p.name: p.read_bytes() for p in out_dir.iterdir()
+                     if p.name != "timings.json"})
+    assert runs[0] == runs[1]
+    timings = json.loads((tmp_path / "timed" / "timings.json").read_text())
+    assert list(timings) == [*pl.TRUTH_STAGES, *stages]
+    # Every stage did some work, so a stage name that no code times shows.
+    assert all(type(t) is float and t > 0.0 for t in timings.values())
+
+
 def test_order_0_runs_end_to_end(shipped_scenario, tmp_path):
     """At max_reflections 0 the shipped scenario keeps only its LOS paths,
     the same 636 as at order 2, counts no pair or chain, and its dataset
@@ -383,6 +410,8 @@ def test_bad_detector_settings_exit_1(argv, scenario_file, tmp_path,
      "--render-dir", "afile/sub"],
     ["sweep", "--out", "nodir/acc.csv"],
     ["sweep", "--stats", "afile/s.json"],
+    ["generate", "--out", "ds.jsonl", "--timings", "nodir/t.json"],
+    ["sweep", "--timings", "adir"],
 ])
 def test_unwritable_outputs_fail_before_the_truth_pass(
         argv, scenario_file, tmp_path, monkeypatch, capsys):
@@ -539,8 +568,9 @@ def test_help_runs():
 def test_zero_channel_row_is_an_outage(scenario_file, tmp_path, monkeypatch):
     """Paths whose channel sums to zero leave no usable beam: an outage row
     that export, import, evaluate and inspect all read."""
-    monkeypatch.setattr(pl, "build_channel",
-                        lambda paths, n, *args: np.zeros(n, complex))
+    monkeypatch.setattr(pl, "build_channels",
+                        lambda paths, n, *args: np.zeros((len(paths), n),
+                                                         complex))
     out = tmp_path / "ds.jsonl"
     assert run(["generate", "--scenario", scenario_file, "--out", out]) == 0
     _, records = ds.import_records(out)

@@ -3,6 +3,7 @@ import functools
 import io
 import re
 import json
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -355,3 +356,72 @@ def test_topk_matches_sort_reference(table):
     for k in ks:
         assert m.topk_accuracy[k] == float(
             predicted in _topk_indices(snrs, k))
+
+
+def _shape_error(row) -> str | None:
+    """``_check``'s verdict on a row: its message, or None if it fits."""
+    try:
+        ds._check(row, ds.ROW)
+    except ds.DatasetError as exc:
+        return str(exc)
+    return None
+
+
+@given(data=st.data())
+def test_compiled_row_test_accepts_only_what_check_accepts(
+        tmp_path_factory, data):
+    """On a row with one field changed or deleted, at any depth, the
+    compiled ``_row_fits`` passes only rows that ``_check`` passes, and an
+    import of a row that ``_check`` refuses fails with ``_check``'s own
+    message and the row's line number."""
+    lines, targets = _mutation_base()
+    assert all(ds._row_fits(json.loads(line)) for line in lines[1:])
+    lineno, keys = data.draw(st.sampled_from(targets))
+    value = data.draw(st.sampled_from(
+        [DELETE, 1, 1.0, math.inf, math.nan, *REPLACEMENTS]))
+    row = json.loads(lines[lineno])
+    parent = row
+    for key in keys[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[keys[-1]]
+    else:
+        parent[keys[-1]] = value
+    message = _shape_error(row)
+    if ds._row_fits(row):
+        assert message is None
+    if message is None:
+        return
+    path = tmp_path_factory.getbasetemp() / "edited.jsonl"
+    path.write_text("\n".join(
+        [*lines[:lineno], json.dumps(row), *lines[lineno + 1:]]) + "\n")
+    with pytest.raises(ds.DatasetError) as exc:
+        ds.import_records(path)
+    assert str(exc.value) == f"line {lineno + 1}: {message}"
+
+
+def test_unusual_valid_rows_still_import(tmp_path):
+    """A row whose keys come in another order, or with an integer where a
+    float goes, fails the compiled test but fits ``ROW``: it imports
+    through ``_check``, as the same records."""
+    lines, _ = _mutation_base()
+    row = json.loads(lines[1])
+    assert row["bbox_px"] is not None and row["paths"]
+    reordered = dict(reversed(row.items()))
+    integral = json.loads(lines[1])
+    integral["position_m"][0] = 1
+    integral["bbox_px"]["u_min"] = 100
+    integral["paths"][0]["gain_db"] = -80
+    expected = json.loads(lines[1])
+    expected["position_m"][0] = 1.0
+    expected["bbox_px"]["u_min"] = 100.0
+    expected["paths"][0]["gain_db"] = -80.0
+    for edited, same in ((reordered, row), (integral, expected)):
+        assert not ds._row_fits(edited)
+        assert _shape_error(edited) is None
+        records = []
+        for rows in (edited, same):
+            path = tmp_path / "ds.jsonl"
+            path.write_text("\n".join([lines[0], json.dumps(rows)]) + "\n")
+            records.append(ds.import_records(path)[1])
+        assert records[0] == records[1]

@@ -180,7 +180,7 @@ def test_keyframe_out_of_range_rejected():
     ("array = a0", "array = a0\n array = a0",
      "line 12, column 2: duplicate key 'array' in section [bs pole]"),
     ("position = 0, 0, 6", "position = 0, x , 6",
-     "line 9, column 12: expected a number, got 'x'"),
+     "line 9, column 15: expected a number, got 'x'"),
     ("material = concrete", "yaw_deg =   ten\nmaterial = concrete",
      "line 16, column 13: expected a number, got 'ten'"),
     ("material = concrete\n", "",
@@ -192,6 +192,12 @@ def test_keyframe_out_of_range_rejected():
      "line 21, column 12: expected 'F : X, Y, Z', got '9, 10, 25, 0.7'"),
     ("keyframe = 9 :", "keyframe =  nine :",
      "line 21, column 13: expected an integer, got 'nine'"),
+    ("keyframe = 9 : 10, 25", "keyframe = 9 : 10, y5",
+     "line 21, column 20: expected a number, got 'y5'"),
+    ("keyframe = 9 : 10, 25, 0.7", "keyframe = 9 :  10, 25",
+     "line 21, column 17: expected 3 comma-separated numbers, got '10, 25'"),
+    ("keyframe = 0", "active = 0-2, 5-x\nkeyframe = 0",
+     "line 20, column 17: expected an integer, got 'x'"),
     ("[array a0]", "[materials]\nglass = 0.3\n  glass  = 0.5\n[array a0]",
      "line 7, column 3: duplicate key 'glass' in section [materials]"),
     ("[array a0]", "[materials]\nglass = 0.3x\n[array a0]",
@@ -199,11 +205,13 @@ def test_keyframe_out_of_range_rejected():
 ], ids=["unknown-key", "missing-system-key", "duplicate-system",
         "duplicate-key", "bad-vec3", "bad-scalar", "missing-key",
         "unknown-ue-key", "keyframe-without-colon", "bad-keyframe-frame",
+        "bad-keyframe-position", "short-keyframe-position", "bad-range",
         "duplicate-material", "bad-material"])
 def test_error_locations(old, new, message):
     """A key error points at the key's first character, a value error at
-    the value's, and a missing key at its section's header; messages name
-    the whole section."""
+    the first character of the bad value, or of its bad component (a
+    keyframe's position counts from after its colon), and a missing key at
+    its section's header; messages name the whole section."""
     text = MINIMAL_SCENARIO.replace(old, new)
     assert text != MINIMAL_SCENARIO
     with pytest.raises(sc.ScenarioSyntaxError) as exc:

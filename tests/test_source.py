@@ -9,8 +9,11 @@ from conftest import REPO_ROOT
 SRC = REPO_ROOT / "src" / "beamcam"
 TESTS = REPO_ROOT / "tests"
 
-# Writers that exist for the round-trip acceptance checks, not for the CLI.
-NO_SRC_CALLER = {"serialize_scenario", "write_stl"}
+# Writers that exist for the round-trip acceptance checks, not for the CLI,
+# and the one-record forms of the channel's block functions, which the
+# beam-sweep and quantizer acceptance checks call.
+NO_SRC_CALLER = {"serialize_scenario", "write_stl", "build_channel",
+                 "sweep_snrs", "optimal_beam"}
 
 # numpy's random number constructors. A detector stream is made only in the
 # pipeline's two noise functions: ``noise_draws`` and its batched form.
