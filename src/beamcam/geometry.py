@@ -168,20 +168,37 @@ class Tracks:
 # ---------------------------------------------------------------------------
 # Ray casting (Moller-Trumbore, vectorized over rays and triangles)
 
+#: Triangles per chunk of the occlusion screen: one box mesh. It must stay
+#: above 1, since ``_hit_ts``'s per-ray product over one row does not round
+#: as it does over the full table.
+CHUNK = 12
+
+
 class TriangleSet:
     """Occluder table: the triangles of several named meshes, one owner
     index per triangle, and each owner's name and material.
 
     ``tris`` has shape (T, 3, 3); ``v0``, ``e1`` and ``e2`` are the
     Moller-Trumbore arrays derived from it. A stack of tables (see
-    ``moved``) has a leading axis of one table per frame.
+    ``moved``) has a leading axis of one table per frame. ``chunks`` cuts
+    each owner's triangles into runs of CHUNK, which the occlusion screen
+    keeps or drops as a whole.
     """
 
     def __init__(self, meshes: list[tuple[str, Mesh]]):
         self.names = [name for name, _ in meshes]
         self.materials = [m.material for _, m in meshes]
-        self.owners = np.repeat(np.arange(len(meshes)),
-                                [len(m) for _, m in meshes])
+        counts = np.array([len(m) for _, m in meshes], dtype=int)
+        self.owners = np.repeat(np.arange(len(meshes)), counts)
+        ends = np.cumsum(counts)
+        #: Triangle numbers of each chunk, shape (C, CHUNK). An owner's last
+        #: short run repeats its last triangle, which gives the same hit
+        #: and leaves the chunk's box as it is.
+        self.chunks = np.concatenate([np.zeros((0, CHUNK), int)] + [
+            np.minimum(np.arange(lo, hi + -(hi - lo) % CHUNK), hi - 1)
+            .reshape(-1, CHUNK) for lo, hi in zip(ends - counts, ends)])
+        #: Owner of each chunk, shape (C,).
+        self.chunk_owner = self.owners[self.chunks[:, 0]]
         self._place(np.concatenate([np.empty((0, 3, 3))]
                                    + [m.tris for _, m in meshes]))
 
@@ -218,8 +235,11 @@ class TriangleSet:
 
         ``origins`` and unit ``directions`` have shape (F, R, 3) for a
         stack of F tables, ray row f against table f. Returns the (F, R, T)
-        distances along each ray, -inf where it misses. Each value depends
-        only on its own ray and triangle.
+        distances along each ray, -inf where it misses; for one table,
+        (R, 3) rays give (R, T). Each value depends only on its own ray and
+        triangle. The occlusion screen calls it on a stack of P one-chunk
+        tables, (P, 1, 3) rays against (P, CHUNK, 3) triangles
+        (``_pair_ts``).
 
         Every value is bit-identical to the one-ray form of the test
         (``np.cross``, then ``np.einsum("ij,ij->i")`` and ``np.dot`` over
@@ -227,9 +247,12 @@ class TriangleSet:
         einsum dot products add their terms in the order einsum uses for
         three terms, (0 + 2) + 1 (numpy 2.4, x86-64), and ``np.matmul``
         makes the same BLAS call per ray that ``np.dot`` makes, fused
-        multiply-adds included. Sums and differences are built in place,
-        which keeps few ray-by-triangle arrays alive and rounds as the
-        plain expressions do.
+        multiply-adds included. That call gave the same bits over every
+        run of 2 to 40 contiguous triangle rows tried, so a chunk's values
+        equal the full table's; over 1 row it rounds about a fifth of its
+        values differently, hence CHUNK > 1. Sums and differences are built
+        in place, which keeps few ray-by-triangle arrays alive and rounds
+        as the plain expressions do.
         """
         # Each table broadcasts over its own rays: (F, 1, T).
         v0, e1, e2 = (x[..., None, :, :] for x in (self.v0, self.e1, self.e2))
@@ -276,47 +299,58 @@ class TriangleSet:
         t[~ok] = -np.inf
         return t
 
-    def segments_occluded(self, a, b, ignore, table) -> np.ndarray:
-        """Whether each segment a[i] -> b[i] is blocked, shape (S,).
+    def _pair_ts(self, origins, directions, frame, chunk):
+        """Hit distances (P, CHUNK) of ray p, given by ``origins[p]`` and
+        unit ``directions[p]``, against chunk ``chunk[p]`` of table
+        ``frame[p]`` of this stack, in one ``_hit_ts`` call."""
+        # A stack of P tables of one chunk each, one ray per table.
+        pairs = copy.copy(self)
+        pairs._place(self.tris[frame[:, None], self.chunks[chunk]])
+        return pairs._hit_ts(origins[:, None], directions[:, None])[:, 0]
+
+    def segments_occluded(self, a, b, ignore, table
+                          ) -> tuple[np.ndarray, int]:
+        """Whether each segment a[i] -> b[i] is blocked, shape (S,), and
+        the number of (segment, chunk) pairs the kernel tested.
 
         This is a stack of tables (see ``moved``); segment s is tested
         against table ``table[s]``. ``ignore``, a bool mask that broadcasts
-        to (S, T), is True where triangle t never blocks segment s (such as
-        the body of the segment's own UE, found by ``owners``). A segment
-        no longer than 2 * RAY_EPS is never blocked; otherwise only hits
-        with RAY_EPS < t < length - RAY_EPS count, so segments ending on a
-        surface are not blocked by it. All segments are tested in one
-        kernel pass.
+        to (S, M) for the table's M owners, is True where owner m never
+        blocks segment s (such as the body of the segment's own UE). A
+        segment no longer than 2 * RAY_EPS is never blocked; otherwise only
+        hits with RAY_EPS < t < length - RAY_EPS count, so segments ending
+        on a surface are not blocked by it.
+
+        A screen keeps the pairs of a live segment and a chunk of an owner
+        it does not ignore whose boxes meet: the segment's, and the
+        chunk's in its table grown by RAY_EPS on every side. A segment
+        that meets a triangle meets its box, and the margin takes up the
+        rounding of a hit found at a triangle's edge, so the screen drops
+        no hit of a well-posed ray; a segment farther than the margin from
+        a chunk's box cannot meet it, whatever the kernel's rounding says
+        for a ray that nearly lies in a triangle's plane. All kept pairs
+        go through the kernel in one call (``_pair_ts``).
         """
         a = np.asarray(a, float).reshape(-1, 3)
-        d = np.asarray(b, float).reshape(-1, 3) - a
+        b = np.asarray(b, float).reshape(-1, 3)
+        table = np.asarray(table, int)
+        d = b - a
         length = norms(d)
+        # Each (table, chunk) box. A chunk is the run of triangles from its
+        # first to the next chunk's first, so its box is a reduceat over
+        # the table's vertices.
+        vertices = self.tris.reshape(self.tris.shape[:-3] + (-1, 3))
+        first = 3 * self.chunks[:, 0]
+        lo = np.minimum.reduceat(vertices, first, axis=-2) - RAY_EPS
+        hi = np.maximum.reduceat(vertices, first, axis=-2) + RAY_EPS
+        ignore = np.broadcast_to(ignore, (len(a), len(self.names)))
+        keep = (length > 2 * RAY_EPS)[:, None] & ~ignore[:, self.chunk_owner]
+        keep &= (np.minimum(a, b)[:, None] <= hi[table]).all(axis=2)
+        keep &= (np.maximum(a, b)[:, None] >= lo[table]).all(axis=2)
+        seg, chunk = np.nonzero(keep)
+        ts = self._pair_ts(a[seg], d[seg] / length[seg, None], table[seg],
+                           chunk)
+        hit = (ts > RAY_EPS) & (ts < (length[seg] - RAY_EPS)[:, None])
         blocked = np.zeros(len(a), dtype=bool)
-        live = length > 2 * RAY_EPS
-        if self.owners.size and np.any(live):
-            length = length[live]
-            rays = [a[live], d[live] / length[:, None], length]
-            # Row f of a grid holds table f's segments in order, padded
-            # with zero rays, which hit nothing.
-            cell, shape = _grid_cells(np.asarray(table)[live], len(self.tris))
-            for i, x in enumerate(rays):
-                rays[i] = np.zeros(shape + x.shape[1:])
-                rays[i][cell] = x
-            origins, directions, length = rays
-            ts = self._hit_ts(origins, directions)
-            hit = ((ts > RAY_EPS) & (ts < (length - RAY_EPS)[..., None]))[cell]
-            hit &= ~np.broadcast_to(ignore, (len(a), self.owners.size))[live]
-            blocked[live] = hit.any(axis=1)
-        return blocked
-
-
-def _grid_cells(group: np.ndarray, groups: int):
-    """Cells of a grid with one row per group, each row holding its group's
-    items in order: the (row, column) index arrays of the items, and the
-    grid's (rows, columns)."""
-    counts = np.bincount(group, minlength=groups)
-    order = np.argsort(group, kind="stable")
-    column = np.empty_like(group)
-    column[order] = np.arange(len(group)) \
-        - np.repeat(np.cumsum(counts) - counts, counts)
-    return (group, column), (groups, int(counts.max()))
+        blocked[seg[hit.any(axis=1)]] = True
+        return blocked, len(seg)

@@ -307,7 +307,8 @@ class Simulator:
         #: Counts of the truth passes so far: boxes projected and visible,
         #: receivers traced, (receiver, prefix row) pairs backtracked and
         #: geometrically valid chains per reflection order, paths kept per
-        #: bounce count, occlusion segments tested and outage rows.
+        #: bounce count, occlusion segments tested, (segment, chunk) pairs
+        #: the occlusion screen passed to the kernel and outage rows.
         self.stats: Counter[str] = Counter()
         #: Seconds spent in each stage so far (``timed``). Unlike ``stats``
         #: they differ from run to run, so they never enter a dataset.
@@ -412,12 +413,12 @@ class Simulator:
             row_frame = row // n
             # One occluder table per frame of the block.
             tables = self._scene.tset.moved(self._first, pos)
-            owners = tables.owners
             body_at_bs = np.zeros((len(pos), len(tables.names)), dtype=bool)
             body_at_bs[:, self._first:] = at_bs
-            ignore = ((owners == self._first + row[:, None] % n)
-                      | body_at_bs[:, owners][row_frame])
-            blocked = tables.segments_occluded(
+            ignore = ((np.arange(len(tables.names))
+                       == self._first + row[:, None] % n)
+                      | body_at_bs[row_frame])
+            blocked, pairs = tables.segments_occluded(
                 np.concatenate([starts, rays.starts]),
                 np.concatenate([ends, rays.ends]), ignore, row_frame)
         with self.timed("paths"):
@@ -444,13 +445,14 @@ class Simulator:
             beam_snrs_db=None if best[k] < 0 else tuple(snrs[k]),
             optimal_index=None if best[k] < 0 else best[k],
         ) for k, (ue, bbox) in enumerate(zip(ues * len(pos), bboxes))]
-        self._count(cand, bboxes, len(row), records)
+        self._count(cand, bboxes, len(row), pairs, records)
         return [FrameRecord(frame=frame, bs_name=self.bs.name,
                             ues=tuple(records[i * n:(i + 1) * n]))
                 for i, frame in enumerate(frames)]
 
     def _count(self, cand: Candidates, bboxes: list[BoundingBox | None],
-               segments: int, records: list[UeFrameRecord]) -> None:
+               segments: int, pairs: int,
+               records: list[UeFrameRecord]) -> None:
         """Add one block's counts to ``stats``."""
         kept = Counter(p.bounces for r in records for p in r.paths)
         self.stats.update({
@@ -463,6 +465,7 @@ class Simulator:
                for k, (rec, _, _) in enumerate(cand.chains) if k},
             **{f"paths_kept.b{k}": kept[k] for k in range(len(cand.chains))},
             "segments_tested": segments,
+            "occlusion_pairs": pairs,
             "outage_rows": sum(r.outage for r in records),
         })
 

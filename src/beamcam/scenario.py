@@ -98,10 +98,13 @@ def _parse_ranges(raw: str, line: int, col: int) -> tuple[tuple[int, int], ...]:
     ranges = []
     for chunk, c in _split(raw, ",", col):
         chunk = chunk.strip()
-        if "-" not in chunk:
+        bounds = _split(chunk, "-", c)
+        # Frames are integers >= 0, so a range has exactly one '-'.
+        if len(bounds) != 2 or not all(b.strip() for b, _ in bounds):
             raise ScenarioSyntaxError(
-                f"expected frame range 'A-B', got '{chunk}'", line, c)
-        (lo, c_lo), (hi, c_hi) = _split(chunk, "-", c, 1)
+                f"expected frame range 'A-B' of frames >= 0, got '{chunk}'",
+                line, c)
+        (lo, c_lo), (hi, c_hi) = bounds
         ranges.append((_parse_int(lo, line, c_lo),
                        _parse_int(hi, line, c_hi)))
     return tuple(ranges)

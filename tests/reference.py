@@ -61,17 +61,16 @@ def interpolate_position(keyframes, frame: float) -> np.ndarray:
 
 
 def owned_by(tset: TriangleSet, names) -> np.ndarray:
-    """Bool (T,): which triangles belong to a mesh named in ``names``."""
-    return np.isin(tset.owners, [i for i, name in enumerate(tset.names)
-                                 if name in names])
+    """Bool (M,): which owners of the table are named in ``names``."""
+    return np.isin(tset.names, list(names))
 
 
 def occluded(tset: TriangleSet, a, b, ignore) -> np.ndarray:
-    """``segments_occluded`` of segments against the one table ``tset``,
-    given to it as a stack of one table."""
+    """``segments_occluded``'s verdicts for segments against the one table
+    ``tset``, given to it as a stack of one table."""
     a = np.asarray(a, float).reshape(-1, 3)
     stack = tset.moved(len(tset.names), np.zeros((1, 0, 3)))
-    return stack.segments_occluded(a, b, ignore, np.zeros(len(a), int))
+    return stack.segments_occluded(a, b, ignore, np.zeros(len(a), int))[0]
 
 
 def segment_occluded(tset: TriangleSet, a, b, exclude=()) -> bool:

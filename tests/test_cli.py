@@ -90,7 +90,8 @@ def test_generate_stats_count_the_truth_pass(tmp_path):
     # Of the 900 x 7 and 900 x 44 (receiver, prefix row) pairs, the
     # receiver-side screen leaves 3,321 and 10,827 to backtrack. 900 LOS
     # segments plus 755 valid chains before occlusion; 1,271 paths kept
-    # after it.
+    # after it. Of the 58,086 (segment, chunk) pairs, 9,681 segments by 6
+    # one-box chunks, the bounding-box screen passes 7,999 to the kernel.
     counts = json.loads(stats.read_text())
     assert counts == {
         "boxes_projected": 900, "boxes_visible": 754,
@@ -98,7 +99,8 @@ def test_generate_stats_count_the_truth_pass(tmp_path):
         "pairs_tested.o1": 3321, "pairs_tested.o2": 10827,
         "chains_valid.o1": 680, "chains_valid.o2": 75,
         "paths_kept.b0": 636, "paths_kept.b1": 604, "paths_kept.b2": 31,
-        "segments_tested": 9681, "outage_rows": 139,
+        "segments_tested": 9681, "occlusion_pairs": 7999,
+        "outage_rows": 139,
     }
     for k in (1, 2):
         assert counts[f"pairs_tested.o{k}"] >= counts[f"chains_valid.o{k}"]

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from beamcam import geometry as geo
 from beamcam import stl
@@ -203,6 +203,127 @@ def test_segments_occluded_matches_one_segment_reference(case):
     want = [reference_occluded(kept, p, q) for p, q in zip(a, b)]
     assert got.tolist() == want
     assert ref.segment_occluded(tset, a[0], b[0], exclude) == want[0]
+
+
+def hex_prism(center, radius: float, height: float) -> geo.Mesh:
+    """A closed hexagonal prism of 20 triangles (12 sides, two caps of 4),
+    read back from binary STL: one full chunk and one padded."""
+    angles = np.radians(np.arange(6) * 60.0)
+    ring = np.stack([radius * np.cos(angles), radius * np.sin(angles),
+                     np.zeros(6)], axis=1) + np.asarray(center, float)
+    bottom, top = ring, ring + (0.0, 0.0, height)
+    tris = []
+    for k in range(6):
+        j = (k + 1) % 6
+        tris += [(bottom[k], bottom[j], top[j]), (bottom[k], top[j], top[k])]
+    for cap in (bottom, top):
+        tris += [(cap[0], cap[k], cap[k + 1]) for k in range(1, 5)]
+    return stl.parse_stl(stl.write_stl(geo.Mesh(tris)))
+
+
+def test_chunks_cover_each_owner_in_runs_padded_by_its_last_triangle():
+    sizes = [1, geo.CHUNK, geo.CHUNK + 1, 20]
+    rng = np.random.default_rng(3)
+    meshes = [(f"m{i}", geo.Mesh(rng.standard_normal((n, 3, 3))))
+              for i, n in enumerate(sizes)]
+    tset = geo.TriangleSet(meshes)
+    assert tset.chunks.shape == (1 + 1 + 2 + 2, geo.CHUNK)
+    for owner, n in enumerate(sizes):
+        rows = tset.chunks[tset.chunk_owner == owner].ravel()
+        first = int(np.searchsorted(tset.owners, owner))
+        want = np.arange(first, first + n)
+        assert rows[:n].tolist() == want.tolist()
+        assert set(rows[n:].tolist()) <= {first + n - 1}
+    assert len(hex_prism((0.0, 0.0, 0.0), 1.0, 2.0)) == 20
+
+
+@st.composite
+def edge_and_corner_cases(draw):
+    """(meshes, segments, excluded names): boxes and an STL hexagonal prism,
+    and segments from a free point through a triangle's corner, a point of
+    its edge or of its face, or ending there."""
+    meshes = [geo.box_mesh(*box) for box in draw(BOXES)]
+    meshes.append(hex_prism(draw(st.tuples(*[st.floats(-5.0, 5.0)] * 3)),
+                            draw(st.floats(0.5, 3.0)),
+                            draw(st.floats(0.5, 3.0))))
+    segments = []
+    for _ in range(draw(st.integers(1, 10))):
+        mesh = meshes[draw(st.integers(0, len(meshes) - 1))]
+        tri = mesh.tris[draw(st.integers(0, len(mesh) - 1))]
+        i = draw(st.integers(0, 2))
+        kind = draw(st.sampled_from(["corner", "edge", "face"]))
+        if kind == "corner":
+            target = tri[i]
+        elif kind == "edge":
+            target = tri[i] + draw(st.floats(0.0, 1.0)) \
+                * (tri[(i + 1) % 3] - tri[i])
+        else:
+            w = np.array(draw(st.tuples(*[st.floats(0.0, 1.0)] * 3))) + 1e-3
+            target = w / w.sum() @ tri
+        a = np.array(draw(st.tuples(*[st.floats(-8.0, 8.0)] * 3)))
+        if draw(st.booleans()):
+            b = target
+        else:
+            b = target + draw(st.floats(0.1, 2.0)) * (target - a)
+        segments.append((a, b))
+    names = [f"m{i}" for i in range(len(meshes))]
+    exclude = draw(st.lists(st.sampled_from(names), unique=True))
+    return meshes, segments, tuple(exclude)
+
+
+@given(edge_and_corner_cases())
+def test_screened_verdicts_match_the_unscreened_kernel_at_edges_and_corners(
+        case):
+    meshes, segments, exclude = case
+    named = [(f"m{i}", m) for i, m in enumerate(meshes)]
+    tset = geo.TriangleSet(named)
+    a = np.array([seg[0] for seg in segments], dtype=float)
+    b = np.array([seg[1] for seg in segments], dtype=float)
+    got = ref.occluded(tset, a, b, ref.owned_by(tset, exclude))
+    kept = [m for name, m in named if name not in exclude]
+    assert got.tolist() == [reference_occluded(kept, p, q)
+                            for p, q in zip(a, b)]
+
+
+def coplanar_segment(center, size, yaw, face, c):
+    """A box and a segment in the plane of one of its faces, from
+    ``v0 + c0 e1 + c1 e2`` to ``v0 + c2 e1 + c3 e2`` of the face's first
+    triangle."""
+    mesh = geo.box_mesh(center, size, yaw)
+    v0, v1, v2 = mesh.tris[2 * face]
+    e1, e2 = v1 - v0, v2 - v0
+    return mesh, v0 + c[0] * e1 + c[1] * e2, v0 + c[2] * e1 + c[3] * e2
+
+
+# A yawed box and a segment about 95 m from it in the plane of its +x face,
+# found by a seeded scan: the kernel without the screen takes rounding
+# noise for a determinant (|det| > 1e-14 on these large faces) and reports
+# a hit.
+FAR_COPLANAR = (
+    (-2.851566808537198, 0.09088489827550816, 1.8531094016834126),
+    (5.859272234349975, 15.892947260331045, 29.22166567332105),
+    295.1897972604765, 1,
+    (0.47271407331394144, 4.707257783015658, -3.545747517953023,
+     4.244907723355972),
+)
+
+
+def test_the_unscreened_kernel_blocks_the_far_coplanar_example():
+    mesh, a, b = coplanar_segment(*FAR_COPLANAR)
+    assert reference_occluded([mesh], a, b)
+
+
+@given(center=st.tuples(*[st.floats(-5.0, 5.0)] * 3),
+       size=st.tuples(*[st.floats(0.5, 30.0)] * 3),
+       yaw=st.floats(0.0, 360.0), face=st.integers(0, 5),
+       c=st.tuples(*[st.floats(-5.0, 5.0)] * 4))
+@example(*FAR_COPLANAR)
+def test_a_far_coplanar_segment_is_never_blocked(center, size, yaw, face, c):
+    mesh, a, b = coplanar_segment(center, size, yaw, face, c)
+    corners = mesh.tris.reshape(-1, 3)
+    assume(np.any(np.minimum(a, b) > corners.max(axis=0) + 1e-3)
+           or np.any(np.maximum(a, b) < corners.min(axis=0) - 1e-3))
+    assert not ref.segment_occluded(geo.TriangleSet([("box", mesh)]), a, b)
 
 
 def test_stl_binary_roundtrip_bit_exact():

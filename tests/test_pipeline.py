@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import hashlib
 import io
+import json
 import math
 from collections import Counter
 
@@ -14,7 +16,7 @@ from beamcam import pipeline as pl
 from beamcam import scenario as sc
 from beamcam import selection as sel
 from beamcam.camera import BoundingBox, CameraModel, pixel_to_azimuth
-from beamcam.geometry import Mesh, TriangleSet
+from beamcam.geometry import CHUNK, RAY_EPS, Mesh, TriangleSet, norms
 
 import reference as ref
 from conftest import (MINIMAL_SCENARIO, REPO_ROOT,
@@ -487,19 +489,35 @@ def test_frame_truth_builds_no_mesh_after_the_first_frame(shipped_scenario,
     assert calls == {}
 
 
-def test_occlusion_is_one_kernel_pass_per_trace_and_bbox(shipped_scenario,
-                                                         monkeypatch):
-    rays = []
+def pair_counting(calls):
+    """A ``TriangleSet._hit_ts`` that checks the screen's call shape, one
+    ray against one chunk per pair, and appends the pair count to
+    ``calls``."""
     hit_ts = TriangleSet._hit_ts
 
     def counting(tset, origins, directions):
-        rays.append(origins[..., 0].size)
+        pairs = len(origins)
+        assert origins.shape == directions.shape == (pairs, 1, 3)
+        assert tset.tris.shape == (pairs, CHUNK, 3, 3)
+        calls.append(pairs)
         return hit_ts(tset, origins, directions)
+    return counting
+
+
+def test_occlusion_is_one_kernel_pass_per_trace_and_bbox(shipped_scenario,
+                                                         monkeypatch):
+    pairs, segments = [], []
+    segments_occluded = TriangleSet.segments_occluded
+
+    def counting_segments(tset, a, b, ignore, table):
+        segments.append(len(a))
+        return segments_occluded(tset, a, b, ignore, table)
 
     def per_segment(*args, **kwargs):
         raise AssertionError("occlusion tested one segment at a time")
 
-    monkeypatch.setattr(TriangleSet, "_hit_ts", counting)
+    monkeypatch.setattr(TriangleSet, "_hit_ts", pair_counting(pairs))
+    monkeypatch.setattr(TriangleSet, "segments_occluded", counting_segments)
     monkeypatch.setattr(ref, "segment_occluded", per_segment)
     sim = pl.Simulator(shipped_scenario, base_dir=REPO_ROOT)
     sysp = shipped_scenario.system
@@ -510,48 +528,53 @@ def test_occlusion_is_one_kernel_pass_per_trace_and_bbox(shipped_scenario,
         tset = scene.tset
         one_receiver = 0
         for ue in shipped_scenario.ues:
-            rays.clear()
+            pairs.clear()
+            segments.clear()
             ref.trace_paths(scene, bs, positions[ue.name],
                             sysp.max_reflections, sysp.carrier_ghz,
                             exclude=(ue.name,))
-            assert len(rays) == 1
+            assert len(pairs) == len(segments) == 1
             traces += 1
-            traced += rays[0]
-            one_receiver += rays[0]
-            rays.clear()
+            traced += segments[0]
+            one_receiver += pairs[0]
+            pairs.clear()
             mesh = Mesh(tset.tris[tset.owners == tset.names.index(ue.name)])
             ref.project_bbox(sim.camera, mesh, scene, exclude=(ue.name,))
-            assert len(rays) <= 1
-            bbox_passes += len(rays)
-            one_receiver += sum(rays)
-        rays.clear()
+            assert len(pairs) <= 1
+            bbox_passes += len(pairs)
+            one_receiver += sum(pairs)
+        pairs.clear()
+        before = sim.stats["occlusion_pairs"]
         sim.frame_truth(frame)
-        # Every UE's LOS, chain hops and vertex rays in one kernel call.
-        assert rays == [one_receiver]
+        # Every UE's LOS, chain hops and vertex rays in one kernel call,
+        # whose pairs are the one-receiver calls' pairs and the count.
+        assert pairs == [one_receiver]
+        assert sim.stats["occlusion_pairs"] - before == one_receiver
     # The one pass per trace carries reflected hops too, not just LOS.
     assert traced > traces
     assert bbox_passes > 0
 
 
-# sha256 of ``export_records([frame_truth(f)])`` at max_reflections 4, as
-# pinned for these frames by perfbench/goldens.json
-# (deep_order4_frame_sha256). Frame 30 has a 3-bounce path.
-ORDER4_FRAME_SHA256 = {
-    0: "a6f56e11cc0ca6d32dc4011abff23439e838f6165011f6cd1098180f1302902a",
-    30: "98db111d33c9dd6b4f601b51d344a6f745201130b559d462a740dd8e219c9a73",
-    150: "b1b4297f30fbe0e2a691d6dfe95350402e264ac9c08168dec2c441f80e82d8c9",
-    299: "4803ef5eedb6d0f99701107b76bcebd2ea665c810f42b551d8beb8b0f51781b3",
-}
+# Each frame's sha256 of ``export_records([frame_truth(f)])`` at
+# max_reflections 4, as perfbench/pin.py pins all 300 of them
+# (deep_order4_frame_sha256).
+GOLDENS = REPO_ROOT / "perfbench" / "goldens.json"
 
 
 def test_order4_frames_are_bit_identical(shipped_scenario):
+    pinned = json.loads(GOLDENS.read_text(encoding="utf-8"))[
+        "deep_order4_frame_sha256"]
     system = dataclasses.replace(shipped_scenario.system, max_reflections=4)
     sim = pl.Simulator(dataclasses.replace(shipped_scenario, system=system),
                        base_dir=REPO_ROOT)
-    for frame, digest in ORDER4_FRAME_SHA256.items():
+    digests = {}
+    for rec in sim.run_truth():
         buf = io.StringIO()
-        ds.export_records([sim.frame_truth(frame)], buf)
-        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+        ds.export_records([rec], buf)
+        digests[str(rec.frame)] = hashlib.sha256(
+            buf.getvalue().encode()).hexdigest()
+    assert len(pinned) == shipped_scenario.system.frames
+    assert digests == pinned
     assert sim.stats["paths_kept.b3"] > 0
 
 
@@ -692,18 +715,48 @@ keyframe = 12 : 0, 10, 6
 def test_run_truth_is_one_kernel_pass_per_block(shipped_scenario,
                                                 monkeypatch):
     calls = []
-    hit_ts = TriangleSet._hit_ts
-
-    def counting(tset, origins, directions):
-        calls.append(origins.shape)
-        return hit_ts(tset, origins, directions)
-
-    monkeypatch.setattr(TriangleSet, "_hit_ts", counting)
+    monkeypatch.setattr(TriangleSet, "_hit_ts", pair_counting(calls))
     sim = pl.Simulator(shipped_scenario, base_dir=REPO_ROOT)
     frames = range(shipped_scenario.system.frames)
     sim.run_truth()
-    # One call per block, with one row of rays per frame of the block.
-    assert [shape[0] for shape in calls] \
-        == [len(frames[lo:lo + pl.TRUTH_BLOCK])
-            for lo in range(0, len(frames), pl.TRUTH_BLOCK)]
+    # One call per block, over the pairs the screen kept, which the stats
+    # count.
+    assert len(calls) == len(range(0, len(frames), pl.TRUTH_BLOCK))
     assert len(calls) < len(frames)
+    assert sum(calls) == sim.stats["occlusion_pairs"] > 0
+
+
+def test_chunked_kernel_equals_the_full_table_bit_for_bit(shipped_scenario,
+                                                         monkeypatch):
+    """Every hit distance of every (live segment, chunk) pair of the
+    shipped run's blocks, kept by the screen or not, equals the distance of
+    the segment against its whole frame table, compared with ==."""
+    blocks = []
+    segments_occluded = TriangleSet.segments_occluded
+
+    def capturing(tables, a, b, ignore, table):
+        blocks.append((tables, a, b, table))
+        return segments_occluded(tables, a, b, ignore, table)
+
+    monkeypatch.setattr(TriangleSet, "segments_occluded", capturing)
+    pl.Simulator(shipped_scenario, base_dir=REPO_ROOT).run_truth()
+    assert len(blocks) == len(range(0, shipped_scenario.system.frames,
+                                    pl.TRUTH_BLOCK))
+    cells = 0
+    for tables, a, b, table in blocks:
+        d = b - a
+        length = norms(d)
+        live = length > 2 * RAY_EPS
+        a, table = a[live], table[live]
+        directions = d[live] / length[live, None]
+        # A stack of one whole frame table per segment.
+        whole = copy.copy(tables)
+        whole._place(tables.tris[table])
+        want = whole._hit_ts(a[:, None], directions[:, None])[:, 0]
+        seg, chunk = np.divmod(np.arange(len(a) * len(tables.chunks)),
+                               len(tables.chunks))
+        got = tables._pair_ts(a[seg], directions[seg], table[seg], chunk)
+        assert np.array_equal(got, want[seg[:, None], tables.chunks[chunk]])
+        cells += got.size
+    # 9,681 segments by 72 triangles, less the few no longer than 2 RAY_EPS.
+    assert cells > 600_000

@@ -198,6 +198,12 @@ def test_keyframe_out_of_range_rejected():
      "line 21, column 17: expected 3 comma-separated numbers, got '10, 25'"),
     ("keyframe = 0", "active = 0-2, 5-x\nkeyframe = 0",
      "line 20, column 17: expected an integer, got 'x'"),
+    ("keyframe = 0", "active = -1-5\nkeyframe = 0",
+     "line 20, column 10: expected frame range 'A-B' of frames >= 0, "
+     "got '-1-5'"),
+    ("keyframe = 0", "active = 0-2,  4-\nkeyframe = 0",
+     "line 20, column 16: expected frame range 'A-B' of frames >= 0, "
+     "got '4-'"),
     ("[array a0]", "[materials]\nglass = 0.3\n  glass  = 0.5\n[array a0]",
      "line 7, column 3: duplicate key 'glass' in section [materials]"),
     ("[array a0]", "[materials]\nglass = 0.3x\n[array a0]",
@@ -206,6 +212,7 @@ def test_keyframe_out_of_range_rejected():
         "duplicate-key", "bad-vec3", "bad-scalar", "missing-key",
         "unknown-ue-key", "keyframe-without-colon", "bad-keyframe-frame",
         "bad-keyframe-position", "short-keyframe-position", "bad-range",
+        "negative-range", "open-range",
         "duplicate-material", "bad-material"])
 def test_error_locations(old, new, message):
     """A key error points at the key's first character, a value error at
