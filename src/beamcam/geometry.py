@@ -173,6 +173,11 @@ class Tracks:
 #: as it does over the full table.
 CHUNK = 12
 
+#: Most (segment, chunk) pairs of one ``_hit_ts`` call, so the kernel's
+#: arrays stay a fixed size whatever the number of pairs the screen keeps;
+#: chosen with ``pipeline.TRUTH_BLOCK``, whose note gives the measurements.
+KERNEL_PAIRS = 128
+
 
 class TriangleSet:
     """Occluder table: the triangles of several named meshes, one owner
@@ -303,9 +308,13 @@ class TriangleSet:
         """Hit distances (P, CHUNK) of ray p, given by ``origins[p]`` and
         unit ``directions[p]``, against chunk ``chunk[p]`` of table
         ``frame[p]`` of this stack, in one ``_hit_ts`` call."""
-        # A stack of P tables of one chunk each, one ray per table.
+        # A stack of P tables of one chunk each, one ray per table, gathered
+        # from the kernel's arrays; it has no ``tris`` of its own.
+        index = frame[:, None], self.chunks[chunk]
         pairs = copy.copy(self)
-        pairs._place(self.tris[frame[:, None], self.chunks[chunk]])
+        pairs.tris = None
+        pairs.v0, pairs.e1, pairs.e2 = (x[index]
+                                        for x in (self.v0, self.e1, self.e2))
         return pairs._hit_ts(origins[:, None], directions[:, None])[:, 0]
 
     def segments_occluded(self, a, b, ignore, table
@@ -328,8 +337,10 @@ class TriangleSet:
         rounding of a hit found at a triangle's edge, so the screen drops
         no hit of a well-posed ray; a segment farther than the margin from
         a chunk's box cannot meet it, whatever the kernel's rounding says
-        for a ray that nearly lies in a triangle's plane. All kept pairs
-        go through the kernel in one call (``_pair_ts``).
+        for a ray that nearly lies in a triangle's plane. The kept pairs
+        go through the kernel in slices of at most KERNEL_PAIRS, one call
+        per slice (``_pair_ts``); each pair's values are its own, so the
+        slicing changes no verdict.
         """
         a = np.asarray(a, float).reshape(-1, 3)
         b = np.asarray(b, float).reshape(-1, 3)
@@ -347,10 +358,12 @@ class TriangleSet:
         keep = (length > 2 * RAY_EPS)[:, None] & ~ignore[:, self.chunk_owner]
         keep &= (np.minimum(a, b)[:, None] <= hi[table]).all(axis=2)
         keep &= (np.maximum(a, b)[:, None] >= lo[table]).all(axis=2)
-        seg, chunk = np.nonzero(keep)
-        ts = self._pair_ts(a[seg], d[seg] / length[seg, None], table[seg],
-                           chunk)
-        hit = (ts > RAY_EPS) & (ts < (length[seg] - RAY_EPS)[:, None])
+        pairs = np.nonzero(keep)
         blocked = np.zeros(len(a), dtype=bool)
-        blocked[seg[hit.any(axis=1)]] = True
-        return blocked, len(seg)
+        for start in range(0, len(pairs[0]), KERNEL_PAIRS):
+            seg, chunk = (x[start:start + KERNEL_PAIRS] for x in pairs)
+            ts = self._pair_ts(a[seg], d[seg] / length[seg, None],
+                               table[seg], chunk)
+            hit = (ts > RAY_EPS) & (ts < (length[seg] - RAY_EPS)[:, None])
+            blocked[seg[hit.any(axis=1)]] = True
+        return blocked, len(pairs[0])

@@ -251,13 +251,20 @@ def detect(ue_index: int, bbox: BoundingBox, model: DetectorNoiseModel,
 
 
 #: Frames per block of ``run_truth``: larger blocks pay less per-call
-#: overhead but hold more occlusion rows (frames x rows x triangles) at
-#: once; chosen from measured time and peak memory.
-TRUTH_BLOCK = 8
+#: overhead but hold more screen rows and occluder tables at once; the
+#: kernel's share is capped by ``geometry.KERNEL_PAIRS``. On the shipped
+#: scenario (2-core Xeon, in-process, median of 15 interleaved runs) with
+#: 128-pair slices, blocks of 8, 16, 32 and 64 frames took 70, 56, 46 and
+#: 45 ms, with a working set (``tracemalloc`` peak less the records kept)
+#: of 0.32, 0.40, 0.57 and 1.07 MB; 8 frames with no slicing took 66 ms
+#: and 0.66 MB. 32 frames with 256- or 512-pair slices were no faster and
+#: took 0.83 and 1.26 MB.
+TRUTH_BLOCK = 32
 
 #: The stages of ``_truth_block`` that add their time to
 #: ``Simulator.timings``.
-TRUTH_STAGES = ("candidates", "occlusion", "paths", "channel", "boxes")
+TRUTH_STAGES = ("positions", "candidates", "occlusion", "paths", "channel",
+                "boxes")
 
 #: Most (sigma, seed, row) centre columns ``Simulator.sweep`` forms at once,
 #: 128 KB an array whatever the number of seeds. The shipped scenario's
@@ -392,11 +399,12 @@ class Simulator:
         sysp = self.scenario.system
         ues = self.scenario.ues
         n = len(ues)
-        pos = self._tracks.at(frames)  # (frame, UE, 3)
         bs_pos = np.asarray(self.bs.position, float)
-        # A UE at the BS itself has no path to trace: an outage row. Its
-        # body blocks no row, as the BS sits inside it.
-        at_bs = same_point(bs_pos, pos)
+        with self.timed("positions"):
+            pos = self._tracks.at(frames)  # (frame, UE, 3)
+            # A UE at the BS itself has no path to trace: an outage row. Its
+            # body blocks no row, as the BS sits inside it.
+            at_bs = same_point(bs_pos, pos)
         # Record k of the block is frame k // n, UE k % n.
         traced = np.flatnonzero(~at_bs.ravel())
         with self.timed("candidates"):

@@ -212,10 +212,14 @@ def test_small_scenarios_run_end_to_end(tmp_path_factory, scenario):
         assert sim.sweep(truth, sigmas, seeds, miss_prob) == accs
 
 
-@given(small_scenarios(), st.sampled_from([2, 3, pl.TRUTH_BLOCK]))
-def test_small_scenarios_run_truth_in_blocks_equals_frames(scenario, block):
-    # Blocks of 2-6 frames, in which a UE may be at the BS on some frames.
-    with mock.patch.object(pl, "TRUTH_BLOCK", block):
+@given(small_scenarios(), st.sampled_from([2, 3, pl.TRUTH_BLOCK]),
+       st.sampled_from([1, 7, geo.KERNEL_PAIRS]))
+def test_small_scenarios_run_truth_in_blocks_equals_frames(scenario, block,
+                                                          kernel_pairs):
+    # Blocks of 2-6 frames, in which a UE may be at the BS on some frames,
+    # with the kernel fed 1, 7 or the default number of pairs a call.
+    with mock.patch.object(pl, "TRUTH_BLOCK", block), \
+            mock.patch.object(geo, "KERNEL_PAIRS", kernel_pairs):
         sim = pl.Simulator(scenario)
         truth = sim.run_truth()
     assert_blocks_are_frames(scenario, truth, sim.stats)

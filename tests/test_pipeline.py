@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -12,11 +13,13 @@ from hypothesis import given, strategies as st
 
 from beamcam import channel as ch
 from beamcam import dataset as ds
+from beamcam import geometry as geo
 from beamcam import pipeline as pl
 from beamcam import scenario as sc
 from beamcam import selection as sel
 from beamcam.camera import BoundingBox, CameraModel, pixel_to_azimuth
-from beamcam.geometry import CHUNK, RAY_EPS, Mesh, TriangleSet, norms
+from beamcam.geometry import (CHUNK, KERNEL_PAIRS, RAY_EPS, Mesh, TriangleSet,
+                              norms)
 
 import reference as ref
 from conftest import (MINIMAL_SCENARIO, REPO_ROOT,
@@ -491,17 +494,28 @@ def test_frame_truth_builds_no_mesh_after_the_first_frame(shipped_scenario,
 
 def pair_counting(calls):
     """A ``TriangleSet._hit_ts`` that checks the screen's call shape, one
-    ray against one chunk per pair, and appends the pair count to
-    ``calls``."""
+    ray against one chunk per pair, gathered as the kernel's ``v0``, ``e1``
+    and ``e2`` arrays, and at most KERNEL_PAIRS pairs a call, and appends
+    the pair count to ``calls``."""
     hit_ts = TriangleSet._hit_ts
 
     def counting(tset, origins, directions):
         pairs = len(origins)
         assert origins.shape == directions.shape == (pairs, 1, 3)
-        assert tset.tris.shape == (pairs, CHUNK, 3, 3)
+        for x in (tset.v0, tset.e1, tset.e2):
+            assert x.shape == (pairs, CHUNK, 3)
+        assert 0 < pairs <= KERNEL_PAIRS
         calls.append(pairs)
         return hit_ts(tset, origins, directions)
     return counting
+
+
+def slices(pairs):
+    """The pair counts of the kernel calls of one occlusion pass that keeps
+    ``pairs`` pairs: full slices of KERNEL_PAIRS, then the rest. A pass
+    that keeps no pair makes no call."""
+    full, rest = divmod(pairs, KERNEL_PAIRS)
+    return [KERNEL_PAIRS] * full + [rest] * (rest > 0)
 
 
 def test_occlusion_is_one_kernel_pass_per_trace_and_bbox(shipped_scenario,
@@ -533,22 +547,25 @@ def test_occlusion_is_one_kernel_pass_per_trace_and_bbox(shipped_scenario,
             ref.trace_paths(scene, bs, positions[ue.name],
                             sysp.max_reflections, sysp.carrier_ghz,
                             exclude=(ue.name,))
-            assert len(pairs) == len(segments) == 1
+            # One occlusion pass per trace, its kept pairs (maybe none) in
+            # slices.
+            assert len(segments) == 1
+            assert pairs == slices(sum(pairs))
             traces += 1
             traced += segments[0]
-            one_receiver += pairs[0]
+            one_receiver += sum(pairs)
             pairs.clear()
             mesh = Mesh(tset.tris[tset.owners == tset.names.index(ue.name)])
             ref.project_bbox(sim.camera, mesh, scene, exclude=(ue.name,))
-            assert len(pairs) <= 1
-            bbox_passes += len(pairs)
+            assert pairs == slices(sum(pairs))
+            bbox_passes += len(pairs) > 0
             one_receiver += sum(pairs)
         pairs.clear()
         before = sim.stats["occlusion_pairs"]
         sim.frame_truth(frame)
-        # Every UE's LOS, chain hops and vertex rays in one kernel call,
+        # Every UE's LOS, chain hops and vertex rays in one kernel pass,
         # whose pairs are the one-receiver calls' pairs and the count.
-        assert pairs == [one_receiver]
+        assert pairs == slices(one_receiver)
         assert sim.stats["occlusion_pairs"] - before == one_receiver
     # The one pass per trace carries reflected hops too, not just LOS.
     assert traced > traces
@@ -681,7 +698,7 @@ def test_run_truth_equals_frame_truth_on_the_shipped_scenario(shipped_truth):
     assert_blocks_are_frames(sim.scenario, truth, sim.stats)
 
 
-@pytest.mark.parametrize("block", [3, pl.TRUTH_BLOCK])
+@pytest.mark.parametrize("block", [3, 8, pl.TRUTH_BLOCK])
 def test_run_truth_equals_frame_truth_when_blocks_do_not_divide_the_frames(
         monkeypatch, block):
     scenario = sc.parse_scenario(OVERLAPPING)
@@ -714,16 +731,60 @@ keyframe = 12 : 0, 10, 6
 
 def test_run_truth_is_one_kernel_pass_per_block(shipped_scenario,
                                                 monkeypatch):
-    calls = []
+    calls, blocks = [], []
+    segments_occluded = TriangleSet.segments_occluded
+
+    def per_block(tables, *args):
+        calls.clear()
+        blocked, pairs = segments_occluded(tables, *args)
+        blocks.append((pairs, list(calls)))
+        return blocked, pairs
+
     monkeypatch.setattr(TriangleSet, "_hit_ts", pair_counting(calls))
+    monkeypatch.setattr(TriangleSet, "segments_occluded", per_block)
     sim = pl.Simulator(shipped_scenario, base_dir=REPO_ROOT)
     frames = range(shipped_scenario.system.frames)
     sim.run_truth()
-    # One call per block, over the pairs the screen kept, which the stats
-    # count.
-    assert len(calls) == len(range(0, len(frames), pl.TRUTH_BLOCK))
-    assert len(calls) < len(frames)
-    assert sum(calls) == sim.stats["occlusion_pairs"] > 0
+    # One occlusion pass per block, whose kept pairs go to the kernel in
+    # ceil(kept / KERNEL_PAIRS) calls, and the stats count them all.
+    assert len(blocks) == len(range(0, len(frames), pl.TRUTH_BLOCK))
+    assert len(blocks) < len(frames)
+    assert all(got == slices(kept) for kept, got in blocks)
+    assert sum(kept for kept, _ in blocks) == sim.stats["occlusion_pairs"] > 0
+    # The blocks' pairs do not fit one slice.
+    assert max(len(got) for _, got in blocks) > 1
+
+
+def test_run_truth_does_not_depend_on_how_the_work_is_cut(shipped_scenario,
+                                                          monkeypatch):
+    """Blocks of 8 frames or the default, kernel slices of 1 pair, 7 pairs
+    or the default: the same exported bytes and the same stats."""
+    default, runs = (pl.TRUTH_BLOCK, KERNEL_PAIRS), {}
+    for block in (8, pl.TRUTH_BLOCK):
+        for kernel_pairs in (1, 7, KERNEL_PAIRS):
+            monkeypatch.setattr(pl, "TRUTH_BLOCK", block)
+            monkeypatch.setattr(geo, "KERNEL_PAIRS", kernel_pairs)
+            sim = pl.Simulator(shipped_scenario, base_dir=REPO_ROOT)
+            out = io.StringIO()
+            ds.export_records(sim.run_truth(), out)
+            runs[block, kernel_pairs] = out.getvalue(), sim.stats
+    assert all(run == runs[default] for run in runs.values())
+
+
+def test_run_truth_working_set_is_bounded(shipped_scenario):
+    """The shipped run's traced working set, its ``tracemalloc`` peak less
+    the records it keeps, stays under 1 MB, as the kernel's share is capped
+    by its slices. (8-frame blocks with one kernel call each took 0.66 MB;
+    32-frame blocks with one call each took 2.5 MB.)"""
+    sim = pl.Simulator(shipped_scenario, base_dir=REPO_ROOT)
+    tracemalloc.start()
+    try:
+        truth = sim.run_truth()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(truth) == shipped_scenario.system.frames
+    assert peak - retained < 1_000_000
 
 
 def test_chunked_kernel_equals_the_full_table_bit_for_bit(shipped_scenario,
