@@ -6,9 +6,12 @@ interpolated once, and the same moved UE boxes feed both the camera
 index), so visual and wireless truth are synchronized by construction;
 every box and path of every frame of a block comes from one occlusion
 pass, each row against its own frame's occluder table. The prediction side
-gates on activity, detects with a pluggable noise-parameterized oracle
-detector, and reads the codebook bin of the bbox centre column
-(``selection.column_index``) from its edge table, ``BeamEdges``.
+gates on activity and detects with a pluggable noise-parameterized oracle
+detector: ``noise_draws`` gives each row's draws, and one
+``selection.detected_boxes`` pass jitters, clips and takes the centre column
+of every detected box, for ``apply_detector`` and ``sweep`` alike. The
+codebook bin of that column (``selection.column_index``) is read from its
+edge table, ``BeamEdges``.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import operator
 from collections import Counter, defaultdict
 from collections.abc import Iterable
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from time import perf_counter
@@ -31,7 +34,7 @@ from .channel import beam_tables, build_channels, generate_codebook
 from .geometry import Mesh, Tracks, box_mesh, same_point
 from .raytrace import Candidates, PathComponent, SceneGeometry, prefix_table
 from .scenario import Scenario, ScenarioError, UeConfig
-from .selection import BeamEdges, center_columns, clip
+from .selection import BeamEdges, detected_boxes
 from . import stl
 
 
@@ -224,30 +227,6 @@ def sweep_draws(seeds: list[int], keys: list[tuple[int, int]]
     for i, j in np.argwhere(wide).tolist():
         draws[i, j] = noise_draws(seeds[i], *keys[j])[:2]
     return draws
-
-
-def detect(ue_index: int, bbox: BoundingBox, model: DetectorNoiseModel,
-           frame: int, width_px: int, height_px: int) -> Detection | None:
-    """Noise-parameterized oracle detector: the detection of the truth box
-    of the scenario's UE ``ue_index``, or None for a miss.
-
-    The noise is drawn once per (seed, frame, UE index) by ``noise_draws``
-    and scaled by sigma, so outputs are deterministic and independent of
-    evaluation order, and every sigma shares the same draws for a fixed
-    seed: the jitter at 2 sigma is exactly twice the jitter at sigma. Each
-    edge of the jittered box is clipped to the image.
-    """
-    miss, z_u, z_v = noise_draws(model.seed, frame, ue_index)
-    if miss < model.miss_prob:
-        return None
-    du, dv = z_u * model.pixel_sigma, z_v * model.pixel_sigma
-    return Detection(BoundingBox(
-        u_min=clip(bbox.u_min + du, width_px),
-        v_min=clip(bbox.v_min + dv, height_px),
-        u_max=clip(bbox.u_max + du, width_px),
-        v_max=clip(bbox.v_max + dv, height_px),
-        visibility=bbox.visibility,
-    ))
 
 
 #: Frames per block of ``run_truth``: larger blocks pay less per-call
@@ -482,30 +461,39 @@ class Simulator:
         """Attach detections and beam predictions to truth records.
 
         Cheap relative to run_truth, so one truth pass serves any number
-        of detector models. Each active row with a box gets ``detect``'s
-        one detection or miss; a detection's centre column is the midpoint
-        of its edges, which ``detect`` has clipped, and its predicted index
-        is read from the edge table that ``sweep`` reads.
+        of detector models. Each active row with a box is the detector's to
+        see or miss. Its draws come from its own ``noise_draws`` stream, so
+        they do not depend on evaluation order, and every sigma shares them:
+        the jitter at 2 sigma is exactly twice the jitter at sigma. A row is
+        missed when its miss draw is below ``miss_prob``; every other row's
+        box is detected by one ``detected_boxes`` pass over all of them, and
+        its predicted index is read from the edge table that ``sweep`` reads.
         """
         ue_index = {ue.name: i for i, ue in enumerate(self.scenario.ues)}
         cam = self.camera
-        out = []
-        for rec in truth:
-            ues = []
-            for u in rec.ues:
-                det = pred_index = pred_az = None
-                if u.active and u.bbox is not None:
-                    det = detect(ue_index[u.ue_name], u.bbox, model,
-                                 rec.frame, cam.width_px, cam.height_px)
-                if det is not None:
-                    center = (det.bbox.u_min + det.bbox.u_max) / 2.0
-                    pred_index = self._beam_edges.index(center)
-                    pred_az = pixel_to_azimuth(cam, center)
-                ues.append(replace(u, detection=det,
-                                   predicted_index=pred_index,
-                                   predicted_azimuth_deg=pred_az))
-            out.append(replace(rec, ues=tuple(ues)))
-        return out
+        rows = [(i, j) for i, rec in enumerate(truth)
+                for j, u in enumerate(rec.ues)
+                if u.active and u.bbox is not None]
+        boxes = [truth[i].ues[j].bbox for i, j in rows]
+        draws = np.array([noise_draws(model.seed, truth[i].frame,
+                                      ue_index[truth[i].ues[j].ue_name])
+                          for i, j in rows]).reshape(-1, 3)
+        edges, center = detected_boxes(
+            np.array([(b.u_min, b.v_min, b.u_max, b.v_max)
+                      for b in boxes]).reshape(-1, 2, 2),
+            draws[:, 1:] * model.pixel_sigma, (cam.width_px, cam.height_px))
+        found = {
+            row: (Detection(BoundingBox(*lo, *hi, visibility=b.visibility)),
+                  None if index < 0 else index, pixel_to_azimuth(cam, c))
+            for row, b, seen, (lo, hi), c, index in zip(
+                rows, boxes, (draws[:, 0] >= model.miss_prob).tolist(),
+                edges.tolist(), center.tolist(),
+                self._beam_edges.lookup(center).tolist())
+            if seen}
+        return [FrameRecord(rec.frame, rec.bs_name, tuple(UeFrameRecord(
+            u.ue_name, u.position, u.active, u.bbox, u.paths, u.beam_snrs_db,
+            u.optimal_index, *found.get((i, j), (None, None, None)))
+            for j, u in enumerate(rec.ues))) for i, rec in enumerate(truth)]
 
     def sweep(self, truth: list[FrameRecord], sigmas: Iterable[float],
               seeds: Iterable[int], miss_prob: float = 0.0
@@ -520,12 +508,12 @@ class Simulator:
         ``sweep_draws`` seeds the streams of a block of seeds in one array
         pass. Only rows the detector sees (active, with a bbox) that are not
         outages can count, so only those are drawn. Every (sigma, seed, row)
-        centre column is formed in one array pass, with the float operations
-        of ``detect`` and ``apply_detector``, and read from ``BeamEdges`` at
-        once, up to ``SWEEP_CELLS`` of them at a time. A hit is a predicted
-        index equal to the optimal one: that is ``evaluate``'s rank 0, since
-        ``optimal_beam`` picks the first argmax of the SNR table and rank 0
-        is the first argmax.
+        centre column is formed by ``detected_boxes``, the pass of
+        ``apply_detector``, on the u edges alone, and read from ``BeamEdges``
+        at once, up to ``SWEEP_CELLS`` of them at a time. A hit is a
+        predicted index equal to the optimal one: that is ``evaluate``'s
+        rank 0, since ``optimal_beam`` picks the first argmax of the SNR
+        table and rank 0 is the first argmax.
         """
         miss_prob = DetectorNoiseModel(miss_prob=miss_prob).miss_prob
         sigmas = np.array([DetectorNoiseModel(float(s)).pixel_sigma
@@ -535,19 +523,19 @@ class Simulator:
         rows = [(rec.frame, ue_index[u.ue_name], u)
                 for rec in truth for u in rec.ues
                 if u.active and u.bbox is not None and not u.outage]
-        u_min = np.array([u.bbox.u_min for _, _, u in rows])
-        u_max = np.array([u.bbox.u_max for _, _, u in rows])
+        u_edges = np.array([(u.bbox.u_min, u.bbox.u_max)
+                            for _, _, u in rows]).reshape(-1, 2, 1)
         optimal = np.array([u.optimal_index for _, _, u in rows], dtype=int)
         keys = [(frame, ue) for frame, ue, _ in rows]
-        width = float(self.camera.width_px)
         block = max(1, SWEEP_CELLS // max(len(sigmas) * len(rows), 1))
         accs = np.empty((len(sigmas), len(seeds)))
         for lo in range(0, len(seeds), block):
             part = seeds[lo:lo + block]
             draws = sweep_draws(part, keys)
             seen = draws[..., 0] >= miss_prob  # (seed, row)
-            center = center_columns(
-                u_min, u_max, np.multiply.outer(sigmas, draws[..., 1]), width)
+            _, center = detected_boxes(
+                u_edges, np.multiply.outer(sigmas, draws[..., 1:]),
+                (self.camera.width_px,))
             hits = ((self._beam_edges.lookup(center) == optimal) & seen
                     ).sum(axis=2)
             eligible = seen.sum(axis=1)

@@ -7,10 +7,12 @@ adds each path's polyline, which the program does not keep),
 ``candidate_chains`` backtracks one reflection order with every
 (receiver, prefix row) pair and no receiver-side screen, ``project_bbox``
 one mesh of ``VertexRays``, ``compute_path_component`` one path of
-``path_components``, ``select_beam`` one box's prediction of
-``apply_detector``, ``render_debug_frame`` the renderer one triangle at a
-time, ``record_channel`` and ``record_beam_table`` one record of
-``build_channels`` and ``beam_tables``, and so on; ``noise_draws`` seeds
+``path_components``, ``detect`` one row of ``detected_boxes`` with its
+draws, ``select_beam`` one box's prediction of ``apply_detector`` and
+``apply_detector`` the two of them row by row, ``render_debug_frame`` the
+renderer one triangle at a time, ``record_channel`` and
+``record_beam_table`` one record of ``build_channels`` and
+``beam_tables``, and so on; ``noise_draws`` seeds
 its stream with the list that the program's form turns into uint32 words
 itself. The program itself never calls them.
 """
@@ -27,14 +29,14 @@ from beamcam.camera import (BoundingBox, CameraModel, VertexRays,
 from beamcam.channel import OUTAGE_SNR_DB, Codebook, world_to_array_deg
 from beamcam.geometry import (RAY_EPS, Mesh, Tracks, TriangleSet,
                               _tri_areas, same_point)
-from beamcam.pipeline import DetectorNoiseModel, FrameRecord, Simulator
+from beamcam.pipeline import (Detection, DetectorNoiseModel, FrameRecord,
+                              Simulator, UeFrameRecord)
 from beamcam.raytrace import (_CONTAIN_TOL, Candidates, PathComponent,
                               SceneGeometry, _Reflectors, path_components,
                               prefix_table)
 from beamcam.render import (_FALLBACK_RGB, _LIGHT_DIR, BACKGROUND_RGB,
                             MATERIAL_RGB, _draw_bbox)
 from beamcam.scenario import Scenario, UeConfig, _by_name
-from beamcam.selection import clip
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +303,11 @@ def beam_snr(h: np.ndarray, w: np.ndarray, tx_power_dbm: float,
 # ---------------------------------------------------------------------------
 # selection
 
+def clip(x, limit) -> float:
+    """x clamped to [0, limit] the Python way: ``max(-0.0, 0.0)`` is -0.0."""
+    return min(max(float(x), 0.0), float(limit))
+
+
 def select_beam(u_min: float, u_max: float, cam: CameraModel,
                 codebook: Codebook, boresight_deg: float
                 ) -> tuple[int | None, float]:
@@ -403,6 +410,50 @@ def noise_draws(seed: int, frame: int, ue_index: int
     miss = rng.random()
     z_u, z_v = rng.standard_normal(2).tolist()
     return miss, z_u, z_v
+
+
+def detect(ue_index: int, bbox: BoundingBox, model: DetectorNoiseModel,
+           frame: int, width_px: int, height_px: int) -> Detection | None:
+    """The detection of one truth box of the scenario's UE ``ue_index``, or
+    None for a miss: its (miss, z_u, z_v) draws, a miss below ``miss_prob``,
+    and each edge jittered by z times sigma and clipped to the image."""
+    miss, z_u, z_v = noise_draws(model.seed, frame, ue_index)
+    if miss < model.miss_prob:
+        return None
+    du, dv = z_u * model.pixel_sigma, z_v * model.pixel_sigma
+    return Detection(BoundingBox(
+        u_min=clip(bbox.u_min + du, width_px),
+        v_min=clip(bbox.v_min + dv, height_px),
+        u_max=clip(bbox.u_max + du, width_px),
+        v_max=clip(bbox.v_max + dv, height_px),
+        visibility=bbox.visibility,
+    ))
+
+
+def apply_detector(sim: Simulator, truth: list[FrameRecord],
+                   model: DetectorNoiseModel) -> list[FrameRecord]:
+    """``Simulator.apply_detector`` one row at a time: ``detect`` of each
+    active row with a box, and ``select_beam`` of each detection."""
+    ue_index = {ue.name: i for i, ue in enumerate(sim.scenario.ues)}
+    cam = sim.camera
+    out = []
+    for rec in truth:
+        ues = []
+        for u in rec.ues:
+            det, pred = None, (None, None)
+            if u.active and u.bbox is not None:
+                det = detect(ue_index[u.ue_name], u.bbox, model, rec.frame,
+                             cam.width_px, cam.height_px)
+            if det is not None:
+                pred = select_beam(det.bbox.u_min, det.bbox.u_max, cam,
+                                   sim.codebook, sim.bs.boresight_deg)
+            ues.append(UeFrameRecord(
+                ue_name=u.ue_name, position=u.position, active=u.active,
+                bbox=u.bbox, paths=u.paths, beam_snrs_db=u.beam_snrs_db,
+                optimal_index=u.optimal_index, detection=det,
+                predicted_index=pred[0], predicted_azimuth_deg=pred[1]))
+        out.append(FrameRecord(rec.frame, rec.bs_name, tuple(ues)))
+    return out
 
 
 def ue(scenario: Scenario, name: str) -> UeConfig:

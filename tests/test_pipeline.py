@@ -24,7 +24,8 @@ from beamcam.geometry import (CHUNK, KERNEL_PAIRS, RAY_EPS, Mesh, TriangleSet,
 import reference as ref
 from conftest import (MINIMAL_SCENARIO, REPO_ROOT,
                       assert_blocks_are_frames,
-                      assert_frame_pass_is_one_receiver_calls)
+                      assert_frame_pass_is_one_receiver_calls,
+                      small_scenarios)
 
 
 def make_bbox(cu, cv, half=20.0):
@@ -55,7 +56,7 @@ def test_activity_state():
 def detect_all(truth, model, frame):
     """``detect`` of each (UE index, box) pair in 1280 x 720, misses
     dropped."""
-    dets = [pl.detect(i, b, model, frame, 1280, 720) for i, b in truth]
+    dets = [ref.detect(i, b, model, frame, 1280, 720) for i, b in truth]
     return [d for d in dets if d is not None]
 
 
@@ -70,7 +71,7 @@ def test_detect_noiseless_is_identity():
 
 def test_detect_miss_prob_one_drops_everything():
     model = pl.DetectorNoiseModel(miss_prob=1.0, seed=3)
-    assert pl.detect(0, make_bbox(300, 200), model, 0, 1280, 720) is None
+    assert ref.detect(0, make_bbox(300, 200), model, 0, 1280, 720) is None
 
 
 def test_detect_deterministic_given_seed():
@@ -86,7 +87,7 @@ def test_detect_deterministic_given_seed():
 
 def test_detect_jitter_preserves_box_size():
     model = pl.DetectorNoiseModel(pixel_sigma=6.0, seed=1)
-    det = pl.detect(0, make_bbox(600, 300, half=25.0), model, 0, 1280, 720)
+    det = ref.detect(0, make_bbox(600, 300, half=25.0), model, 0, 1280, 720)
     assert det.bbox.u_max - det.bbox.u_min == pytest.approx(50.0)
     assert det.bbox.v_max - det.bbox.v_min == pytest.approx(50.0)
     assert (ref.center_u(det.bbox), ref.center_v(det.bbox)) != (600.0, 300.0)
@@ -163,7 +164,6 @@ def checked_beam_edges(cam, cb, boresight, columns=()):
         columns += [math.nextafter(edge, -math.inf),
                     math.nextafter(edge, math.inf)]
     want = [sel.column_index(c, cam, cb, boresight) for c in columns]
-    assert [table.index(c) for c in columns] == want
     assert table.lookup(np.array(columns)).tolist() \
         == [-1 if i is None else i for i in want]
     assert [i for c, i in zip(columns, want) if 0.0 <= c <= w] \
@@ -234,7 +234,7 @@ def test_beam_edges_with_a_bin_boundary_on_a_column(hfov, width, q, at,
         # Columns left of one that reads the boundary may read it too, so
         # the step into its bin lies at or left of the column.
         k = round(az_world * q / 180.0)
-        assert table.index(column) == k
+        assert table.lookup(np.array([column])).tolist() == [k]
         if column == 0.0:
             assert table.indices[0] == k
         else:
@@ -346,10 +346,71 @@ def test_detect_jitter_is_linear_in_sigma():
         assert (du, dv) != (0.0, 0.0)
         for sigma, scale in ((1.5, 1.0), (3.0, 2.0)):
             model = pl.DetectorNoiseModel(pixel_sigma=sigma, seed=seed)
-            det = pl.detect(2, box, model, 11, 1280, 720).bbox
+            det = ref.detect(2, box, model, 11, 1280, 720).bbox
             assert (det.u_min, det.v_min, det.u_max, det.v_max) == (
                 box.u_min + scale * du, box.v_min + scale * dv,
                 box.u_max + scale * du, box.v_max + scale * dv)
+
+
+def exported(records):
+    out = io.StringIO()
+    ds.export_records(records, out)
+    return out.getvalue()
+
+
+@given(small_scenarios())
+def test_apply_detector_is_the_one_row_reference(scenario):
+    """The one ``detected_boxes`` pass gives, row for row, what the
+    reference detects and predicts one row at a time."""
+    sim = pl.Simulator(scenario)
+    truth = sim.run_truth()
+    for seed in (0, 2**32, 2**64 + 3):
+        for sigma, miss_prob in ((0.0, 0.0), (5.0, 0.1), (20.0, 1.0),
+                                 (300.0, 0.3)):
+            model = pl.DetectorNoiseModel(sigma, miss_prob, seed)
+            assert sim.apply_detector(truth, model) \
+                == ref.apply_detector(sim, truth, model)
+
+
+def test_apply_detector_keeps_a_negative_zero_edge(minimal_scenario):
+    """At sigma 0 a negative z draw jitters by -0.0, and an edge of -0.0
+    stays -0.0 through the clip, as Python's ``max(-0.0, 0.0)`` keeps it:
+    the dataset writes the sign."""
+    sim = pl.Simulator(minimal_scenario)
+    truth = sim.run_truth()[:1]
+    model = pl.DetectorNoiseModel(seed=2)
+    _, z_u, z_v = pl.noise_draws(2, 0, 0)
+    assert z_u < 0.0 and z_v < 0.0
+    box = BoundingBox(u_min=-5.0, v_min=-3.0, u_max=-0.0, v_max=-0.0,
+                      visibility=0.5)
+    truth = [dataclasses.replace(truth[0], ues=(dataclasses.replace(
+        truth[0].ues[0], active=1, bbox=box),))]
+    records = sim.apply_detector(truth, model)
+    assert records == ref.apply_detector(sim, truth, model)
+    det = records[0].ues[0].detection.bbox
+    assert [math.copysign(1.0, x) for x in
+            (det.u_min, det.v_min, det.u_max, det.v_max)] \
+        == [1.0, 1.0, -1.0, -1.0]
+    assert exported(records) == exported(ref.apply_detector(sim, truth,
+                                                            model))
+    # The truth box and its detection.
+    assert exported(records).count('"u_max": -0.0') == 2
+
+
+def test_apply_detector_with_no_row_to_detect(minimal_scenario):
+    """No records, or no row that is both active and boxed: every
+    detection field is None."""
+    sim = pl.Simulator(minimal_scenario)
+    model = pl.DetectorNoiseModel(2.0, 0.1, 3)
+    assert sim.apply_detector([], model) == []
+    truth = [dataclasses.replace(rec, ues=tuple(
+        dataclasses.replace(u, active=0) if rec.frame % 2 else
+        dataclasses.replace(u, bbox=None) for u in rec.ues))
+        for rec in sim.run_truth()]
+    records = sim.apply_detector(truth, model)
+    assert records == truth
+    assert all((u.detection, u.predicted_index, u.predicted_azimuth_deg)
+               == (None, None, None) for rec in records for u in rec.ues)
 
 
 def assert_sweep_is_apply_detector_and_evaluate(shipped_truth, seeds,
