@@ -107,48 +107,49 @@ class VertexRays:
     """The vertices of several meshes projected at once, and the occlusion
     rays from the camera to the vertices that land inside the image.
 
-    ``verts`` holds each mesh's unique vertices, shape (V, 3). ``starts``,
-    ``ends`` and ``mesh`` give each ray's camera end, vertex and mesh index.
-    ``boxes`` turns the rays' occlusion verdicts into one bounding box per
-    mesh, in the order of ``verts``, which is all that says whose box it is.
+    ``points`` holds each mesh's vertices in turn, shape (N, 3), and
+    ``counts`` how many are each mesh's. ``starts``, ``ends`` and ``mesh``
+    give each ray's camera end, vertex and mesh index. ``boxes`` turns the
+    rays' occlusion verdicts into one bounding box per mesh, in the order
+    of ``counts``, which is all that says whose box it is.
     """
 
-    def __init__(self, cam: CameraModel, verts: list[np.ndarray]):
-        self._counts = [len(v) for v in verts]
-        points = np.concatenate(verts)
+    def __init__(self, cam: CameraModel, points: np.ndarray, counts):
+        self._counts = np.asarray(counts, int)
         u, v, front = project_points(cam, points)
         inside = front & (u >= 0.0) & (u < cam.width_px) \
             & (v >= 0.0) & (v < cam.height_px)
         self.ends = points[inside]
         self.starts = np.empty_like(self.ends)
         self.starts[:] = cam.position
-        self.mesh = np.repeat(np.arange(len(verts)), self._counts)[inside]
+        self.mesh = np.repeat(np.arange(len(self._counts)),
+                              self._counts)[inside]
         self._uv = np.column_stack([u[inside], v[inside]])
-        self._size = (float(cam.width_px), float(cam.height_px))
 
     def boxes(self, blocked: np.ndarray) -> list[BoundingBox | None]:
         """One box per mesh over its unblocked rays, or None if it has none.
 
         Visibility is the fraction of the mesh's vertices that are in front
-        of the camera, inside the image and unblocked.
+        of the camera, inside the image and unblocked. A box spans its
+        rays' pixels clipped to the image, ``max(0.0, min(us))`` to
+        ``min(width, max(us))`` in u and so in v, with Python's ``min`` and
+        ``max``, each mesh's taken by one reduction over its rays. Every
+        pixel is >= 0 and below the image size, so the clip only turns a
+        -0.0 min into 0.0, and a zero max means every pixel of the mesh is
+        a zero: Python's ``max`` keeps the first of them, whose sign the box
+        keeps.
         """
-        width, height = self._size
         seen = ~np.asarray(blocked, bool)
-        per_mesh: list[list[list[float]]] = [[] for _ in self._counts]
-        for m, px in zip(self.mesh[seen].tolist(), self._uv[seen].tolist()):
-            per_mesh[m].append(px)
-        boxes: list[BoundingBox | None] = []
-        for count, pixels in zip(self._counts, per_mesh):
-            if not pixels:
-                boxes.append(None)
-                continue
-            us = [u for u, _ in pixels]
-            vs = [v for _, v in pixels]
-            boxes.append(BoundingBox(
-                u_min=max(0.0, min(us)),
-                v_min=max(0.0, min(vs)),
-                u_max=min(width, max(us)),
-                v_max=min(height, max(vs)),
-                visibility=len(pixels) / count,
-            ))
+        mesh, uv = self.mesh[seen], self._uv[seen]
+        count = np.bincount(mesh, minlength=len(self._counts))
+        has = np.flatnonzero(count)
+        first = np.searchsorted(mesh, has)
+        lo = np.minimum.reduceat(uv, first, axis=0)
+        hi = np.maximum.reduceat(uv, first, axis=0)
+        boxes: list[BoundingBox | None] = [None] * len(self._counts)
+        for m, (u_min, v_min), (u_max, v_max), k, n in zip(
+                has.tolist(), np.where(lo > 0.0, lo, 0.0).tolist(),
+                np.where(hi == 0.0, uv[first], hi).tolist(),
+                count[has].tolist(), self._counts[has].tolist()):
+            boxes[m] = BoundingBox(u_min, v_min, u_max, v_max, k / n)
         return boxes

@@ -24,12 +24,14 @@ def _load_scenario(path: str):
                                       ScenarioSyntaxError))
 
 
-def _render_frame_bytes(sim: Simulator, record: FrameRecord) -> bytes:
-    """PPM of one frame's scene with the truth boxes already in its record."""
+def _write_render(sim: Simulator, record: FrameRecord, path) -> None:
+    """Write the PPM of one frame's scene, with the truth boxes already in
+    its record, to ``path``."""
     scene, _ = sim.frame_scene(record.frame)
     bboxes = [u.bbox for u in record.ues if u.bbox is not None]
     img = render_debug_frame(sim.camera, scene.tset, bboxes)
-    return write_ppm(img)
+    with open(path, "wb") as out:
+        write_ppm(img, out)
 
 
 def _check_writable(*paths: str | None) -> None:
@@ -92,8 +94,8 @@ def _cmd_generate(args) -> int:
     with sim.timed("render"):
         if args.render_every:
             for frame in range(0, scenario.system.frames, args.render_every):
-                out = render_dir / f"frame_{frame:06d}.ppm"
-                out.write_bytes(_render_frame_bytes(sim, records[frame]))
+                _write_render(sim, records[frame],
+                              render_dir / f"frame_{frame:06d}.ppm")
                 rendered += 1
     _write_timings(sim, args.timings, "detector", "export", "render")
     print(f"wrote {count} records to {args.out}"
@@ -120,8 +122,7 @@ def _cmd_render(args) -> int:
                          f"[0, {scenario.system.frames})")
     _check_writable(args.out, args.stats)
     sim = Simulator(scenario, args.bs, Path(args.scenario).parent)
-    Path(args.out).write_bytes(
-        _render_frame_bytes(sim, sim.frame_truth(args.frame)))
+    _write_render(sim, sim.frame_truth(args.frame), args.out)
     _write_stats(sim, args.stats)
     print(f"wrote {args.out}")
     return 0
@@ -217,8 +218,10 @@ def build_parser() -> argparse.ArgumentParser:
                           "backtracked, chains, paths, segments, outages) "
                           "as JSON")
     gen.add_argument("--timings", default=None, metavar="FILE.json",
-                     help="write the seconds spent in each stage (truth "
-                          "stages, detector, export, render) as JSON")
+                     help="write the seconds spent in each stage (the "
+                          "truth stages positions, candidates, occlusion, "
+                          "paths, channel, boxes and records; then "
+                          "detector, export, render) as JSON")
     gen.set_defaults(func=_cmd_generate)
 
     ev = sub.add_parser("evaluate", help="compute metrics from a dataset")
@@ -258,8 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--stats", default=None, metavar="FILE.json",
                     help="write the truth pass's counts as JSON")
     sw.add_argument("--timings", default=None, metavar="FILE.json",
-                    help="write the seconds spent in each stage (truth "
-                         "stages, sweep) as JSON")
+                    help="write the seconds spent in each stage (the "
+                         "truth stages positions, candidates, occlusion, "
+                         "paths, channel, boxes and records; then "
+                         "sweep) as JSON")
     sw.set_defaults(func=_cmd_sweep)
     return parser
 

@@ -7,6 +7,7 @@ azimuth measured in the xy-plane counterclockwise from +x, degrees.
 from __future__ import annotations
 
 import copy
+import math
 
 import numpy as np
 
@@ -168,9 +169,10 @@ class Tracks:
 # ---------------------------------------------------------------------------
 # Ray casting (Moller-Trumbore, vectorized over rays and triangles)
 
-#: Triangles per chunk of the occlusion screen: one box mesh. It must stay
-#: above 1, since ``_hit_ts``'s per-ray product over one row does not round
-#: as it does over the full table.
+#: Triangles per chunk of the occlusion screen: one box mesh. The kernel's
+#: arrays are stored a chunk to a row, and the screen keeps or drops a
+#: chunk whole. It must stay above 1, since ``_hit_ts``'s per-ray product
+#: over one row does not round as it does over the full table.
 CHUNK = 12
 
 #: Most (segment, chunk) pairs of one ``_hit_ts`` call, so the kernel's
@@ -183,11 +185,15 @@ class TriangleSet:
     """Occluder table: the triangles of several named meshes, one owner
     index per triangle, and each owner's name and material.
 
-    ``tris`` has shape (T, 3, 3); ``v0``, ``e1`` and ``e2`` are the
-    Moller-Trumbore arrays derived from it. A stack of tables (see
-    ``moved``) has a leading axis of one table per frame. ``chunks`` cuts
-    each owner's triangles into runs of CHUNK, which the occlusion screen
-    keeps or drops as a whole.
+    ``tris`` has shape (T, 3, 3). ``chunks`` cuts each owner's triangles
+    into runs of CHUNK, which the occlusion screen keeps or drops as a
+    whole. ``kernel`` holds the Moller-Trumbore arrays v0, e1 and e2 of one
+    chunk a row, shape (K, 3, CHUNK, 3), and ``box`` each row's box, its
+    least and greatest vertex coordinates, shape (K, 2, 3). ``rows`` gives
+    the row of each chunk, shape (C,). A stack of tables (see ``moved``)
+    has a leading axis of one table per frame there, shape (F, C), and in
+    ``tris``, but stores the rows of the chunks it does not move once for
+    all its frames.
     """
 
     def __init__(self, meshes: list[tuple[str, Mesh]]):
@@ -204,46 +210,81 @@ class TriangleSet:
             .reshape(-1, CHUNK) for lo, hi in zip(ends - counts, ends)])
         #: Owner of each chunk, shape (C,).
         self.chunk_owner = self.owners[self.chunks[:, 0]]
-        self._place(np.concatenate([np.empty((0, 3, 3))]
-                                   + [m.tris for _, m in meshes]))
+        self._tris = np.concatenate([np.empty((0, 3, 3))]
+                                    + [m.tris for _, m in meshes])
+        self._tris.setflags(write=False)
+        self._shift = None
+        corners = self._tris[self.chunks]
+        # (chunk, corner, triangle, xyz), then each edge from its corner.
+        self.kernel = corners.transpose(0, 2, 1, 3).copy()
+        self.kernel[:, 1:] -= self.kernel[:, :1]
+        corners = corners.reshape(-1, 3 * CHUNK, 3)
+        self.box = np.stack([corners.min(axis=1), corners.max(axis=1)],
+                            axis=1)
+        self.rows = np.arange(len(self.chunks))
 
-    def _place(self, tris: np.ndarray) -> None:
-        """Take ``tris`` as the table's triangles and derive the kernel's
-        arrays from them."""
-        tris.setflags(write=False)
-        self.tris = tris
-        self.v0 = tris[..., 0, :]
-        self.e1 = tris[..., 1, :] - tris[..., 0, :]
-        self.e2 = tris[..., 2, :] - tris[..., 0, :]
+    @property
+    def tris(self) -> np.ndarray:
+        """The table's triangles, a moved one as ``tri + offset``, made
+        from the unmoved ones on each read."""
+        if self._shift is None:
+            return self._tris
+        first, offsets = self._shift
+        lo, hi = np.searchsorted(self.owners,
+                                 [first, first + offsets.shape[-2]])
+        tris = np.empty(offsets.shape[:-2] + self._tris.shape)
+        tris[:] = self._tris
+        tris[..., lo:hi, :, :] += offsets[..., self.owners[lo:hi] - first,
+                                          None, :]
+        return tris
 
     def moved(self, first: int, offsets) -> "TriangleSet":
         """This table with mesh ``first + i`` translated by ``offsets[i]``.
 
         A moved triangle is ``tri + offset``, and its edges are taken from
         the moved triangle, since ``(a + o) - (b + o)`` need not equal
-        ``a - b`` in the last bit. Offsets of shape (F, M, 3) give a stack
-        of F tables, table f moved by ``offsets[f]``, made in one pass.
+        ``a - b`` in the last bit. A moved chunk's box is its box plus the
+        offset, which is the box of its moved vertices exactly, as
+        rounding is monotone: min fl(v + o) = fl(min v + o). Offsets of
+        shape (F, M, 3) give a stack of F tables, table f moved by
+        ``offsets[f]``, made in one pass: its rows are this table's, then
+        F rows for each moved chunk.
         """
         offsets = np.asarray(offsets, float)
-        lo, hi = np.searchsorted(self.owners,
-                                 [first, first + offsets.shape[-2]])
-        tris = np.empty(offsets.shape[:-2] + self.tris.shape)
-        tris[:] = self.tris
-        tris[..., lo:hi, :, :] += offsets[..., self.owners[lo:hi] - first,
-                                          None, :]
+        stack = offsets.shape[:-2]
+        c_lo, c_hi = np.searchsorted(self.chunk_owner,
+                                     [first, first + offsets.shape[-2]])
+        shift = offsets[..., self.chunk_owner[c_lo:c_hi] - first, None,
+                        None, :]
+        tris = self.tris
+        n, shape = len(self.kernel), stack + (c_hi - c_lo, 3, CHUNK, 3)
         table = copy.copy(self)
-        table._place(tris)
+        table._tris, table._shift = tris, (first, offsets)
+        table.kernel = np.empty((n + math.prod(shape[:-3]), 3, CHUNK, 3))
+        table.kernel[:n] = self.kernel
+        part = table.kernel[n:].reshape(shape)
+        np.add(tris[self.chunks[c_lo:c_hi]].transpose(0, 2, 1, 3), shift,
+               out=part)
+        part[..., 1:, :, :] -= part[..., :1, :, :]
+        table.box = np.concatenate([self.box, (
+            self.box[self.rows[c_lo:c_hi]] + shift[..., 0, :, :]
+        ).reshape(-1, 2, 3)])
+        table.rows = np.empty(stack + self.rows.shape, int)
+        table.rows[...] = self.rows
+        table.rows[..., c_lo:c_hi] = n + np.arange(
+            math.prod(shape[:-3])).reshape(shape[:-3])
         return table
 
     def _hit_ts(self, origins, directions):
-        """Hit distances of rays against every triangle of their table.
+        """Hit distances of rays against every triangle of their row.
 
-        ``origins`` and unit ``directions`` have shape (F, R, 3) for a
-        stack of F tables, ray row f against table f. Returns the (F, R, T)
-        distances along each ray, -inf where it misses; for one table,
-        (R, 3) rays give (R, T). Each value depends only on its own ray and
-        triangle. The occlusion screen calls it on a stack of P one-chunk
-        tables, (P, 1, 3) rays against (P, CHUNK, 3) triangles
+        ``kernel`` has shape (K, 3, T, 3), v0, e1 and e2 of a row of T
+        triangles each; ``origins`` and unit ``directions`` have shape
+        (K, R, 3), ray row k against triangle row k. Returns the (K, R, T)
+        distances along each ray, -inf where it misses; (R, 3) rays are
+        tested against every row. Each value depends only on its own ray
+        and triangle. The occlusion screen calls it on P rows of one chunk
+        each, (P, 1, 3) rays against (P, CHUNK, 3) triangles
         (``_pair_ts``).
 
         Every value is bit-identical to the one-ray form of the test
@@ -259,8 +300,8 @@ class TriangleSet:
         in place, which keeps few ray-by-triangle arrays alive and rounds
         as the plain expressions do.
         """
-        # Each table broadcasts over its own rays: (F, 1, T).
-        v0, e1, e2 = (x[..., None, :, :] for x in (self.v0, self.e1, self.e2))
+        # Each row broadcasts over its own rays: (K, 1, T).
+        v0, e1, e2 = (self.kernel[..., k, None, :, :] for k in range(3))
         d0, d1, d2 = (directions[..., k, None] for k in range(3))
         a0, a1, a2 = (e1[..., k] for k in range(3))
         b0, b1, b2 = (e2[..., k] for k in range(3))
@@ -304,17 +345,13 @@ class TriangleSet:
         t[~ok] = -np.inf
         return t
 
-    def _pair_ts(self, origins, directions, frame, chunk):
+    def _pair_ts(self, origins, directions, rows):
         """Hit distances (P, CHUNK) of ray p, given by ``origins[p]`` and
-        unit ``directions[p]``, against chunk ``chunk[p]`` of table
-        ``frame[p]`` of this stack, in one ``_hit_ts`` call."""
-        # A stack of P tables of one chunk each, one ray per table, gathered
-        # from the kernel's arrays; it has no ``tris`` of its own.
-        index = frame[:, None], self.chunks[chunk]
+        unit ``directions[p]``, against the chunk stored at row
+        ``rows[p]``, in one ``_hit_ts`` call."""
+        # P rows of one chunk each, one ray per row, in one gather.
         pairs = copy.copy(self)
-        pairs.tris = None
-        pairs.v0, pairs.e1, pairs.e2 = (x[index]
-                                        for x in (self.v0, self.e1, self.e2))
+        pairs.kernel = self.kernel[rows]
         return pairs._hit_ts(origins[:, None], directions[:, None])[:, 0]
 
     def segments_occluded(self, a, b, ignore, table
@@ -332,38 +369,37 @@ class TriangleSet:
 
         A screen keeps the pairs of a live segment and a chunk of an owner
         it does not ignore whose boxes meet: the segment's, and the
-        chunk's in its table grown by RAY_EPS on every side. A segment
-        that meets a triangle meets its box, and the margin takes up the
-        rounding of a hit found at a triangle's edge, so the screen drops
-        no hit of a well-posed ray; a segment farther than the margin from
-        a chunk's box cannot meet it, whatever the kernel's rounding says
-        for a ray that nearly lies in a triangle's plane. The kept pairs
-        go through the kernel in slices of at most KERNEL_PAIRS, one call
-        per slice (``_pair_ts``); each pair's values are its own, so the
-        slicing changes no verdict.
+        chunk's in its table (``box``, made with the table) grown by
+        RAY_EPS on every side. A segment that meets a triangle meets its
+        box, and the margin takes up the rounding of a hit found at a
+        triangle's edge, so the screen drops no hit of a well-posed ray; a
+        segment farther than the margin from a chunk's box cannot meet it,
+        whatever the kernel's rounding says for a ray that nearly lies in
+        a triangle's plane. The kept pairs go through the kernel in slices
+        of at most KERNEL_PAIRS, one call per slice (``_pair_ts``, each
+        pair's chunk gathered by its row); each pair's values are its own,
+        so the slicing changes no verdict.
         """
         a = np.asarray(a, float).reshape(-1, 3)
         b = np.asarray(b, float).reshape(-1, 3)
-        table = np.asarray(table, int)
+        rows = self.rows[np.asarray(table, int)]  # (S, C)
         d = b - a
         length = norms(d)
-        # Each (table, chunk) box. A chunk is the run of triangles from its
-        # first to the next chunk's first, so its box is a reduceat over
-        # the table's vertices.
-        vertices = self.tris.reshape(self.tris.shape[:-3] + (-1, 3))
-        first = 3 * self.chunks[:, 0]
-        lo = np.minimum.reduceat(vertices, first, axis=-2) - RAY_EPS
-        hi = np.maximum.reduceat(vertices, first, axis=-2) + RAY_EPS
         ignore = np.broadcast_to(ignore, (len(a), len(self.names)))
         keep = (length > 2 * RAY_EPS)[:, None] & ~ignore[:, self.chunk_owner]
-        keep &= (np.minimum(a, b)[:, None] <= hi[table]).all(axis=2)
-        keep &= (np.maximum(a, b)[:, None] >= lo[table]).all(axis=2)
-        pairs = np.nonzero(keep)
+        # One axis at a time, so no (S, C, 3) box gather is made.
+        lo, hi = (self.box[:, 0] - RAY_EPS).T, (self.box[:, 1] + RAY_EPS).T
+        for low, high, lo_k, hi_k in zip(np.minimum(a, b).T,
+                                         np.maximum(a, b).T, lo, hi):
+            keep &= low[:, None] <= hi_k.take(rows)
+            keep &= high[:, None] >= lo_k.take(rows)
+        seg, chunk = np.nonzero(keep)
+        rows = rows[seg, chunk]
         blocked = np.zeros(len(a), dtype=bool)
-        for start in range(0, len(pairs[0]), KERNEL_PAIRS):
-            seg, chunk = (x[start:start + KERNEL_PAIRS] for x in pairs)
-            ts = self._pair_ts(a[seg], d[seg] / length[seg, None],
-                               table[seg], chunk)
-            hit = (ts > RAY_EPS) & (ts < (length[seg] - RAY_EPS)[:, None])
-            blocked[seg[hit.any(axis=1)]] = True
-        return blocked, len(pairs[0])
+        for start in range(0, len(seg), KERNEL_PAIRS):
+            part = seg[start:start + KERNEL_PAIRS]
+            ts = self._pair_ts(a[part], d[part] / length[part, None],
+                               rows[start:start + KERNEL_PAIRS])
+            hit = (ts > RAY_EPS) & (ts < (length[part] - RAY_EPS)[:, None])
+            blocked[part[hit.any(axis=1)]] = True
+        return blocked, len(seg)

@@ -230,20 +230,20 @@ def sweep_draws(seeds: list[int], keys: list[tuple[int, int]]
 
 
 #: Frames per block of ``run_truth``: larger blocks pay less per-call
-#: overhead but hold more screen rows and occluder tables at once; the
-#: kernel's share is capped by ``geometry.KERNEL_PAIRS``. On the shipped
-#: scenario (2-core Xeon, in-process, median of 15 interleaved runs) with
-#: 128-pair slices, blocks of 8, 16, 32 and 64 frames took 70, 56, 46 and
-#: 45 ms, with a working set (``tracemalloc`` peak less the records kept)
-#: of 0.32, 0.40, 0.57 and 1.07 MB; 8 frames with no slicing took 66 ms
-#: and 0.66 MB. 32 frames with 256- or 512-pair slices were no faster and
-#: took 0.83 and 1.26 MB.
-TRUTH_BLOCK = 32
+#: overhead but hold more candidates, screen rows and moved chunk rows at
+#: once; the kernel's share is capped by ``geometry.KERNEL_PAIRS``, and a
+#: stack of occluder tables stores only its moved chunks per frame. On the
+#: shipped scenario (2-core Xeon, in-process, min of 15 runs, two
+#: interleaved sets) blocks of 8, 16, 32, 64 and 128 frames took 58-60,
+#: 40-43, 33-36, 28-32 and 26-29 ms, with a working set (``tracemalloc``
+#: peak less the records kept) of 0.29, 0.35, 0.45, 0.68 and 1.57 MB.
+#: 64 frames is the largest block well under 1 MB.
+TRUTH_BLOCK = 64
 
 #: The stages of ``_truth_block`` that add their time to
 #: ``Simulator.timings``.
 TRUTH_STAGES = ("positions", "candidates", "occlusion", "paths", "channel",
-                "boxes")
+                "boxes", "records")
 
 #: Most (sigma, seed, row) centre columns ``Simulator.sweep`` forms at once,
 #: 128 KB an array whatever the number of seeds. The shipped scenario's
@@ -337,6 +337,16 @@ class Simulator:
         return BeamEdges(self.camera, self.codebook, self.bs.boresight_deg)
 
     @cached_property
+    def _ue_vertices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every UE box's vertices at the origin, one box after another,
+        shape (V, 3), the UE of each vertex and each UE's vertex count;
+        built on first use."""
+        verts = [mesh.vertices() for _, mesh in self._meshes[self._first:]]
+        counts = np.array([len(v) for v in verts], dtype=int)
+        return (np.concatenate([np.empty((0, 3))] + verts),
+                np.repeat(np.arange(len(verts)), counts), counts)
+
+    @cached_property
     def _tracks(self) -> Tracks:
         """Every UE's keyframes as arrays; built on first use."""
         return Tracks([ue.keyframes for ue in self.scenario.ues])
@@ -367,10 +377,11 @@ class Simulator:
         One array pass gives every (frame, UE) position, and one candidate
         pass (``Candidates``) backtracks every traced receiver of every
         frame at every reflection order in one loop. Its chains and the
-        vertex rays of every UE box of every frame share one occlusion
-        pass, in which each row is tested against its own frame's occluder
-        table and ignores its own UE's body (occluder ``first + i`` for UE
-        i) and the body of any UE at the BS in that frame. One
+        vertex rays of every UE box of every frame, whose vertices come
+        from one broadcast add, share one occlusion pass, in which each
+        row is tested against its own frame's occluder table and ignores
+        its own UE's body (occluder ``first + i`` for UE i) and the body of
+        any UE at the BS in that frame. One
         ``build_channels`` call gives every record's channel, and one
         ``beam_tables`` call every SNR table and optimal index. Each stage's
         time is added to ``timings``.
@@ -390,10 +401,10 @@ class Simulator:
             cand = Candidates(self._scene.reflectors, bs_pos,
                               pos.reshape(-1, 3)[traced], self._prefixes)
         with self.timed("boxes"):
-            verts = [mesh.vertices()
-                     for _, mesh in self._meshes[self._first:]]
-            rays = VertexRays(self.camera, [v + p for row in pos
-                                            for v, p in zip(verts, row)])
+            verts, owner, counts = self._ue_vertices
+            rays = VertexRays(self.camera,
+                              (verts + pos[:, owner]).reshape(-1, 3),
+                              np.tile(counts, len(pos)))
         with self.timed("occlusion"):
             starts, ends, rec = cand.segments()
             row = np.concatenate([traced[rec], rays.mesh])
@@ -415,7 +426,6 @@ class Simulator:
                 paths[k] = p
         with self.timed("boxes"):
             bboxes = rays.boxes(blocked[len(starts):])
-        positions = pos.reshape(-1, 3).tolist()
         with self.timed("channel"):
             snrs, best = beam_tables(
                 build_channels(paths, self.array.elements_n,
@@ -423,19 +433,21 @@ class Simulator:
                                self.bs.boresight_deg),
                 self.codebook, sysp.tx_power_dbm, sysp.noise_power_dbm)
             snrs, best = snrs.tolist(), best.tolist()
-        records = [UeFrameRecord(
-            ue_name=ue.name,
-            position=tuple(positions[k]),
-            active=activity_state(ue, frames[k // n]),
-            bbox=bbox,
-            paths=tuple(paths[k]),
-            beam_snrs_db=None if best[k] < 0 else tuple(snrs[k]),
-            optimal_index=None if best[k] < 0 else best[k],
-        ) for k, (ue, bbox) in enumerate(zip(ues * len(pos), bboxes))]
-        self._count(cand, bboxes, len(row), pairs, records)
-        return [FrameRecord(frame=frame, bs_name=self.bs.name,
-                            ues=tuple(records[i * n:(i + 1) * n]))
-                for i, frame in enumerate(frames)]
+        with self.timed("records"):
+            positions = pos.reshape(-1, 3).tolist()
+            records = [UeFrameRecord(
+                ue_name=ue.name,
+                position=tuple(positions[k]),
+                active=activity_state(ue, frames[k // n]),
+                bbox=bbox,
+                paths=tuple(paths[k]),
+                beam_snrs_db=None if best[k] < 0 else tuple(snrs[k]),
+                optimal_index=None if best[k] < 0 else best[k],
+            ) for k, (ue, bbox) in enumerate(zip(ues * len(pos), bboxes))]
+            self._count(cand, bboxes, len(row), pairs, records)
+            return [FrameRecord(frame=frame, bs_name=self.bs.name,
+                                ues=tuple(records[i * n:(i + 1) * n]))
+                    for i, frame in enumerate(frames)]
 
     def _count(self, cand: Candidates, bboxes: list[BoundingBox | None],
                segments: int, pairs: int,

@@ -8,6 +8,8 @@ usable as byte-exact goldens.
 
 from __future__ import annotations
 
+from typing import BinaryIO
+
 import numpy as np
 
 from .camera import BoundingBox, CameraModel, project_points
@@ -50,12 +52,13 @@ def render_debug_frame(cam: CameraModel, tset: TriangleSet,
     # flat color and painter's order. Each value is made by the calls that
     # a one-triangle form makes (a gemv per depth; ``np.dot`` per norm and
     # shade, through ``norms`` and ``rowdot``), so it is equal bit for bit.
-    u, v, front = project_points(cam, tset.tris)
+    tris = tset.tris
+    u, v, front = project_points(cam, tris)
     pixels = np.stack([u, v], axis=-1).reshape(-1, 3, 2)
-    normal = np.cross(tset.e1, tset.e2)
+    normal = np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
     nlen = norms(normal)
     drawn = front.reshape(-1, 3).all(axis=1) & (nlen != 0.0)
-    depth = np.mean(np.matmul(tset.tris[drawn] - np.asarray(cam.position),
+    depth = np.mean(np.matmul(tris[drawn] - np.asarray(cam.position),
                               forward), axis=1)
     shade = 0.55 + 0.45 * np.abs(rowdot(normal[drawn], _LIGHT_DIR)) \
         / nlen[drawn]
@@ -108,7 +111,9 @@ def _draw_bbox(img: np.ndarray, bbox: BoundingBox) -> None:
     img[v0:v1 + 1, max(u1 - t + 1, 0):u1 + 1] = color
 
 
-def write_ppm(img: np.ndarray) -> bytes:
-    """Encode an (H, W, 3) uint8 image as binary PPM (P6)."""
+def write_ppm(img: np.ndarray, out: BinaryIO) -> None:
+    """Write an (H, W, 3) uint8 image to a binary file as PPM (P6): the
+    header, then the image's own buffer, with no copy of it."""
     h, w = img.shape[:2]
-    return b"P6\n%d %d\n255\n" % (w, h) + img.tobytes()
+    out.write(b"P6\n%d %d\n255\n" % (w, h))
+    out.write(np.ascontiguousarray(img).data)

@@ -6,7 +6,8 @@ Each is the one-receiver, one-mesh, one-vector or one-path case of code in
 adds each path's polyline, which the program does not keep),
 ``candidate_chains`` backtracks one reflection order with every
 (receiver, prefix row) pair and no receiver-side screen, ``project_bbox``
-one mesh of ``VertexRays``, ``compute_path_component`` one path of
+one mesh of ``VertexRays`` and ``vertex_box`` one box of its ``boxes``,
+``compute_path_component`` one path of
 ``path_components``, ``detect`` one row of ``detected_boxes`` with its
 draws, ``select_beam`` one box's prediction of ``apply_detector`` and
 ``apply_detector`` the two of them row by row, ``render_debug_frame`` the
@@ -234,6 +235,21 @@ def project_point(cam: CameraModel, p_world) -> tuple[float, float] | None:
     return (float(u[0]), float(v[0])) if front[0] else None
 
 
+def vertex_box(pixels, count: int, size) -> BoundingBox | None:
+    """One mesh's box over the (u, v) pixels of its unblocked rays, of its
+    ``count`` vertices, in an image of ``size`` (width, height): Python's
+    ``min`` and ``max`` over the pixels, clipped to the image. The one-mesh
+    case of ``VertexRays.boxes``."""
+    if not pixels:
+        return None
+    width, height = size
+    us = [u for u, _ in pixels]
+    vs = [v for _, v in pixels]
+    return BoundingBox(u_min=max(0.0, min(us)), v_min=max(0.0, min(vs)),
+                       u_max=min(width, max(us)), v_max=min(height, max(vs)),
+                       visibility=len(pixels) / count)
+
+
 def project_bbox(cam: CameraModel, mesh: Mesh,
                  scene: SceneGeometry | None = None,
                  exclude=()) -> BoundingBox | None:
@@ -245,7 +261,8 @@ def project_bbox(cam: CameraModel, mesh: Mesh,
     vertices passing all three tests. Returns None when nothing is visible.
     The one-mesh case of ``VertexRays``.
     """
-    rays = VertexRays(cam, [mesh.vertices()])
+    verts = mesh.vertices()
+    rays = VertexRays(cam, verts, [len(verts)])
     blocked = np.zeros(len(rays.ends), dtype=bool)
     if scene is not None and len(rays.ends):
         tset = scene.tset

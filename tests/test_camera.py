@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -124,6 +125,73 @@ def test_behind_and_out_of_fov_returns_none():
     assert ref.project_bbox(c, behind) is None
 
 
+def ppm(img) -> bytes:
+    """What ``write_ppm`` writes of img."""
+    out = io.BytesIO()
+    render.write_ppm(img, out)
+    return out.getvalue()
+
+
+# Pixels of rays inside a 160 x 90 image, zeros of both signs included.
+PIXEL_U = st.sampled_from([0.0, -0.0]) | st.floats(0.0, 159.5)
+PIXEL_V = st.sampled_from([0.0, -0.0]) | st.floats(0.0, 89.5)
+
+
+@st.composite
+def vertex_rays(draw):
+    """(rays, counts, blocked): VertexRays of 1-5 meshes of 1-6 vertices,
+    some behind the camera, with drawn pixels for the rays inside the
+    image and drawn verdicts, one mesh possibly blocked whole."""
+    c = make_camera(width=160, height=90)
+    counts = draw(st.lists(st.integers(1, 6), min_size=1, max_size=5))
+    ahead = np.array(draw(st.lists(st.booleans(), min_size=sum(counts),
+                                   max_size=sum(counts))))
+    forward = c.axes[0]
+    points = np.asarray(c.position) \
+        + np.where(ahead, 10.0, -10.0)[:, None] * forward
+    rays = cam.VertexRays(c, points, counts)
+    assert rays.mesh.tolist() == np.repeat(np.arange(len(counts)),
+                                           counts)[ahead].tolist()
+    # Every ray inside projects to the image centre; give each its own
+    # pixel, so that equal minima and maxima, +0.0 and -0.0 among them,
+    # are common.
+    rays._uv = np.array([(draw(PIXEL_U), draw(PIXEL_V))
+                         for _ in rays.mesh]).reshape(-1, 2)
+    blocked = np.array([draw(st.booleans()) for _ in rays.mesh], bool)
+    if draw(st.booleans()):
+        blocked[rays.mesh == draw(st.integers(0, len(counts) - 1))] = True
+    return rays, counts, blocked
+
+
+def assert_boxes_are_one_mesh_boxes(rays, counts, blocked):
+    got = rays.boxes(blocked)
+    want = [ref.vertex_box(rays._uv[(rays.mesh == m) & ~blocked].tolist(),
+                           count, (160.0, 90.0))
+            for m, count in enumerate(counts)]
+    # repr tells -0.0 from 0.0, which == does not.
+    assert [repr(b) for b in got] == [repr(b) for b in want]
+
+
+@given(vertex_rays())
+def test_vertex_ray_boxes_equal_the_one_mesh_reference(case):
+    assert_boxes_are_one_mesh_boxes(*case)
+
+
+def test_vertex_ray_boxes_keep_the_first_of_equal_zero_pixels():
+    c = make_camera(width=160, height=90)
+    points = np.asarray(c.position) + 10.0 * c.axes[0] + np.zeros((7, 3))
+    rays = cam.VertexRays(c, points, [2, 2, 2, 1])
+    rays._uv = np.array([(-0.0, 3.0), (0.0, 3.0), (0.0, 3.0), (-0.0, 3.0),
+                         (-0.0, -0.0), (-0.0, 0.0), (5.0, 5.0)])
+    blocked = np.array([False] * 6 + [True])
+    boxes = rays.boxes(blocked)
+    assert repr(boxes[0].u_max) == "-0.0" and repr(boxes[1].u_max) == "0.0"
+    assert repr(boxes[0].u_min) == repr(boxes[2].v_min) == "0.0"
+    assert repr(boxes[2].v_max) == "-0.0"
+    assert boxes[3] is None
+    assert_boxes_are_one_mesh_boxes(rays, [2, 2, 2, 1], blocked)
+
+
 def test_render_deterministic_and_well_formed():
     c = make_camera(width=160, height=90)
     meshes = [geo.box_mesh((0.0, 20.0, 1.0), (4.0, 2.0, 1.5),
@@ -137,7 +205,7 @@ def test_render_deterministic_and_well_formed():
     assert img1.shape == (90, 160, 3)
     assert img1.dtype == np.uint8
     assert np.array_equal(img1, img2)
-    ppm1 = render.write_ppm(img1)
+    ppm1 = ppm(img1)
     assert ppm1.startswith(b"P6\n160 90\n255\n")
     assert len(ppm1) == len(b"P6\n160 90\n255\n") + 160 * 90 * 3
     # Something other than background was drawn.
@@ -215,8 +283,8 @@ def render_inputs(draw):
 
 @given(render_inputs())
 def test_render_equals_the_per_triangle_reference(inputs):
-    assert render.write_ppm(render.render_debug_frame(*inputs)) \
-        == render.write_ppm(ref.render_debug_frame(*inputs))
+    assert ppm(render.render_debug_frame(*inputs)) \
+        == ppm(ref.render_debug_frame(*inputs))
 
 
 def test_render_of_an_empty_table_is_background_only():

@@ -245,14 +245,15 @@ def test_render_command(tmp_path, frame):
     assert hashlib.sha256(data).hexdigest() == RENDER_SHA256[frame]
 
 
-def test_renders_of_every_tenth_shipped_frame_are_pinned():
+def test_renders_of_every_tenth_shipped_frame_are_pinned(tmp_path):
     """The PPMs of frames 0, 10, ..., 290 of the shipped scenario, each with
     its truth boxes, concatenated in frame order."""
     sim = pl.Simulator(sc.parse_scenario(SHIPPED_SCENARIO.read_text()),
                        base_dir=SHIPPED_SCENARIO.parent)
-    digest = hashlib.sha256()
+    digest, out = hashlib.sha256(), tmp_path / "frame.ppm"
     for record in sim.run_truth()[::10]:
-        digest.update(cli._render_frame_bytes(sim, record))
+        cli._write_render(sim, record, out)
+        digest.update(out.read_bytes())
     assert digest.hexdigest() == ("772212855ec1488befb60b3a90b94303"
                                   "f67847f4767259f114ca350226afab4e")
 

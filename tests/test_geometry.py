@@ -6,6 +6,7 @@ from beamcam import geometry as geo
 from beamcam import stl
 
 import reference as ref
+from conftest import small_scenarios
 
 
 def test_box_mesh_area_and_closure():
@@ -53,9 +54,11 @@ def test_same_point_is_allclose(a, offsets):
 
 def nearest_ts(tset, origins, directions, t_max):
     """Nearest hit distance in (RAY_EPS, t_max) of each ray, from
-    ``_hit_ts``; None for a ray that hits nothing there."""
+    ``_hit_ts`` against every chunk row of the table; None for a ray that
+    hits nothing there."""
     ts = tset._hit_ts(np.asarray(origins, float),
                       np.asarray(directions, float))
+    ts = np.moveaxis(ts, 0, 1).reshape(len(origins), -1)
     ts = np.where((ts > geo.RAY_EPS) & (ts < t_max), ts, np.inf).min(axis=1)
     return [None if t == np.inf else t for t in ts.tolist()]
 
@@ -235,6 +238,57 @@ def test_chunks_cover_each_owner_in_runs_padded_by_its_last_triangle():
         assert rows[:n].tolist() == want.tolist()
         assert set(rows[n:].tolist()) <= {first + n - 1}
     assert len(hex_prism((0.0, 0.0, 0.0), 1.0, 2.0)) == 20
+
+
+# Offsets of every magnitude from 1e-300 to 1e6, of both signs, and zeros
+# of both signs.
+OFFSET = st.sampled_from([0.0, -0.0]) | st.builds(
+    lambda sign, mantissa, exponent: sign * mantissa * 10.0**exponent,
+    st.sampled_from([1.0, -1.0]), st.floats(1.0, 9.99), st.integers(-300, 6))
+
+
+@given(small_scenarios(), st.floats(0.5, 3.0), st.integers(1, 3),
+       st.data())
+def test_moved_chunk_boxes_are_the_boxes_of_the_moved_vertices(
+        scenario, radius, frames, data):
+    """A moved table's chunk boxes, made by adding each offset to its
+    chunk's box, equal with == the reduceat boxes of its moved vertices,
+    and its kernel rows are its moved triangles' vertex and edges, bit for
+    bit. The table is a small scenario's reflector boxes, then its UE boxes
+    and an STL prism of one full chunk and one short one, all moved."""
+    meshes = [(r.name, geo.box_mesh(r.center, r.size, r.yaw_deg))
+              for r in scenario.reflectors]
+    first = len(meshes)
+    meshes += [(ue.name, geo.box_mesh((0.0, 0.0, 0.0), ue.size))
+               for ue in scenario.ues]
+    meshes.append(("prism", hex_prism((1.0, 2.0, 0.0), radius, 2.0)))
+    tset = geo.TriangleSet(meshes)
+    moving = len(meshes) - first
+    offsets = np.array(data.draw(st.lists(
+        OFFSET, min_size=3 * moving * frames, max_size=3 * moving * frames))
+    ).reshape(frames, moving, 3)
+    stack = tset.moved(first, offsets)
+    tris = stack.tris
+    vertices = tris.reshape(frames, -1, 3)
+    starts = 3 * tset.chunks[:, 0]
+    box = stack.box[stack.rows]
+    assert (box[..., 0, :]
+            == np.minimum.reduceat(vertices, starts, axis=1)).all()
+    assert (box[..., 1, :]
+            == np.maximum.reduceat(vertices, starts, axis=1)).all()
+    corners = tris[:, tset.chunks]
+    got = stack.kernel[stack.rows]
+    for k, want in enumerate((corners[..., 0, :],
+                              corners[..., 1, :] - corners[..., 0, :],
+                              corners[..., 2, :] - corners[..., 0, :])):
+        assert np.array_equal(np.signbit(got[..., k, :, :]),
+                              np.signbit(want))
+        assert np.array_equal(got[..., k, :, :], want)
+    # The reflectors' rows are stored once, for every frame.
+    assert (stack.rows[:, tset.chunk_owner < first]
+            == tset.rows[tset.chunk_owner < first]).all()
+    assert len(stack.kernel) == len(tset.chunks) + frames * (
+        tset.chunk_owner >= first).sum()
 
 
 @st.composite

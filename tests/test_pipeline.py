@@ -555,16 +555,15 @@ def test_frame_truth_builds_no_mesh_after_the_first_frame(shipped_scenario,
 
 def pair_counting(calls):
     """A ``TriangleSet._hit_ts`` that checks the screen's call shape, one
-    ray against one chunk per pair, gathered as the kernel's ``v0``, ``e1``
-    and ``e2`` arrays, and at most KERNEL_PAIRS pairs a call, and appends
-    the pair count to ``calls``."""
+    ray against one chunk per pair, gathered as a row of the kernel's
+    v0, e1 and e2 arrays, and at most KERNEL_PAIRS pairs a call, and
+    appends the pair count to ``calls``."""
     hit_ts = TriangleSet._hit_ts
 
     def counting(tset, origins, directions):
         pairs = len(origins)
         assert origins.shape == directions.shape == (pairs, 1, 3)
-        for x in (tset.v0, tset.e1, tset.e2):
-            assert x.shape == (pairs, CHUNK, 3)
+        assert tset.kernel.shape == (pairs, 3, CHUNK, 3)
         assert 0 < pairs <= KERNEL_PAIRS
         calls.append(pairs)
         return hit_ts(tset, origins, directions)
@@ -818,10 +817,12 @@ def test_run_truth_is_one_kernel_pass_per_block(shipped_scenario,
 
 def test_run_truth_does_not_depend_on_how_the_work_is_cut(shipped_scenario,
                                                           monkeypatch):
-    """Blocks of 8 frames or the default, kernel slices of 1 pair, 7 pairs
-    or the default: the same exported bytes and the same stats."""
+    """Blocks of 1, 8 or 300 frames (the whole run) or the default, kernel
+    slices of 1 pair, 7 pairs or the default: the same exported bytes and
+    the same stats."""
     default, runs = (pl.TRUTH_BLOCK, KERNEL_PAIRS), {}
-    for block in (8, pl.TRUTH_BLOCK):
+    assert shipped_scenario.system.frames == 300
+    for block in (1, 8, pl.TRUTH_BLOCK, 300):
         for kernel_pairs in (1, 7, KERNEL_PAIRS):
             monkeypatch.setattr(pl, "TRUTH_BLOCK", block)
             monkeypatch.setattr(geo, "KERNEL_PAIRS", kernel_pairs)
@@ -871,13 +872,18 @@ def test_chunked_kernel_equals_the_full_table_bit_for_bit(shipped_scenario,
         live = length > 2 * RAY_EPS
         a, table = a[live], table[live]
         directions = d[live] / length[live, None]
-        # A stack of one whole frame table per segment.
+        # One row of the whole frame table per segment, its kernel arrays
+        # taken triangle by triangle from the moved triangles.
+        tris = tables.tris[table]
         whole = copy.copy(tables)
-        whole._place(tables.tris[table])
+        whole.kernel = np.stack([tris[..., 0, :],
+                                 tris[..., 1, :] - tris[..., 0, :],
+                                 tris[..., 2, :] - tris[..., 0, :]], axis=1)
         want = whole._hit_ts(a[:, None], directions[:, None])[:, 0]
         seg, chunk = np.divmod(np.arange(len(a) * len(tables.chunks)),
                                len(tables.chunks))
-        got = tables._pair_ts(a[seg], directions[seg], table[seg], chunk)
+        got = tables._pair_ts(a[seg], directions[seg],
+                              tables.rows[table[seg], chunk])
         assert np.array_equal(got, want[seg[:, None], tables.chunks[chunk]])
         cells += got.size
     # 9,681 segments by 72 triangles, less the few no longer than 2 RAY_EPS.
