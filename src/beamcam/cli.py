@@ -9,7 +9,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Mapping
 from pathlib import Path
+from time import perf_counter
 
 from . import dataset as ds
 from .pipeline import (TRUTH_STAGES, DetectorNoiseModel, FrameRecord,
@@ -55,12 +57,13 @@ def _write_stats(sim: Simulator, path: str | None) -> None:
                               encoding="utf-8")
 
 
-def _write_timings(sim: Simulator, path: str | None, *stages: str) -> None:
-    """Write the seconds spent in each truth stage and in ``stages`` as
-    JSON, when asked to."""
+def _write_timings(path: str | None, timings: Mapping[str, float],
+                   *stages: str) -> None:
+    """Write the seconds spent in each of ``stages``, read from
+    ``timings``, as JSON, when asked to."""
     if path:
         Path(path).write_text(json.dumps(
-            {stage: sim.timings[stage] for stage in (*TRUTH_STAGES, *stages)},
+            {stage: timings[stage] for stage in stages},
             indent=2, allow_nan=False) + "\n", encoding="utf-8")
 
 
@@ -97,16 +100,22 @@ def _cmd_generate(args) -> int:
                 _write_render(sim, records[frame],
                               render_dir / f"frame_{frame:06d}.ppm")
                 rendered += 1
-    _write_timings(sim, args.timings, "detector", "export", "render")
+    _write_timings(args.timings, sim.timings, *TRUTH_STAGES, "detector",
+                   "export", "render")
     print(f"wrote {count} records to {args.out}"
           + (f", {rendered} renders" if rendered else ""))
     return 0
 
 
 def _cmd_evaluate(args) -> int:
+    _check_writable(args.timings)
+    start = perf_counter()
     _, records = ds.import_records(args.dataset)
-    ks = tuple(args.topk)
-    metrics = ds.evaluate(records, ks)
+    imported = perf_counter()
+    metrics = ds.evaluate(records, tuple(args.topk))
+    timings = {"import": imported - start,
+               "evaluate": perf_counter() - imported}
+    _write_timings(args.timings, timings, *timings)
     if args.json:
         print(json.dumps(metrics.as_dict(), indent=2, sort_keys=True,
                          allow_nan=False))
@@ -174,7 +183,8 @@ def _cmd_sweep(args) -> int:
         accs = sim.sweep(truth, sigmas,
                          range(args.seed, args.seed + args.seeds),
                          args.miss_prob)
-    _write_timings(sim, args.timings, "sweep")
+    _write_timings(args.timings, sim.timings, *TRUTH_STAGES, "sweep",
+                   "draws")
     rows = [(sigma, sum(a) / len(a)) for sigma, a in zip(sigmas, accs)]
     lines = ["pixel_sigma,mean_top1_accuracy"]
     lines += [f"{sigma:g},{acc:.6f}" for sigma, acc in rows]
@@ -230,6 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="machine-readable output")
     ev.add_argument("--topk", type=int, nargs="+", default=[1, 3],
                     help="k values for top-k accuracy")
+    ev.add_argument("--timings", default=None, metavar="FILE.json",
+                    help="write the seconds spent importing the dataset "
+                         "and evaluating it as JSON")
     ev.set_defaults(func=_cmd_evaluate)
 
     ren = sub.add_parser("render", help="render one frame to a PPM image")
@@ -264,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="write the seconds spent in each stage (the "
                          "truth stages positions, candidates, occlusion, "
                          "paths, channel, boxes and records; then "
-                         "sweep) as JSON")
+                         "sweep, and the noise draws within it) as JSON")
     sw.set_defaults(func=_cmd_sweep)
     return parser
 

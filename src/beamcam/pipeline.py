@@ -192,39 +192,143 @@ class _SeedState(ISeedSequence):
         return self.words
 
 
+# PCG64's 128-bit LCG multiplier (O'Neill 2014), as 64-bit halves.
+_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MULT_HI, _MULT_LO = divmod(_MULT, 1 << 64)
+
+
+def _mulhi(a: np.ndarray, b: int) -> np.ndarray:
+    """The high 64 bits of uint64 ``a`` times a 64-bit constant ``b``,
+    from 32-bit halves: every partial product is exact in uint64."""
+    a0, a1, b0, b1 = a & _WORD, a >> 32, b & _WORD, b >> 32
+    low, mid_a, mid_b = a0 * b0, a0 * b1, a1 * b0
+    mid = (low >> 32) + (mid_a & _WORD) + (mid_b & _WORD)
+    return a1 * b1 + (mid_a >> 32) + (mid_b >> 32) + (mid >> 32)
+
+
+def _pcg_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray,
+              inc_lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One step of PCG64's LCG, ``state * _MULT + inc`` mod 2**128, on
+    (hi, lo) uint64 lanes."""
+    new_lo = lo * _MULT_LO + inc_lo
+    new_hi = (_mulhi(lo, _MULT_LO) + lo * _MULT_HI + hi * _MULT_LO + inc_hi
+              + (new_lo < inc_lo))
+    return new_hi, new_lo
+
+
+def _pcg_output(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """PCG64's XSL-RR output of a state: ``hi ^ lo`` rotated right by the
+    top 6 bits of ``hi``."""
+    rot, x = hi >> 58, hi ^ lo
+    return x >> rot | x << (64 - rot & 63)
+
+
+def _ziggurat_tables(rng) -> tuple[np.ndarray, np.ndarray]:
+    """(wi, kb) of numpy's ziggurat ``standard_normal``, read by probing
+    ``rng``, a ``Generator`` over a ``PCG64``.
+
+    A draw takes one 64-bit output r: ``idx = r & 0xFF``, the sign is bit 8
+    and ``rabs`` bits 9 to 60. It returns ``±rabs * wi[idx]`` at once when
+    ``rabs`` is below the layer's threshold; else it takes more outputs
+    (the tail at idx 0, the wedge test elsewhere). The probe sets the
+    LCG so that its next output is a chosen r, with a zero high word, so no
+    rotation. ``rabs = 1`` gives ``wi[idx]``. ``kb`` is a threshold at or
+    below numpy's: 2 under ``2**52 * x[i - 1] / x[i]`` (x = ``2**52 * wi``,
+    the layer edges), confirmed by one draw at ``kb - 1`` that must take
+    one output and return ``(kb - 1) * wi[idx]``, else 0. idx 0 and 1 get
+    0: the tail, and numpy's threshold 0 at idx 1.
+    """
+    bits = rng.bit_generator
+    state = bits.state
+    inverse = pow(_MULT, -1, 1 << 128)
+
+    def draw(r: int) -> tuple[float, bool]:
+        # One step from this state with inc 1 lands on state r.
+        state["state"] = {"state": (r - 1) * inverse % (1 << 128), "inc": 1}
+        bits.state = state
+        z = rng.standard_normal()
+        return z, bits.state["state"]["state"] == r
+
+    wi = np.array([draw(1 << 9 | idx)[0] for idx in range(256)])
+    x = wi * 2.0**52
+    kb = np.zeros(256, np.uint64)
+    for idx in range(2, 256):
+        k = int(2.0**52 * x[idx - 1] / x[idx]) - 2
+        if 0 < k <= 1 << 52 and draw((k - 1) << 9 | idx) \
+                == ((k - 1) * wi[idx], True):
+            kb[idx] = k
+    return wi, kb
+
+
+def _pcg_draws(words: np.ndarray, wi: np.ndarray, kb: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """(miss, z_u) of the ``PCG64`` stream that each row of (n, 4) state
+    words seeds, as an (n, 2) array, and a bool per row that is false where
+    the normal draw is off the ziggurat's one-output path, so that its z_u
+    is not the stream's. ``wi`` and ``kb`` are ``_ziggurat_tables``.
+
+    Seeding follows ``pcg64_set_seed``: initstate = w0:w1, inc = 2 * w2:w3
+    + 1; state 0, one step, add initstate, one step. ``random()`` is the
+    top 53 bits of one output, ``standard_normal()`` one more output r.
+    """
+    w0, w1, w2, w3 = words.T
+    inc = w2 << 1 | w3 >> 63, w3 << 1 | 1
+    lo = inc[1] + w1
+    state = _pcg_step(inc[0] + w0 + (lo < w1), lo, *inc)
+    state = _pcg_step(*state, *inc)
+    miss = (_pcg_output(*state) >> 11) * 2.0**-53
+    r = _pcg_output(*_pcg_step(*state, *inc))
+    idx = (r & 0xFF).astype(np.intp)
+    rabs = r >> 9 & (1 << 52) - 1
+    z_u = rabs * wi[idx]
+    return (np.stack([miss, np.where(r & 0x100, -z_u, z_u)], axis=-1),
+            rabs < kb[idx])
+
+
+#: ``_ziggurat_tables`` of this process's numpy, probed on first use.
+_ZIGGURAT: list[tuple[np.ndarray, np.ndarray]] = []
+
+
 def sweep_draws(seeds: list[int], keys: list[tuple[int, int]]
                 ) -> np.ndarray:
     """(miss, z_u) of ``noise_draws(seed, frame, ue_index)`` for every seed
     and every (frame, UE index) key: a (seeds, keys, 2) array.
 
-    The batched form of ``noise_draws``, with the same streams. A seed
-    below 2**64 with a frame and UE index below 2**32 makes an entropy
-    list of at most 4 words: ``[seed, frame, ue, 0]`` for a one-word seed,
-    ``[seed & 0xFFFFFFFF, seed >> 32, frame, ue]`` for a two-word one. The
-    ``SeedSequence`` state of every such stream is hashed in one array pass
-    over the (seeds, keys) grid (``_seed_states``); each stream's ``PCG64``
-    is then seeded with its words, and numpy's own ``Generator`` draws from
-    it. A scalar ``standard_normal()`` is the first value of
-    ``standard_normal(2)``. Any other cell is drawn by ``noise_draws``.
+    The batched form of ``noise_draws``, with the same streams, bit for
+    bit. A seed below 2**64 with a frame and UE index below 2**32 makes an
+    entropy list of at most 4 words: ``[seed, frame, ue, 0]`` for a
+    one-word seed, ``[seed & 0xFFFFFFFF, seed >> 32, frame, ue]`` for a
+    two-word one. The ``SeedSequence`` state of every such stream is hashed
+    in one array pass over the (seeds, keys) grid (``_seed_states``), and
+    the same pass seeds each stream's ``PCG64`` and draws from it in uint64
+    lanes (``_pcg_draws``). A cell whose normal draw is off the ziggurat's
+    one-output path (about 2%) is drawn again by numpy's own ``Generator``
+    over a ``PCG64`` seeded with its words; a scalar ``standard_normal()``
+    is the first value of ``standard_normal(2)``. Any other cell is drawn
+    by ``noise_draws``.
     """
     seeds = [_key(n) for n in seeds]
     keys = [(_key(frame), _key(ue)) for frame, ue in keys]
+    if not _ZIGGURAT:
+        _ZIGGURAT.append(_ziggurat_tables(
+            np.random.Generator(np.random.PCG64(0))))
     # Cells of longer entropy lists hash garbage words here; they are
     # drawn again below.
     seed = np.array([n & (1 << 64) - 1 for n in seeds], np.uint64)[:, None]
     frame = np.array([frame & _WORD for frame, _ in keys], np.uint64)
     ue = np.array([ue & _WORD for _, ue in keys], np.uint64)
     one = seed >> 32 == 0
-    out = []
-    for words in _seed_states(
-            seed & _WORD, np.where(one, frame, seed >> 32),
-            np.where(one, ue, frame), np.where(one, 0, ue)).reshape(-1, 4):
-        rng = np.random.Generator(np.random.PCG64(_SeedState(words)))
-        out += rng.random(), rng.standard_normal()
-    draws = np.reshape(out, (len(seeds), len(keys), 2))
+    words = _seed_states(
+        seed & _WORD, np.where(one, frame, seed >> 32),
+        np.where(one, ue, frame), np.where(one, 0, ue)).reshape(-1, 4)
+    draws, fast = _pcg_draws(words, *_ZIGGURAT[0])
     wide = (np.array([n >> 64 > 0 for n in seeds], bool)[:, None]
-            | np.array([max(key) > _WORD for key in keys], bool))
-    for i, j in np.argwhere(wide).tolist():
+            | np.array([max(key) > _WORD for key in keys], bool)).ravel()
+    for i in np.flatnonzero(~fast & ~wide).tolist():
+        rng = np.random.Generator(np.random.PCG64(_SeedState(words[i])))
+        draws[i] = rng.random(), rng.standard_normal()
+    draws = draws.reshape(len(seeds), len(keys), 2)
+    for i, j in np.argwhere(wide.reshape(len(seeds), len(keys))).tolist():
         draws[i, j] = noise_draws(seeds[i], *keys[j])[:2]
     return draws
 
@@ -543,7 +647,8 @@ class Simulator:
         accs = np.empty((len(sigmas), len(seeds)))
         for lo in range(0, len(seeds), block):
             part = seeds[lo:lo + block]
-            draws = sweep_draws(part, keys)
+            with self.timed("draws"):
+                draws = sweep_draws(part, keys)
             seen = draws[..., 0] >= miss_prob  # (seed, row)
             _, center = detected_boxes(
                 u_edges, np.multiply.outer(sigmas, draws[..., 1:]),

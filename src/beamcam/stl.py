@@ -1,9 +1,7 @@
 """STL mesh import/export.
 
-Reads ASCII and binary STL; writes binary STL (little-endian, 80-byte
-header, 50-byte records). Stored facet normals are ignored on read and
-recomputed from winding on write; the binary vertex payload round-trips
-bit-exactly through float32.
+Reads ASCII and binary STL (little-endian, 80-byte header, 50-byte
+records). Stored facet normals are ignored.
 """
 
 from __future__ import annotations
@@ -69,23 +67,3 @@ def _parse_binary(data: bytes, material: str) -> Mesh:
     tris = floats[:, 3:12].astype(float).reshape(count, 3, 3)
     return Mesh(tris, material, check=False)
 
-
-def write_stl(mesh: Mesh, header: bytes = b"beamcam binary STL") -> bytes:
-    """Serialize a Mesh as binary STL."""
-    count = len(mesh)
-    out = bytearray(_BINARY_HEADER.size + count * _BINARY_RECORD.size)
-    _BINARY_HEADER.pack_into(out, 0, header[:80], count)
-    offset = _BINARY_HEADER.size
-    tris32 = mesh.tris.astype("<f4")
-    e1 = mesh.tris[:, 1] - mesh.tris[:, 0]
-    e2 = mesh.tris[:, 2] - mesh.tris[:, 0]
-    normals = np.cross(e1, e2)
-    lens = np.linalg.norm(normals, axis=1, keepdims=True)
-    normals = np.where(lens > 0, normals / np.where(lens > 0, lens, 1.0), 0.0)
-    normals32 = normals.astype("<f4")
-    for i in range(count):
-        _BINARY_RECORD.pack_into(
-            out, offset, *normals32[i], *tris32[i].reshape(9), 0
-        )
-        offset += _BINARY_RECORD.size
-    return bytes(out)

@@ -15,7 +15,10 @@ renderer one triangle at a time, ``record_channel`` and
 ``record_beam_table`` one record of ``build_channels`` and
 ``beam_tables``, and so on; ``noise_draws`` seeds
 its stream with the list that the program's form turns into uint32 words
-itself. The program itself never calls them.
+itself, and ``ziggurat_threshold`` finds numpy's exact fast-path
+threshold that ``sweep_draws``' tables stay under. ``write_stl`` is the
+writer of the files ``stl.parse_stl`` reads. The program itself never
+calls them.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from beamcam.raytrace import (_CONTAIN_TOL, Candidates, PathComponent,
 from beamcam.render import (_FALLBACK_RGB, _LIGHT_DIR, BACKGROUND_RGB,
                             MATERIAL_RGB, _draw_bbox)
 from beamcam.scenario import Scenario, UeConfig, _by_name
+from beamcam.stl import _BINARY_HEADER, _BINARY_RECORD
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +412,32 @@ def _fill_triangle(img: np.ndarray, pts: np.ndarray, color) -> None:
 
 
 # ---------------------------------------------------------------------------
+# stl
+
+def write_stl(mesh: Mesh, header: bytes = b"beamcam binary STL") -> bytes:
+    """Serialize a Mesh as binary STL, the form ``stl.parse_stl`` reads:
+    facet normals recomputed from winding, and a vertex payload that
+    round-trips bit-exactly through float32."""
+    count = len(mesh)
+    out = bytearray(_BINARY_HEADER.size + count * _BINARY_RECORD.size)
+    _BINARY_HEADER.pack_into(out, 0, header[:80], count)
+    offset = _BINARY_HEADER.size
+    tris32 = mesh.tris.astype("<f4")
+    e1 = mesh.tris[:, 1] - mesh.tris[:, 0]
+    e2 = mesh.tris[:, 2] - mesh.tris[:, 0]
+    normals = np.cross(e1, e2)
+    lens = np.linalg.norm(normals, axis=1, keepdims=True)
+    normals = np.where(lens > 0, normals / np.where(lens > 0, lens, 1.0), 0.0)
+    normals32 = normals.astype("<f4")
+    for i in range(count):
+        _BINARY_RECORD.pack_into(
+            out, offset, *normals32[i], *tris32[i].reshape(9), 0
+        )
+        offset += _BINARY_RECORD.size
+    return bytes(out)
+
+
+# ---------------------------------------------------------------------------
 # pipeline and scenario
 
 def run_simulation(scenario: Scenario,
@@ -427,6 +457,53 @@ def noise_draws(seed: int, frame: int, ue_index: int
     miss = rng.random()
     z_u, z_v = rng.standard_normal(2).tolist()
     return miss, z_u, z_v
+
+
+_MOD128 = 1 << 128
+_MULT_INVERSE = pow(0x2360ED051FC65DA44385DF649FCCF645, -1, _MOD128)
+
+
+def _back(state: int, inc: int) -> int:
+    """The PCG64 state one LCG step (multiplier 0x2360...F645) before
+    ``state``."""
+    return (state - inc) * _MULT_INVERSE % _MOD128
+
+
+def words_drawing(r: int) -> np.ndarray:
+    """State words (``generate_state(4, np.uint64)``) of a ``PCG64`` stream
+    whose second 64-bit output, the one its ``standard_normal()`` reads
+    first, is ``r``: with inc 1 (words 2 and 3 zero), three steps back from
+    state ``r``, whose output has no rotation, then the seeding's ``state =
+    (inc + initstate) * mult + inc`` solved for initstate."""
+    initstate = (_back(_back(_back(r, 1), 1), 1) - 1) % _MOD128
+    return np.array([initstate >> 64, initstate & (1 << 64) - 1, 0, 0],
+                    np.uint64)
+
+
+def ziggurat_threshold(idx: int) -> int:
+    """numpy's exact threshold of layer ``idx`` of its ziggurat
+    ``standard_normal``: the least ``rabs`` whose draw takes more than one
+    64-bit output (``2**52`` if none does), found by binary search over
+    draws whose first output is ``r = rabs << 9 | idx`` (sign 0)."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    bits = rng.bit_generator
+    state = bits.state
+
+    def one_output(rabs: int) -> bool:
+        r = rabs << 9 | idx
+        state["state"] = {"state": _back(r, 1), "inc": 1}
+        bits.state = state
+        rng.standard_normal()
+        return bits.state["state"]["state"] == r
+
+    lo, hi = 0, 1 << 52
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if one_output(mid):
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
 
 
 def detect(ue_index: int, bbox: BoundingBox, model: DetectorNoiseModel,

@@ -370,7 +370,7 @@ def test_criterion_9_format_round_trips(shipped_truth, tmp_path, capsys):
     rng = np.random.default_rng(99)
     tris = rng.standard_normal((25, 3, 3)).astype(np.float32).astype(float)
     mesh = geo.Mesh(tris, material="metal")
-    back = stl.parse_stl(stl.write_stl(mesh))
+    back = stl.parse_stl(ref.write_stl(mesh))
     stl_ok = np.array_equal(np.asarray(back.tris, np.float32),
                             np.asarray(mesh.tris, np.float32))
 

@@ -12,7 +12,6 @@ from beamcam import dataset as ds
 from beamcam import geometry as geo
 from beamcam import pipeline as pl
 from beamcam import scenario as sc
-from beamcam import stl
 
 import reference as ref
 from conftest import (MINIMAL_SCENARIO, SHIPPED_SCENARIO,
@@ -109,7 +108,7 @@ def test_generate_stats_count_the_truth_pass(tmp_path):
 @pytest.mark.parametrize("command, options, stages", [
     ("generate", ["--seed", 7, "--pixel-sigma", 3, "--render-every", 5],
      ["detector", "export", "render"]),
-    ("sweep", ["--seeds", 2], ["sweep"]),
+    ("sweep", ["--seeds", 2], ["sweep", "draws"]),
 ])
 def test_timings_change_no_output(command, options, stages, scenario_file,
                                   tmp_path):
@@ -131,6 +130,28 @@ def test_timings_change_no_output(command, options, stages, scenario_file,
     assert list(timings) == [*pl.TRUTH_STAGES, *stages]
     # Every stage did some work, so a stage name that no code times shows.
     assert all(type(t) is float and t > 0.0 for t in timings.values())
+
+
+@pytest.mark.parametrize("options", [[], ["--json"]], ids=["table", "json"])
+def test_evaluate_timings_change_no_output(options, scenario_file, tmp_path,
+                                           capsys):
+    """evaluate --timings writes the seconds of the import and of evaluate;
+    stdout is the same bytes with and without it, and a path that cannot
+    be written fails the run."""
+    data, path = tmp_path / "ds.jsonl", tmp_path / "timings.json"
+    assert run(["generate", "--scenario", scenario_file, "--out", data,
+                "--pixel-sigma", 3]) == 0
+    capsys.readouterr()
+    outputs = []
+    for timings in ([], ["--timings", path]):
+        assert run(["evaluate", data, *options, *timings]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    timings = json.loads(path.read_text())
+    assert list(timings) == ["import", "evaluate"]
+    assert all(type(t) is float and t > 0.0 for t in timings.values())
+    assert run(["evaluate", data, *options, "--timings", tmp_path]) == 1
+    assert capsys.readouterr().out == ""
 
 
 def test_order_0_runs_end_to_end(shipped_scenario, tmp_path):
@@ -281,7 +302,7 @@ def test_stl_reflector_runs_end_to_end(tmp_path):
     wall = sc.parse_scenario(MINIMAL_SCENARIO).reflectors[0]
     stl_dir, box_dir = tmp_path / "stl", tmp_path / "box"
     stl_dir.mkdir()
-    (stl_dir / "wall.stl").write_bytes(stl.write_stl(geo.box_mesh(
+    (stl_dir / "wall.stl").write_bytes(ref.write_stl(geo.box_mesh(
         wall.center, wall.size, wall.yaw_deg, wall.material)))
     text = MINIMAL_SCENARIO.replace(
         "material = concrete", "material = concrete\nmesh_path = wall.stl")

@@ -336,6 +336,71 @@ def test_sweep_hashes_its_streams_in_the_array_pass(shipped_truth,
     assert calls == [(2**64 + 3, *key) for key in keys]
 
 
+def test_sweep_draws_are_bit_identical_on_random_cells():
+    """100,000 random (seed < 2**64, frame, UE) cells, one- and two-word
+    seeds alike, are the reference streams bit for bit, so the sign of a
+    zero counts."""
+    rng = np.random.default_rng(28)
+    seeds = [*rng.integers(0, 2**32, 50).tolist(),
+             *rng.integers(0, 2**64, 50, dtype=np.uint64).tolist()]
+    keys = list(zip(rng.integers(0, 2**32, 1000).tolist(),
+                    [*rng.integers(0, 2**32, 500).tolist(),
+                     *rng.integers(0, 64, 500).tolist()]))
+    want = np.array([[ref.noise_draws(seed, frame, ue)[:2]
+                      for frame, ue in keys] for seed in seeds])
+    assert np.array_equal(pl.sweep_draws(seeds, keys).view(np.uint64),
+                          want.view(np.uint64))
+
+
+def probed_tables():
+    """The ziggurat tables ``sweep_draws`` reads, probed on its first call."""
+    pl.sweep_draws([], [])
+    return pl._ZIGGURAT[0]
+
+
+# Shipped-sweep cells whose normal draw reads layer 0 (the tail), layer 1
+# (threshold 0), and a layer >= 2 at or above its threshold: each falls back
+# to numpy's own draw.
+FALLBACK_KEYS = {"idx0": (1, 77, 0), "idx1": (0, 44, 1),
+                 "rabs_at_or_over_kb": (0, 87, 1)}
+
+
+def test_each_fallback_class_is_numpys_own_draw():
+    """Keys whose normal draw is off the one-output path are the reference
+    draws; state words made to draw ``rabs = kb - 1`` at every layer >= 2
+    take the array pass, and ``rabs = kb`` or layers 0 and 1 do not."""
+    wi, kb = probed_tables()
+    for name, (seed, frame, ue) in FALLBACK_KEYS.items():
+        r = int(np.random.PCG64([seed, frame, ue]).random_raw(2)[1])
+        idx, rabs = r & 0xFF, r >> 9 & (1 << 52) - 1
+        assert {"idx0": idx == 0, "idx1": idx == 1,
+                "rabs_at_or_over_kb": idx >= 2 and rabs >= kb[idx]}[name]
+        assert pl.sweep_draws([seed], [(frame, ue)])[0, 0].tolist() \
+            == list(ref.noise_draws(seed, frame, ue)[:2])
+    cells = [(idx, sign, rabs) for idx in range(256) for sign in (0, 1)
+             for rabs in ((1,) if idx < 2 else (int(kb[idx]) - 1,
+                                                int(kb[idx])))]
+    words = np.array([ref.words_drawing(rabs << 9 | sign << 8 | idx)
+                      for idx, sign, rabs in cells])
+    draws, fast = pl._pcg_draws(words, wi, kb)
+    assert fast.tolist() == [idx >= 2 and rabs == kb[idx] - 1
+                             for idx, _, rabs in cells]
+    for row, (miss, z_u), on_path in zip(words, draws.tolist(), fast):
+        rng = np.random.Generator(np.random.PCG64(pl._SeedState(row)))
+        assert miss == rng.random()
+        assert z_u == rng.standard_normal() or not on_path
+
+
+def test_kb_is_at_or_below_numpys_exact_thresholds():
+    """At every layer, every ``rabs`` below ``kb`` is a one-output draw:
+    numpy's threshold, found by binary search over probes, is at least
+    ``kb``. Every layer from 2 up has a live fast path."""
+    _, kb = probed_tables()
+    thresholds = [ref.ziggurat_threshold(idx) for idx in range(256)]
+    assert all(int(k) <= t for k, t in zip(kb, thresholds))
+    assert kb[:2].tolist() == [0, 0] and (kb[2:] > 0).all()
+
+
 def test_detect_jitter_is_linear_in_sigma():
     """One draw per (seed, frame, UE) serves every sigma: on an unclipped
     box, the jitter at 2 sigma is exactly twice the jitter at sigma."""
