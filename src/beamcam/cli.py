@@ -138,7 +138,11 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
+    _check_writable(args.timings)
+    start = perf_counter()
     _, records = ds.import_records(args.dataset)
+    timings = {"import": perf_counter() - start}
+    _write_timings(args.timings, timings, *timings)
     summaries = []
     for rec in records:
         summaries.append({
@@ -257,6 +261,9 @@ def build_parser() -> argparse.ArgumentParser:
     ins = sub.add_parser("inspect", help="per-frame dataset summary")
     ins.add_argument("dataset")
     ins.add_argument("--json", action="store_true")
+    ins.add_argument("--timings", default=None, metavar="FILE.json",
+                     help="write the seconds spent importing the dataset "
+                          "as JSON")
     ins.set_defaults(func=_cmd_inspect)
 
     sw = sub.add_parser("sweep",

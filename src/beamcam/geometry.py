@@ -176,9 +176,45 @@ class Tracks:
 CHUNK = 12
 
 #: Most (segment, chunk) pairs of one ``_hit_ts`` call, so the kernel's
-#: arrays stay a fixed size whatever the number of pairs the screen keeps;
+#: arrays stay a fixed size whatever the number of pairs the screens keep;
 #: chosen with ``pipeline.TRUTH_BLOCK``, whose note gives the measurements.
-KERNEL_PAIRS = 128
+KERNEL_PAIRS = 256
+
+#: Most (segment, chunk) pairs of one ``segments_meet_boxes`` call, whose
+#: arrays take about 400 bytes a pair. On the shipped run (64-frame
+#: blocks, up to about 2,000 pairs a block; in-process, min of 15-40 runs,
+#: three interleaved sets) slices of 256, 1,024 and 4,096 pairs took
+#: 11.0-11.6, 10.5-11.2 and 10.7-11.4 ms of occlusion, with a truth-pass
+#: working set of 0.81-0.89, 0.89 and 1.22-1.30 MB.
+SCREEN_PAIRS = 1024
+
+
+def segments_meet_boxes(a, b, lo, hi) -> np.ndarray:
+    """Whether each segment a[p] -> b[p] meets the box from lo[p] to hi[p]
+    (its least and greatest corners; all of shape (P, 3)), given that the
+    segment's own bounding box meets that box.
+
+    The box's face normals e_k then separate nothing, so only the axes
+    d x e_k, d = b - a, can separate the two (the separating-axis test for
+    a segment and a box; the slab test of Kay and Kajiya, "Ray Tracing
+    Complex Scenes", SIGGRAPH 1986, decides the same). On axis k the
+    segment projects to the one point (w x d)_k, with w = (a + b) -
+    (lo + hi), and the box to an interval of radius r_{k+1} |d_{k+2}| +
+    r_{k+2} |d_{k+1}|, with r = hi - lo, both doubled. Nothing is divided:
+    an axis whose d is parallel to e_k is zero and separates nothing, and
+    a component of d that is +-0.0 only drops its terms.
+    """
+    # Rows w, r, d and |d|, axis-major, each with its axes 0 and 1 again
+    # after axis 2, so that rows k+1 and k+2 of every k are slices.
+    x = np.empty((4, 5, len(a)))
+    np.subtract(a + b, lo + hi, out=x[0, :3].T)
+    np.subtract(hi, lo, out=x[1, :3].T)
+    np.subtract(b, a, out=x[2, :3].T)
+    np.abs(x[2, :3], out=x[3, :3])
+    x[:, 3:] = x[:, :2]
+    p = x[:2, 1:4] * x[2:, 2:5]  # w_{k+1} d_{k+2}, r_{k+1} |d_{k+2}|
+    q = x[:2, 2:5] * x[2:, 1:4]  # w_{k+2} d_{k+1}, r_{k+2} |d_{k+1}|
+    return (np.abs(p[0] - q[0]) <= p[1] + q[1]).all(axis=0)
 
 
 class TriangleSet:
@@ -367,18 +403,23 @@ class TriangleSet:
         hits with RAY_EPS < t < length - RAY_EPS count, so segments ending
         on a surface are not blocked by it.
 
-        A screen keeps the pairs of a live segment and a chunk of an owner
-        it does not ignore whose boxes meet: the segment's, and the
-        chunk's in its table (``box``, made with the table) grown by
-        RAY_EPS on every side. A segment that meets a triangle meets its
-        box, and the margin takes up the rounding of a hit found at a
-        triangle's edge, so the screen drops no hit of a well-posed ray; a
-        segment farther than the margin from a chunk's box cannot meet it,
-        whatever the kernel's rounding says for a ray that nearly lies in
-        a triangle's plane. The kept pairs go through the kernel in slices
-        of at most KERNEL_PAIRS, one call per slice (``_pair_ts``, each
-        pair's chunk gathered by its row); each pair's values are its own,
-        so the slicing changes no verdict.
+        Two screens pick the (segment, chunk) pairs the kernel tests, both
+        against the chunk's box in its table (``box``, made with the table)
+        grown by RAY_EPS on every side. The first keeps the pairs of a live
+        segment and a chunk of an owner it does not ignore whose boxes
+        meet: the segment's bounding box and the grown box. The second
+        keeps those whose segment itself meets the grown box
+        (``segments_meet_boxes``, in slices of at most SCREEN_PAIRS), which
+        drops the segments that pass a box's corner or edge inside their
+        own bounding box. A segment that meets a triangle meets its box,
+        and the margin takes up the rounding of a hit found at a
+        triangle's edge, so neither screen drops a hit of a well-posed
+        ray; a segment farther than the margin from a chunk's box cannot
+        meet it, whatever the kernel's rounding says for a ray that nearly
+        lies in a triangle's plane. The kept pairs go through the kernel
+        in slices of at most KERNEL_PAIRS, one call per slice
+        (``_pair_ts``, each pair's chunk gathered by its row); each pair's
+        values are its own, so the slicing changes no verdict.
         """
         a = np.asarray(a, float).reshape(-1, 3)
         b = np.asarray(b, float).reshape(-1, 3)
@@ -395,6 +436,13 @@ class TriangleSet:
             keep &= high[:, None] >= lo_k.take(rows)
         seg, chunk = np.nonzero(keep)
         rows = rows[seg, chunk]
+        meets = np.empty(len(seg), dtype=bool)
+        for start in range(0, len(seg), SCREEN_PAIRS):
+            part = slice(start, start + SCREEN_PAIRS)
+            meets[part] = segments_meet_boxes(
+                a[seg[part]], b[seg[part]], lo[:, rows[part]].T,
+                hi[:, rows[part]].T)
+        seg, rows = seg[meets], rows[meets]
         blocked = np.zeros(len(a), dtype=bool)
         for start in range(0, len(seg), KERNEL_PAIRS):
             part = seg[start:start + KERNEL_PAIRS]

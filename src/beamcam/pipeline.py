@@ -32,7 +32,8 @@ from numpy.random.bit_generator import ISeedSequence
 from .camera import BoundingBox, CameraModel, VertexRays, pixel_to_azimuth
 from .channel import beam_tables, build_channels, generate_codebook
 from .geometry import Mesh, Tracks, box_mesh, same_point
-from .raytrace import Candidates, PathComponent, SceneGeometry, prefix_table
+from .raytrace import (Candidates, PathComponent, PrefixTable, SceneGeometry,
+                       prefix_table)
 from .scenario import Scenario, ScenarioError, UeConfig
 from .selection import BeamEdges, detected_boxes
 from . import stl
@@ -289,10 +290,26 @@ def _pcg_draws(words: np.ndarray, wi: np.ndarray, kb: np.ndarray
 _ZIGGURAT: list[tuple[np.ndarray, np.ndarray]] = []
 
 
-def sweep_draws(seeds: list[int], keys: list[tuple[int, int]]
+class SweepKeys:
+    """(frame, UE index) stream keys, checked and packed once for any
+    number of ``sweep_draws`` calls: the keys as ints (``keys``), the low
+    32-bit word of each frame and UE index as uint64 arrays, and whether
+    either needs a second word (``wide``)."""
+
+    def __init__(self, keys: Iterable[tuple[int, int]]):
+        self.keys = [(_key(frame), _key(ue)) for frame, ue in keys]
+        self.frame = np.array([frame & _WORD for frame, _ in self.keys],
+                              np.uint64)
+        self.ue = np.array([ue & _WORD for _, ue in self.keys], np.uint64)
+        self.wide = np.array([max(key) > _WORD for key in self.keys], bool)
+
+
+def sweep_draws(seeds: list[int], keys: list[tuple[int, int]] | SweepKeys
                 ) -> np.ndarray:
     """(miss, z_u) of ``noise_draws(seed, frame, ue_index)`` for every seed
-    and every (frame, UE index) key: a (seeds, keys, 2) array.
+    and every (frame, UE index) key: a (seeds, keys, 2) array. ``keys`` may
+    come packed as ``SweepKeys``, which a caller drawing several blocks of
+    seeds over the same keys makes once.
 
     The batched form of ``noise_draws``, with the same streams, bit for
     bit. A seed below 2**64 with a frame and UE index below 2**32 makes an
@@ -308,28 +325,28 @@ def sweep_draws(seeds: list[int], keys: list[tuple[int, int]]
     by ``noise_draws``.
     """
     seeds = [_key(n) for n in seeds]
-    keys = [(_key(frame), _key(ue)) for frame, ue in keys]
+    if not isinstance(keys, SweepKeys):
+        keys = SweepKeys(keys)
     if not _ZIGGURAT:
         _ZIGGURAT.append(_ziggurat_tables(
             np.random.Generator(np.random.PCG64(0))))
     # Cells of longer entropy lists hash garbage words here; they are
     # drawn again below.
     seed = np.array([n & (1 << 64) - 1 for n in seeds], np.uint64)[:, None]
-    frame = np.array([frame & _WORD for frame, _ in keys], np.uint64)
-    ue = np.array([ue & _WORD for _, ue in keys], np.uint64)
+    frame, ue = keys.frame, keys.ue
     one = seed >> 32 == 0
     words = _seed_states(
         seed & _WORD, np.where(one, frame, seed >> 32),
         np.where(one, ue, frame), np.where(one, 0, ue)).reshape(-1, 4)
     draws, fast = _pcg_draws(words, *_ZIGGURAT[0])
     wide = (np.array([n >> 64 > 0 for n in seeds], bool)[:, None]
-            | np.array([max(key) > _WORD for key in keys], bool)).ravel()
+            | keys.wide).ravel()
     for i in np.flatnonzero(~fast & ~wide).tolist():
         rng = np.random.Generator(np.random.PCG64(_SeedState(words[i])))
         draws[i] = rng.random(), rng.standard_normal()
-    draws = draws.reshape(len(seeds), len(keys), 2)
-    for i, j in np.argwhere(wide.reshape(len(seeds), len(keys))).tolist():
-        draws[i, j] = noise_draws(seeds[i], *keys[j])[:2]
+    draws = draws.reshape(len(seeds), len(keys.keys), 2)
+    for i, j in np.argwhere(wide.reshape(draws.shape[:2])).tolist():
+        draws[i, j] = noise_draws(seeds[i], *keys.keys[j])[:2]
     return draws
 
 
@@ -338,10 +355,13 @@ def sweep_draws(seeds: list[int], keys: list[tuple[int, int]]
 #: once; the kernel's share is capped by ``geometry.KERNEL_PAIRS``, and a
 #: stack of occluder tables stores only its moved chunks per frame. On the
 #: shipped scenario (2-core Xeon, in-process, min of 15 runs, two
-#: interleaved sets) blocks of 8, 16, 32, 64 and 128 frames took 58-60,
-#: 40-43, 33-36, 28-32 and 26-29 ms, with a working set (``tracemalloc``
-#: peak less the records kept) of 0.29, 0.35, 0.45, 0.68 and 1.57 MB.
-#: 64 frames is the largest block well under 1 MB.
+#: interleaved sets; both occlusion screens, 256-pair kernel slices)
+#: blocks of 8, 16, 32, 64 and 128 frames took 65-69, 45-50, 35-39, 30-33
+#: and 28-31 ms, with a working set (``tracemalloc`` peak less the records
+#: kept) of 0.21, 0.35, 0.67, 0.89 and 1.57 MB (0.81 MB for 64 frames in
+#: a fresh process). 64 frames is the largest block under 1 MB. With
+#: 128-pair slices, 64-frame blocks took 34-36 ms and 0.78 MB; with
+#: 512-pair slices, 1.40 MB.
 TRUTH_BLOCK = 64
 
 #: The stages of ``_truth_block`` that add their time to
@@ -398,7 +418,9 @@ class Simulator:
         #: receivers traced, (receiver, prefix row) pairs backtracked and
         #: geometrically valid chains per reflection order, paths kept per
         #: bounce count, occlusion segments tested, (segment, chunk) pairs
-        #: the occlusion screen passed to the kernel and outage rows.
+        #: the occlusion screens passed to the kernel (those whose segment
+        #: meets the chunk's grown box, and so its bounding box too) and
+        #: outage rows.
         self.stats: Counter[str] = Counter()
         #: Seconds spent in each stage so far (``timed``). Unlike ``stats``
         #: they differ from run to run, so they never enter a dataset.
@@ -426,9 +448,10 @@ class Simulator:
             self.scenario.material_table)
 
     @cached_property
-    def _prefixes(self) -> list[tuple[np.ndarray, np.ndarray]]:
+    def _prefixes(self) -> PrefixTable:
         """The image-source table of the BS (``prefix_table``), which every
-        frame's candidate chains extend; built on first use."""
+        frame's candidate chains extend, and so its backtracking rows
+        (``PrefixTable.rows``); built on first use."""
         return prefix_table(self._scene.reflectors,
                             np.asarray(self.bs.position, float),
                             self.scenario.system.max_reflections)
@@ -622,11 +645,12 @@ class Simulator:
         but no record is built. The noise is drawn once per (seed, frame,
         UE), from the stream of ``noise_draws``, and shared by every sigma:
         ``sweep_draws`` seeds the streams of a block of seeds in one array
-        pass. Only rows the detector sees (active, with a bbox) that are not
-        outages can count, so only those are drawn. Every (sigma, seed, row)
-        centre column is formed by ``detected_boxes``, the pass of
-        ``apply_detector``, on the u edges alone, and read from ``BeamEdges``
-        at once, up to ``SWEEP_CELLS`` of them at a time. A hit is a
+        pass, over keys packed once (``SweepKeys``). Only rows the detector
+        sees (active, with a bbox) that are not outages can count, so only
+        those are drawn. Every (sigma, seed, row) centre column is formed
+        by ``detected_boxes``, the pass of ``apply_detector``, on the u
+        edges alone, and read from ``BeamEdges`` at once, up to
+        ``SWEEP_CELLS`` of them at a time. A hit is a
         predicted index equal to the optimal one: that is ``evaluate``'s
         rank 0, since ``optimal_beam`` picks the first argmax of the SNR
         table and rank 0 is the first argmax.
@@ -642,7 +666,8 @@ class Simulator:
         u_edges = np.array([(u.bbox.u_min, u.bbox.u_max)
                             for _, _, u in rows]).reshape(-1, 2, 1)
         optimal = np.array([u.optimal_index for _, _, u in rows], dtype=int)
-        keys = [(frame, ue) for frame, ue, _ in rows]
+        with self.timed("draws"):
+            keys = SweepKeys((frame, ue) for frame, ue, _ in rows)
         block = max(1, SWEEP_CELLS // max(len(sigmas) * len(rows), 1))
         accs = np.empty((len(sigmas), len(seeds)))
         for lo in range(0, len(seeds), block):

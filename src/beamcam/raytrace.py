@@ -40,6 +40,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -199,16 +200,41 @@ def _image_rows(refl: _Reflectors, sources: np.ndarray, max_order: int
     return table
 
 
-def prefix_table(refl: _Reflectors, tx: np.ndarray, max_order: int
-                 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Face sequences that can start a valid chain from tx, per order.
+class PrefixTable(list):
+    """The image-source table of one tx: entry k-1 holds the order-k face
+    sequences, shape (S, k), in lexicographic order, and their images of
+    tx, shape (k+1, S, 3), image 0 being tx.
 
-    Entry k-1 holds the order-k sequences, shape (S, k), in lexicographic
-    order, and their images of tx, shape (k+1, S, 3), image 0 being tx:
-    the rows of ``_image_rows`` of the one source tx.
+    ``rows`` holds the same rows as ``Candidates`` reads them, made on its
+    first read, so a table built once serves every receiver set.
     """
-    return [(seqs, images) for _, seqs, images
-            in _image_rows(refl, np.reshape(tx, (1, 3)), max_order)]
+
+    @cached_property
+    def rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(starts, faces, images): every order's rows in one table, order
+        k's rows from ``starts[k-1]`` to ``starts[k]``, each row's faces and
+        tx images from the receiver's end: column j-1 of ``faces`` (shape
+        (R, top)) and image j-1 of ``images`` (shape (top, R, 3)) belong to
+        the j-th-last bounce. All three are read-only."""
+        top = len(self)
+        starts = np.cumsum([0] + [len(seqs) for seqs, _ in self])
+        faces = np.zeros((starts[-1], top), dtype=int)
+        images = np.zeros((top, starts[-1], 3))
+        for k, (seqs, imgs) in enumerate(self, 1):
+            faces[starts[k - 1]:starts[k], :k] = seqs[:, ::-1]
+            images[:k, starts[k - 1]:starts[k]] = imgs[k:0:-1]
+        for table in (starts, faces, images):
+            table.setflags(write=False)
+        return starts, faces, images
+
+
+def prefix_table(refl: _Reflectors, tx: np.ndarray, max_order: int
+                 ) -> PrefixTable:
+    """Face sequences that can start a valid chain from tx, per order: the
+    rows of ``_image_rows`` of the one source tx."""
+    return PrefixTable((seqs, images) for _, seqs, images
+                       in _image_rows(refl, np.reshape(tx, (1, 3)),
+                                      max_order))
 
 
 class SceneGeometry:
@@ -258,7 +284,7 @@ def _pairs(refl: _Reflectors, rxs: np.ndarray,
 class Candidates:
     """Every receiver's LOS segment and geometrically valid chains from one
     tx, over the reflection orders of ``prefixes`` (the ``prefix_table`` of
-    tx), before occlusion.
+    tx, whose backtracking rows are made once per table), before occlusion.
 
     Every receiver is paired with every prefix row of every order, and the
     receiver-side screen (``_pairs``) drops the pairs whose last bounces
@@ -291,15 +317,9 @@ class Candidates:
         pairs = _pairs(refl, rxs, prefixes)
         self.tested = [len(p) for p in pairs]
         top = len(prefixes)
-        # Every order's rows in one table, each row's faces and tx images
-        # from the receiver's end: column j-1 of ``faces`` and image j-1 of
-        # ``images`` belong to the j-th-last bounce.
-        starts = np.cumsum([0] + [len(seqs) for seqs, _ in prefixes])
-        faces = np.zeros((starts[-1], top), dtype=int)
-        images = np.zeros((top, starts[-1], 3))
-        for k, (seqs, imgs) in enumerate(prefixes, 1):
-            faces[starts[k - 1]:starts[k], :k] = seqs[:, ::-1]
-            images[:k, starts[k - 1]:starts[k]] = imgs[k:0:-1]
+        if not isinstance(prefixes, PrefixTable):
+            prefixes = PrefixTable(prefixes)
+        starts, faces, images = prefixes.rows
         # Every pair of every order, in order of (order, receiver, prefix
         # row), so that the pairs of order j lead the live pairs at level j.
         order = np.repeat(np.arange(1, top + 1), self.tested)

@@ -90,7 +90,8 @@ def test_generate_stats_count_the_truth_pass(tmp_path):
     # receiver-side screen leaves 3,321 and 10,827 to backtrack. 900 LOS
     # segments plus 755 valid chains before occlusion; 1,271 paths kept
     # after it. Of the 58,086 (segment, chunk) pairs, 9,681 segments by 6
-    # one-box chunks, the bounding-box screen passes 7,999 to the kernel.
+    # one-box chunks, the bounding-box screen keeps 7,999, and of those the
+    # segment-box test passes 4,755 to the kernel.
     counts = json.loads(stats.read_text())
     assert counts == {
         "boxes_projected": 900, "boxes_visible": 754,
@@ -98,7 +99,7 @@ def test_generate_stats_count_the_truth_pass(tmp_path):
         "pairs_tested.o1": 3321, "pairs_tested.o2": 10827,
         "chains_valid.o1": 680, "chains_valid.o2": 75,
         "paths_kept.b0": 636, "paths_kept.b1": 604, "paths_kept.b2": 31,
-        "segments_tested": 9681, "occlusion_pairs": 7999,
+        "segments_tested": 9681, "occlusion_pairs": 4755,
         "outage_rows": 139,
     }
     for k in (1, 2):
@@ -151,6 +152,28 @@ def test_evaluate_timings_change_no_output(options, scenario_file, tmp_path,
     assert list(timings) == ["import", "evaluate"]
     assert all(type(t) is float and t > 0.0 for t in timings.values())
     assert run(["evaluate", data, *options, "--timings", tmp_path]) == 1
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("options", [[], ["--json"]], ids=["table", "json"])
+def test_inspect_timings_change_no_output(options, scenario_file, tmp_path,
+                                          capsys):
+    """inspect --timings writes the seconds of the import; stdout is the
+    same bytes with and without it, and a path that cannot be written fails
+    the run before any summary is printed."""
+    data, path = tmp_path / "ds.jsonl", tmp_path / "timings.json"
+    assert run(["generate", "--scenario", scenario_file, "--out", data,
+                "--pixel-sigma", 3]) == 0
+    capsys.readouterr()
+    outputs = []
+    for timings in ([], ["--timings", path]):
+        assert run(["inspect", data, *options, *timings]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] != ""
+    timings = json.loads(path.read_text())
+    assert list(timings) == ["import"]
+    assert all(type(t) is float and t > 0.0 for t in timings.values())
+    assert run(["inspect", data, *options, "--timings", tmp_path]) == 1
     assert capsys.readouterr().out == ""
 
 

@@ -339,6 +339,136 @@ def test_screened_verdicts_match_the_unscreened_kernel_at_edges_and_corners(
                             for p, q in zip(a, b)]
 
 
+def box_edge_graze(box, corner, axis, along, offset, slope, reach):
+    """A segment that passes an edge of ``box`` (center, size, yaw) at
+    ``offset`` from it, outward along the bisector of the edge's two faces
+    (inward where negative), at slant ``slope`` to the edge, ``reach`` out
+    to either side. ``corner`` gives the edge's side of each axis (signs),
+    ``axis`` its direction and ``along`` its point, from -1 to 1."""
+    center, size, yaw = box
+    rot = geo.rot_z_deg(yaw)
+    half = np.asarray(size, float) / 2.0
+    k, m = (n for n in range(3) if n != axis)
+    n1, n2 = corner[k] * rot[:, k], corner[m] * rot[:, m]
+    local = np.array(corner, float) * half
+    local[axis] = along * half[axis]
+    point = rot @ local + np.asarray(center, float) \
+        + offset * (n1 + n2) / np.sqrt(2.0)
+    step = reach * (slope * rot[:, axis] + (n1 - n2) / np.sqrt(2.0))
+    return point - step, point + step
+
+
+#: Offset along the bisector at which the edge of a box grown by RAY_EPS
+#: lies.
+GROWN_EDGE = np.sqrt(2.0) * geo.RAY_EPS
+
+
+@st.composite
+def box_test_cases(draw):
+    """(meshes, segments, grazes): yawed boxes and an STL hexagonal prism,
+    then segments through a triangle's corner or a point of its edge,
+    axis-parallel ones (one or two components of d exactly +0.0 or -0.0),
+    ones that start on a face, and ones that graze a box's edge just
+    inside or just outside the RAY_EPS margin, or cut it by a hair.
+    ``grazes`` maps a grazing segment of an unyawed box to (box, whether
+    it meets the box grown by RAY_EPS)."""
+    boxes = draw(st.lists(st.tuples(
+        st.tuples(*[st.floats(-5.0, 5.0)] * 3),
+        st.tuples(*[st.floats(0.5, 4.0)] * 3),
+        st.sampled_from([0.0, 90.0, 45.0]) | st.floats(0.0, 360.0),
+    ), min_size=1, max_size=3))
+    meshes = [geo.box_mesh(*box) for box in boxes]
+    meshes.append(hex_prism(draw(st.tuples(*[st.floats(-5.0, 5.0)] * 3)),
+                            draw(st.floats(0.5, 3.0)),
+                            draw(st.floats(0.5, 3.0))))
+    free = st.tuples(*[st.floats(-8.0, 8.0)] * 3).map(np.array)
+    segments, grazes = [], {}
+    for _ in range(draw(st.integers(1, 8))):
+        mesh = meshes[draw(st.integers(0, len(meshes) - 1))]
+        tri = mesh.tris[draw(st.integers(0, len(mesh) - 1))]
+        i = draw(st.integers(0, 2))
+        target = tri[i] + draw(st.sampled_from([0.0, 0.5]) | st.floats(
+            0.0, 1.0)) * (tri[(i + 1) % 3] - tri[i])
+        kind = draw(st.sampled_from(["through", "parallel", "start",
+                                     "graze"]))
+        if kind == "through":
+            a = draw(free)
+            b = target + draw(st.floats(0.1, 2.0)) * (target - a)
+        elif kind == "parallel":
+            zero = draw(st.lists(st.integers(0, 2), min_size=1, max_size=2,
+                                 unique=True))
+            step = np.array(draw(st.tuples(
+                *[st.floats(0.5, 8.0) | st.floats(-8.0, -0.5)] * 3)))
+            a, b = target - step, target + step
+            for k in zero:
+                # -0.0 - (+0.0) is the only difference that gives -0.0.
+                a[k], b[k] = draw(st.sampled_from(
+                    [(target[k],) * 2, (0.0, -0.0), (-0.0, 0.0)]))
+        elif kind == "start":
+            w = np.array(draw(st.tuples(*[st.floats(0.0, 1.0)] * 3))) + 1e-3
+            a = w / w.sum() @ tri
+            b = draw(free)
+        else:
+            box = draw(st.integers(0, len(boxes) - 1))
+            offset = draw(st.sampled_from([-1e-3, -1e-7, 0.0])
+                          | (st.floats(0.5, 0.99) | st.floats(1.01, 2.0))
+                          .map(lambda f: f * GROWN_EDGE))
+            a, b = box_edge_graze(
+                boxes[box],
+                corner=draw(st.tuples(*[st.sampled_from([-1, 1])] * 3)),
+                axis=draw(st.integers(0, 2)),
+                along=draw(st.floats(-0.9, 0.9)),
+                offset=offset, slope=draw(st.floats(0.0, 2.0)),
+                reach=draw(st.floats(0.5, 4.0)))
+            if boxes[box][2] == 0.0:
+                grazes[len(segments)] = box, offset < GROWN_EDGE
+        segments.append((a, b))
+    return meshes, segments, grazes
+
+
+# An unyawed box's edge grazed inside the margin, outside it and cut by a
+# hair, next to a prism.
+GRAZES = [box_edge_graze(((0.5, -1.0, 2.0), (2.0, 3.0, 4.0), 0.0),
+                         (1, -1, 1), 2, 0.3, offset, 0.5, 2.0)
+          for offset in (0.75 * GROWN_EDGE, 1.5 * GROWN_EDGE, -1e-7)]
+
+
+@given(box_test_cases())
+@example(([geo.box_mesh((0.5, -1.0, 2.0), (2.0, 3.0, 4.0)),
+           hex_prism((3.0, 0.0, 0.0), 1.0, 2.0)], GRAZES,
+          {0: (0, True), 1: (0, False), 2: (0, True)}))
+def test_the_segment_box_test_keeps_every_kernel_hit(case):
+    """Every (segment, chunk) pair whose kernel distance lies in
+    (RAY_EPS, length - RAY_EPS) passes both screens: the segment's
+    bounding box and the segment itself meet the chunk's box grown by
+    RAY_EPS. So the screened verdicts are the unscreened kernel's. Nothing
+    is divided by zero on the way, and an unyawed box's edge is met
+    exactly when the graze passes inside the margin."""
+    meshes, segments, grazes = case
+    tset = geo.TriangleSet([(f"m{i}", m) for i, m in enumerate(meshes)])
+    a = np.array([seg[0] for seg in segments], dtype=float)
+    b = np.array([seg[1] for seg in segments], dtype=float)
+    seg, chunk = np.indices((len(a), len(tset.chunks))).reshape(2, -1)
+    rows = tset.rows[chunk]
+    d = b - a
+    length = geo.norms(d)
+    lo = tset.box[rows, 0] - geo.RAY_EPS
+    hi = tset.box[rows, 1] + geo.RAY_EPS
+    with np.errstate(divide="raise", invalid="raise"):
+        ts = tset._pair_ts(a[seg], d[seg] / length[seg, None], rows)
+        overlap = ((np.minimum(a, b)[seg] <= hi)
+                   & (np.maximum(a, b)[seg] >= lo)).all(axis=1)
+        meets = geo.segments_meet_boxes(a[seg], b[seg], lo, hi)
+        got = ref.occluded(tset, a, b, False)
+    hit = ((ts > geo.RAY_EPS)
+           & (ts < (length[seg] - geo.RAY_EPS)[:, None])).any(axis=1)
+    assert (overlap & meets)[hit].all()
+    assert got.tolist() == hit.reshape(len(a), -1).any(axis=1).tolist()
+    for s, (box, inside) in grazes.items():
+        pair = s * len(tset.chunks) + box
+        assert overlap[pair] & meets[pair] == inside
+
+
 def coplanar_segment(center, size, yaw, face, c):
     """A box and a segment in the plane of one of its faces, from
     ``v0 + c0 e1 + c1 e2`` to ``v0 + c2 e1 + c3 e2`` of the face's first
