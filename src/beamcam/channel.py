@@ -88,15 +88,6 @@ def build_channels(paths: Sequence[Sequence[PathComponent]],
     return h
 
 
-def build_channel(paths: list[PathComponent], n_elements: int,
-                  spacing_wavelengths: float,
-                  boresight_deg: float) -> np.ndarray:
-    """Sum of complex path gains times steering vectors at their AoDs: a
-    block of one record of ``build_channels``."""
-    return build_channels([paths], n_elements, spacing_wavelengths,
-                          boresight_deg)[0]
-
-
 def beam_tables(h: np.ndarray, codebook: Codebook, tx_power_dbm: float,
                 noise_power_dbm: float) -> tuple[np.ndarray, np.ndarray]:
     """Beam-sweep oracle over a stack of channels ``h`` (R, N): the (R, Q)
@@ -115,23 +106,3 @@ def beam_tables(h: np.ndarray, codebook: Codebook, tx_power_dbm: float,
     best[~nz.any(axis=1)] = -1
     return snrs, best
 
-
-def sweep_snrs(h: np.ndarray, codebook: Codebook, tx_power_dbm: float,
-               noise_power_dbm: float) -> list[float]:
-    """Per-beam SNR table of one channel, one entry per row of
-    ``codebook.matrix``: ``beam_tables`` of a stack of one."""
-    snrs, _ = beam_tables(h[None], codebook, tx_power_dbm, noise_power_dbm)
-    return snrs[0].tolist()
-
-
-def optimal_beam(h: np.ndarray, codebook: Codebook, tx_power_dbm: float,
-                 noise_power_dbm: float
-                 ) -> tuple[int | None, float | None, list[float]]:
-    """(index, snr_db, per-beam snrs) of one channel: ``beam_tables`` of a
-    stack of one, with index and snr_db None for an outage."""
-    snrs, best = beam_tables(h[None], codebook, tx_power_dbm,
-                             noise_power_dbm)
-    snrs, best = snrs[0].tolist(), int(best[0])
-    if best < 0:
-        return None, None, snrs
-    return best, snrs[best], snrs

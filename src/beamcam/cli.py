@@ -21,6 +21,12 @@ from .scenario import (ScenarioError, ScenarioSyntaxError, decode_utf8,
                        parse_scenario)
 
 
+#: The stages whose seconds ``generate --timings`` and ``sweep --timings``
+#: write, in order; ``draws`` is the part of ``sweep`` that draws noise.
+_GENERATE_STAGES = (*TRUTH_STAGES, "detector", "export", "render")
+_SWEEP_STAGES = (*TRUTH_STAGES, "sweep", "draws")
+
+
 def _load_scenario(path: str):
     return parse_scenario(decode_utf8(Path(path).read_bytes(),
                                       ScenarioSyntaxError))
@@ -67,6 +73,18 @@ def _write_timings(path: str | None, timings: Mapping[str, float],
             indent=2, allow_nan=False) + "\n", encoding="utf-8")
 
 
+def _timings_help(stages: tuple[str, ...]) -> str:
+    return (f"write the seconds spent in each stage ({', '.join(stages)}) "
+            f"as JSON")
+
+
+def _sigma_text(sigma: float) -> str:
+    """``sigma`` as the CSV writes it: ``:g`` where that reads back as the
+    same float, else its ``repr``, which always does."""
+    text = f"{sigma:g}"
+    return text if float(text) == sigma else repr(sigma)
+
+
 def _cmd_generate(args) -> int:
     if args.render_every < 0:
         raise ValueError(f"--render-every must be >= 0, got "
@@ -100,8 +118,7 @@ def _cmd_generate(args) -> int:
                 _write_render(sim, records[frame],
                               render_dir / f"frame_{frame:06d}.ppm")
                 rendered += 1
-    _write_timings(args.timings, sim.timings, *TRUTH_STAGES, "detector",
-                   "export", "render")
+    _write_timings(args.timings, sim.timings, *_GENERATE_STAGES)
     print(f"wrote {count} records to {args.out}"
           + (f", {rendered} renders" if rendered else ""))
     return 0
@@ -187,11 +204,10 @@ def _cmd_sweep(args) -> int:
         accs = sim.sweep(truth, sigmas,
                          range(args.seed, args.seed + args.seeds),
                          args.miss_prob)
-    _write_timings(args.timings, sim.timings, *TRUTH_STAGES, "sweep",
-                   "draws")
+    _write_timings(args.timings, sim.timings, *_SWEEP_STAGES)
     rows = [(sigma, sum(a) / len(a)) for sigma, a in zip(sigmas, accs)]
     lines = ["pixel_sigma,mean_top1_accuracy"]
-    lines += [f"{sigma:g},{acc:.6f}" for sigma, acc in rows]
+    lines += [f"{_sigma_text(sigma)},{acc:.6f}" for sigma, acc in rows]
     csv_text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(csv_text, encoding="utf-8")
@@ -232,10 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "backtracked, chains, paths, segments, outages) "
                           "as JSON")
     gen.add_argument("--timings", default=None, metavar="FILE.json",
-                     help="write the seconds spent in each stage (the "
-                          "truth stages positions, candidates, occlusion, "
-                          "paths, channel, boxes and records; then "
-                          "detector, export, render) as JSON")
+                     help=_timings_help(_GENERATE_STAGES))
     gen.set_defaults(func=_cmd_generate)
 
     ev = sub.add_parser("evaluate", help="compute metrics from a dataset")
@@ -281,10 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--stats", default=None, metavar="FILE.json",
                     help="write the truth pass's counts as JSON")
     sw.add_argument("--timings", default=None, metavar="FILE.json",
-                    help="write the seconds spent in each stage (the "
-                         "truth stages positions, candidates, occlusion, "
-                         "paths, channel, boxes and records; then "
-                         "sweep, and the noise draws within it) as JSON")
+                    help=_timings_help(_SWEEP_STAGES)
+                    + "; draws is the part of sweep that draws the noise")
     sw.set_defaults(func=_cmd_sweep)
     return parser
 

@@ -27,7 +27,6 @@ from pathlib import Path
 from time import perf_counter
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .camera import BoundingBox, CameraModel, VertexRays, pixel_to_azimuth
 from .channel import beam_tables, build_channels, generate_codebook
@@ -79,7 +78,7 @@ class UeFrameRecord:
 
     @property
     def outage(self) -> bool:
-        """No beam has a usable SNR (see ``optimal_beam``)."""
+        """No beam has a usable SNR (see ``beam_tables``)."""
         return self.optimal_index is None
 
 
@@ -180,19 +179,6 @@ def _seed_states(*lanes: np.ndarray) -> np.ndarray:
                      for i in range(4)], axis=-1)
 
 
-class _SeedState(ISeedSequence):
-    """The state words of a ``SeedSequence``, already made: what a
-    ``PCG64`` asks its seed sequence for, ``generate_state(4, np.uint64)``."""
-
-    __slots__ = ("words",)
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
-
-
 # PCG64's 128-bit LCG multiplier (O'Neill 2014), as 64-bit halves.
 _MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MULT_HI, _MULT_LO = divmod(_MULT, 1 << 64)
@@ -224,9 +210,19 @@ def _pcg_output(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     return x >> rot | x << (64 - rot & 63)
 
 
+def _numpy_normal(rng, state: int, inc: int) -> float:
+    """numpy's own ``standard_normal()`` from the ``PCG64`` LCG at (state,
+    inc), drawn by ``rng``, a ``Generator`` over a ``PCG64`` whose state
+    this sets."""
+    rng.bit_generator.state = {
+        "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+        "has_uint32": 0, "uinteger": 0}
+    return rng.standard_normal()
+
+
 def _ziggurat_tables(rng) -> tuple[np.ndarray, np.ndarray]:
     """(wi, kb) of numpy's ziggurat ``standard_normal``, read by probing
-    ``rng``, a ``Generator`` over a ``PCG64``.
+    ``rng``, a ``Generator`` over a ``PCG64`` (``_numpy_normal``).
 
     A draw takes one 64-bit output r: ``idx = r & 0xFF``, the sign is bit 8
     and ``rabs`` bits 9 to 60. It returns ``±rabs * wi[idx]`` at once when
@@ -239,16 +235,12 @@ def _ziggurat_tables(rng) -> tuple[np.ndarray, np.ndarray]:
     one output and return ``(kb - 1) * wi[idx]``, else 0. idx 0 and 1 get
     0: the tail, and numpy's threshold 0 at idx 1.
     """
-    bits = rng.bit_generator
-    state = bits.state
     inverse = pow(_MULT, -1, 1 << 128)
 
     def draw(r: int) -> tuple[float, bool]:
         # One step from this state with inc 1 lands on state r.
-        state["state"] = {"state": (r - 1) * inverse % (1 << 128), "inc": 1}
-        bits.state = state
-        z = rng.standard_normal()
-        return z, bits.state["state"]["state"] == r
+        z = _numpy_normal(rng, (r - 1) * inverse % (1 << 128), 1)
+        return z, rng.bit_generator.state["state"]["state"] == r
 
     wi = np.array([draw(1 << 9 | idx)[0] for idx in range(256)])
     x = wi * 2.0**52
@@ -262,11 +254,13 @@ def _ziggurat_tables(rng) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pcg_draws(words: np.ndarray, wi: np.ndarray, kb: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray]:
+               ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
     """(miss, z_u) of the ``PCG64`` stream that each row of (n, 4) state
-    words seeds, as an (n, 2) array, and a bool per row that is false where
-    the normal draw is off the ziggurat's one-output path, so that its z_u
-    is not the stream's. ``wi`` and ``kb`` are ``_ziggurat_tables``.
+    words seeds, as an (n, 2) array; a bool per row that is false where the
+    normal draw is off the ziggurat's one-output path, so that its z_u is
+    not the stream's; and the uint64 lanes (hi, lo, inc_hi, inc_lo) of
+    each stream's LCG between its two draws, where ``standard_normal()``
+    starts. ``wi`` and ``kb`` are ``_ziggurat_tables``.
 
     Seeding follows ``pcg64_set_seed``: initstate = w0:w1, inc = 2 * w2:w3
     + 1; state 0, one step, add initstate, one step. ``random()`` is the
@@ -283,11 +277,12 @@ def _pcg_draws(words: np.ndarray, wi: np.ndarray, kb: np.ndarray
     rabs = r >> 9 & (1 << 52) - 1
     z_u = rabs * wi[idx]
     return (np.stack([miss, np.where(r & 0x100, -z_u, z_u)], axis=-1),
-            rabs < kb[idx])
+            rabs < kb[idx], (*state, *inc))
 
 
-#: ``_ziggurat_tables`` of this process's numpy, probed on first use.
-_ZIGGURAT: list[tuple[np.ndarray, np.ndarray]] = []
+#: The ``Generator`` that ``_numpy_normal`` draws with, and the
+#: ``_ziggurat_tables`` of this process's numpy probed with it, on first use.
+_ZIGGURAT: list[tuple] = []
 
 
 class SweepKeys:
@@ -319,17 +314,18 @@ def sweep_draws(seeds: list[int], keys: list[tuple[int, int]] | SweepKeys
     in one array pass over the (seeds, keys) grid (``_seed_states``), and
     the same pass seeds each stream's ``PCG64`` and draws from it in uint64
     lanes (``_pcg_draws``). A cell whose normal draw is off the ziggurat's
-    one-output path (about 2%) is drawn again by numpy's own ``Generator``
-    over a ``PCG64`` seeded with its words; a scalar ``standard_normal()``
-    is the first value of ``standard_normal(2)``. Any other cell is drawn
-    by ``noise_draws``.
+    one-output path (about 2%) has its z_u drawn again by numpy's own
+    ``standard_normal()`` from its LCG state in the lanes
+    (``_numpy_normal``); a scalar ``standard_normal()`` is the first value
+    of ``standard_normal(2)``. Any other cell is drawn by ``noise_draws``.
     """
     seeds = [_key(n) for n in seeds]
     if not isinstance(keys, SweepKeys):
         keys = SweepKeys(keys)
     if not _ZIGGURAT:
-        _ZIGGURAT.append(_ziggurat_tables(
-            np.random.Generator(np.random.PCG64(0))))
+        rng = np.random.Generator(np.random.PCG64(0))
+        _ZIGGURAT.append((rng, *_ziggurat_tables(rng)))
+    rng, wi, kb = _ZIGGURAT[0]
     # Cells of longer entropy lists hash garbage words here; they are
     # drawn again below.
     seed = np.array([n & (1 << 64) - 1 for n in seeds], np.uint64)[:, None]
@@ -338,12 +334,13 @@ def sweep_draws(seeds: list[int], keys: list[tuple[int, int]] | SweepKeys
     words = _seed_states(
         seed & _WORD, np.where(one, frame, seed >> 32),
         np.where(one, ue, frame), np.where(one, 0, ue)).reshape(-1, 4)
-    draws, fast = _pcg_draws(words, *_ZIGGURAT[0])
+    draws, fast, lanes = _pcg_draws(words, wi, kb)
     wide = (np.array([n >> 64 > 0 for n in seeds], bool)[:, None]
             | keys.wide).ravel()
-    for i in np.flatnonzero(~fast & ~wide).tolist():
-        rng = np.random.Generator(np.random.PCG64(_SeedState(words[i])))
-        draws[i] = rng.random(), rng.standard_normal()
+    off = np.flatnonzero(~fast & ~wide)
+    for i, hi, lo, inc_hi, inc_lo in zip(
+            off.tolist(), *(lane[off].tolist() for lane in lanes)):
+        draws[i, 1] = _numpy_normal(rng, hi << 64 | lo, inc_hi << 64 | inc_lo)
     draws = draws.reshape(len(seeds), len(keys.keys), 2)
     for i, j in np.argwhere(wide.reshape(draws.shape[:2])).tolist():
         draws[i, j] = noise_draws(seeds[i], *keys.keys[j])[:2]
@@ -652,7 +649,7 @@ class Simulator:
         edges alone, and read from ``BeamEdges`` at once, up to
         ``SWEEP_CELLS`` of them at a time. A hit is a
         predicted index equal to the optimal one: that is ``evaluate``'s
-        rank 0, since ``optimal_beam`` picks the first argmax of the SNR
+        rank 0, since ``beam_tables`` picks the first argmax of the SNR
         table and rank 0 is the first argmax.
         """
         miss_prob = DetectorNoiseModel(miss_prob=miss_prob).miss_prob

@@ -301,8 +301,7 @@ class Candidates:
     keeps the paths whose rows are all unblocked.
     """
 
-    def __init__(self, refl: _Reflectors, tx, rxs,
-                 prefixes: list[tuple[np.ndarray, np.ndarray]]):
+    def __init__(self, refl: _Reflectors, tx, rxs, prefixes: PrefixTable):
         self.refl = refl
         tx = np.asarray(tx, float)
         rxs = np.asarray(rxs, float).reshape(-1, 3)
@@ -317,8 +316,6 @@ class Candidates:
         pairs = _pairs(refl, rxs, prefixes)
         self.tested = [len(p) for p in pairs]
         top = len(prefixes)
-        if not isinstance(prefixes, PrefixTable):
-            prefixes = PrefixTable(prefixes)
         starts, faces, images = prefixes.rows
         # Every pair of every order, in order of (order, receiver, prefix
         # row), so that the pairs of order j lead the live pairs at level j.

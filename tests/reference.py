@@ -13,12 +13,12 @@ draws, ``select_beam`` one box's prediction of ``apply_detector`` and
 ``apply_detector`` the two of them row by row, ``render_debug_frame`` the
 renderer one triangle at a time, ``record_channel`` and
 ``record_beam_table`` one record of ``build_channels`` and
-``beam_tables``, and so on; ``noise_draws`` seeds
-its stream with the list that the program's form turns into uint32 words
-itself, and ``ziggurat_threshold`` finds numpy's exact fast-path
-threshold that ``sweep_draws``' tables stay under. ``write_stl`` is the
-writer of the files ``stl.parse_stl`` reads. The program itself never
-calls them.
+``beam_tables``, and so on; ``noise_draws`` seeds its stream with the
+list that the program's form turns into uint32 words itself,
+``ziggurat_threshold`` finds numpy's exact fast-path threshold that
+``sweep_draws``' tables stay under, and ``SeedState`` seeds a ``PCG64``
+from state words by numpy's own seeding. ``write_stl`` is the writer of
+the files ``stl.parse_stl`` reads. The program itself never calls them.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import math
 from pathlib import Path
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from beamcam.camera import (BoundingBox, CameraModel, VertexRays,
                             pixel_to_azimuth, project_points)
@@ -36,8 +37,8 @@ from beamcam.geometry import (RAY_EPS, Mesh, Tracks, TriangleSet,
 from beamcam.pipeline import (Detection, DetectorNoiseModel, FrameRecord,
                               Simulator, UeFrameRecord)
 from beamcam.raytrace import (_CONTAIN_TOL, Candidates, PathComponent,
-                              SceneGeometry, _Reflectors, path_components,
-                              prefix_table)
+                              PrefixTable, SceneGeometry, _Reflectors,
+                              path_components, prefix_table)
 from beamcam.render import (_FALLBACK_RGB, _LIGHT_DIR, BACKGROUND_RGB,
                             MATERIAL_RGB, _draw_bbox)
 from beamcam.scenario import Scenario, UeConfig, _by_name
@@ -157,7 +158,7 @@ def oracle_candidates(refl: _Reflectors, tx, rxs, prefixes) -> Candidates:
     ``candidate_chains``, one order at a time: every (receiver, prefix row)
     pair backtracked, with no receiver-side screen."""
     tx = np.asarray(tx, float)
-    cand = Candidates(refl, tx, rxs, [])
+    cand = Candidates(refl, tx, rxs, PrefixTable())
     cand.chains += [candidate_chains(refl, seqs, images, tx, cand.rxs)
                     for seqs, images in prefixes]
     return cand
@@ -457,6 +458,21 @@ def noise_draws(seed: int, frame: int, ue_index: int
     miss = rng.random()
     z_u, z_v = rng.standard_normal(2).tolist()
     return miss, z_u, z_v
+
+
+class SeedState(ISeedSequence):
+    """The state words of a ``SeedSequence``, already made: what a
+    ``PCG64`` asks its seed sequence for, ``generate_state(4, np.uint64)``.
+    ``PCG64(SeedState(words))`` seeds a stream from its state words by
+    numpy's own seeding, with none of the program's LCG arithmetic."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
 
 
 _MOD128 = 1 << 128

@@ -169,16 +169,16 @@ def test_criterion_3_beam_sweep_equivalence(capsys):
                 aod_az_deg=p.aod_az_deg, aod_el_deg=p.aod_el_deg,
                 aoa_az_deg=p.aoa_az_deg, aoa_el_deg=p.aoa_el_deg,
                 bounces=0, length_m=p.length_m))
-        h = ch.build_channel(paths, n, 0.5, 90.0)
-        idx, _, _ = ch.optimal_beam(h, cb, 30.0, -90.0)
+        h = ch.build_channels([paths], n, 0.5, 90.0)[0]
+        idx = int(ch.beam_tables(h[None], cb, 30.0, -90.0)[1][0])
         if idx != oracle_scan(h):
             mismatches += 1
 
     # Tie case: a channel symmetric about broadside produces pairwise-equal
     # beam gains; both implementations must break ties to the lowest index.
     h_sym = np.ones(n, dtype=complex)
-    idx_sym, _, _ = ch.optimal_beam(h_sym, cb, 30.0, -90.0)
-    snrs = ch.sweep_snrs(h_sym, cb, 30.0, -90.0)
+    snrs, best = ch.beam_tables(h_sym[None], cb, 30.0, -90.0)
+    snrs, idx_sym = snrs[0].tolist(), int(best[0])
     tie_partner = q - 1 - idx_sym
     tie_ok = (snrs[idx_sym] == pytest.approx(snrs[tie_partner], abs=1e-9)
               and idx_sym < tie_partner
@@ -211,8 +211,8 @@ def test_criterion_4_quantizer_bin_match(q, capsys):
         end = ref.vec3(d * math.cos(math.radians(az_world)),
                        d * math.sin(math.radians(az_world)), 0.0)
         p = ref.compute_path_component([ref.vec3(0, 0, 0), end], [], 28.0)
-        h = ch.build_channel([p], n, 0.5, 90.0)
-        idx, _, _ = ch.optimal_beam(h, cb, 30.0, -90.0)
+        h = ch.build_channels([[p]], n, 0.5, 90.0)[0]
+        idx = int(ch.beam_tables(h[None], cb, 30.0, -90.0)[1][0])
         if idx != cb.bin_index(theta):
             mismatches.append(float(theta))
     elapsed = time.perf_counter() - t0

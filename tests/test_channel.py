@@ -71,11 +71,10 @@ def test_bins_partition_exactly():
 def test_build_channel_superposition():
     p1 = single_path(90.0)
     p2 = single_path(45.0)
-    h12 = ch.build_channel([p1, p2], 8, 0.5, 90.0)
-    h1 = ch.build_channel([p1], 8, 0.5, 90.0)
-    h2 = ch.build_channel([p2], 8, 0.5, 90.0)
+    h12, h1, h2, h0 = ch.build_channels([[p1, p2], [p1], [p2], []],
+                                        8, 0.5, 90.0)
     assert np.allclose(h12, h1 + h2)
-    assert ch.build_channel([], 8, 0.5, 90.0).tolist() == [0.0] * 8
+    assert h0.tolist() == [0.0] * 8
 
 
 def test_beam_snr_matched_filter_value():
@@ -83,7 +82,7 @@ def test_beam_snr_matched_filter_value():
     # P_tx + 20 log10(|g| sqrt(N)) - P_noise.
     p = single_path(90.0)
     n = 16
-    h = ch.build_channel([p], n, 0.5, 90.0)
+    h = ch.build_channels([[p]], n, 0.5, 90.0)[0]
     w = ch.array_response(n, 0.5, [90.0])[0] / math.sqrt(n)
     snr = ref.beam_snr(h, w, 30.0, -90.0)
     expected = 30.0 + 20 * math.log10(abs(p.gain) * math.sqrt(n)) + 90.0
@@ -101,7 +100,7 @@ def test_sweep_matches_per_beam_snr():
     rng = np.random.default_rng(3)
     cb = ch.generate_codebook(8, 0.5, 16)
     h = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    snrs = ch.sweep_snrs(h, cb, 30.0, -90.0)
+    snrs = ch.beam_tables(h[None], cb, 30.0, -90.0)[0][0]
     for i, w in enumerate(cb.matrix):
         assert snrs[i] == pytest.approx(ref.beam_snr(h, w, 30.0, -90.0),
                                         abs=1e-9)
@@ -109,10 +108,10 @@ def test_sweep_matches_per_beam_snr():
 
 def test_optimal_beam_lowest_index_tiebreak():
     cb = ch.generate_codebook(8, 0.5, 16)
-    idx, snr, snrs = ch.optimal_beam(np.zeros(8, complex), cb, 30.0, -90.0)
+    snrs, best = ch.beam_tables(np.zeros((1, 8), complex), cb, 30.0, -90.0)
     # All-outage channel: no usable beam.
-    assert idx is None and snr is None
-    assert all(s == ch.OUTAGE_SNR_DB for s in snrs)
+    assert best.tolist() == [-1]
+    assert all(s == ch.OUTAGE_SNR_DB for s in snrs[0])
 
 
 def test_optimal_beam_scaling_invariance():
@@ -120,9 +119,8 @@ def test_optimal_beam_scaling_invariance():
     cb = ch.generate_codebook(8, 0.5, 16)
     for _ in range(100):
         h = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        i1, _, _ = ch.optimal_beam(h, cb, 30.0, -90.0)
-        i2, _, _ = ch.optimal_beam(3.7 * h * np.exp(1j * 0.4), cb,
-                                   30.0, -90.0)
+        _, (i1, i2) = ch.beam_tables(
+            np.stack([h, 3.7 * h * np.exp(1j * 0.4)]), cb, 30.0, -90.0)
         assert i1 == i2
 
 
@@ -131,9 +129,9 @@ def test_single_path_at_bin_center_wins_own_beam():
     for i in range(cb.q):
         az_world = ref.array_to_world_deg((i + 0.5) * (180.0 / cb.q), 90.0)
         p = single_path(az_world)
-        h = ch.build_channel([p], 16, 0.5, 90.0)
-        idx, _, _ = ch.optimal_beam(h, cb, 30.0, -90.0)
-        assert idx == i
+        h = ch.build_channels([[p]], 16, 0.5, 90.0)
+        _, best = ch.beam_tables(h, cb, 30.0, -90.0)
+        assert best.tolist() == [i]
 
 
 def test_destructive_two_path_lowers_snr():
@@ -144,11 +142,10 @@ def test_destructive_two_path_lowers_snr():
     anti = ref.compute_path_component(
         [ref.vec3(0, 0, 0), ref.vec3(0.0, d, 0.0)], [], 28.0)
     n = 8
-    h2 = ch.build_channel([p, anti], n, 0.5, 90.0)
-    h1 = ch.build_channel([p], n, 0.5, 90.0)
+    h = ch.build_channels([[p, anti], [p]], n, 0.5, 90.0)
     cb = ch.generate_codebook(n, 0.5, 16)
-    _, s2, _ = ch.optimal_beam(h2, cb, 30.0, -90.0)
-    _, s1, _ = ch.optimal_beam(h1, cb, 30.0, -90.0)
+    snrs, _ = ch.beam_tables(h, cb, 30.0, -90.0)
+    s2, s1 = snrs.max(axis=1)
     assert s2 < s1 - 20.0  # deep fade
 
 
@@ -203,4 +200,5 @@ def test_block_outage_and_exact_ties():
     assert best[2] >= 0
     assert snrs[3, 31] == snrs[3, 32] == snrs[3].max()
     assert best[3] == 31
-    assert ch.optimal_beam(np.ones(16), cb, 30.0, -90.0)[0] == 31
+    assert ch.beam_tables(np.ones((1, 16)), cb, 30.0, -90.0)[1].tolist() \
+        == [31]

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 from unittest import mock
 
 import numpy as np
@@ -106,6 +107,14 @@ def test_generate_stats_count_the_truth_pass(tmp_path):
         assert counts[f"pairs_tested.o{k}"] >= counts[f"chains_valid.o{k}"]
 
 
+def timings_help(command: str) -> str:
+    """The --timings help text of one subcommand."""
+    commands = next(action.choices for action in cli.build_parser()._actions
+                    if isinstance(action.choices, dict))
+    return next(action.help for action in commands[command]._actions
+                if action.dest == "timings")
+
+
 @pytest.mark.parametrize("command, options, stages", [
     ("generate", ["--seed", 7, "--pixel-sigma", 3, "--render-every", 5],
      ["detector", "export", "render"]),
@@ -113,9 +122,10 @@ def test_generate_stats_count_the_truth_pass(tmp_path):
 ])
 def test_timings_change_no_output(command, options, stages, scenario_file,
                                   tmp_path):
-    """--timings writes the seconds of each stage, the truth stages first;
-    the dataset (or accuracy CSV), the renders and the --stats counts are
-    the same bytes with and without it."""
+    """--timings writes the seconds of each stage, the truth stages first,
+    and its help names every stage it writes; the dataset (or accuracy
+    CSV), the renders and the --stats counts are the same bytes with and
+    without it."""
     runs = []
     for name in ("plain", "timed"):
         out_dir = tmp_path / name
@@ -129,6 +139,7 @@ def test_timings_change_no_output(command, options, stages, scenario_file,
     assert runs[0] == runs[1]
     timings = json.loads((tmp_path / "timed" / "timings.json").read_text())
     assert list(timings) == [*pl.TRUTH_STAGES, *stages]
+    assert set(timings) <= set(re.findall(r"\w+", timings_help(command)))
     # Every stage did some work, so a stage name that no code times shows.
     assert all(type(t) is float and t > 0.0 for t in timings.values())
 
@@ -403,6 +414,19 @@ def test_sweep_command(scenario_file, tmp_path, capsys):
                 "--sigmas", "0,4", "--seeds", 2, "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert [row["pixel_sigma"] for row in payload] == [0.0, 4.0]
+
+
+def test_sweep_csv_sigmas_read_back_exactly(scenario_file, capsys):
+    """Each pixel_sigma of the CSV parses back to the sigma given: written
+    as ``:g`` where that is exact, else as its ``repr``."""
+    sigmas = ["0.1234567", "0.1234568", "1234567", "0", "2.5", "1e-07"]
+    assert run(["sweep", "--scenario", scenario_file,
+                "--sigmas", ",".join(sigmas), "--seeds", 1]) == 0
+    written = [row.split(",")[0]
+               for row in capsys.readouterr().out.splitlines()[1:]]
+    assert list(map(float, written)) == list(map(float, sigmas))
+    assert written == ["0.1234567", "0.1234568", "1234567.0", "0", "2.5",
+                       "1e-07"]
 
 
 def test_shipped_sweep_csv_is_pinned(capsys):

@@ -355,7 +355,7 @@ def test_sweep_draws_are_bit_identical_on_random_cells():
 def probed_tables():
     """The ziggurat tables ``sweep_draws`` reads, probed on its first call."""
     pl.sweep_draws([], [])
-    return pl._ZIGGURAT[0]
+    return pl._ZIGGURAT[0][1:]
 
 
 # Shipped-sweep cells whose normal draw reads layer 0 (the tail), layer 1
@@ -382,11 +382,11 @@ def test_each_fallback_class_is_numpys_own_draw():
                                                 int(kb[idx])))]
     words = np.array([ref.words_drawing(rabs << 9 | sign << 8 | idx)
                       for idx, sign, rabs in cells])
-    draws, fast = pl._pcg_draws(words, wi, kb)
+    draws, fast, _ = pl._pcg_draws(words, wi, kb)
     assert fast.tolist() == [idx >= 2 and rabs == kb[idx] - 1
                              for idx, _, rabs in cells]
     for row, (miss, z_u), on_path in zip(words, draws.tolist(), fast):
-        rng = np.random.Generator(np.random.PCG64(pl._SeedState(row)))
+        rng = np.random.Generator(np.random.PCG64(ref.SeedState(row)))
         assert miss == rng.random()
         assert z_u == rng.standard_normal() or not on_path
 

@@ -1,5 +1,4 @@
 import ast
-import importlib
 import re
 from collections import Counter
 
@@ -9,11 +8,9 @@ from conftest import REPO_ROOT
 SRC = REPO_ROOT / "src" / "beamcam"
 TESTS = REPO_ROOT / "tests"
 
-# Writers that exist for the round-trip acceptance checks, not for the CLI,
-# and the one-record forms of the channel's block functions, which the
-# beam-sweep and quantizer acceptance checks call.
-NO_SRC_CALLER = {"serialize_scenario", "build_channel", "sweep_snrs",
-                 "optimal_beam"}
+# The scenario writer of the round-trip acceptance checks, which the
+# benchmark's workloads also call, not the CLI.
+NO_SRC_CALLER = {"serialize_scenario"}
 
 # numpy's random number constructors. A detector stream is made only in the
 # pipeline's two noise functions: ``noise_draws`` and its batched form.
@@ -22,27 +19,12 @@ NOISE_FUNCTIONS = {("pipeline.py", "noise_draws"),
                    ("pipeline.py", "sweep_draws")}
 
 
-def _implements_foreign_abstract(module: str, name: str) -> bool:
-    """Whether the method ``Class.method`` of ``src/beamcam/<module>``
-    implements an abstract method of a base class from outside beamcam,
-    whose own code calls it (``numpy``'s ``PCG64`` calls an
-    ``ISeedSequence``'s ``generate_state``)."""
-    cls_name, method = name.split(".")
-    cls = getattr(importlib.import_module(f"beamcam.{module[:-3]}"),
-                  cls_name)
-    return any(method in getattr(base, "__abstractmethods__", ())
-               for base in cls.__mro__[1:]
-               if not base.__module__.startswith("beamcam"))
-
-
 def test_every_src_definition_has_a_src_caller():
     """Every top-level function and class in ``src/beamcam``, and every
     method other than a dunder, is used by name somewhere in ``src/``
     besides its own definition: as a name, as an attribute (a method only
-    as an attribute), or as a string (a ``getattr`` key). A method that
-    implements an abstract method of a base class from outside beamcam is
-    called by that base's code. Forms that only the tests call belong in
-    ``tests/reference.py``."""
+    as an attribute), or as a string (a ``getattr`` key). Forms that only
+    the tests call belong in ``tests/reference.py``."""
     definitions = []
     names, attributes = Counter(), Counter()
     for path in sorted(SRC.glob("*.py")):
@@ -67,8 +49,7 @@ def test_every_src_definition_has_a_src_caller():
     for module, name, method in definitions:
         leaf = name.rsplit(".", 1)[-1]
         used = attributes[leaf] or (not method and names[leaf])
-        if not used and leaf not in NO_SRC_CALLER and not (
-                method and _implements_foreign_abstract(module, name)):
+        if not used and leaf not in NO_SRC_CALLER:
             uncalled.append(f"{module}: {name}")
     assert uncalled == []
 
@@ -210,3 +191,45 @@ def test_scenario_doc_lists_every_key():
     want["system"] = keys(sc.SystemParams)
     want["bs"] |= keys(sc.CameraConfig)
     assert tables == want
+
+
+def _code_words(path) -> set[str]:
+    """Every word a Python file defines or names: definitions, arguments,
+    names, attributes, imported modules and names, and each word of every
+    string (docstrings too)."""
+    words = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            words.add(node.name)
+        elif isinstance(node, ast.arg):
+            words.add(node.arg)
+        elif isinstance(node, ast.Name):
+            words.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            words.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            words.update(node.module.split("."))
+        elif isinstance(node, ast.alias):
+            words.update(node.name.split("."))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            words.update(re.findall(r"\w+", node.value))
+    return words
+
+
+def test_readme_names_only_existing_code():
+    """Every backticked identifier in README.md (a dotted name such as
+    ``beamcam.dataset.ROW``, or a call such as ``random()``) names, part by
+    part, words that ``src/beamcam`` or ``tests/`` define or use, so the
+    README names no code that has gone. A span that is a file of the repo
+    is not an identifier."""
+    spans = re.findall(r"`([^`\n]+)`",
+                       (REPO_ROOT / "README.md").read_text(encoding="utf-8"))
+    idents = {span for span in spans
+              if re.fullmatch(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*(\(\))?", span)
+              and not (REPO_ROOT / span).exists()}
+    words = set().union(*map(_code_words,
+                             [*SRC.glob("*.py"), *TESTS.glob("*.py")]))
+    assert len(idents) > 50
+    stale = sorted(ident for ident in idents
+                   if not set(ident.removesuffix("()").split(".")) <= words)
+    assert stale == []
