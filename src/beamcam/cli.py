@@ -244,9 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="directory for renders (default: alongside --out)")
     gen.add_argument("--bs", default=None, help="BS name (default: first)")
     gen.add_argument("--stats", default=None, metavar="FILE.json",
-                     help="write the truth pass's counts (boxes, pairs "
-                          "backtracked, chains, paths, segments, outages) "
-                          "as JSON")
+                     help="write the truth pass's counts (boxes, prefix "
+                          "rows, pairs backtracked, chains, paths, segments, "
+                          "outages) as JSON")
     gen.add_argument("--timings", default=None, metavar="FILE.json",
                      help=_timings_help(_GENERATE_STAGES))
     gen.set_defaults(func=_cmd_generate)

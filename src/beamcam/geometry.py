@@ -83,9 +83,18 @@ class Mesh:
         return self.tris.shape[0]
 
     def vertices(self) -> np.ndarray:
-        """Unique vertices, shape (V, 3), read-only; computed once."""
+        """Unique vertices, shape (V, 3), read-only; computed once.
+
+        They are sorted by x, then y, then z, as ``np.unique(..., axis=0)``
+        gives them, without its import of ``numpy.ma``: a stable lexsort,
+        then the first of each run of equal rows (-0.0 equals 0.0, so of
+        two such rows the first in mesh order is kept)."""
         if self._vertices is None:
-            self._vertices = np.unique(self.tris.reshape(-1, 3), axis=0)
+            v = self.tris.reshape(-1, 3)
+            v = v[np.lexsort(v.T[::-1])]
+            first = np.ones(len(v), dtype=bool)
+            first[1:] = (v[1:] != v[:-1]).any(axis=1)
+            self._vertices = v[first]
             self._vertices.setflags(write=False)
         return self._vertices
 

@@ -412,12 +412,13 @@ class Simulator:
             for ue in scenario.ues
         ]
         #: Counts of the truth passes so far: boxes projected and visible,
-        #: receivers traced, (receiver, prefix row) pairs backtracked and
-        #: geometrically valid chains per reflection order, paths kept per
-        #: bounce count, occlusion segments tested, (segment, chunk) pairs
-        #: the occlusion screens passed to the kernel (those whose segment
-        #: meets the chunk's grown box, and so its bounding box too) and
-        #: outage rows.
+        #: the BS's prefix-table rows per reflection order (added once, when
+        #: the table is built), receivers traced, (receiver, prefix row)
+        #: pairs backtracked and geometrically valid chains per reflection
+        #: order, paths kept per bounce count, occlusion segments tested,
+        #: (segment, chunk) pairs the occlusion screens passed to the
+        #: kernel (those whose segment meets the chunk's grown box, and so
+        #: its bounding box too) and outage rows.
         self.stats: Counter[str] = Counter()
         #: Seconds spent in each stage so far (``timed``). Unlike ``stats``
         #: they differ from run to run, so they never enter a dataset.
@@ -448,10 +449,14 @@ class Simulator:
     def _prefixes(self) -> PrefixTable:
         """The image-source table of the BS (``prefix_table``), which every
         frame's candidate chains extend, and so its backtracking rows
-        (``PrefixTable.rows``); built on first use."""
-        return prefix_table(self._scene.reflectors,
-                            np.asarray(self.bs.position, float),
-                            self.scenario.system.max_reflections)
+        (``PrefixTable.rows``); built on first use, when its rows per order
+        are added to ``stats``."""
+        table = prefix_table(self._scene.reflectors,
+                             np.asarray(self.bs.position, float),
+                             self.scenario.system.max_reflections)
+        self.stats.update({f"prefix_rows.o{k}": len(seqs)
+                           for k, (seqs, _) in enumerate(table, 1)})
+        return table
 
     @cached_property
     def _beam_edges(self) -> BeamEdges:

@@ -12,27 +12,46 @@ outright (no diffraction, scattering or penetration); an empty result
 means outage.
 
 Candidate face sequences come from a prefix table of the transmitter,
-built once by its caller (beam-tracing visibility pruning). Order-k+1 rows
-only extend order-k rows that survived, and an extension by face f is
-dropped when f is coplanar with the previous face or the current image of
-tx is not strictly in front of f (``dot(image - c_f, n_f) > 0``). This
-drops no valid chain: on a valid chain the image before bounce k lies on
-the ray from p_k back through p_{k-1}, at least |p_k - p_{k-1}| away, so
-its distance in front of face k is at least that of p_{k-1}, which the
-front-side check already requires to exceed ``RAY_EPS``. Rows stay in
-lexicographic order, so ties in the (length, bounces) sort are unchanged.
+built once by its caller: a beam tree of image sources (Heckbert and
+Hanrahan, "Beam tracing polygonal objects", 1984; Funkhouser et al.,
+1998). Order-k+1 rows only extend order-k rows that survived, and an
+extension by face g is dropped when g is coplanar with the previous face f
+or the current image of tx is not strictly in front of g
+(``dot(image - c_g, n_g) > 0``). This drops no valid chain: on a valid
+chain the image before bounce k lies on the ray from p_k back through
+p_{k-1}, at least |p_k - p_{k-1}| away, so its distance in front of face k
+is at least that of p_{k-1}, which the front-side check already requires
+to exceed ``RAY_EPS``.
 
-The same rule prunes from the receiver's end. A valid chain reversed is a
-valid chain from the receiver (reciprocity), so the argument above, read
-from the receiver, says that the receiver is strictly in front of the
-chain's last face and, from order 2 on, that its image through the last
-face is strictly in front of the face before it. A (receiver, prefix row)
-pair that fails either test is dropped before backtracking. Backtracking
-then runs from the receiver's end in one loop over bounce levels for all
-orders together: level j finds the j-th-last bounce of every pair of order
-j or more, and the pairs of order j finish at level j with the check on
-tx. Each surviving pair meets the same operations on the same operands as
-when each order was backtracked alone, so every point keeps its bits.
+From order 2 on, g must also meet the row's beam: the pyramid whose apex
+is the row's current image, which is strictly behind f, and whose four
+side planes pass through the edges of f's rectangle. g is dropped when its
+four corners all lie outside one side plane by more than a margin. On a
+valid chain, bounce p_{k+1} lies on the ray from the image through p_k,
+and p_k lies in f's rectangle, so p_{k+1}, a point of g, lies in the
+pyramid. The margin covers ``_CONTAIN_TOL``, which lets a bounce sit up to
+that far outside its rectangle along each axis: p_k may then lie up to
+``_CONTAIN_TOL`` outside a side plane, which the ray from the image
+magnifies by |p_{k+1} - image| / |p_k - image|, at most reach / behind
+(reach, the farthest corner of g from the image; behind, the image's
+distance behind f), and p_{k+1} may lie up to sqrt(2) ``_CONTAIN_TOL`` off
+g. The margin, 2 ``_CONTAIN_TOL`` (1 + reach / behind), covers both with
+room for rounding. Rows stay in lexicographic order, so ties in the
+(length, bounces) sort are unchanged, and every chain that survives meets
+the same operations on the same operands.
+
+The front-side rule also prunes from the receiver's end. A valid chain
+reversed is a valid chain from the receiver (reciprocity), so the argument
+above, read from the receiver, says that the receiver is strictly in front
+of the chain's last face and, from order 2 on, that its image through the
+last face is strictly in front of the face before it. A (receiver, prefix
+row) pair that fails either test is dropped before backtracking.
+Backtracking then runs from the receiver's end in one loop over bounce
+levels for all orders together: level j finds the j-th-last bounce of
+every pair of order j or more, and the pairs of order j finish at level j
+with the check on tx. Each surviving pair meets the same operations on the
+same operands as when each order was backtracked alone, so every point
+keeps its bits.
 """
 
 from __future__ import annotations
@@ -157,6 +176,14 @@ class _Reflectors:
         self.coplanar = (np.abs(np.abs(nd) - 1.0) < 1e-12) & (
             np.abs(off[:, None] * nd - off[None, :]) < 1e-9
         )
+        # Each face's four corners, shape (F, 4, 3), counterclockwise seen
+        # from its front: v is turned where u x v points behind the face.
+        turn = np.sign(np.einsum("ij,ij->i", np.cross(self.u, self.v),
+                                 self.normal))
+        du = self.hu[:, None] * self.u
+        dv = (self.hv * turn)[:, None] * self.v
+        self.corners = self.center[:, None] + np.stack(
+            [du + dv, dv - du, -du - dv, du - dv], axis=1)
 
 
 def _ahead(refl: _Reflectors, images: np.ndarray, last: np.ndarray | None
@@ -171,6 +198,33 @@ def _ahead(refl: _Reflectors, images: np.ndarray, last: np.ndarray | None
     return ok
 
 
+def _in_beam(refl: _Reflectors, apex: np.ndarray, last: np.ndarray,
+             rows: np.ndarray, faces: np.ndarray) -> np.ndarray:
+    """(P,) bool: which of P (row, face) pairs may take the next bounce by
+    the beam test. Row i's beam is the pyramid from ``apex[i]`` (its current
+    image, strictly behind face ``last[i]``) through the rectangle of
+    ``last[i]``; the pair (``rows[p]``, ``faces[p]``) is dropped when the
+    face's four corners all lie outside one side plane of that pyramid by
+    more than the margin of the module docstring."""
+    # Each row's four side planes, by their inward unit normals: corners go
+    # counterclockwise seen from the front, and the apex is behind.
+    edges = refl.corners[last] - apex[:, None]
+    side = np.cross(edges, edges[:, [1, 2, 3, 0]])
+    side /= np.sqrt(np.einsum("ijk,ijk->ij", side, side))[..., None]
+    behind = refl.offset[last] - np.einsum("ij,ij->i", apex,
+                                           refl.normal[last])
+    # x[p, c]: corner c of the pair's face from its row's apex.
+    x = refl.corners[faces] - apex[rows, None]
+    # How far the face reaches into the beam past its tightest side plane:
+    # -gap is how far all four corners lie outside it, when gap < 0.
+    gap = (x @ side[rows].swapaxes(1, 2)).max(axis=1).min(axis=1)
+    reach = np.sqrt(np.einsum("ijk,ijk->ij", x, x).max(axis=1))
+    # gap < -2 tol (1 + reach / behind), times behind, which is positive:
+    # the apex mirrors an image that ``_ahead`` put in front of the face.
+    h = behind[rows]
+    return gap * h >= -2.0 * _CONTAIN_TOL * (h + reach)
+
+
 def _image_rows(refl: _Reflectors, sources: np.ndarray, max_order: int
                 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Face sequences that can start a valid chain from each of the N
@@ -179,16 +233,20 @@ def _image_rows(refl: _Reflectors, sources: np.ndarray, max_order: int
     Entry k-1 holds the order-k rows' source index (S,), face sequences
     (S, k) and images of their source (k+1, S, 3), image 0 being the
     source, in lexicographic (source, faces) order. Each order extends only
-    the rows of the order below (see the module docstring for why the
-    pruning keeps every valid chain).
+    the rows of the order below, by the faces that ``_ahead`` keeps and,
+    from order 2 on, that the row's beam reaches (``_in_beam``); see the
+    module docstring for why this keeps every valid chain.
     """
     src = np.arange(len(sources))
     seqs = np.zeros((len(sources), 0), dtype=int)
     images = sources[None]
     table = []
     for k in range(max_order):
-        rows, f = np.nonzero(_ahead(refl, images[-1],
-                                    seqs[:, -1] if k else None))
+        face = seqs[:, -1] if k else None
+        rows, f = np.nonzero(_ahead(refl, images[-1], face))
+        if k:
+            beam = _in_beam(refl, images[-1], face, rows, f)
+            rows, f = rows[beam], f[beam]
         n = refl.normal[f]
         last = images[-1, rows]
         d = np.einsum("ij,ij->i", last - refl.center[f], n)
@@ -203,7 +261,8 @@ def _image_rows(refl: _Reflectors, sources: np.ndarray, max_order: int
 class PrefixTable(list):
     """The image-source table of one tx: entry k-1 holds the order-k face
     sequences, shape (S, k), in lexicographic order, and their images of
-    tx, shape (k+1, S, 3), image 0 being tx.
+    tx, shape (k+1, S, 3), image 0 being tx. ``prefix_table`` keeps only
+    the rows that the front-side and beam tests of ``_image_rows`` keep.
 
     ``rows`` holds the same rows as ``Candidates`` reads them, made on its
     first read, so a table built once serves every receiver set.

@@ -17,6 +17,79 @@ def test_box_mesh_area_and_closure():
     assert np.allclose(mesh.vertices().mean(axis=0), [1.0, -2.0, 3.0])
 
 
+# A tetrahedron in ASCII STL whose vertices carry -0.0 and 0.0, each vertex
+# written the same way in every facet.
+SIGNED_ZERO_STL = b"""solid zeros
+facet normal 0 0 0
+outer loop
+vertex 0 0 0
+vertex -0 1 0
+vertex 1 -0 -0
+endloop
+endfacet
+facet normal 0 0 0
+outer loop
+vertex 0 0 0
+vertex 1 -0 -0
+vertex -0 -0 1
+endloop
+endfacet
+facet normal 0 0 0
+outer loop
+vertex 0 0 0
+vertex -0 -0 1
+vertex -0 1 0
+endloop
+endfacet
+facet normal 0 0 0
+outer loop
+vertex -0 1 0
+vertex -0 -0 1
+vertex 1 -0 -0
+endloop
+endfacet
+endsolid zeros
+"""
+
+
+@pytest.mark.parametrize("mesh", [
+    geo.box_mesh((1.0, -2.0, 3.0), (2.0, 3.0, 4.0), yaw_deg=30.0),
+    geo.box_mesh((0.0, 0.0, 0.0), (4.4, 1.8, 1.4)),
+    geo.box_mesh((-0.5, 0.25, 1.0), (1.0, 0.5, 2.0)),
+    geo.box_mesh((12.0, -3.0, 0.7), (4.4, 1.8, 1.4), yaw_deg=271.3),
+    stl.parse_stl(ref.write_stl(geo.box_mesh((0.0, 1.0, 2.0),
+                                             (3.0, 2.0, 1.0), 45.0))),
+    stl.parse_stl(SIGNED_ZERO_STL),
+], ids=["yawed", "origin", "zero-coordinates", "ue", "binary-stl",
+        "signed-zero-stl"])
+def test_vertices_are_numpy_unique_rows(mesh):
+    """``Mesh.vertices`` gives ``np.unique(..., axis=0)``'s rows bit for
+    bit, in its order, the sign of each zero included."""
+    want = np.unique(mesh.tris.reshape(-1, 3), axis=0)
+    got = mesh.vertices()
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+    assert not got.flags.writeable
+
+
+def test_signed_zero_stl_has_both_zeros():
+    verts = stl.parse_stl(SIGNED_ZERO_STL).vertices()
+    zeros = verts[verts == 0.0]
+    assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+
+
+def test_vertices_keep_the_first_of_rows_equal_but_for_a_zero_sign():
+    """Rows equal but for the sign of a zero are one vertex, the one that
+    comes first in the mesh."""
+    tris = np.array([[[0.0, 1.0, 2.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
+                     [[-0.0, 1.0, 2.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]])
+    for first in (tris, tris[::-1]):
+        verts = geo.Mesh(first).vertices()
+        assert len(verts) == 3
+        assert np.signbit(verts[verts[:, 2] == 2.0][0, 0]) \
+            == np.signbit(first[0, 0, 0])
+
+
 def test_box_mesh_normals_point_outward():
     mesh = geo.box_mesh((0.0, 0.0, 0.0), (2.0, 2.0, 2.0))
     v0, v1, v2 = mesh.tris[:, 0], mesh.tris[:, 1], mesh.tris[:, 2]

@@ -327,6 +327,75 @@ def test_chains_equal_the_per_order_oracle_random_boxes(
                                rt.prefix_table(refl, tx, order))
 
 
+_graze = st.floats(-1.0, 1.0).map(lambda t: t * rt._CONTAIN_TOL)
+
+
+@st.composite
+def ledge_scenes(draw):
+    """(reflectors, tx, receivers): a street between two long walls, the
+    street and walls yawed together, and maybe one more yawed box. Each box
+    ends or starts at one height h, and tx and most receivers stand in the
+    street at h to within ``_CONTAIN_TOL``. A chain from a face below h to a
+    face above it (or the other way) then passes both faces within
+    ``_CONTAIN_TOL`` of their edges at h, where the beam test's margin
+    decides. A receiver may instead sit within ``_CONTAIN_TOL`` of a face
+    edge or corner, 1 um to 1 m in front of the face."""
+    h = draw(st.floats(1.0, 6.0))
+    yaw = draw(st.floats(0.0, 90.0))
+    turn = geo.rot_z_deg(yaw)
+    width = draw(st.floats(2.0, 12.0))
+
+    def box(x, y, size, box_yaw):
+        """A box at (x, y) in the street's frame, its top or bottom at h."""
+        z = h + draw(st.sampled_from([-0.5, 0.5])) * size[2]
+        return (tuple(turn @ (x, y, 0.0) + (0.0, 0.0, z)), size, box_yaw,
+                "metal")
+
+    height = st.floats(0.5, 8.0)
+    boxes = []
+    for side in (-1.0, 1.0):
+        depth = draw(st.floats(0.5, 2.0))
+        boxes.append(box(draw(st.floats(-5.0, 5.0)),
+                         side * (width + depth) / 2.0,
+                         (draw(st.floats(10.0, 40.0)), depth, draw(height)),
+                         yaw))
+    if draw(st.booleans()):
+        boxes.append(box(draw(st.floats(-15.0, 15.0)),
+                         draw(st.floats(-15.0, 15.0)),
+                         (draw(st.floats(0.5, 12.0)),
+                          draw(st.floats(0.5, 12.0)), draw(height)),
+                         draw(st.floats(0.0, 90.0))))
+    refl = rt.SceneGeometry([], boxes, {"metal": 0.9}).reflectors
+    street = st.builds(
+        lambda x, y, dz: tuple(turn @ (x, y, 0.0) + (0.0, 0.0, h + dz)),
+        st.floats(-8.0, 8.0), st.floats(-0.45, 0.45).map(lambda y: y * width),
+        _graze)
+    edge = st.builds(
+        lambda k, s, t, ds, dt, lift: tuple(
+            refl.center[k] + (s * refl.hu[k] + ds) * refl.u[k]
+            + (t * refl.hv[k] + dt) * refl.v[k] + lift * refl.normal[k]),
+        st.integers(0, len(refl.center) - 1), st.sampled_from([-1.0, 1.0]),
+        _unit, _graze, _graze, st.floats(-6.0, 0.0).map(lambda e: 10.0 ** e))
+    rxs = draw(st.lists(street | edge, min_size=1, max_size=4))
+    return refl, np.array(draw(street)), np.array(rxs)
+
+
+@given(ledge_scenes(), st.integers(2, 4))
+def test_beam_pruned_table_keeps_every_valid_chain(scene, order):
+    """The chains that ``Candidates`` backtracks from the beam-pruned
+    ``prefix_table`` equal those from the unpruned table of every
+    coplanar-free face sequence (``reference_prefixes``): the same
+    receivers, face sequences and points, order by order, bit for bit."""
+    refl, tx, rxs = scene
+    got = rt.Candidates(refl, tx, rxs, rt.prefix_table(refl, tx, order))
+    want = rt.Candidates(refl, tx, rxs, rt.PrefixTable(
+        reference_prefixes(refl, tx, order)))
+    for a, b in zip(got.chains, want.chains, strict=True):
+        for x, y in zip(a, b):
+            assert (x.dtype, x.shape) == (y.dtype, y.shape)
+            assert x.tobytes() == y.tobytes()
+
+
 @pytest.mark.parametrize("order", [4, 5])
 def test_chains_equal_the_per_order_oracle_shipped(shipped_scenario, order):
     """Every UE of four frames as the receivers of one candidate pass."""
@@ -346,9 +415,12 @@ def test_prefix_table_built_once_per_simulator_and_lazily(shipped_scenario):
         for frame in (0, 100, 200):
             sim.frame_truth(frame)
         assert build.call_count == 1
-    # Rows that survive from the BS, of 18, 294, 4812 coplanar-free ones.
+    # Rows that survive from the BS, of 18, 294, 4812 coplanar-free ones
+    # (7, 44, 254 without the beam test).
     table = sim._prefixes
-    assert [seqs.shape[0] for seqs, _ in table] == [7, 44, 254]
+    assert [seqs.shape[0] for seqs, _ in table] == [7, 19, 49]
+    # Counted once per table, not once per frame.
+    assert [sim.stats[f"prefix_rows.o{k}"] for k in (1, 2, 3)] == [7, 19, 49]
 
 
 # ---------------------------------------------------------------------------
