@@ -55,6 +55,15 @@ def _check_writable(*paths: str | None) -> None:
             raise ValueError(f"cannot write {path}: it is a directory")
 
 
+def _check_directory(path) -> None:
+    """Fail before the truth pass, not after it, when directory ``path``
+    cannot be made: it, or else its nearest existing parent, must be a
+    directory."""
+    found = next(p for p in (Path(path), *Path(path).parents) if p.exists())
+    if not found.is_dir():
+        raise ValueError(f"cannot write {path}: {found} is not a directory")
+
+
 def _write_stats(sim: Simulator, path: str | None) -> None:
     """Write the counts of the truth pass as JSON, when asked to."""
     if path:
@@ -94,9 +103,11 @@ def _cmd_generate(args) -> int:
     model = DetectorNoiseModel(pixel_sigma=args.pixel_sigma,
                                miss_prob=args.miss_prob, seed=args.seed)
     _check_writable(args.out, args.stats, args.timings)
+    render_dir = Path(args.render_dir or Path(args.out).parent)
+    if args.render_every:
+        _check_directory(render_dir)
     sim = Simulator(scenario, args.bs, base_dir)
     if args.render_every:
-        render_dir = Path(args.render_dir or Path(args.out).parent)
         render_dir.mkdir(parents=True, exist_ok=True)
     truth = sim.run_truth()
     with sim.timed("detector"):

@@ -7,7 +7,6 @@ azimuth measured in the xy-plane counterclockwise from +x, degrees.
 from __future__ import annotations
 
 import copy
-import math
 
 import numpy as np
 
@@ -77,26 +76,9 @@ class Mesh:
         self.tris = tris
         self.tris.setflags(write=False)
         self.material = material
-        self._vertices: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self.tris.shape[0]
-
-    def vertices(self) -> np.ndarray:
-        """Unique vertices, shape (V, 3), read-only; computed once.
-
-        They are sorted by x, then y, then z, as ``np.unique(..., axis=0)``
-        gives them, without its import of ``numpy.ma``: a stable lexsort,
-        then the first of each run of equal rows (-0.0 equals 0.0, so of
-        two such rows the first in mesh order is kept)."""
-        if self._vertices is None:
-            v = self.tris.reshape(-1, 3)
-            v = v[np.lexsort(v.T[::-1])]
-            first = np.ones(len(v), dtype=bool)
-            first[1:] = (v[1:] != v[:-1]).any(axis=1)
-            self._vertices = v[first]
-            self._vertices.setflags(write=False)
-        return self._vertices
 
 
 def _tri_areas(tris: np.ndarray) -> np.ndarray:
@@ -120,14 +102,21 @@ _BOX_FACES = [
 ]
 
 
+def box_corners(center, size, yaw_deg: float = 0.0) -> np.ndarray:
+    """The 8 corners of a box, shape (8, 3), rotated by yaw about the
+    vertical axis; unrotated and at the origin they are ``_BOX_CORNERS *
+    size`` exactly, sorted by x, then y, then z."""
+    return ((_BOX_CORNERS * np.asarray(size, float)) @ rot_z_deg(yaw_deg).T
+            + np.asarray(center, float))
+
+
 def box_mesh(center, size, yaw_deg: float = 0.0, material: str = "metal") -> Mesh:
     """Closed 12-triangle box, rotated by yaw about the vertical axis."""
     size = np.asarray(size, dtype=float)
     if np.any(size <= 0):
         raise ValueError("box size components must be > 0")
-    corners = (_BOX_CORNERS * size) @ rot_z_deg(yaw_deg).T + np.asarray(center, float)
-    tris = corners[np.array(_BOX_FACES)]
-    return Mesh(tris, material)
+    return Mesh(box_corners(center, size, yaw_deg)[np.array(_BOX_FACES)],
+                material)
 
 
 # ---------------------------------------------------------------------------
@@ -179,14 +168,16 @@ class Tracks:
 # Ray casting (Moller-Trumbore, vectorized over rays and triangles)
 
 #: Triangles per chunk of the occlusion screen: one box mesh. The kernel's
-#: arrays are stored a chunk to a row, and the screen keeps or drops a
-#: chunk whole. It must stay above 1, since ``_hit_ts``'s per-ray product
-#: over one row does not round as it does over the full table.
+#: arrays are stored a chunk to a row (``TriangleSet.kernel``), and the
+#: screen keeps or drops a chunk whole. It must stay above 1, since
+#: ``_hit_ts``'s per-ray product over one row does not round as it does
+#: over the full table.
 CHUNK = 12
 
-#: Most (segment, chunk) pairs of one ``_hit_ts`` call, so the kernel's
-#: arrays stay a fixed size whatever the number of pairs the screens keep;
-#: chosen with ``pipeline.TRUTH_BLOCK``, whose note gives the measurements.
+#: Most (segment, chunk) pairs of one ``_hit_ts`` call, which takes the
+#: kernel rows of those pairs' chunks, so the kernel's arrays stay a fixed
+#: size whatever the number of pairs the screens keep; chosen with
+#: ``pipeline.TRUTH_BLOCK``, whose note gives the measurements.
 KERNEL_PAIRS = 256
 
 #: Most (segment, chunk) pairs of one ``segments_meet_boxes`` call, whose
@@ -226,19 +217,92 @@ def segments_meet_boxes(a, b, lo, hi) -> np.ndarray:
     return (np.abs(p[0] - q[0]) <= p[1] + q[1]).all(axis=0)
 
 
+def _hit_ts(kernel, origins, directions):
+    """Hit distances of rays against every triangle of their row.
+
+    ``kernel`` has shape (K, 3, T, 3), v0, e1 and e2 of a row of T
+    triangles each; ``origins`` and unit ``directions`` have shape
+    (K, R, 3), ray row k against triangle row k. Returns the (K, R, T)
+    distances along each ray, -inf where it misses; (R, 3) rays are
+    tested against every row. Each value depends only on its own ray
+    and triangle. ``TriangleSet.segments_occluded`` calls it on the P
+    kernel rows of the chunks of P (segment, chunk) pairs, one ray each:
+    (P, 1, 3) rays against (P, CHUNK, 3) triangles.
+
+    Every value is bit-identical to the one-ray form of the test
+    (``np.cross``, then ``np.einsum("ij,ij->i")`` and ``np.dot`` over
+    (T, 3) arrays): the cross products use ``np.cross``'s formula, the
+    einsum dot products add their terms in the order einsum uses for
+    three terms, (0 + 2) + 1 (numpy 2.4, x86-64), and ``np.matmul``
+    makes the same BLAS call per ray that ``np.dot`` makes, fused
+    multiply-adds included. That call gave the same bits over every
+    run of 2 to 40 contiguous triangle rows tried, so a chunk's values
+    equal the full table's; over 1 row it rounds about a fifth of its
+    values differently, hence CHUNK > 1. Sums and differences are built
+    in place, which keeps few ray-by-triangle arrays alive and rounds
+    as the plain expressions do.
+    """
+    # Each row broadcasts over its own rays: (K, 1, T).
+    v0, e1, e2 = (kernel[..., k, None, :, :] for k in range(3))
+    d0, d1, d2 = (directions[..., k, None] for k in range(3))
+    a0, a1, a2 = (e1[..., k] for k in range(3))
+    b0, b1, b2 = (e2[..., k] for k in range(3))
+    p0 = d1 * b2
+    p0 -= d2 * b1
+    p1 = d2 * b0
+    p1 -= d0 * b2
+    p2 = d0 * b1
+    p2 -= d1 * b0
+    det = a0 * p0
+    det += a2 * p2
+    det += a1 * p1
+    ok = np.abs(det) > 1e-14
+    inv = np.divide(1.0, det, out=np.zeros_like(det), where=ok)
+    del det
+    s0, s1, s2 = (origins[..., k, None] - v0[..., k] for k in range(3))
+    u = s0 * p0
+    u += s2 * p2
+    u += s1 * p1
+    u *= inv
+    del p0, p1, p2
+    q = np.empty(u.shape + (3,))
+    np.multiply(s1, a2, out=q[..., 0])
+    q[..., 0] -= s2 * a1
+    np.multiply(s2, a0, out=q[..., 1])
+    q[..., 1] -= s0 * a2
+    np.multiply(s0, a1, out=q[..., 2])
+    q[..., 2] -= s1 * a0
+    del s0, s1, s2
+    v = np.matmul(q, directions[..., :, None])[..., 0]
+    v *= inv
+    t = b0 * q[..., 0]
+    t += b2 * q[..., 2]
+    t += b1 * q[..., 1]
+    t *= inv
+    del q
+    ok &= u >= 0.0
+    ok &= v >= 0.0
+    u += v
+    ok &= u <= 1.0
+    t[~ok] = -np.inf
+    return t
+
+
 class TriangleSet:
     """Occluder table: the triangles of several named meshes, one owner
     index per triangle, and each owner's name and material.
 
-    ``tris`` has shape (T, 3, 3). ``chunks`` cuts each owner's triangles
+    ``tris`` holds the table's own triangles, shape (T, 3, 3), read-only;
+    the debug render draws them. ``chunks`` cuts each owner's triangles
     into runs of CHUNK, which the occlusion screen keeps or drops as a
     whole. ``kernel`` holds the Moller-Trumbore arrays v0, e1 and e2 of one
     chunk a row, shape (K, 3, CHUNK, 3), and ``box`` each row's box, its
-    least and greatest vertex coordinates, shape (K, 2, 3). ``rows`` gives
-    the row of each chunk, shape (C,). A stack of tables (see ``moved``)
-    has a leading axis of one table per frame there, shape (F, C), and in
-    ``tris``, but stores the rows of the chunks it does not move once for
-    all its frames.
+    least and greatest vertex coordinates, shape (K, 2, 3); the occlusion
+    screen reads them. ``rows`` gives the row of each chunk, shape (C,). A
+    stack of tables (see ``moved``) keeps its unmoved table's ``tris``, has
+    a leading axis of one table per frame in ``rows``, shape (F, C), and
+    stores the rows of the chunks it does not move once for all its
+    frames.
     """
 
     def __init__(self, meshes: list[tuple[str, Mesh]]):
@@ -255,11 +319,10 @@ class TriangleSet:
             .reshape(-1, CHUNK) for lo, hi in zip(ends - counts, ends)])
         #: Owner of each chunk, shape (C,).
         self.chunk_owner = self.owners[self.chunks[:, 0]]
-        self._tris = np.concatenate([np.empty((0, 3, 3))]
-                                    + [m.tris for _, m in meshes])
-        self._tris.setflags(write=False)
-        self._shift = None
-        corners = self._tris[self.chunks]
+        self.tris = np.concatenate([np.empty((0, 3, 3))]
+                                   + [m.tris for _, m in meshes])
+        self.tris.setflags(write=False)
+        corners = self.tris[self.chunks]
         # (chunk, corner, triangle, xyz), then each edge from its corner.
         self.kernel = corners.transpose(0, 2, 1, 3).copy()
         self.kernel[:, 1:] -= self.kernel[:, :1]
@@ -268,136 +331,39 @@ class TriangleSet:
                             axis=1)
         self.rows = np.arange(len(self.chunks))
 
-    @property
-    def tris(self) -> np.ndarray:
-        """The table's triangles, a moved one as ``tri + offset``, made
-        from the unmoved ones on each read."""
-        if self._shift is None:
-            return self._tris
-        first, offsets = self._shift
-        lo, hi = np.searchsorted(self.owners,
-                                 [first, first + offsets.shape[-2]])
-        tris = np.empty(offsets.shape[:-2] + self._tris.shape)
-        tris[:] = self._tris
-        tris[..., lo:hi, :, :] += offsets[..., self.owners[lo:hi] - first,
-                                          None, :]
-        return tris
-
     def moved(self, first: int, offsets) -> "TriangleSet":
-        """This table with mesh ``first + i`` translated by ``offsets[i]``.
+        """A stack of F tables, table f this one with mesh ``first + i``
+        translated by ``offsets[f, i]`` (offsets of shape (F, M, 3)), made
+        in one pass: its rows are this table's, then F rows for each moved
+        chunk.
 
         A moved triangle is ``tri + offset``, and its edges are taken from
         the moved triangle, since ``(a + o) - (b + o)`` need not equal
         ``a - b`` in the last bit. A moved chunk's box is its box plus the
         offset, which is the box of its moved vertices exactly, as
-        rounding is monotone: min fl(v + o) = fl(min v + o). Offsets of
-        shape (F, M, 3) give a stack of F tables, table f moved by
-        ``offsets[f]``, made in one pass: its rows are this table's, then
-        F rows for each moved chunk.
+        rounding is monotone: min fl(v + o) = fl(min v + o).
         """
         offsets = np.asarray(offsets, float)
-        stack = offsets.shape[:-2]
+        frames, moving, _ = offsets.shape
         c_lo, c_hi = np.searchsorted(self.chunk_owner,
-                                     [first, first + offsets.shape[-2]])
-        shift = offsets[..., self.chunk_owner[c_lo:c_hi] - first, None,
-                        None, :]
-        tris = self.tris
-        n, shape = len(self.kernel), stack + (c_hi - c_lo, 3, CHUNK, 3)
+                                     [first, first + moving])
+        shift = offsets[:, self.chunk_owner[c_lo:c_hi] - first, None, None]
+        n, moved = len(self.kernel), frames * (c_hi - c_lo)
         table = copy.copy(self)
-        table._tris, table._shift = tris, (first, offsets)
-        table.kernel = np.empty((n + math.prod(shape[:-3]), 3, CHUNK, 3))
+        table.kernel = np.empty((n + moved, 3, CHUNK, 3))
         table.kernel[:n] = self.kernel
-        part = table.kernel[n:].reshape(shape)
-        np.add(tris[self.chunks[c_lo:c_hi]].transpose(0, 2, 1, 3), shift,
-               out=part)
+        part = table.kernel[n:].reshape(frames, c_hi - c_lo, 3, CHUNK, 3)
+        np.add(self.tris[self.chunks[c_lo:c_hi]].transpose(0, 2, 1, 3),
+               shift, out=part)
         part[..., 1:, :, :] -= part[..., :1, :, :]
         table.box = np.concatenate([self.box, (
             self.box[self.rows[c_lo:c_hi]] + shift[..., 0, :, :]
         ).reshape(-1, 2, 3)])
-        table.rows = np.empty(stack + self.rows.shape, int)
+        table.rows = np.empty((frames,) + self.rows.shape, int)
         table.rows[...] = self.rows
-        table.rows[..., c_lo:c_hi] = n + np.arange(
-            math.prod(shape[:-3])).reshape(shape[:-3])
+        table.rows[:, c_lo:c_hi] = n + np.arange(moved).reshape(
+            frames, c_hi - c_lo)
         return table
-
-    def _hit_ts(self, origins, directions):
-        """Hit distances of rays against every triangle of their row.
-
-        ``kernel`` has shape (K, 3, T, 3), v0, e1 and e2 of a row of T
-        triangles each; ``origins`` and unit ``directions`` have shape
-        (K, R, 3), ray row k against triangle row k. Returns the (K, R, T)
-        distances along each ray, -inf where it misses; (R, 3) rays are
-        tested against every row. Each value depends only on its own ray
-        and triangle. The occlusion screen calls it on P rows of one chunk
-        each, (P, 1, 3) rays against (P, CHUNK, 3) triangles
-        (``_pair_ts``).
-
-        Every value is bit-identical to the one-ray form of the test
-        (``np.cross``, then ``np.einsum("ij,ij->i")`` and ``np.dot`` over
-        (T, 3) arrays): the cross products use ``np.cross``'s formula, the
-        einsum dot products add their terms in the order einsum uses for
-        three terms, (0 + 2) + 1 (numpy 2.4, x86-64), and ``np.matmul``
-        makes the same BLAS call per ray that ``np.dot`` makes, fused
-        multiply-adds included. That call gave the same bits over every
-        run of 2 to 40 contiguous triangle rows tried, so a chunk's values
-        equal the full table's; over 1 row it rounds about a fifth of its
-        values differently, hence CHUNK > 1. Sums and differences are built
-        in place, which keeps few ray-by-triangle arrays alive and rounds
-        as the plain expressions do.
-        """
-        # Each row broadcasts over its own rays: (K, 1, T).
-        v0, e1, e2 = (self.kernel[..., k, None, :, :] for k in range(3))
-        d0, d1, d2 = (directions[..., k, None] for k in range(3))
-        a0, a1, a2 = (e1[..., k] for k in range(3))
-        b0, b1, b2 = (e2[..., k] for k in range(3))
-        p0 = d1 * b2
-        p0 -= d2 * b1
-        p1 = d2 * b0
-        p1 -= d0 * b2
-        p2 = d0 * b1
-        p2 -= d1 * b0
-        det = a0 * p0
-        det += a2 * p2
-        det += a1 * p1
-        ok = np.abs(det) > 1e-14
-        inv = np.divide(1.0, det, out=np.zeros_like(det), where=ok)
-        del det
-        s0, s1, s2 = (origins[..., k, None] - v0[..., k] for k in range(3))
-        u = s0 * p0
-        u += s2 * p2
-        u += s1 * p1
-        u *= inv
-        del p0, p1, p2
-        q = np.empty(u.shape + (3,))
-        np.multiply(s1, a2, out=q[..., 0])
-        q[..., 0] -= s2 * a1
-        np.multiply(s2, a0, out=q[..., 1])
-        q[..., 1] -= s0 * a2
-        np.multiply(s0, a1, out=q[..., 2])
-        q[..., 2] -= s1 * a0
-        del s0, s1, s2
-        v = np.matmul(q, directions[..., :, None])[..., 0]
-        v *= inv
-        t = b0 * q[..., 0]
-        t += b2 * q[..., 2]
-        t += b1 * q[..., 1]
-        t *= inv
-        del q
-        ok &= u >= 0.0
-        ok &= v >= 0.0
-        u += v
-        ok &= u <= 1.0
-        t[~ok] = -np.inf
-        return t
-
-    def _pair_ts(self, origins, directions, rows):
-        """Hit distances (P, CHUNK) of ray p, given by ``origins[p]`` and
-        unit ``directions[p]``, against the chunk stored at row
-        ``rows[p]``, in one ``_hit_ts`` call."""
-        # P rows of one chunk each, one ray per row, in one gather.
-        pairs = copy.copy(self)
-        pairs.kernel = self.kernel[rows]
-        return pairs._hit_ts(origins[:, None], directions[:, None])[:, 0]
 
     def segments_occluded(self, a, b, ignore, table
                           ) -> tuple[np.ndarray, int]:
@@ -426,9 +392,9 @@ class TriangleSet:
         ray; a segment farther than the margin from a chunk's box cannot
         meet it, whatever the kernel's rounding says for a ray that nearly
         lies in a triangle's plane. The kept pairs go through the kernel
-        in slices of at most KERNEL_PAIRS, one call per slice
-        (``_pair_ts``, each pair's chunk gathered by its row); each pair's
-        values are its own, so the slicing changes no verdict.
+        in slices of at most KERNEL_PAIRS, one ``_hit_ts`` call per slice
+        on the kernel rows of its pairs' chunks; each pair's values are its
+        own, so the slicing changes no verdict.
         """
         a = np.asarray(a, float).reshape(-1, 3)
         b = np.asarray(b, float).reshape(-1, 3)
@@ -455,8 +421,9 @@ class TriangleSet:
         blocked = np.zeros(len(a), dtype=bool)
         for start in range(0, len(seg), KERNEL_PAIRS):
             part = seg[start:start + KERNEL_PAIRS]
-            ts = self._pair_ts(a[part], d[part] / length[part, None],
-                               rows[start:start + KERNEL_PAIRS])
+            ts = _hit_ts(self.kernel[rows[start:start + KERNEL_PAIRS]],
+                         a[part, None],
+                         (d[part] / length[part, None])[:, None])[:, 0]
             hit = (ts > RAY_EPS) & (ts < (length[part] - RAY_EPS)[:, None])
             blocked[part[hit.any(axis=1)]] = True
         return blocked, len(seg)

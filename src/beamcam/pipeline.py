@@ -16,6 +16,7 @@ edge table, ``BeamEdges``.
 
 from __future__ import annotations
 
+import copy
 import math
 import operator
 from collections import Counter, defaultdict
@@ -30,7 +31,8 @@ import numpy as np
 
 from .camera import BoundingBox, CameraModel, VertexRays, pixel_to_azimuth
 from .channel import beam_tables, build_channels, generate_codebook
-from .geometry import Mesh, Tracks, box_mesh, same_point
+from .geometry import (Mesh, Tracks, TriangleSet, box_corners, box_mesh,
+                       same_point)
 from .raytrace import (Candidates, PathComponent, PrefixTable, SceneGeometry,
                        prefix_table)
 from .scenario import Scenario, ScenarioError, UeConfig
@@ -467,10 +469,11 @@ class Simulator:
 
     @cached_property
     def _ue_vertices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every UE box's vertices at the origin, one box after another,
-        shape (V, 3), the UE of each vertex and each UE's vertex count;
-        built on first use."""
-        verts = [mesh.vertices() for _, mesh in self._meshes[self._first:]]
+        """Every UE box's vertices at the origin, its corners in
+        ``box_corners``' order, one box after another, shape (V, 3), the UE
+        of each vertex and each UE's vertex count; built on first use."""
+        verts = [box_corners((0.0, 0.0, 0.0), ue.size)
+                 for ue in self.scenario.ues]
         counts = np.array([len(v) for v in verts], dtype=int)
         return (np.concatenate([np.empty((0, 3))] + verts),
                 np.repeat(np.arange(len(verts)), counts), counts)
@@ -482,10 +485,15 @@ class Simulator:
 
     def frame_scene(self, frame: int
                     ) -> tuple[SceneGeometry, dict[str, np.ndarray]]:
-        """Immutable snapshot of all geometry at one frame: the scene with
-        each UE's box moved to its position."""
+        """Immutable snapshot of all geometry at one frame: the scene's
+        reflectors, and an occluder table of its own with each UE's box
+        moved to its position, each triangle ``tri + offset`` as in
+        ``TriangleSet.moved``."""
         pos = self._tracks.at([frame])[0]
-        scene = self._scene.moved(self._first, pos)
+        scene = copy.copy(self._scene)
+        scene.tset = TriangleSet(self._meshes[:self._first] + [
+            (name, Mesh(mesh.tris + p, mesh.material, check=False))
+            for (name, mesh), p in zip(self._meshes[self._first:], pos)])
         return scene, {ue.name: p for ue, p in zip(self.scenario.ues, pos)}
 
     def frame_truth(self, frame: int) -> FrameRecord:

@@ -56,7 +56,6 @@ keeps its bits.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -137,8 +136,8 @@ def path_components(points: np.ndarray, amps: np.ndarray,
 
 
 class _Reflectors:
-    """The faces of box reflectors as arrays, shared by every snapshot made
-    with ``SceneGeometry.moved``.
+    """The faces of box reflectors as arrays, shared by every frame's
+    snapshot (``Simulator.frame_scene``).
 
     ``boxes`` lists each box as (center, size, yaw_deg, material). A box
     gives six outward-facing rectangles, its -a then +a face for each axis
@@ -304,13 +303,6 @@ class SceneGeometry:
                  materials: dict[str, float]):
         self.tset = TriangleSet(meshes)
         self.reflectors = _Reflectors(boxes, materials)
-
-    def moved(self, first: int, offsets) -> "SceneGeometry":
-        """This scene with occluder mesh ``first + i`` moved by
-        ``offsets[i]``; the reflectors are shared."""
-        scene = copy.copy(self)
-        scene.tset = self.tset.moved(first, offsets)
-        return scene
 
 
 def _pairs(refl: _Reflectors, rxs: np.ndarray,

@@ -68,6 +68,24 @@ def interpolate_position(keyframes, frame: float) -> np.ndarray:
     return Tracks([keyframes]).at([frame])[0, 0]
 
 
+def unique_rows(mesh: Mesh) -> np.ndarray:
+    """A mesh's distinct vertices, ``np.unique``'s rows of its triangles'
+    vertices, shape (V, 3)."""
+    return np.unique(mesh.tris.reshape(-1, 3), axis=0)
+
+
+def moved_tris(tset: TriangleSet, first: int, offsets) -> np.ndarray:
+    """The triangles of each table of ``tset.moved(first, offsets)``, shape
+    (F, T, 3, 3): those of mesh ``first + i`` are ``tri + offsets[f, i]``,
+    the others the unmoved ``tset.tris``."""
+    offsets = np.asarray(offsets, float)
+    moving = (tset.owners >= first) & (tset.owners < first + offsets.shape[1])
+    tris = np.repeat(tset.tris[None], len(offsets), axis=0)
+    tris[:, moving] = tset.tris[moving] + offsets[:, tset.owners[moving]
+                                                  - first, None]
+    return tris
+
+
 def owned_by(tset: TriangleSet, names) -> np.ndarray:
     """Bool (M,): which owners of the table are named in ``names``."""
     return np.isin(tset.names, list(names))
@@ -266,7 +284,7 @@ def project_bbox(cam: CameraModel, mesh: Mesh,
     vertices passing all three tests. Returns None when nothing is visible.
     The one-mesh case of ``VertexRays``.
     """
-    verts = mesh.vertices()
+    verts = unique_rows(mesh)
     rays = VertexRays(cam, verts, [len(verts)])
     blocked = np.zeros(len(rays.ends), dtype=bool)
     if scene is not None and len(rays.ends):

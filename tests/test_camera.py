@@ -82,7 +82,7 @@ def test_project_bbox_contains_projected_vertices():
     box = ref.project_bbox(c, mesh, scene, exclude=("car",))
     assert box is not None
     assert box.visibility == pytest.approx(1.0)
-    for v in mesh.vertices():
+    for v in ref.unique_rows(mesh):
         u, vv = ref.project_point(c, v)
         assert box.u_min - 1e-9 <= u <= box.u_max + 1e-9
         assert box.v_min - 1e-9 <= vv <= box.v_max + 1e-9

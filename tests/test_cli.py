@@ -511,11 +511,14 @@ def test_bad_detector_settings_exit_1(argv, scenario_file, tmp_path,
     ["sweep", "--stats", "afile/s.json"],
     ["generate", "--out", "ds.jsonl", "--timings", "nodir/t.json"],
     ["sweep", "--timings", "adir"],
+    ["generate", "--out", "ds.jsonl", "--render-every", 5,
+     "--render-dir", "afile"],
 ])
 def test_unwritable_outputs_fail_before_the_truth_pass(
         argv, scenario_file, tmp_path, monkeypatch, capsys):
     """An output path that cannot be written fails the run before the truth
-    pass, and the run writes no file."""
+    pass with an error that names it and why, and the run writes no
+    file."""
     (tmp_path / "afile").write_text("")
     (tmp_path / "adir").mkdir()
     before = sorted(tmp_path.rglob("*"))
@@ -525,7 +528,11 @@ def test_unwritable_outputs_fail_before_the_truth_pass(
     monkeypatch.chdir(tmp_path)
     command, *options = argv
     assert run([command, "--scenario", scenario_file, *options]) == 1
-    assert "error:" in capsys.readouterr().err
+    # The last option is the path at fault.
+    path = options[-1]
+    why = "it is" if path == "adir" else f"{path.split('/')[0]} is not"
+    assert capsys.readouterr().err \
+        == f"error: cannot write {path}: {why} a directory\n"
     assert truth_passes == []
     assert sorted(tmp_path.rglob("*")) == before
 

@@ -1,12 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
 from beamcam import geometry as geo
+from beamcam import pipeline as pl
+from beamcam import scenario as sc
 from beamcam import stl
 
 import reference as ref
-from conftest import small_scenarios
+from conftest import MINIMAL_SCENARIO, small_scenarios
 
 
 def test_box_mesh_area_and_closure():
@@ -14,7 +18,7 @@ def test_box_mesh_area_and_closure():
     assert mesh.tris.shape == (12, 3, 3)
     # Surface area 2(ab + bc + ca) is yaw-invariant.
     assert np.isclose(ref.areas(mesh).sum(), 2 * (2 * 3 + 3 * 4 + 4 * 2))
-    assert np.allclose(mesh.vertices().mean(axis=0), [1.0, -2.0, 3.0])
+    assert np.allclose(ref.unique_rows(mesh).mean(axis=0), [1.0, -2.0, 3.0])
 
 
 # A tetrahedron in ASCII STL whose vertices carry -0.0 and 0.0, each vertex
@@ -52,42 +56,46 @@ endsolid zeros
 """
 
 
-@pytest.mark.parametrize("mesh", [
-    geo.box_mesh((1.0, -2.0, 3.0), (2.0, 3.0, 4.0), yaw_deg=30.0),
-    geo.box_mesh((0.0, 0.0, 0.0), (4.4, 1.8, 1.4)),
-    geo.box_mesh((-0.5, 0.25, 1.0), (1.0, 0.5, 2.0)),
-    geo.box_mesh((12.0, -3.0, 0.7), (4.4, 1.8, 1.4), yaw_deg=271.3),
-    stl.parse_stl(ref.write_stl(geo.box_mesh((0.0, 1.0, 2.0),
-                                             (3.0, 2.0, 1.0), 45.0))),
-    stl.parse_stl(SIGNED_ZERO_STL),
-], ids=["yawed", "origin", "zero-coordinates", "ue", "binary-stl",
-        "signed-zero-stl"])
-def test_vertices_are_numpy_unique_rows(mesh):
-    """``Mesh.vertices`` gives ``np.unique(..., axis=0)``'s rows bit for
-    bit, in its order, the sign of each zero included."""
-    want = np.unique(mesh.tris.reshape(-1, 3), axis=0)
-    got = mesh.vertices()
-    assert (got.dtype, got.shape) == (want.dtype, want.shape)
-    assert got.tobytes() == want.tobytes()
-    assert not got.flags.writeable
+# UE box sizes of every magnitude from 1e-150 to 1e150.
+UE_SIZE = st.builds(lambda mantissa, exponent: mantissa * 10.0**exponent,
+                    st.floats(1.0, 9.99), st.integers(-150, 149))
+
+
+@given(st.lists(st.tuples(UE_SIZE, UE_SIZE, UE_SIZE), min_size=3,
+                max_size=6))
+@example([(1e-150, 1e150, 1e150), (1e150, 1e150, 1e150), (4.4, 1.8, 1.4),
+          (1e-150, 1e-150, 1.0)])
+def test_ue_vertices_are_numpy_unique_rows(sizes):
+    """The UE vertices the truth pass projects, each box's corners at the
+    origin, equal ``np.unique``'s rows of the UE's box mesh, UE by UE and
+    as bytes. Sizes that ``box_mesh`` refuses are skipped."""
+    kept = []
+    # The area check of a face with sides near 1e150 overflows to inf.
+    with np.errstate(over="ignore"):
+        for size in sizes:
+            try:
+                kept.append((size, geo.box_mesh((0.0, 0.0, 0.0), size)))
+            except ValueError:
+                pass
+        assume(kept)
+        scenario = sc.parse_scenario(MINIMAL_SCENARIO)
+        ue = scenario.ues[0]
+        scenario = dataclasses.replace(scenario, ues=tuple(
+            dataclasses.replace(ue, name=f"u{i}", size=size)
+            for i, (size, _) in enumerate(kept)))
+        verts, owner, counts = pl.Simulator(scenario)._ue_vertices
+    assert owner.tolist() == np.repeat(np.arange(len(kept)), counts).tolist()
+    for i, (_, mesh) in enumerate(kept):
+        want = ref.unique_rows(mesh)
+        got = verts[owner == i]
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_signed_zero_stl_has_both_zeros():
-    verts = stl.parse_stl(SIGNED_ZERO_STL).vertices()
+    verts = ref.unique_rows(stl.parse_stl(SIGNED_ZERO_STL))
     zeros = verts[verts == 0.0]
     assert np.signbit(zeros).any() and not np.signbit(zeros).all()
-
-
-def test_vertices_keep_the_first_of_rows_equal_but_for_a_zero_sign():
-    """Rows equal but for the sign of a zero are one vertex, the one that
-    comes first in the mesh."""
-    tris = np.array([[[0.0, 1.0, 2.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
-                     [[-0.0, 1.0, 2.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]])
-    for first in (tris, tris[::-1]):
-        verts = geo.Mesh(first).vertices()
-        assert len(verts) == 3
-        assert np.signbit(verts[verts[:, 2] == 2.0][0, 0]) \
-            == np.signbit(first[0, 0, 0])
 
 
 def test_box_mesh_normals_point_outward():
@@ -129,8 +137,8 @@ def nearest_ts(tset, origins, directions, t_max):
     """Nearest hit distance in (RAY_EPS, t_max) of each ray, from
     ``_hit_ts`` against every chunk row of the table; None for a ray that
     hits nothing there."""
-    ts = tset._hit_ts(np.asarray(origins, float),
-                      np.asarray(directions, float))
+    ts = geo._hit_ts(tset.kernel, np.asarray(origins, float),
+                     np.asarray(directions, float))
     ts = np.moveaxis(ts, 0, 1).reshape(len(origins), -1)
     ts = np.where((ts > geo.RAY_EPS) & (ts < t_max), ts, np.inf).min(axis=1)
     return [None if t == np.inf else t for t in ts.tolist()]
@@ -167,7 +175,7 @@ def test_nearest_hit_matches_bruteforce_scan():
             for _ in range(200)]
     # Rays aimed near a box center, so most of them hit something.
     for origin in rng.uniform(-15, 15, (100, 3)):
-        target = meshes[rng.integers(6)].vertices().mean(axis=0)
+        target = ref.unique_rows(meshes[rng.integers(6)]).mean(axis=0)
         rays.append((origin, ref.normalize(target + rng.uniform(-1, 1, 3)
                                            - origin)))
     origins, directions = zip(*rays)
@@ -341,7 +349,7 @@ def test_moved_chunk_boxes_are_the_boxes_of_the_moved_vertices(
         OFFSET, min_size=3 * moving * frames, max_size=3 * moving * frames))
     ).reshape(frames, moving, 3)
     stack = tset.moved(first, offsets)
-    tris = stack.tris
+    tris = ref.moved_tris(tset, first, offsets)
     vertices = tris.reshape(frames, -1, 3)
     starts = 3 * tset.chunks[:, 0]
     box = stack.box[stack.rows]
@@ -528,7 +536,8 @@ def test_the_segment_box_test_keeps_every_kernel_hit(case):
     lo = tset.box[rows, 0] - geo.RAY_EPS
     hi = tset.box[rows, 1] + geo.RAY_EPS
     with np.errstate(divide="raise", invalid="raise"):
-        ts = tset._pair_ts(a[seg], d[seg] / length[seg, None], rows)
+        ts = geo._hit_ts(tset.kernel[rows], a[seg, None],
+                         (d[seg] / length[seg, None])[:, None])[:, 0]
         overlap = ((np.minimum(a, b)[seg] <= hi)
                    & (np.maximum(a, b)[seg] >= lo)).all(axis=1)
         meets = geo.segments_meet_boxes(a[seg], b[seg], lo, hi)

@@ -1,4 +1,3 @@
-import copy
 import dataclasses
 import hashlib
 import io
@@ -619,19 +618,19 @@ def test_frame_truth_builds_no_mesh_after_the_first_frame(shipped_scenario,
 
 
 def pair_counting(calls):
-    """A ``TriangleSet._hit_ts`` that checks the screen's call shape, one
-    ray against one chunk per pair, gathered as a row of the kernel's
-    v0, e1 and e2 arrays, and at most KERNEL_PAIRS pairs a call, and
-    appends the pair count to ``calls``."""
-    hit_ts = TriangleSet._hit_ts
+    """A ``geometry._hit_ts`` that checks the screen's call shape, one ray
+    against one chunk per pair, given as a row of the kernel's v0, e1 and
+    e2 arrays, and at most KERNEL_PAIRS pairs a call, and appends the pair
+    count to ``calls``."""
+    hit_ts = geo._hit_ts
 
-    def counting(tset, origins, directions):
+    def counting(kernel, origins, directions):
         pairs = len(origins)
         assert origins.shape == directions.shape == (pairs, 1, 3)
-        assert tset.kernel.shape == (pairs, 3, CHUNK, 3)
+        assert kernel.shape == (pairs, 3, CHUNK, 3)
         assert 0 < pairs <= KERNEL_PAIRS
         calls.append(pairs)
-        return hit_ts(tset, origins, directions)
+        return hit_ts(kernel, origins, directions)
     return counting
 
 
@@ -655,7 +654,7 @@ def test_occlusion_is_one_kernel_pass_per_trace_and_bbox(shipped_scenario,
     def per_segment(*args, **kwargs):
         raise AssertionError("occlusion tested one segment at a time")
 
-    monkeypatch.setattr(TriangleSet, "_hit_ts", pair_counting(pairs))
+    monkeypatch.setattr(geo, "_hit_ts", pair_counting(pairs))
     monkeypatch.setattr(TriangleSet, "segments_occluded", counting_segments)
     monkeypatch.setattr(ref, "segment_occluded", per_segment)
     sim = pl.Simulator(shipped_scenario, base_dir=REPO_ROOT)
@@ -865,7 +864,7 @@ def test_run_truth_is_one_kernel_pass_per_block(shipped_scenario,
         blocks.append((pairs, list(calls)))
         return blocked, pairs
 
-    monkeypatch.setattr(TriangleSet, "_hit_ts", pair_counting(calls))
+    monkeypatch.setattr(geo, "_hit_ts", pair_counting(calls))
     monkeypatch.setattr(TriangleSet, "segments_occluded", per_block)
     sim = pl.Simulator(shipped_scenario, base_dir=REPO_ROOT)
     frames = range(shipped_scenario.system.frames)
@@ -914,18 +913,47 @@ def test_run_truth_working_set_is_bounded(shipped_scenario):
     assert peak - retained < 1_000_000
 
 
+@pytest.mark.parametrize("frame", [0, 150, 299])
+def test_frame_scene_table_is_the_truth_pass_table(shipped_scenario, frame):
+    """The one-frame table of ``frame_scene``, which the debug render draws,
+    holds the kernel row and box of every chunk that the truth pass's stack
+    keeps for that frame, as bytes, sign bits included; its triangles are
+    the unmoved ones plus each UE's offset."""
+    sim = pl.Simulator(shipped_scenario, base_dir=REPO_ROOT)
+    tset = sim.frame_scene(frame)[0].tset
+    unmoved = sim._scene.tset
+    pos = sim._tracks.at([frame])
+    stack = unmoved.moved(sim._first, pos)
+    assert (tset.names, tset.materials) == (stack.names, stack.materials)
+    assert tset.owners.tolist() == stack.owners.tolist()
+    for got, want in ((tset.kernel[tset.rows], stack.kernel[stack.rows[0]]),
+                      (tset.box[tset.rows], stack.box[stack.rows[0]]),
+                      (tset.tris, ref.moved_tris(unmoved, sim._first,
+                                                 pos)[0])):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+    assert not tset.tris.flags.writeable
+
+
 def test_chunked_kernel_equals_the_full_table_bit_for_bit(shipped_scenario,
                                                          monkeypatch):
     """Every hit distance of every (live segment, chunk) pair of the
     shipped run's blocks, kept by the screen or not, equals the distance of
     the segment against its whole frame table, compared with ==."""
-    blocks = []
+    blocks, stacks = [], []
     segments_occluded = TriangleSet.segments_occluded
+    moved = TriangleSet.moved
+
+    def moving(tset, first, offsets):
+        stack = moved(tset, first, offsets)
+        stacks.append((stack, ref.moved_tris(tset, first, offsets)))
+        return stack
 
     def capturing(tables, a, b, ignore, table):
         blocks.append((tables, a, b, table))
         return segments_occluded(tables, a, b, ignore, table)
 
+    monkeypatch.setattr(TriangleSet, "moved", moving)
     monkeypatch.setattr(TriangleSet, "segments_occluded", capturing)
     pl.Simulator(shipped_scenario, base_dir=REPO_ROOT).run_truth()
     assert len(blocks) == len(range(0, shipped_scenario.system.frames,
@@ -939,16 +967,15 @@ def test_chunked_kernel_equals_the_full_table_bit_for_bit(shipped_scenario,
         directions = d[live] / length[live, None]
         # One row of the whole frame table per segment, its kernel arrays
         # taken triangle by triangle from the moved triangles.
-        tris = tables.tris[table]
-        whole = copy.copy(tables)
-        whole.kernel = np.stack([tris[..., 0, :],
-                                 tris[..., 1, :] - tris[..., 0, :],
-                                 tris[..., 2, :] - tris[..., 0, :]], axis=1)
-        want = whole._hit_ts(a[:, None], directions[:, None])[:, 0]
+        tris = next(t for stack, t in stacks if stack is tables)[table]
+        whole = np.stack([tris[..., 0, :],
+                          tris[..., 1, :] - tris[..., 0, :],
+                          tris[..., 2, :] - tris[..., 0, :]], axis=1)
+        want = geo._hit_ts(whole, a[:, None], directions[:, None])[:, 0]
         seg, chunk = np.divmod(np.arange(len(a) * len(tables.chunks)),
                                len(tables.chunks))
-        got = tables._pair_ts(a[seg], directions[seg],
-                              tables.rows[table[seg], chunk])
+        got = geo._hit_ts(tables.kernel[tables.rows[table[seg], chunk]],
+                          a[seg, None], directions[seg, None])[:, 0]
         assert np.array_equal(got, want[seg[:, None], tables.chunks[chunk]])
         cells += got.size
     # 9,681 segments by 72 triangles, less the few no longer than 2 RAY_EPS.
