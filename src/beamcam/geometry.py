@@ -82,9 +82,13 @@ class Mesh:
 
 
 def _tri_areas(tris: np.ndarray) -> np.ndarray:
-    e1 = tris[:, 1] - tris[:, 0]
-    e2 = tris[:, 2] - tris[:, 0]
-    return 0.5 * np.linalg.norm(np.cross(e1, e2), axis=1)
+    """Half the norm of each triangle's edge cross product, written out by
+    ``np.cross``'s formula, bit for bit: ``np.cross`` itself costs more
+    than the rest of a box mesh's set-up."""
+    (a0, a1, a2), (b0, b1, b2) = ((tris[:, k] - tris[:, 0]).T for k in (1, 2))
+    return 0.5 * np.linalg.norm(np.stack(
+        [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=1),
+        axis=1)
 
 
 _BOX_CORNERS = np.array(
@@ -92,14 +96,14 @@ _BOX_CORNERS = np.array(
 )
 
 # Two CCW-wound (outward-facing) triangles per face, indices into _BOX_CORNERS.
-_BOX_FACES = [
+_BOX_FACES = np.array([
     (0, 3, 2), (0, 1, 3),  # -x
     (4, 6, 7), (4, 7, 5),  # +x
     (0, 5, 1), (0, 4, 5),  # -y
     (2, 7, 6), (2, 3, 7),  # +y
     (0, 2, 6), (0, 6, 4),  # -z
     (1, 7, 3), (1, 5, 7),  # +z
-]
+])
 
 
 def box_corners(center, size, yaw_deg: float = 0.0) -> np.ndarray:
@@ -115,7 +119,7 @@ def box_mesh(center, size, yaw_deg: float = 0.0, material: str = "metal") -> Mes
     size = np.asarray(size, dtype=float)
     if np.any(size <= 0):
         raise ValueError("box size components must be > 0")
-    return Mesh(box_corners(center, size, yaw_deg)[np.array(_BOX_FACES)],
+    return Mesh(box_corners(center, size, yaw_deg)[_BOX_FACES],
                 material)
 
 

@@ -7,7 +7,9 @@ index), so visual and wireless truth are synchronized by construction;
 every box and path of every frame of a block comes from one occlusion
 pass, each row against its own frame's occluder table. The prediction side
 gates on activity and detects with a pluggable noise-parameterized oracle
-detector: ``noise_draws`` gives each row's draws, and one
+detector: ``noise_draws`` defines each row's draws, ``sweep_draws`` draws
+many rows' in one uint64 lane pass (``sweep``'s always, ``apply_detector``'s
+from ``LANE_CELLS`` rows on, fewer row by row), and one
 ``selection.detected_boxes`` pass jitters, clips and takes the centre column
 of every detected box, for ``apply_detector`` and ``sweep`` alike. The
 codebook bin of that column (``selection.column_index``) is read from its
@@ -31,8 +33,7 @@ import numpy as np
 
 from .camera import BoundingBox, CameraModel, VertexRays, pixel_to_azimuth
 from .channel import beam_tables, build_channels, generate_codebook
-from .geometry import (Mesh, Tracks, TriangleSet, box_corners, box_mesh,
-                       same_point)
+from .geometry import Mesh, Tracks, TriangleSet, box_corners, same_point
 from .raytrace import (Candidates, PathComponent, PrefixTable, SceneGeometry,
                        prefix_table)
 from .scenario import Scenario, ScenarioError, UeConfig
@@ -212,14 +213,14 @@ def _pcg_output(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     return x >> rot | x << (64 - rot & 63)
 
 
-def _numpy_normal(rng, state: int, inc: int) -> float:
-    """numpy's own ``standard_normal()`` from the ``PCG64`` LCG at (state,
+def _numpy_normal(rng, state: int, inc: int, n: int) -> np.ndarray:
+    """numpy's own ``standard_normal(n)`` from the ``PCG64`` LCG at (state,
     inc), drawn by ``rng``, a ``Generator`` over a ``PCG64`` whose state
     this sets."""
     rng.bit_generator.state = {
         "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
         "has_uint32": 0, "uinteger": 0}
-    return rng.standard_normal()
+    return rng.standard_normal(n)
 
 
 def _ziggurat_tables(rng) -> tuple[np.ndarray, np.ndarray]:
@@ -241,7 +242,7 @@ def _ziggurat_tables(rng) -> tuple[np.ndarray, np.ndarray]:
 
     def draw(r: int) -> tuple[float, bool]:
         # One step from this state with inc 1 lands on state r.
-        z = _numpy_normal(rng, (r - 1) * inverse % (1 << 128), 1)
+        z, = _numpy_normal(rng, (r - 1) * inverse % (1 << 128), 1, 1)
         return z, rng.bit_generator.state["state"]["state"] == r
 
     wi = np.array([draw(1 << 9 | idx)[0] for idx in range(256)])
@@ -255,31 +256,39 @@ def _ziggurat_tables(rng) -> tuple[np.ndarray, np.ndarray]:
     return wi, kb
 
 
-def _pcg_draws(words: np.ndarray, wi: np.ndarray, kb: np.ndarray
+def _pcg_draws(words: np.ndarray, wi: np.ndarray, kb: np.ndarray,
+               normals: int
                ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
-    """(miss, z_u) of the ``PCG64`` stream that each row of (n, 4) state
-    words seeds, as an (n, 2) array; a bool per row that is false where the
-    normal draw is off the ziggurat's one-output path, so that its z_u is
-    not the stream's; and the uint64 lanes (hi, lo, inc_hi, inc_lo) of
-    each stream's LCG between its two draws, where ``standard_normal()``
+    """(miss, z_u), or (miss, z_u, z_v) for two ``normals``, of the
+    ``PCG64`` stream that each row of (n, 4) state words seeds, as an (n,
+    1 + normals) array; a bool per row that is false where a normal draw is
+    off the ziggurat's one-output path, so that its normals are not the
+    stream's; and the uint64 lanes (hi, lo, inc_hi, inc_lo) of each
+    stream's LCG after its miss draw, where ``standard_normal(normals)``
     starts. ``wi`` and ``kb`` are ``_ziggurat_tables``.
 
     Seeding follows ``pcg64_set_seed``: initstate = w0:w1, inc = 2 * w2:w3
     + 1; state 0, one step, add initstate, one step. ``random()`` is the
-    top 53 bits of one output, ``standard_normal()`` one more output r.
+    top 53 bits of one output, and each normal on the one-output path one
+    more output r, so z_v's r is one LCG step after z_u's.
     """
     w0, w1, w2, w3 = words.T
     inc = w2 << 1 | w3 >> 63, w3 << 1 | 1
     lo = inc[1] + w1
     state = _pcg_step(inc[0] + w0 + (lo < w1), lo, *inc)
     state = _pcg_step(*state, *inc)
-    miss = (_pcg_output(*state) >> 11) * 2.0**-53
-    r = _pcg_output(*_pcg_step(*state, *inc))
-    idx = (r & 0xFF).astype(np.intp)
-    rabs = r >> 9 & (1 << 52) - 1
-    z_u = rabs * wi[idx]
-    return (np.stack([miss, np.where(r & 0x100, -z_u, z_u)], axis=-1),
-            rabs < kb[idx], (*state, *inc))
+    draws = [(_pcg_output(*state) >> 11) * 2.0**-53]
+    fast = True
+    step = state
+    for _ in range(normals):
+        step = _pcg_step(*step, *inc)
+        r = _pcg_output(*step)
+        idx = (r & 0xFF).astype(np.intp)
+        rabs = r >> 9 & (1 << 52) - 1
+        z = rabs * wi[idx]
+        draws.append(np.where(r & 0x100, -z, z))
+        fast = fast & (rabs < kb[idx])
+    return np.stack(draws, axis=-1), fast, (*state, *inc)
 
 
 #: The ``Generator`` that ``_numpy_normal`` draws with, and the
@@ -301,12 +310,13 @@ class SweepKeys:
         self.wide = np.array([max(key) > _WORD for key in self.keys], bool)
 
 
-def sweep_draws(seeds: list[int], keys: list[tuple[int, int]] | SweepKeys
-                ) -> np.ndarray:
-    """(miss, z_u) of ``noise_draws(seed, frame, ue_index)`` for every seed
-    and every (frame, UE index) key: a (seeds, keys, 2) array. ``keys`` may
-    come packed as ``SweepKeys``, which a caller drawing several blocks of
-    seeds over the same keys makes once.
+def sweep_draws(seeds: list[int], keys: list[tuple[int, int]] | SweepKeys,
+                normals: int = 1) -> np.ndarray:
+    """(miss, z_u) of ``noise_draws(seed, frame, ue_index)``, or (miss,
+    z_u, z_v) for two ``normals``, for every seed and every (frame, UE
+    index) key: a (seeds, keys, 1 + normals) array. ``keys`` may come
+    packed as ``SweepKeys``, which a caller drawing several blocks of seeds
+    over the same keys makes once.
 
     The batched form of ``noise_draws``, with the same streams, bit for
     bit. A seed below 2**64 with a frame and UE index below 2**32 makes an
@@ -315,11 +325,12 @@ def sweep_draws(seeds: list[int], keys: list[tuple[int, int]] | SweepKeys
     two-word one. The ``SeedSequence`` state of every such stream is hashed
     in one array pass over the (seeds, keys) grid (``_seed_states``), and
     the same pass seeds each stream's ``PCG64`` and draws from it in uint64
-    lanes (``_pcg_draws``). A cell whose normal draw is off the ziggurat's
-    one-output path (about 2%) has its z_u drawn again by numpy's own
-    ``standard_normal()`` from its LCG state in the lanes
-    (``_numpy_normal``); a scalar ``standard_normal()`` is the first value
-    of ``standard_normal(2)``. Any other cell is drawn by ``noise_draws``.
+    lanes (``_pcg_draws``). A cell with a normal draw off the ziggurat's
+    one-output path (about 2% with one normal, 4% with two) has its normals
+    drawn again by numpy's own ``standard_normal(normals)`` from its LCG
+    state in the lanes (``_numpy_normal``); the first value of
+    ``standard_normal(2)`` is a scalar ``standard_normal()``. Any other
+    cell is drawn by ``noise_draws``.
     """
     seeds = [_key(n) for n in seeds]
     if not isinstance(keys, SweepKeys):
@@ -336,18 +347,29 @@ def sweep_draws(seeds: list[int], keys: list[tuple[int, int]] | SweepKeys
     words = _seed_states(
         seed & _WORD, np.where(one, frame, seed >> 32),
         np.where(one, ue, frame), np.where(one, 0, ue)).reshape(-1, 4)
-    draws, fast, lanes = _pcg_draws(words, wi, kb)
+    draws, fast, lanes = _pcg_draws(words, wi, kb, normals)
     wide = (np.array([n >> 64 > 0 for n in seeds], bool)[:, None]
             | keys.wide).ravel()
     off = np.flatnonzero(~fast & ~wide)
     for i, hi, lo, inc_hi, inc_lo in zip(
             off.tolist(), *(lane[off].tolist() for lane in lanes)):
-        draws[i, 1] = _numpy_normal(rng, hi << 64 | lo, inc_hi << 64 | inc_lo)
-    draws = draws.reshape(len(seeds), len(keys.keys), 2)
+        draws[i, 1:] = _numpy_normal(rng, hi << 64 | lo,
+                                     inc_hi << 64 | inc_lo, normals)
+    draws = draws.reshape(len(seeds), len(keys.keys), 1 + normals)
     for i, j in np.argwhere(wide.reshape(draws.shape[:2])).tolist():
-        draws[i, j] = noise_draws(seeds[i], *keys.keys[j])[:2]
+        draws[i, j] = noise_draws(seeds[i], *keys.keys[j])[:1 + normals]
     return draws
 
+
+#: Fewest rows for which ``Simulator.apply_detector`` draws its streams in
+#: ``sweep_draws``' lanes rather than one ``noise_draws`` call a row. The
+#: lane pass costs about the same whatever its row count up to 64 rows, and
+#: a row of ``noise_draws`` a fixed sum: on a 2-core Xeon (in process, min
+#: of 41 sets of 20 calls, two interleaved runs) ``noise_draws`` took
+#: 10.9-13.0 us a stream and ``sweep_draws`` of one seed with two normals
+#: 290-323 us for 16 to 32 streams, so the two meet at 26 streams; 754
+#: streams took 8.5 ms by row and 0.79 ms in lanes.
+LANE_CELLS = 26
 
 #: Frames per block of ``run_truth``: larger blocks pay less per-call
 #: overhead but hold more candidates, screen rows and moved chunk rows at
@@ -405,14 +427,10 @@ class Simulator:
                         f"reflector {refl.name!r}: cannot load mesh "
                         f"{refl.mesh_path!r}: {exc}") from exc
             else:
-                mesh = box_mesh(refl.center, refl.size, refl.yaw_deg,
-                                refl.material)
+                mesh = refl.box
             self._meshes.append((refl.name, mesh))
         self._first = len(self._meshes)
-        self._meshes += [
-            (ue.name, box_mesh((0.0, 0.0, 0.0), ue.size, material=ue.material))
-            for ue in scenario.ues
-        ]
+        self._meshes += [(ue.name, ue.box) for ue in scenario.ues]
         #: Counts of the truth passes so far: boxes projected and visible,
         #: the BS's prefix-table rows per reflection order (added once, when
         #: the table is built), receivers traced, (receiver, prefix row)
@@ -613,7 +631,10 @@ class Simulator:
         of detector models. Each active row with a box is the detector's to
         see or miss. Its draws come from its own ``noise_draws`` stream, so
         they do not depend on evaluation order, and every sigma shares them:
-        the jitter at 2 sigma is exactly twice the jitter at sigma. A row is
+        the jitter at 2 sigma is exactly twice the jitter at sigma. From
+        ``LANE_CELLS`` rows on, one ``sweep_draws`` call with two normals
+        draws every row's stream, bit for bit; fewer rows are drawn one
+        ``noise_draws`` call each, which costs less there. A row is
         missed when its miss draw is below ``miss_prob``; every other row's
         box is detected by one ``detected_boxes`` pass over all of them, and
         its predicted index is read from the edge table that ``sweep`` reads.
@@ -624,9 +645,13 @@ class Simulator:
                 for j, u in enumerate(rec.ues)
                 if u.active and u.bbox is not None]
         boxes = [truth[i].ues[j].bbox for i, j in rows]
-        draws = np.array([noise_draws(model.seed, truth[i].frame,
-                                      ue_index[truth[i].ues[j].ue_name])
-                          for i, j in rows]).reshape(-1, 3)
+        keys = [(truth[i].frame, ue_index[truth[i].ues[j].ue_name])
+                for i, j in rows]
+        if len(keys) < LANE_CELLS:
+            draws = np.array([noise_draws(model.seed, frame, ue)
+                              for frame, ue in keys]).reshape(-1, 3)
+        else:
+            draws = sweep_draws([model.seed], keys, normals=2)[0]
         edges, center = detected_boxes(
             np.array([(b.u_min, b.v_min, b.u_max, b.v_max)
                       for b in boxes]).reshape(-1, 2, 2),

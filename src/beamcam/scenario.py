@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, field, fields
-from functools import cache
+from functools import cache, cached_property
 from typing import Any, Callable, NamedTuple
 
+from .geometry import Mesh, box_mesh
 from .materials import DEFAULT_MATERIALS
 
 Vec3 = tuple[float, float, float]
@@ -217,6 +218,13 @@ class ReflectorConfig:
     material: str = _spec(_NAME)
     mesh_path: str | None = _spec(_NAME, None)
 
+    @cached_property
+    def box(self) -> Mesh:
+        """The box of this reflector's center, size and yaw: its occluder
+        when it has no ``mesh_path``. Built on first use, which is
+        ``validate_scenario``'s for a parsed scenario."""
+        return box_mesh(self.center, self.size, self.yaw_deg, self.material)
+
 
 @dataclass(frozen=True, kw_only=True)
 class UeConfig:
@@ -226,6 +234,13 @@ class UeConfig:
     # Empty tuple means "active for all frames".
     active_ranges: tuple[tuple[int, int], ...] = _spec(_RANGES, (), key="active")
     keyframes: tuple[tuple[int, Vec3], ...] = _spec(_FRAME_VEC3, (), key="keyframe")
+
+    @cached_property
+    def box(self) -> Mesh:
+        """This UE's box at the origin with yaw 0, which each frame moves to
+        the UE's position. Built on first use, which is
+        ``validate_scenario``'s for a parsed scenario."""
+        return box_mesh((0.0, 0.0, 0.0), self.size, material=self.material)
 
 
 @dataclass(frozen=True)
@@ -454,6 +469,23 @@ def validate_scenario(s: Scenario) -> list[str]:
     for item in s.reflectors + s.ues:
         if item.material not in table:
             out.append(f"unknown material '{item.material}'")
+
+    # The box meshes ``Simulator`` builds; values that pass their bounds can
+    # still make a face too thin for ``Mesh``, such as a size of 1e-7 m or
+    # a center so far out that the corners round together.
+    boxed = [r for r in s.reflectors if r.mesh_path is None] + list(s.ues)
+    for item in boxed:
+        if _POSITIVE_EACH.holds(item.size):
+            try:
+                item.box
+            except ValueError as exc:
+                given = (
+                    f"ue '{item.name}': size {_fmt_vec(item.size)} gives"
+                    if isinstance(item, UeConfig) else
+                    f"reflector '{item.name}': center {_fmt_vec(item.center)}"
+                    f", size {_fmt_vec(item.size)} and yaw_deg "
+                    f"{_fmt_float(item.yaw_deg)} give")
+                out.append(f"{given} no valid box mesh: {exc}")
 
     frames = sysp.frames
     for ue in s.ues:

@@ -49,6 +49,25 @@ keyframe = 9 : 10, 25, 0.7
 """
 
 
+# Edits of ``MINIMAL_SCENARIO`` whose values pass their bounds, each size
+# component > 0, but make a box face too thin for ``Mesh`` (1e-7 by 1e-7 m,
+# or corners 15 m apart that round together at 1e20 m), and the violation
+# each gives.
+DEGENERATE_BOXES = {
+    "ue": ("size = 4.4, 1.8, 1.4", "size = 1e-7, 1e-7, 1.4",
+           "ue 'car': size 1e-07, 1e-07, 1.4 gives no valid box mesh: "
+           "degenerate triangle (area <= 1e-12 m^2)"),
+    "reflector": ("size = 30, 1, 10", "size = 30, 1e-7, 1e-7",
+                  "reflector 'wall': center 0.0, 40.0, 5.0, size 30.0, "
+                  "1e-07, 1e-07 and yaw_deg 0.0 give no valid box mesh: "
+                  "degenerate triangle (area <= 1e-12 m^2)"),
+    "far-reflector": ("center = 0, 40, 5", "center = -1e20, 40, 5",
+                      "reflector 'wall': center -1e+20, 40.0, 5.0, size "
+                      "30.0, 1.0, 10.0 and yaw_deg 0.0 give no valid box "
+                      "mesh: degenerate triangle (area <= 1e-12 m^2)"),
+}
+
+
 _MATERIAL = st.sampled_from(["brick", "concrete", "metal"])
 _SIZE = st.tuples(*[st.floats(0.5, 20.0)] * 3)
 _BS_POSITION = (0.0, 0.0, 6.0)

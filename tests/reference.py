@@ -32,8 +32,7 @@ from numpy.random.bit_generator import ISeedSequence
 from beamcam.camera import (BoundingBox, CameraModel, VertexRays,
                             pixel_to_azimuth, project_points)
 from beamcam.channel import OUTAGE_SNR_DB, Codebook, world_to_array_deg
-from beamcam.geometry import (RAY_EPS, Mesh, Tracks, TriangleSet,
-                              _tri_areas, same_point)
+from beamcam.geometry import RAY_EPS, Mesh, Tracks, TriangleSet, same_point
 from beamcam.pipeline import (Detection, DetectorNoiseModel, FrameRecord,
                               Simulator, UeFrameRecord)
 from beamcam.raytrace import (_CONTAIN_TOL, Candidates, PathComponent,
@@ -60,7 +59,10 @@ def normalize(v: np.ndarray) -> np.ndarray:
 
 
 def areas(mesh: Mesh) -> np.ndarray:
-    return _tri_areas(mesh.tris)
+    """Each triangle's area, half the norm of ``np.cross`` of its edges."""
+    tris = mesh.tris
+    return 0.5 * np.linalg.norm(
+        np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]), axis=1)
 
 
 def interpolate_position(keyframes, frame: float) -> np.ndarray:
@@ -503,13 +505,18 @@ def _back(state: int, inc: int) -> int:
     return (state - inc) * _MULT_INVERSE % _MOD128
 
 
-def words_drawing(r: int) -> np.ndarray:
+def words_drawing(r: int, output: int) -> np.ndarray:
     """State words (``generate_state(4, np.uint64)``) of a ``PCG64`` stream
-    whose second 64-bit output, the one its ``standard_normal()`` reads
-    first, is ``r``: with inc 1 (words 2 and 3 zero), three steps back from
-    state ``r``, whose output has no rotation, then the seeding's ``state =
-    (inc + initstate) * mult + inc`` solved for initstate."""
-    initstate = (_back(_back(_back(r, 1), 1), 1) - 1) % _MOD128
+    whose ``output``-th 64-bit output is ``r``: the second is the one its
+    first ``standard_normal()`` reads first, the third the one a second
+    normal reads when the first took one output. With inc 1 (words 2 and 3
+    zero), ``output + 1`` steps back from state ``r``, whose output has no
+    rotation, then the seeding's ``state = (inc + initstate) * mult + inc``
+    solved for initstate."""
+    state = r
+    for _ in range(output + 1):
+        state = _back(state, 1)
+    initstate = (state - 1) % _MOD128
     return np.array([initstate >> 64, initstate & (1 << 64) - 1, 0, 0],
                     np.uint64)
 

@@ -18,7 +18,8 @@ from beamcam import pipeline as pl
 from beamcam import scenario as sc
 
 import reference as ref
-from conftest import (MINIMAL_SCENARIO, REPO_ROOT, SHIPPED_SCENARIO,
+from conftest import (DEGENERATE_BOXES, MINIMAL_SCENARIO, REPO_ROOT,
+                      SHIPPED_SCENARIO,
                       assert_blocks_are_frames,
                       assert_frame_pass_is_one_receiver_calls,
                       small_scenarios)
@@ -566,6 +567,19 @@ def test_a_dropped_scenario_key_exits_1(old, new, message, tmp_path,
     """``fps`` and ``[reflector] shape`` are no longer keys: a file that
     still sets one fails at parse with its line and column, and the run
     writes no dataset."""
+    scene = tmp_path / "scene.txt"
+    scene.write_text(MINIMAL_SCENARIO.replace(old, new))
+    out = tmp_path / "ds.jsonl"
+    assert run(["generate", "--scenario", scene, "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("old, new, message", DEGENERATE_BOXES.values(),
+                         ids=list(DEGENERATE_BOXES))
+def test_a_degenerate_box_exits_1(old, new, message, tmp_path, capsys):
+    """A box too thin for ``Mesh`` fails validation with its item and keys,
+    before the run writes a dataset."""
     scene = tmp_path / "scene.txt"
     scene.write_text(MINIMAL_SCENARIO.replace(old, new))
     out = tmp_path / "ds.jsonl"

@@ -21,6 +21,20 @@ def test_box_mesh_area_and_closure():
     assert np.allclose(ref.unique_rows(mesh).mean(axis=0), [1.0, -2.0, 3.0])
 
 
+def test_the_area_check_is_np_cross_bit_for_bit():
+    """``Mesh``'s area check writes ``np.cross`` out by its formula: every
+    area equals the reference's, bits included, from 1e-8 m to 1e20 m
+    triangles, far from the origin or at it."""
+    rng = np.random.default_rng(32)
+    for scale in (1e-8, 1.0, 1e3, 1e20):
+        tris = (rng.normal(size=(2000, 3, 3)) * scale
+                * rng.uniform(1e-3, 1.0, (2000, 1, 1))
+                + rng.normal(size=(2000, 1, 3)) * scale * rng.choice([0, 100]))
+        want = ref.areas(geo.Mesh(tris, check=False))
+        assert np.array_equal(geo._tri_areas(tris).view(np.uint64),
+                              want.view(np.uint64))
+
+
 # A tetrahedron in ASCII STL whose vertices carry -0.0 and 0.0, each vertex
 # written the same way in every facet.
 SIGNED_ZERO_STL = b"""solid zeros

@@ -337,18 +337,20 @@ def test_sweep_hashes_its_streams_in_the_array_pass(shipped_truth,
 
 def test_sweep_draws_are_bit_identical_on_random_cells():
     """100,000 random (seed < 2**64, frame, UE) cells, one- and two-word
-    seeds alike, are the reference streams bit for bit, so the sign of a
-    zero counts."""
+    seeds alike, are the reference streams bit for bit, with one normal and
+    with two, so the sign of a zero counts."""
     rng = np.random.default_rng(28)
     seeds = [*rng.integers(0, 2**32, 50).tolist(),
              *rng.integers(0, 2**64, 50, dtype=np.uint64).tolist()]
     keys = list(zip(rng.integers(0, 2**32, 1000).tolist(),
                     [*rng.integers(0, 2**32, 500).tolist(),
                      *rng.integers(0, 64, 500).tolist()]))
-    want = np.array([[ref.noise_draws(seed, frame, ue)[:2]
+    want = np.array([[ref.noise_draws(seed, frame, ue)
                       for frame, ue in keys] for seed in seeds])
-    assert np.array_equal(pl.sweep_draws(seeds, keys).view(np.uint64),
-                          want.view(np.uint64))
+    for normals in (1, 2):
+        assert np.array_equal(
+            pl.sweep_draws(seeds, keys, normals).view(np.uint64),
+            want[..., :1 + normals].view(np.uint64))
 
 
 def probed_tables():
@@ -357,37 +359,70 @@ def probed_tables():
     return pl._ZIGGURAT[0][1:]
 
 
+def path_class(r: int, kb: np.ndarray) -> str:
+    """Where a normal draw whose first 64-bit output is ``r`` falls: on the
+    one-output path of the lanes, or in one of the classes off it."""
+    idx, rabs = r & 0xFF, r >> 9 & (1 << 52) - 1
+    return ("idx0" if idx == 0 else "idx1" if idx == 1
+            else "rabs_at_or_over_kb" if rabs >= kb[idx] else "fast")
+
+
 # Shipped-sweep cells whose normal draw reads layer 0 (the tail), layer 1
 # (threshold 0), and a layer >= 2 at or above its threshold: each falls back
 # to numpy's own draw.
 FALLBACK_KEYS = {"idx0": (1, 77, 0), "idx1": (0, 44, 1),
                  "rabs_at_or_over_kb": (0, 87, 1)}
+# Shipped-truth cells whose z_u is on the one-output path and whose z_v
+# falls in each class off it, where numpy's z_v is not the one-output value.
+Z_V_FALLBACK_KEYS = {"idx0": (0, 240, 2), "idx1": (0, 88, 1),
+                     "rabs_at_or_over_kb": (0, 124, 2)}
 
 
 def test_each_fallback_class_is_numpys_own_draw():
-    """Keys whose normal draw is off the one-output path are the reference
-    draws; state words made to draw ``rabs = kb - 1`` at every layer >= 2
-    take the array pass, and ``rabs = kb`` or layers 0 and 1 do not."""
+    """Keys whose z_u, or only whose z_v, is off the one-output path are the
+    reference draws; state words made to draw ``rabs = kb - 1`` at every
+    layer >= 2 take the array pass, and ``rabs = kb`` or layers 0 and 1 do
+    not, whether that output is z_u's or z_v's. The lanes give numpy's own
+    ``standard_normal(1)`` or ``standard_normal(2)`` its starting state."""
     wi, kb = probed_tables()
     for name, (seed, frame, ue) in FALLBACK_KEYS.items():
         r = int(np.random.PCG64([seed, frame, ue]).random_raw(2)[1])
-        idx, rabs = r & 0xFF, r >> 9 & (1 << 52) - 1
-        assert {"idx0": idx == 0, "idx1": idx == 1,
-                "rabs_at_or_over_kb": idx >= 2 and rabs >= kb[idx]}[name]
+        assert path_class(r, kb) == name
         assert pl.sweep_draws([seed], [(frame, ue)])[0, 0].tolist() \
             == list(ref.noise_draws(seed, frame, ue)[:2])
+    for name, (seed, frame, ue) in Z_V_FALLBACK_KEYS.items():
+        _, r_u, r_v = np.random.PCG64([seed, frame, ue]).random_raw(3).tolist()
+        assert (path_class(r_u, kb), path_class(r_v, kb)) == ("fast", name)
+        want = ref.noise_draws(seed, frame, ue)
+        assert pl.sweep_draws([seed], [(frame, ue)], 2)[0, 0].tolist() \
+            == list(want)
+        words = np.random.SeedSequence([seed, frame, ue]).generate_state(
+            4, np.uint64)
+        assert pl._pcg_draws(words[None], wi, kb, 2)[0][0, 2] != want[2]
     cells = [(idx, sign, rabs) for idx in range(256) for sign in (0, 1)
              for rabs in ((1,) if idx < 2 else (int(kb[idx]) - 1,
                                                 int(kb[idx])))]
-    words = np.array([ref.words_drawing(rabs << 9 | sign << 8 | idx)
-                      for idx, sign, rabs in cells])
-    draws, fast, _ = pl._pcg_draws(words, wi, kb)
-    assert fast.tolist() == [idx >= 2 and rabs == kb[idx] - 1
-                             for idx, _, rabs in cells]
-    for row, (miss, z_u), on_path in zip(words, draws.tolist(), fast):
-        rng = np.random.Generator(np.random.PCG64(ref.SeedState(row)))
-        assert miss == rng.random()
-        assert z_u == rng.standard_normal() or not on_path
+    rng = np.random.Generator(np.random.PCG64(0))
+    for normals in (1, 2):
+        words = np.array([ref.words_drawing(rabs << 9 | sign << 8 | idx,
+                                            1 + normals)
+                          for idx, sign, rabs in cells])
+        draws, fast, lanes = pl._pcg_draws(words, wi, kb, normals)
+        classes = [[path_class(r, kb) for r in np.random.PCG64(
+            ref.SeedState(row)).random_raw(1 + normals)[1:].tolist()]
+            for row in words]
+        assert {tuple(c) for c in classes} >= {
+            ("fast",) * (normals - 1) + (name,)
+            for name in ("fast", *FALLBACK_KEYS)}
+        assert fast.tolist() == [c == ["fast"] * normals for c in classes]
+        for i, row in enumerate(words):
+            want = np.random.Generator(np.random.PCG64(ref.SeedState(row)))
+            assert draws[i, 0] == want.random()
+            z = want.standard_normal(normals).tolist()
+            assert draws[i, 1:].tolist() == z or not fast[i]
+            hi, lo, inc_hi, inc_lo = (int(lane[i]) for lane in lanes)
+            assert pl._numpy_normal(rng, hi << 64 | lo, inc_hi << 64 | inc_lo,
+                                    normals).tolist() == z
 
 
 def test_kb_is_at_or_below_numpys_exact_thresholds():
@@ -434,6 +469,52 @@ def test_apply_detector_is_the_one_row_reference(scenario):
             model = pl.DetectorNoiseModel(sigma, miss_prob, seed)
             assert sim.apply_detector(truth, model) \
                 == ref.apply_detector(sim, truth, model)
+
+
+def leading_rows(truth, n):
+    """The fewest leading frames of ``truth`` that hold ``n`` rows the
+    detector sees (active, with a box), any row after the n-th made
+    inactive."""
+    out = []
+    for rec in truth:
+        ues = []
+        for u in rec.ues:
+            if u.active and u.bbox is not None:
+                if n:
+                    n -= 1
+                else:
+                    u = dataclasses.replace(u, active=0)
+            ues.append(u)
+        out.append(dataclasses.replace(rec, ues=tuple(ues)))
+        if not n:
+            return out
+    raise ValueError("truth has too few rows")
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 3])
+def test_apply_detector_is_the_reference_on_the_shipped_truth(
+        shipped_truth, seed, monkeypatch):
+    """One frame, one row below ``LANE_CELLS``, exactly ``LANE_CELLS`` rows
+    and all 300 frames are the one-row reference, bit for bit (``repr``
+    shows the sign of a zero, which sigma 0 keeps). Below ``LANE_CELLS``
+    every row is one ``noise_draws`` call; from it on, a seed below 2**64
+    makes none."""
+    sim, truth = shipped_truth
+    calls = []
+    draws = pl.noise_draws
+    monkeypatch.setattr(pl, "noise_draws", lambda *key: (
+        calls.append(key), draws(*key))[1])
+    for part in (truth[:1], leading_rows(truth, pl.LANE_CELLS - 1),
+                 leading_rows(truth, pl.LANE_CELLS), truth):
+        rows = sum(bool(u.active and u.bbox) for rec in part for u in rec.ues)
+        for sigma, miss_prob in ((0.0, 0.0), (2.0, 0.0), (20.0, 0.3)):
+            model = pl.DetectorNoiseModel(sigma, miss_prob, seed)
+            calls.clear()
+            records = sim.apply_detector(part, model)
+            want = ref.apply_detector(sim, part, model)
+            assert records == want and repr(records) == repr(want)
+            assert len(calls) == (rows if rows < pl.LANE_CELLS
+                                  or seed >= 2**64 else 0)
 
 
 def test_apply_detector_keeps_a_negative_zero_edge(minimal_scenario):

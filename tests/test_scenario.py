@@ -1,10 +1,13 @@
+import numpy as np
 import pytest
 
 from beamcam import scenario as sc
+from beamcam.geometry import box_mesh
+from beamcam.pipeline import Simulator
 
 import reference as ref
 
-from conftest import MINIMAL_SCENARIO, SHIPPED_SCENARIO
+from conftest import DEGENERATE_BOXES, MINIMAL_SCENARIO, SHIPPED_SCENARIO
 
 # Every key set to a value other than its parse default, so a serializer
 # that drops a field breaks the round trip.
@@ -251,6 +254,30 @@ def test_ue_keyframe_rules(keyframes, violation):
     with pytest.raises(sc.ScenarioValidationError) as exc:
         sc.parse_scenario(text)
     assert exc.value.violations == [f"ue 'car': {violation}"]
+
+
+@pytest.mark.parametrize("old, new, message", DEGENERATE_BOXES.values(),
+                         ids=list(DEGENERATE_BOXES))
+def test_a_degenerate_box_is_rejected(old, new, message):
+    """Validation builds the box meshes a ``Simulator`` builds, and a mesh
+    error names its item and the keys its box is made of."""
+    text = MINIMAL_SCENARIO.replace(old, new)
+    assert text != MINIMAL_SCENARIO
+    with pytest.raises(sc.ScenarioValidationError) as exc:
+        sc.parse_scenario(text)
+    assert exc.value.violations == [message]
+
+
+def test_validation_builds_the_simulators_box_meshes(minimal_scenario):
+    """The UE box at the origin and the reflector box at its own center and
+    yaw, built once: the ``Simulator`` takes the meshes validation made."""
+    wall, car = minimal_scenario.reflectors[0], minimal_scenario.ues[0]
+    assert "box" in vars(wall) and "box" in vars(car)
+    assert np.array_equal(wall.box.tris, box_mesh(
+        wall.center, wall.size, wall.yaw_deg).tris)
+    assert np.array_equal(car.box.tris, box_mesh((0, 0, 0), car.size).tris)
+    meshes = dict(Simulator(minimal_scenario)._meshes)
+    assert meshes["wall"] is wall.box and meshes["car"] is car.box
 
 
 def test_shipped_scenario_parses():

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import re
 from collections import Counter
 
@@ -233,3 +234,20 @@ def test_readme_names_only_existing_code():
     stale = sorted(ident for ident in idents
                    if not set(ident.removesuffix("()").split(".")) <= words)
     assert stale == []
+
+
+def test_readme_constants_match_the_code():
+    """Every "`NAME` = number" in README.md (thousands written with commas)
+    is the value of the module constant NAME in ``src/beamcam``."""
+    claims = re.findall(r"`([A-Z][A-Z0-9_]*)` = (\d[\d,]*)",
+                        (REPO_ROOT / "README.md").read_text(encoding="utf-8"))
+    values = {}
+    for path in SRC.glob("*.py"):
+        module = importlib.import_module(f"beamcam.{path.stem}")
+        values.update((name, value) for name, value in vars(module).items()
+                      if name.isupper())
+    assert {name for name, _ in claims} >= {
+        "CHUNK", "SCREEN_PAIRS", "KERNEL_PAIRS", "TRUTH_BLOCK", "LANE_CELLS"}
+    wrong = [(name, text) for name, text in claims
+             if values.get(name) != int(text.replace(",", ""))]
+    assert wrong == []
